@@ -1,66 +1,36 @@
 #!/usr/bin/env python3
 """Confirm the classifiers against exhaustive enumeration, one size at a time.
 
-For each even path size, list every graph on the same vertex and edge
-counts (up to isomorphism), keep those with the path's independence
-polynomial, and compare the survivors against both the classifier and
-the catalogue cover search.  Cycle references get the same treatment.
-The only inputs to the enumeration are the two counts forced by the
-polynomial, so the confirmation is independent of the classification
-argument.
+Runs the ``path-classes``, ``cycle-classes`` and ``cover-search`` checks
+of the verification registry (``indeq.checks``), one size per call, and
+prints each result with its time.  For a path or cycle the oracle lists
+every graph on the same vertex and edge counts (up to isomorphism) and
+keeps those with the reference's independence polynomial; the survivors
+must be exactly the classifier's members (for odd paths, the path
+alone).  The only inputs to the enumeration are the two counts forced by
+the polynomial, so the confirmation is independent of the classification
+argument.  The catalogue cover search is then compared with the
+classifier for every even path size up to ``--max-path``.
 
 Usage: python scripts/exhaustive_crosscheck.py [--max-path 10] [--max-cycle 9]
 
-The defaults finish in well under ten minutes; path sizes beyond 10 or
-cycle sizes beyond 9 blow past the enumerator's vertex cap.
+The defaults finish in well under ten minutes.  The filtered enumeration
+is capped at 12 vertices, so P_11, P_12 and C_10 to C_12 are within the
+cap but limited by time: P_11 alone takes close to a minute.
 """
 
 import argparse
 import sys
 import time
-import warnings
 
-from indeq.classify import EvenCycleClassNote, cycle_class, path_class
-from indeq.graphcore import FamilySpec, build, canonical_form
-from indeq.oracle import (
-    as_equiv_class,
-    catalogue_class_search,
-    equivalence_class_bruteforce,
-)
+from indeq.checks import CHECKS
 
 
-def check_path(n: int) -> bool:
+def run(label: str, check: str, bounds: dict) -> bool:
     start = time.perf_counter()
-    reference = build(FamilySpec("P", (n,)))
-    survivors = equivalence_class_bruteforce(reference)
+    ok, detail = CHECKS[check](bounds)
     elapsed = time.perf_counter() - start
-    if n % 2 == 1:
-        ok = len(survivors) == 1
-        print(f"P_{n}: {len(survivors)} graph(s), expected a unique one "
-              f"[{elapsed:.1f}s] {'ok' if ok else 'MISMATCH'}")
-        return ok
-    predicted = path_class(n)
-    covered = catalogue_class_search(n)
-    got = {canonical_form(g) for g in survivors}
-    ok = got == predicted.canonical_forms() and covered.members == predicted.members
-    print(f"P_{n}: {len(survivors)} graphs exhaustively, classifier predicts "
-          f"{len(predicted)} [{elapsed:.1f}s] {'ok' if ok else 'MISMATCH'}")
-    if ok:
-        for member in as_equiv_class(FamilySpec("P", (n,)), survivors).members:
-            print("    " + " + ".join(str(s) for s in member))
-    return ok
-
-
-def check_cycle(n: int) -> bool:
-    start = time.perf_counter()
-    survivors = equivalence_class_bruteforce(build(FamilySpec("C", (n,))))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EvenCycleClassNote)
-        predicted = cycle_class(n)
-    elapsed = time.perf_counter() - start
-    ok = {canonical_form(g) for g in survivors} == predicted.canonical_forms()
-    print(f"C_{n}: {len(survivors)} graphs exhaustively, classifier predicts "
-          f"{len(predicted)} [{elapsed:.1f}s] {'ok' if ok else 'MISMATCH'}")
+    print(f"{label}: {detail} [{elapsed:.1f}s] {'ok' if ok else 'MISMATCH'}")
     return ok
 
 
@@ -71,9 +41,15 @@ def main() -> int:
     args = parser.parse_args()
     ok = True
     for n in range(3, args.max_path + 1):
-        ok &= check_path(n)
+        if n % 2 == 0:
+            bounds = {"class_paths": (n,), "odd_paths": ()}
+        else:
+            bounds = {"class_paths": (), "odd_paths": (n,)}
+        ok &= run(f"P_{n}", "path-classes", bounds)
+    if args.max_path >= 4:
+        ok &= run("cover search", "cover-search", {"search": args.max_path})
     for n in range(3, args.max_cycle + 1):
-        ok &= check_cycle(n)
+        ok &= run(f"C_{n}", "cycle-classes", {"cycles": (n,)})
     print("all confirmations passed" if ok else "MISMATCH FOUND", file=sys.stderr)
     return 0 if ok else 1
 

@@ -19,6 +19,7 @@ components, built into graphs only when validation asks for it.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +27,7 @@ from math import comb
 from typing import Optional, Sequence
 
 from .factorbasis import two_adic_split
-from .graphcore import FamilySpec, Graph, build, canonical_form
+from .graphcore import _PARAM_FLOORS, FamilySpec, Graph, build, canonical_form
 from .indpoly import independence_polynomial, path_polynomial
 from .polyalg import (
     IntPoly,
@@ -154,16 +155,21 @@ class Verdict:
 
 
 def screen_family(spec: FamilySpec) -> Verdict:
-    """Admissible iff every root of I(spec, x) is real and below -1/4."""
-    poly = independence_polynomial(build(spec))
-    if all_roots_real_below(poly, _QUARTER):
-        return Verdict(True, "all roots real and below -1/4")
+    """Admissible iff every root of I(spec, x) is real and below -1/4.
+
+    A closed-form value I(-1/4) <= 0 eliminates the shape before its
+    graph is built: a polynomial with constant term 1 whose roots are all
+    real and below -1/4 is positive at -1/4.
+    """
     try:
         value = elimination_value(spec)
     except ValueError:
         value = None
     if value is not None and value <= 0:
         return Verdict(False, f"I(-1/4) = {value} <= 0 forces a root in [-1/4, 1)")
+    poly = independence_polynomial(build(spec))
+    if all_roots_real_below(poly, _QUARTER):
+        return Verdict(True, "all roots real and below -1/4")
     if not is_squarefree(poly):
         return Verdict(False, "independence polynomial has repeated roots")
     chain = SturmChain.of(poly)
@@ -174,30 +180,10 @@ def screen_family(spec: FamilySpec) -> Verdict:
 
 
 def sweep_family(family: str, max_param: int) -> list[tuple[FamilySpec, Verdict]]:
-    """Screen every parameter tuple of a family with all parameters <= max_param.
-
-    Tuples whose closed-form value is <= 0 are reported as eliminated
-    without building the graph; the agreement of that shortcut with the
-    direct root check is covered by the verification suites.
-    """
-    import itertools
-
-    from .graphcore import _PARAM_FLOORS
-
-    floors = _PARAM_FLOORS[family]
-    ranges = [range(f, max_param + 1) for f in floors]
-    out = []
-    for params in itertools.product(*ranges):
-        spec = FamilySpec(family, params)
-        try:
-            value = elimination_value(spec)
-        except ValueError:
-            value = None
-        if value is not None and value <= 0:
-            out.append((spec, Verdict(False, f"I(-1/4) = {value} <= 0 forces a root in [-1/4, 1)")))
-        else:
-            out.append((spec, screen_family(spec)))
-    return out
+    """Screen every parameter tuple of a family with all parameters <= max_param."""
+    ranges = [range(f, max_param + 1) for f in _PARAM_FLOORS[family]]
+    specs = [FamilySpec(family, params) for params in itertools.product(*ranges)]
+    return [(spec, screen_family(spec)) for spec in specs]
 
 
 # -- the candidate catalogue (shortlist) ----------------------------------------
@@ -339,8 +325,6 @@ def _normalize(parts: Sequence[tuple[str, tuple[int, ...]]]) -> Optional[Member]
 
 def _expand_d_substitution(member: Member) -> list[Member]:
     """All variants replacing any subset of cycles C_k (k >= 4) by D_k."""
-    import itertools
-
     options = []
     for s in member:
         if s.family == "C" and s.params[0] >= 4:

@@ -22,16 +22,15 @@ import json
 import sys
 import warnings
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
-from . import classify, factorbasis, indpoly, oracle, polyalg
+from . import checks, classify, factorbasis, indpoly, oracle, polyalg
 from .graphcore import (
     FAMILY_ARITY,
     FamilySpec,
     Graph,
     Graph6Error,
     build,
-    canonical_form,
     graph6_read,
     graph6_write,
 )
@@ -224,294 +223,16 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-# -- verify suites --------------------------------------------------------------
-
-Check = tuple[str, Callable[[], tuple[bool, str]]]
-
-
-def _bounds(bound: str) -> dict:
-    if bound == "small":
-        return {
-            "equiv": 40, "spider": 15, "grid": 6, "recur": 10, "edge_verts": 10,
-            "factor": 60, "degree": 120, "coprime": 24, "roots": 30,
-            "elim": 6, "sweep": 15, "class_paths": (4, 6, 8), "odd_paths": (3, 5, 7),
-            "cycles": (4, 5, 6), "search": 20, "enum": 6,
-        }
-    return {
-        "equiv": 100, "spider": 40, "grid": 10, "recur": 20, "edge_verts": 12,
-        "factor": 200, "degree": 500, "coprime": 60, "roots": 60,
-        "elim": 20, "sweep": 40, "class_paths": (4, 6, 8, 10), "odd_paths": (3, 5, 7, 9),
-        "cycles": (4, 5, 6, 7, 8, 9), "search": 40, "enum": 7,
-    }
-
-
-def _spec(family, *params):
-    return FamilySpec(family, tuple(params))
-
-
-def _poly_of(*specs) -> polyalg.IntPoly:
-    return indpoly.independence_polynomial(build(list(specs)))
-
-
-def _check_equivalences(b) -> tuple[bool, str]:
-    top = b["equiv"]
-    for n in range(4, top + 1):
-        if _poly_of(_spec("C", n)) != _poly_of(_spec("D", n)):
-            return False, f"C:{n} != D:{n}"
-    for n in range(2, top + 1):
-        if _poly_of(_spec("P", 2 * n)) != _poly_of(_spec("P", n - 1), _spec("C", n + 1)):
-            return False, f"P:{2*n} != P:{n-1}+C:{n+1}"
-    for m in range(1, b["spider"] + 1):
-        if _poly_of(_spec("Y", m, 2, 1)) != _poly_of(_spec("P", 1), _spec("C", m + 3)):
-            return False, f"Y:{m},2,1 != P:1+C:{m+3}"
-    g = b["grid"]
-    for a in range(1, g + 1):
-        for c in range(1, g + 1):
-            pa = _poly_of(_spec("A", a, c))
-            if pa != _poly_of(_spec("E", a, c)) or pa != _poly_of(_spec("E", c, a)):
-                return False, f"A/E mismatch at {a},{c}"
-            if _poly_of(_spec("F1", a, c)) != _poly_of(_spec("F5", a, c)):
-                return False, f"F1/F5 mismatch at {a},{c}"
-        if _poly_of(_spec("F2", a)) != _poly_of(_spec("F4", a)):
-            return False, f"F2/F4 mismatch at {a}"
-    return True, f"cycle/path/spider/tadpole identities up to {top}"
-
-
-def _check_recurrences(b) -> tuple[bool, str]:
-    top = b["recur"]
-    series: list[tuple[str, Callable[[int], list[FamilySpec]], int]] = [
-        ("P", lambda m: [_spec("P", m)], 2),
-        ("C", lambda m: [_spec("C", m)], 5),
-        ("D", lambda m: [_spec("D", m)], 4),
-        ("Y:m,1,1", lambda m: [_spec("Y", m, 1, 1)], 3),
-        ("B:m,1,1", lambda m: [_spec("B", m, 1, 1)], 2),
-        ("A:m,2", lambda m: [_spec("A", m, 2)], 3),
-        ("F4", lambda m: [_spec("F4", m)], 3),
-        ("F5:1,m", lambda m: [_spec("F5", 1, m)], 3),
-        ("F6:1,1,m", lambda m: [_spec("F6", 1, 1, m)], 3),
-    ]
-    for name, make, start in series:
-        for m in range(start, top + 1):
-            lhs = _poly_of(*make(m))
-            rhs = _poly_of(*make(m - 1)) + _poly_of(*make(m - 2)).mul_xpow(1)
-            if lhs != rhs:
-                return False, f"two-term recurrence fails for {name} at m={m}"
-    return True, f"two-term deletion recurrences hold up to index {top}"
-
-
-def _check_edge_deletion(b) -> tuple[bool, str]:
-    specs = [_spec("C", 6), _spec("D", 6), _spec("Y", 3, 2, 1), _spec("E", 2, 2),
-             _spec("A", 2, 2), _spec("B", 1, 2, 1), _spec("K4e"), _spec("F3", 2),
-             _spec("F7", 1), _spec("F9", 0, 1, 0)]
-    for s in specs:
-        g = build(s)
-        if g.n > b["edge_verts"]:
-            continue
-        pg = indpoly.independence_polynomial(g)
-        for u, v in g.edges():
-            minus_e, minus_nbhd = g.delete_edge_and_open_neighborhoods(u, v)
-            rhs = indpoly.independence_polynomial(minus_e) - indpoly.independence_polynomial(minus_nbhd).mul_xpow(2)
-            if pg != rhs:
-                return False, f"edge identity fails for {s} at edge ({u},{v})"
-    return True, "edge-deletion identity holds across the catalogue sample"
-
-
-def _check_factorizations(b) -> tuple[bool, str]:
-    top = b["factor"]
-    for n in range(3, top + 1):
-        if factorbasis.product_of(factorbasis.factor_cycle(n)) != indpoly.cycle_polynomial(n):
-            return False, f"cycle factor product fails at n={n}"
-    for n in range(0, top - 1):
-        if factorbasis.product_of(factorbasis.factor_path(n)) != indpoly.path_polynomial(n):
-            return False, f"path factor product fails at n={n}"
-    return True, f"factor products reproduce path/cycle polynomials up to {top}"
-
-
-def _check_degrees(b) -> tuple[bool, str]:
-    top = b["degree"]
-    for n in range(2, top + 1):
-        if factorbasis.basis_f(n).poly.degree != factorbasis.euler_phi(2 * n) // 2:
-            return False, f"deg f{n} wrong"
-        if n % 2 == 1 and n >= 3:
-            if factorbasis.basis_ftilde(n).poly.degree != factorbasis.euler_phi(n) // 2:
-                return False, f"deg f~{n} wrong"
-    return True, f"basis degrees match phi-formulas up to {top}"
-
-
-def _check_coprime(b) -> tuple[bool, str]:
-    top = b["coprime"]
-    polys = [factorbasis.basis_f(n).poly for n in range(2, top + 1)]
-    polys += [factorbasis.basis_ftilde(n).poly for n in range(3, top + 1, 2)]
-    for i, p in enumerate(polys):
-        for q in polys[i + 1:]:
-            if polyalg.poly_gcd(p, q).degree != 0:
-                return False, "common factor found"
-    for k in range(3, top + 1):
-        fk = set(factorbasis.factor_cycle(k))
-        for n in range(3, top + 1):
-            divides = fk <= set(factorbasis.factor_cycle(n))
-            odd_ratio = n % k == 0 and (n // k) % 2 == 1
-            if divides != odd_ratio:
-                return False, f"cycle divisibility law fails at k={k}, n={n}"
-    return True, f"pairwise coprimality and the odd-ratio divisibility law up to {top}"
-
-
-def _check_basis_roots(b) -> tuple[bool, str]:
-    top = b["roots"]
-    for n in range(1, top + 1):
-        if not polyalg.all_roots_real_below(indpoly.path_polynomial(n), _QUARTER):
-            return False, f"path polynomial roots escape at n={n}"
-        if n >= 3 and not polyalg.all_roots_real_below(indpoly.cycle_polynomial(n), _QUARTER):
-            return False, f"cycle polynomial roots escape at n={n}"
-        if n >= 2 and not polyalg.all_roots_real_below(factorbasis.basis_f(n).poly, _QUARTER):
-            return False, f"f{n} roots escape"
-        if n >= 3 and n % 2 == 1 and not polyalg.all_roots_real_below(
-                factorbasis.basis_ftilde(n).poly, _QUARTER):
-            return False, f"f~{n} roots escape"
-    return True, f"all path/cycle/basis roots real and below -1/4 up to {top}"
-
-
-def _check_elimination_values(b) -> tuple[bool, str]:
-    import itertools
-    from .graphcore import _PARAM_FLOORS
-
-    top = b["elim"]
-    for fam in ("Y", "B", "A", "F3", "F4", "F5", "F6", "F7", "F8", "F9"):
-        floors = _PARAM_FLOORS[fam]
-        for params in itertools.product(*[range(f, top + 1) for f in floors]):
-            s = FamilySpec(fam, params)
-            if classify.elimination_value(s) != _poly_of(s).eval_rational(_QUARTER):
-                return False, f"closed form disagrees with evaluation at {s}"
-    f42 = classify.elimination_value(_spec("F4", 2))
-    f43 = classify.elimination_value(_spec("F4", 3))
-    if f42 != Fraction(-1, 64) or f43 != Fraction(-1, 64):
-        return False, "F4 base values are not -1/64"
-    return True, f"elimination closed forms equal exact evaluation, parameters <= {top}"
-
-
-def _check_screens(b) -> tuple[bool, str]:
-    top = b["sweep"]
-    y = {m for m in range(1, top + 1)
-         if classify.screen_family(_spec("Y", m, 1, 1)).admissible}
-    if y != {2, 5, 10} & set(range(1, top + 1)):
-        return False, f"Y:m,1,1 admissible set is {sorted(y)}"
-    bb = {m for m in range(0, top + 1)
-          if classify.screen_family(_spec("B", m, 1, 1)).admissible}
-    if bb != {0, 5} & set(range(0, top + 1)):
-        return False, f"B:m,1,1 admissible set is {sorted(bb)}"
-    triples = {s.params for s, v in classify.sweep_family("Y", 6)
-               if v.admissible and min(s.params) >= 2}
-    want = {(4, 2, 2), (3, 3, 2), (3, 2, 2), (2, 2, 4), (2, 2, 3), (2, 3, 3),
-            (2, 4, 2), (3, 2, 3), (2, 3, 2)}
-    if triples != {t for t in want if max(t) <= 6}:
-        return False, f"Y triple admissible set is {sorted(triples)}"
-    return True, f"screening sweeps match the expected admissible sets, m <= {top}"
-
-
-def _check_catalogue(b) -> tuple[bool, str]:
-    for entry in classify.CATALOGUE:
-        if entry.spec is None:
-            continue
-        poly = _poly_of(entry.spec)
-        want = factorbasis.product_of(tuple(
-            factorbasis.basis_f(i) if kind == "f" else factorbasis.basis_ftilde(i)
-            for kind, i in entry.factors
-        ))
-        if poly != want:
-            return False, f"catalogue factorization wrong for {entry.label}"
-        stats = classify.degree_stats(build(entry.spec))
-        if (stats.triangle_count, stats.count(3)) != (entry.triangle_count, entry.degree3_count):
-            return False, f"catalogue structure counts wrong for {entry.label}"
-    return True, "catalogue rows reproduce their factorizations and structure counts"
-
-
-def _check_classes_small(b) -> tuple[bool, str]:
-    for nv in b["class_paths"]:
-        want = classify.path_class(nv).canonical_forms()
-        got = frozenset(
-            canonical_form(g)
-            for g in oracle.equivalence_class_bruteforce(build(_spec("P", nv)))
-        )
-        if want != got:
-            return False, f"path class mismatch at n={nv}"
-    for nv in b["odd_paths"]:
-        cls = oracle.equivalence_class_bruteforce(build(_spec("P", nv)))
-        if len(cls) != 1:
-            return False, f"odd path P:{nv} is not unique in its class"
-    return True, f"brute-force classes match for paths {b['class_paths']} and odd {b['odd_paths']}"
-
-
-def _check_cycle_classes(b) -> tuple[bool, str]:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", classify.EvenCycleClassNote)
-        for n in b["cycles"]:
-            want = classify.cycle_class(n).canonical_forms()
-            got = frozenset(
-                canonical_form(g)
-                for g in oracle.equivalence_class_bruteforce(build(_spec("C", n)))
-            )
-            if want != got:
-                return False, f"cycle class mismatch at n={n}"
-    return True, f"brute-force cycle classes match for n in {b['cycles']}"
-
-
-def _check_search(b) -> tuple[bool, str]:
-    for nv in range(2, b["search"] + 1, 2):
-        if oracle.catalogue_class_search(nv).members != classify.path_class(nv).members:
-            return False, f"catalogue search disagrees with the classifier at n={nv}"
-    return True, f"catalogue cover search matches the classifier for even n <= {b['search']}"
-
-
-def _check_enumeration(b) -> tuple[bool, str]:
-    top = b["enum"]
-    for n in range(1, top + 1):
-        counted = oracle.count_isomorphism_classes(n)
-        if counted != oracle.unlabeled_graph_count(n):
-            return False, f"enumeration count wrong at n={n}: {counted}"
-        if n <= 6 and counted != oracle.naive_bucket_count(n):
-            return False, f"naive bucketing disagrees at n={n}"
-    return True, f"enumeration counts match orbit counting up to n={top}"
-
-
-SUITES: dict[str, list[str]] = {
-    "identities": ["equivalences", "recurrences", "edge-deletion"],
-    "factorization": ["factor-products", "basis-degrees", "coprimality", "root-locations"],
-    "eliminations": ["closed-forms", "screens", "catalogue"],
-    "classes-vs-oracle": ["enumeration", "path-classes", "cycle-classes", "cover-search"],
-}
-
-CHECKS: dict[str, Callable] = {
-    "equivalences": _check_equivalences,
-    "recurrences": _check_recurrences,
-    "edge-deletion": _check_edge_deletion,
-    "factor-products": _check_factorizations,
-    "basis-degrees": _check_degrees,
-    "coprimality": _check_coprime,
-    "root-locations": _check_basis_roots,
-    "closed-forms": _check_elimination_values,
-    "screens": _check_screens,
-    "catalogue": _check_catalogue,
-    "enumeration": _check_enumeration,
-    "path-classes": _check_classes_small,
-    "cycle-classes": _check_cycle_classes,
-    "cover-search": _check_search,
-}
-
-
 def _cmd_verify(args) -> int:
-    names = []
     if args.suite == "all":
-        for suite in SUITES.values():
-            names.extend(suite)
+        names = [name for suite in checks.SUITES.values() for name in suite]
     else:
-        names = SUITES[args.suite]
-    bounds = _bounds(args.bound)
+        names = checks.SUITES[args.suite]
     failures = 0
     for name in names:
-        ok, detail = CHECKS[name](bounds)
-        status = "PASS" if ok else "FAIL"
+        ok, detail = checks.CHECKS[name](checks.BOUNDS[args.bound])
         failures += not ok
-        print(f"{status} {name}: {detail}")
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     return 1 if failures else 0
 
 
@@ -579,8 +300,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="run a named check battery")
-    p.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    p.add_argument("--bound", choices=("small", "full"), default="small")
+    p.add_argument("suite", choices=sorted(checks.SUITES) + ["all"])
+    p.add_argument("--bound", choices=tuple(checks.BOUNDS), default="small")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -124,6 +124,23 @@ class Graph:
         if not (0 <= v < self.n):
             raise IndexError(f"vertex {v} out of range for {self.n} vertices")
 
+    def _remap(self, order: Sequence[int], keep: int) -> "Graph":
+        """Graph whose new vertex i is the old vertex order[i], keeping only
+        the edges into the vertex mask ``keep``."""
+        pos = [0] * self.n
+        for i, v in enumerate(order):
+            pos[v] = i
+        adj = []
+        for v in order:
+            m = self.adj[v] & keep
+            row = 0
+            while m:
+                low = m & -m
+                row |= 1 << pos[low.bit_length() - 1]
+                m ^= low
+            adj.append(row)
+        return Graph(len(adj), adj)
+
     def subgraph_without(self, drop: Iterable[int]) -> "Graph":
         """Induced subgraph after deleting the given vertices (relabeled)."""
         drop_mask = 0
@@ -131,17 +148,7 @@ class Graph:
             self._check_vertex(v)
             drop_mask |= 1 << v
         keep = [v for v in range(self.n) if not (drop_mask >> v & 1)]
-        pos = {v: i for i, v in enumerate(keep)}
-        adj = [0] * len(keep)
-        for i, v in enumerate(keep):
-            m = self.adj[v] & ~drop_mask
-            row = 0
-            while m:
-                w = (m & -m).bit_length() - 1
-                row |= 1 << pos[w]
-                m &= m - 1
-            adj[i] = row
-        return Graph(len(keep), adj)
+        return self._remap(keep, ~drop_mask)
 
     def delete_vertex(self, v: int) -> "Graph":
         self._check_vertex(v)
@@ -172,29 +179,14 @@ class Graph:
         return without_edge, self.subgraph_without(_bits(self.adj[u] | self.adj[v]))
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
-        pos = {v: i for i, v in enumerate(vertices)}
-        adj = [0] * len(vertices)
-        for i, v in enumerate(vertices):
-            row = 0
-            for w in _bits(self.adj[v]):
-                j = pos.get(w)
-                if j is not None:
-                    row |= 1 << j
-            adj[i] = row
-        return Graph(len(vertices), adj)
+        mask = 0
+        for v in vertices:
+            mask |= 1 << v
+        return self._remap(vertices, mask)
 
     def relabel(self, order: Sequence[int]) -> "Graph":
         """Graph whose new vertex i is the old vertex order[i]."""
-        pos = [0] * self.n
-        for i, v in enumerate(order):
-            pos[v] = i
-        adj = [0] * self.n
-        for i, v in enumerate(order):
-            row = 0
-            for w in _bits(self.adj[v]):
-                row |= 1 << pos[w]
-            adj[i] = row
-        return Graph(self.n, adj)
+        return self._remap(order, -1)
 
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1

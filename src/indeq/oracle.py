@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import comb, factorial, gcd
 from typing import Iterator, Optional
 
-from .classify import EquivClass, _member_key
+from .classify import CATALOGUE, EquivClass, _member_key
 from .factorbasis import factor_cycle, factor_path
 from .graphcore import FamilySpec, Graph, canonical_form, graph6_read, recognize
 from .indpoly import independence_polynomial
@@ -95,9 +95,10 @@ def _expand_level(args) -> list[tuple[bytes, tuple[int, ...]]]:
 
 
 def _worker_count() -> int:
+    """INDEQ_WORKERS, clamped to [1, cpu count]; 1 when unset or not an integer."""
     raw = os.environ.get(_WORKERS_ENV, "1")
     try:
-        return max(1, int(raw))
+        return max(1, min(int(raw), os.cpu_count() or 1))
     except ValueError:
         return 1
 
@@ -328,20 +329,14 @@ def catalogue_class_search(n_vertices: int) -> EquivClass:
         fs = frozenset({("ftilde", 3)} | _factor_key(factor_cycle(z + 3)))
         if fs <= target:
             entries.append((fs, (FamilySpec("Y", (z, 2, 1)),)))
-    specials = (
-        (frozenset({("f", 12), ("ftilde", 3)}), (FamilySpec("Y", (4, 2, 2)),)),
-        (frozenset({("f", 9)}),
-         (FamilySpec("B", (0, 1, 1)), FamilySpec("E", (2, 1)),
-          FamilySpec("E", (1, 2)), FamilySpec("A", (2, 1)))),
-        (frozenset({("f", 15)}),
-         (FamilySpec("E", (3, 1)), FamilySpec("E", (1, 3)), FamilySpec("A", (3, 1)))),
-        (frozenset({("f", 6), ("ftilde", 3)}),
-         (FamilySpec("E", (1, 1)), FamilySpec("A", (1, 1)))),
-        (frozenset({("f", 6)}), (FamilySpec("K4e", ()),)),
-    )
-    for fs, variants in specials:
-        if fs <= target:
-            entries.append((fs, variants))
+    # the other concrete shortlist rows that survive the screens (paths,
+    # cycles and D twins are listed above), grouped by their factor sets
+    groups: dict[frozenset, tuple[FamilySpec, ...]] = {}
+    for row in CATALOGUE:
+        if row.spec is not None and not row.eliminated and row.spec.family not in ("P", "C", "D"):
+            key = frozenset(row.factors)
+            groups[key] = groups.get(key, ()) + (row.spec,)
+    entries += [(fs, variants) for fs, variants in groups.items() if fs <= target]
     entries.sort(key=lambda e: (sorted(e[0]), e[1]))
 
     order = sorted(target)

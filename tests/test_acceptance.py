@@ -4,42 +4,34 @@ Every criterion is exact arithmetic except the root cross-check, whose
 stated agreement tolerance is 1e-9.  Runtime budgets are asserted
 against the wall clock.  Run with ``pytest tests/test_acceptance.py -s``
 to see the per-criterion lines.
+
+Criteria 3-9 run the checks of the verification registry
+(``indeq.checks``): 3, 7, 8 and 9 at the ``full`` bounds, 4-6 at their
+own class sizes next to the member lists the paper states.
 """
 
-import itertools
 import math
 import time
 import warnings
 from fractions import Fraction
 
-import pytest
-
-from indeq.classify import (
-    EvenCycleClassNote,
-    cycle_class,
-    elimination_value,
-    path_class,
-    screen_family,
-)
-from indeq.factorbasis import (
-    basis_f,
-    basis_ftilde,
-    factor_cycle,
-    factor_path,
-    product_of,
-    real_cyclotomic,
-)
-from indeq.graphcore import FamilySpec, build, canonical_form
-from indeq.indpoly import (
-    cycle_polynomial,
-    independence_equivalent,
-    independence_polynomial,
-    path_polynomial,
-)
-from indeq.oracle import equivalence_class_bruteforce
+from indeq.checks import BOUNDS, CHECKS
+from indeq.classify import EvenCycleClassNote, cycle_class, path_class
+from indeq.factorbasis import basis_f, basis_ftilde, factor_path, real_cyclotomic
+from indeq.graphcore import build, canonical_form
+from indeq.indpoly import cycle_polynomial, independence_polynomial, path_polynomial
 from indeq.polyalg import IntPoly, SturmChain, count_real_roots, refine_root
 
-from conftest import QUARTER, fs
+from conftest import fs
+
+
+FULL = BOUNDS["full"]
+
+
+def _claim(name, bounds):
+    """Run one registry check; its detail names the counterexample on failure."""
+    ok, detail = CHECKS[name](bounds)
+    assert ok, detail
 
 
 def _report(num, description, budget_s, fn):
@@ -79,21 +71,16 @@ def test_criterion_02_basis_pipeline():
 
 def test_criterion_03_factorization_identities():
     def body():
-        for n in range(3, 201):
-            assert product_of(factor_cycle(n)) == cycle_polynomial(n), n
-        for n in range(0, 199):
-            assert product_of(factor_path(n)) == path_polynomial(n), n
+        assert FULL["factor"] == 200
+        _claim("factor-products", FULL)
 
     _report(3, "factor products equal recurrence polynomials, n <= 200", 60.0, body)
 
 
 def test_criterion_04_p10_class_count():
     def body():
-        cls = path_class(10)
-        assert len(cls) == 10
-        brute = equivalence_class_bruteforce(build(fs("P", 10)))
-        assert len(brute) == 10
-        assert {canonical_form(g) for g in brute} == cls.canonical_forms()
+        assert len(path_class(10).canonical_forms()) == 10
+        _claim("path-classes", {"class_paths": (10,), "odd_paths": ()})
 
     _report(4, "P_10 has exactly ten equivalent graphs, confirmed exhaustively", 600.0, body)
 
@@ -109,13 +96,7 @@ def test_criterion_05_small_classes():
         for n, members in expected.items():
             want = {canonical_form(build(member)) for member in members}
             assert path_class(n).canonical_forms() == want, n
-            brute = {canonical_form(g)
-                     for g in equivalence_class_bruteforce(build(fs("P", n)))}
-            assert brute == want, n
-        for n in (3, 5, 7, 9):
-            brute = equivalence_class_bruteforce(build(fs("P", n)))
-            assert len(brute) == 1, n
-            assert canonical_form(brute[0]) == canonical_form(build(fs("P", n)))
+        _claim("path-classes", {"class_paths": (4, 6, 8), "odd_paths": (3, 5, 7, 9)})
 
     _report(5, "small path classes equal the exhaustive oracle", 300.0, body)
 
@@ -124,76 +105,37 @@ def test_criterion_06_cycle_classes():
     def body():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EvenCycleClassNote)
-            want6 = cycle_class(6).canonical_forms()
-        got6 = {canonical_form(g)
-                for g in equivalence_class_bruteforce(build(fs("C", 6)))}
-        assert got6 == want6
-        assert got6 == {
-            canonical_form(build(fs("C", 6))),
-            canonical_form(build(fs("D", 6))),
-            canonical_form(build([fs("K4e"), fs("P", 2)])),
-        }
-        got9 = {canonical_form(g)
-                for g in equivalence_class_bruteforce(build(fs("C", 9)))}
-        assert len(got9) == 6
-        assert got9 == cycle_class(9).canonical_forms()
+            assert cycle_class(6).canonical_forms() == {
+                canonical_form(build(fs("C", 6))),
+                canonical_form(build(fs("D", 6))),
+                canonical_form(build([fs("K4e"), fs("P", 2)])),
+            }
+        assert len(cycle_class(9).canonical_forms()) == 6
+        _claim("cycle-classes", {"cycles": (6, 9)})
 
     _report(6, "cycle classes for C_6 and C_9 confirmed exhaustively", 300.0, body)
 
 
 def test_criterion_07_elimination_closed_forms():
-    from indeq.graphcore import _PARAM_FLOORS
-
     def body():
-        for fam in ("Y", "B", "A", "F3", "F5", "F6", "F7", "F8", "F9"):
-            floors = _PARAM_FLOORS[fam]
-            for params in itertools.product(*[range(f, 21) for f in floors]):
-                spec = FamilySpec(fam, params)
-                assert elimination_value(spec) == independence_polynomial(
-                    build(spec)
-                ).eval_rational(QUARTER), spec
-        for m in range(0, 21):
-            spec = fs("F4", m)
-            assert elimination_value(spec) == independence_polynomial(
-                build(spec)
-            ).eval_rational(QUARTER), spec
-        assert elimination_value(fs("F4", 2)) == Fraction(-1, 64)
-        assert elimination_value(fs("F4", 3)) == Fraction(-1, 64)
+        assert FULL["elim"] == 20
+        _claim("closed-forms", FULL)
 
     _report(7, "elimination closed forms equal exact evaluation, parameters <= 20", 120.0, body)
 
 
 def test_criterion_08_screening():
     def body():
-        y = {m for m in range(1, 41) if screen_family(fs("Y", m, 1, 1)).admissible}
-        assert y == {2, 5, 10}
-        b = {m for m in range(0, 41) if screen_family(fs("B", m, 1, 1)).admissible}
-        assert b == {0, 5}
+        assert FULL["sweep"] == 40
+        _claim("screens", FULL)
 
     _report(8, "root screening sweeps reproduce the admissible sets, m <= 40", 120.0, body)
 
 
 def test_criterion_09_equivalence_battery():
     def body():
-        for n in range(4, 101):
-            assert independence_equivalent(build(fs("C", n)), build(fs("D", n))), n
-        for n in range(2, 101):
-            assert independence_equivalent(
-                build(fs("P", 2 * n)), build([fs("P", n - 1), fs("C", n + 1)])
-            ), n
-        for m in range(1, 41):
-            assert independence_equivalent(
-                build(fs("Y", m, 2, 1)), build([fs("P", 1), fs("C", m + 3)])
-            ), m
-        for a, b in itertools.product(range(1, 11), repeat=2):
-            pa = independence_polynomial(build(fs("A", a, b)))
-            assert pa == independence_polynomial(build(fs("E", a, b)))
-            assert pa == independence_polynomial(build(fs("E", b, a)))
-            assert independence_polynomial(build(fs("F1", a, b))) == \
-                independence_polynomial(build(fs("F5", a, b)))
-        for m in range(1, 11):
-            assert independence_polynomial(build(fs("F2", m))) == \
-                independence_polynomial(build(fs("F4", m)))
+        assert (FULL["equiv"], FULL["spider"], FULL["grid"]) == (100, 40, 10)
+        _claim("equivalences", FULL)
 
     _report(9, "equivalence battery over the full grids", 120.0, body)
 

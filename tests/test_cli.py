@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,10 @@ from indeq.cli import SpecSyntaxError, main, parse_spec_text
 from indeq.graphcore import FamilySpec
 
 from conftest import fs
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 
 def run(capsys, *argv):
@@ -124,3 +129,12 @@ def test_verify_command(capsys):
     lines = out.strip().splitlines()
     assert all(line.startswith("PASS ") for line in lines)
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_output(capsys, name):
+    """stdout, stderr and exit code match the recorded corpus byte for byte."""
+    case = GOLDEN_CASES[name]
+    code, out, err = run(capsys, *case["argv"])
+    assert (code, err) == (case["exit"], case["stderr"])
+    assert out == (GOLDEN / f"{name}.stdout").read_text()

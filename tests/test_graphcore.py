@@ -137,6 +137,14 @@ def test_delete_edge_and_open_neighborhoods():
         p2.delete_edge(0, 0 + 1) if False else build(fs("P", 3)).delete_edge(0, 2)
 
 
+def test_induced_keeps_only_edges_inside():
+    g = build(fs("Y", 3, 2, 1))
+    for keep in ([0, 1, 2], [4, 1, 6, 2], list(range(g.n))[::-1]):
+        pos = {v: i for i, v in enumerate(keep)}
+        inside = [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos]
+        assert g.induced(keep) == Graph.from_edges(len(keep), inside), keep
+
+
 def test_canonical_form_examples():
     p3 = build(fs("P", 3))
     assert canonical_form(p3) == canonical_form(p3.relabel([2, 0, 1]))

@@ -9,6 +9,7 @@ from indeq.graphcore import build, canonical_form, graph6_write
 from indeq.indpoly import independence_polynomial
 from indeq.oracle import (
     EnumFilter,
+    _worker_count,
     as_equiv_class,
     catalogue_class_search,
     count_isomorphism_classes,
@@ -89,6 +90,16 @@ def test_workers_mode_matches_sequential():
     with mock.patch.dict(os.environ, {"INDEQ_WORKERS": "2"}):
         par = [graph6_write(g) for g in enumerate_graphs(EnumFilter(6, edge_count=5))]
     assert base == par
+
+
+def test_worker_count_is_clamped_to_cpu_count():
+    with mock.patch("os.cpu_count", return_value=4):
+        for raw, want in (("1000", 4), ("3", 3), ("0", 1), ("-5", 1), ("many", 1)):
+            with mock.patch.dict(os.environ, {"INDEQ_WORKERS": raw}):
+                assert _worker_count() == want, raw
+    with mock.patch("os.cpu_count", return_value=None), \
+            mock.patch.dict(os.environ, {"INDEQ_WORKERS": "8"}):
+        assert _worker_count() == 1
 
 
 def test_bruteforce_class_p4():
