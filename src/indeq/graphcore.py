@@ -200,22 +200,7 @@ class Graph:
 
     def connected_components(self) -> list[list[int]]:
         """Vertex lists of the connected components, each sorted, in order."""
-        seen = 0
-        comps = []
-        for v in range(self.n):
-            if seen >> v & 1:
-                continue
-            comp = 1 << v
-            frontier = comp
-            while frontier:
-                grow = 0
-                for w in _bits(frontier):
-                    grow |= self.adj[w]
-                frontier = grow & ~comp
-                comp |= grow
-            seen |= comp
-            comps.append(_bits(comp))
-        return comps
+        return [_bits(comp) for comp in mask_components(self.adj, (1 << self.n) - 1)]
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.connected_components()) == 1
@@ -234,6 +219,25 @@ class Graph:
         for d in degs:
             hist[d] += 1
         return tuple(hist)
+
+
+def mask_components(adj: Sequence[int], mask: int) -> list[int]:
+    """Vertex masks of the connected components of the subgraph that the
+    adjacency rows ``adj`` induce on ``mask``, ordered by lowest vertex."""
+    comps = []
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            grow = 0
+            while frontier:
+                low = frontier & -frontier
+                grow |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grow & mask & ~comp
+            comp |= frontier
+        comps.append(comp)
+        mask ^= comp
+    return comps
 
 
 def _bits(mask: int) -> list[int]:
@@ -565,14 +569,14 @@ def recognize(g: Graph) -> Optional[FamilySpec]:
             if len(on_cycle) == 1:
                 v = on_cycle[0]
                 u = next(x for x in deg3 if x != v)
-                spine = _dist(g, v, u, avoid=set(cycle) - {v}) - 1
                 tails = sorted(
                     (_arm_length(g, u, w) for w in g.neighbors(u)
                      if _away_from(g, u, w, v)),
                     reverse=True,
                 )
                 if len(tails) == 2:
-                    return FamilySpec("B", (spine, tails[0], tails[1]))
+                    # the spine holds every vertex off the triangle, u and the tails
+                    return FamilySpec("B", (n - 4 - sum(tails), tails[0], tails[1]))
         return None
     if tri == 0 and len(deg3) == 1 and degs.count(1) == 1:
         v = deg3[0]
@@ -610,24 +614,6 @@ def _away_from(g: Graph, u: int, w: int, v: int) -> bool:
         if len(nbrs) != 1:
             return not nbrs
         prev, cur = cur, nbrs[0]
-
-
-def _dist(g: Graph, a: int, b: int, avoid: set[int] = frozenset()) -> int:
-    frontier = {a}
-    seen = {a} | set(avoid)
-    d = 0
-    while frontier:
-        if b in frontier:
-            return d
-        nxt = set()
-        for v in frontier:
-            for w in g.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    nxt.add(w)
-        frontier = nxt
-        d += 1
-    raise ValueError("vertices not connected around the avoided set")
 
 
 def _unique_cycle(g: Graph) -> list[int]:

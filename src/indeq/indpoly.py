@@ -1,28 +1,25 @@
 """Independence polynomials: exact evaluator plus a brute-force counter.
 
-The evaluator splits a graph into connected components (the polynomial
-multiplies across components), collapses paths and cycles through the
-two-term deletion recurrence in closed form, and otherwise pivots on a
-maximum-degree vertex v:
+The evaluator is one recursion over vertex masks of the input's fixed
+adjacency rows.  A mask splits into connected components, whose
+polynomials multiply.  A component with in-mask degrees at most 2 is a
+path or a cycle (its degree sum tells which) and takes its closed form
+from the two-term deletion recurrence; any other component pivots on a
+vertex v of largest in-mask degree:
 
     I(G, x) = I(G - v, x) + x * I(G - N[v], x)
 
-Results for small non-path components are memoized under their
-canonical form, so family sweeps that share subgraphs pay for each
-shape once.  The brute-force counter enumerates independent sets
-directly and is the module's independent ground truth.
+Results are memoized by mask within one call; on ladders and grids,
+where the pivots sweep across the graph, that turns the exponential
+pivot into a dynamic program over the pathwidth frontier.  The
+brute-force counter, a separate memoized deletion recursion, is the
+module's independent ground truth.
 """
 
 from __future__ import annotations
 
-from .graphcore import Graph, canonical_form, is_cycle_graph, is_path_graph
+from .graphcore import Graph, mask_components
 from .polyalg import IntPoly
-
-# components above this size skip the canonical-form memo; by then the
-# recursion has usually collapsed everything into paths anyway
-_MEMO_MAX_VERTICES = 24
-
-_memo: dict[bytes, IntPoly] = {}
 
 _ONE = IntPoly.one()
 _path_cache: list[IntPoly] = [_ONE, IntPoly((1, 1))]
@@ -51,39 +48,45 @@ def cycle_polynomial(n: int) -> IntPoly:
 
 
 def independence_polynomial(g: Graph) -> IntPoly:
-    """Exact I(G, x); coefficient k counts the independent sets of size k."""
-    result = _ONE
-    comps = g.connected_components()
-    if len(comps) == 1:
-        return _component_poly(g)
-    for comp in comps:
-        result = result * _component_poly(g.induced(comp))
-    return result
+    """Exact I(G, x); coefficient k counts the independent sets of size k.
 
+    Raises ValueError when the pivot recursion outgrows Python's recursion
+    limit, as it does on a 2 x 600 ladder.
+    """
+    adj = g.adj
+    memo = {0: _ONE}
 
-def _component_poly(c: Graph) -> IntPoly:
-    n = c.n
-    if n == 0:
-        return _ONE
-    if n <= 2:
-        return path_polynomial(n)
-    if is_path_graph(c):
-        return path_polynomial(n)
-    if is_cycle_graph(c):
-        return cycle_polynomial(n)
-    key = None
-    if n <= _MEMO_MAX_VERTICES:
-        key = canonical_form(c)
-        hit = _memo.get(key)
-        if hit is not None:
-            return hit
-    pivot = max(range(n), key=lambda v: (c.degree(v), -v))
-    poly = independence_polynomial(c.delete_vertex(pivot)) + independence_polynomial(
-        c.delete_closed_neighborhood(pivot)
-    ).mul_xpow(1)
-    if key is not None:
-        _memo[key] = poly
-    return poly
+    def poly(mask: int) -> IntPoly:
+        out = memo.get(mask)
+        if out is not None:
+            return out
+        comps = mask_components(adj, mask)
+        if len(comps) > 1:
+            out = poly(comps[0])
+            for comp in comps[1:]:
+                out = out * poly(comp)
+        else:
+            pivot = top = degree_sum = 0
+            rest = mask
+            while rest:
+                v = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                d = (adj[v] & mask).bit_count()
+                degree_sum += d
+                if d > top:
+                    pivot, top = v, d
+            n = mask.bit_count()
+            if top <= 2:
+                out = cycle_polynomial(n) if degree_sum == 2 * n else path_polynomial(n)
+            else:
+                out = poly(mask ^ 1 << pivot) + poly(mask & ~(adj[pivot] | 1 << pivot)).mul_xpow(1)
+        memo[mask] = out
+        return out
+
+    try:
+        return poly((1 << g.n) - 1)
+    except RecursionError:
+        raise ValueError(f"graph on {g.n} vertices is too deep for the pivot recursion") from None
 
 
 def independence_equivalent(g: Graph, h: Graph) -> bool:
@@ -97,7 +100,8 @@ _BRUTE_FORCE_MAX = 40
 
 
 def bruteforce_counts(g: Graph) -> tuple[int, ...]:
-    """All independent-set counts by size, by direct subset enumeration."""
+    """All independent-set counts by size, by a memoized deletion recursion
+    over free-vertex masks that skips or takes the lowest free vertex."""
     if g.n > _BRUTE_FORCE_MAX:
         raise ValueError(
             f"brute-force counting is capped at {_BRUTE_FORCE_MAX} vertices, got {g.n}"
@@ -133,7 +137,3 @@ def independence_count_bruteforce(g: Graph, k: int) -> int:
 def bruteforce_polynomial(g: Graph) -> IntPoly:
     return IntPoly(bruteforce_counts(g))
 
-
-def clear_memo() -> None:
-    """Drop the shared component memo (mostly for benchmarking tests)."""
-    _memo.clear()

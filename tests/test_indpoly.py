@@ -1,8 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
-from indeq.graphcore import FamilySpec, Graph, build
+from indeq.cli import main
+from indeq.graphcore import FamilySpec, Graph, build, graph6_write
 from indeq.indpoly import (
     bruteforce_counts,
     bruteforce_polynomial,
@@ -14,7 +16,7 @@ from indeq.indpoly import (
 )
 from indeq.polyalg import IntPoly
 
-from conftest import fs
+from conftest import fs, random_graphs
 
 
 def _generic_recursion(g: Graph) -> IntPoly:
@@ -170,8 +172,81 @@ def test_recurrence_base_cases():
     assert independence_polynomial(build(fs("B", 1, 1, 1))) == IntPoly((1, 7, 14, 8, 2))
 
 
-def test_memoized_results_are_stable():
+def test_repeated_calls_agree_with_each_other_and_bruteforce():
     g = build(fs("B", 2, 3, 1))
     first = independence_polynomial(g)
     again = independence_polynomial(build(fs("B", 2, 3, 1)))
     assert first == again == bruteforce_polynomial(g)
+
+
+@given(random_graphs(max_vertices=16))
+@settings(max_examples=80, deadline=None)
+def test_evaluator_matches_bruteforce_on_random_graphs(g):
+    assert independence_polynomial(g).coeffs == bruteforce_counts(g)
+
+
+def _grid_graph(rows, cols):
+    """rows x cols grid, numbered column by column (2 x k is the ladder)."""
+    edges = []
+    for c in range(cols):
+        for r in range(rows):
+            v = c * rows + r
+            if r + 1 < rows:
+                edges.append((v, v + 1))
+            if c + 1 < cols:
+                edges.append((v, v + rows))
+    return Graph.from_edges(rows * cols, edges)
+
+
+def _grid_counts_by_transfer_matrix(rows, cols):
+    """Independent sets of the rows x cols grid by size, column by column
+    over the independent column states (test-local oracle)."""
+    states = [s for s in range(1 << rows) if not s & s >> 1]
+    by_state = {0: [1]}
+    for _ in range(cols):
+        step = {}
+        for t in states:
+            size = bin(t).count("1")
+            out = []
+            for s, counts in by_state.items():
+                if not s & t:
+                    out += [0] * (len(counts) + size - len(out))
+                    for k, c in enumerate(counts):
+                        out[k + size] += c
+            step[t] = out
+        by_state = step
+    total = [0] * max(map(len, by_state.values()))
+    for counts in by_state.values():
+        for k, c in enumerate(counts):
+            total[k] += c
+    return tuple(total)
+
+
+@pytest.mark.parametrize(
+    "rows,cols",
+    [(2, k) for k in range(1, 41)] + [(5, k) for k in range(1, 11)] + [(6, 6)],
+)
+def test_grids_match_transfer_matrix(rows, cols):
+    g = _grid_graph(rows, cols)
+    assert independence_polynomial(g).coeffs == _grid_counts_by_transfer_matrix(rows, cols)
+
+
+def test_long_closed_form_shapes_still_evaluate():
+    # one pivot at the degree-3 vertex leaves only paths
+    assert independence_polynomial(build(fs("D", 1200))) == cycle_polynomial(1200)
+    spider = independence_polynomial(build(fs("Y", 1200, 1200, 1200)))
+    fib = [0, 1]
+    while len(fib) < 1203:
+        fib.append(fib[-1] + fib[-2])
+    # P_n has fib[n + 2] independent sets; the center is out or in
+    assert spider.eval_int(1) == fib[1202] ** 3 + fib[1201] ** 3
+    assert spider.degree == 1801
+
+
+def test_recursion_overflow_is_a_clear_error(capsys):
+    ladder = _grid_graph(2, 600)
+    with pytest.raises(ValueError, match="1200 vertices"):
+        independence_polynomial(ladder)
+    assert main(["poly", graph6_write(ladder)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and "1200 vertices" in captured.err
