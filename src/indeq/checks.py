@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import classify, factorbasis, indpoly, oracle, polyalg
-from .graphcore import _PARAM_FLOORS, FamilySpec, build, canonical_form
+from .graphcore import FAMILIES, FamilySpec, build, canonical_form, spec
 
 _QUARTER = Fraction(-1, 4)
 
@@ -37,10 +37,6 @@ BOUNDS: dict[str, dict] = {
 }
 
 
-def _spec(family, *params):
-    return FamilySpec(family, tuple(params))
-
-
 def _poly_of(*specs) -> polyalg.IntPoly:
     return indpoly.independence_polynomial(build(list(specs)))
 
@@ -48,23 +44,23 @@ def _poly_of(*specs) -> polyalg.IntPoly:
 def _check_equivalences(b) -> tuple[bool, str]:
     top = b["equiv"]
     for n in range(4, top + 1):
-        if _poly_of(_spec("C", n)) != _poly_of(_spec("D", n)):
+        if _poly_of(spec("C", n)) != _poly_of(spec("D", n)):
             return False, f"C:{n} != D:{n}"
     for n in range(2, top + 1):
-        if _poly_of(_spec("P", 2 * n)) != _poly_of(_spec("P", n - 1), _spec("C", n + 1)):
+        if _poly_of(spec("P", 2 * n)) != _poly_of(spec("P", n - 1), spec("C", n + 1)):
             return False, f"P:{2*n} != P:{n-1}+C:{n+1}"
     for m in range(1, b["spider"] + 1):
-        if _poly_of(_spec("Y", m, 2, 1)) != _poly_of(_spec("P", 1), _spec("C", m + 3)):
+        if _poly_of(spec("Y", m, 2, 1)) != _poly_of(spec("P", 1), spec("C", m + 3)):
             return False, f"Y:{m},2,1 != P:1+C:{m+3}"
     g = b["grid"]
     for a in range(1, g + 1):
         for c in range(1, g + 1):
-            pa = _poly_of(_spec("A", a, c))
-            if pa != _poly_of(_spec("E", a, c)) or pa != _poly_of(_spec("E", c, a)):
+            pa = _poly_of(spec("A", a, c))
+            if pa != _poly_of(spec("E", a, c)) or pa != _poly_of(spec("E", c, a)):
                 return False, f"A/E mismatch at {a},{c}"
-            if _poly_of(_spec("F1", a, c)) != _poly_of(_spec("F5", a, c)):
+            if _poly_of(spec("F1", a, c)) != _poly_of(spec("F5", a, c)):
                 return False, f"F1/F5 mismatch at {a},{c}"
-        if _poly_of(_spec("F2", a)) != _poly_of(_spec("F4", a)):
+        if _poly_of(spec("F2", a)) != _poly_of(spec("F4", a)):
             return False, f"F2/F4 mismatch at {a}"
     return True, f"cycle/path/spider/tadpole identities up to {top}"
 
@@ -72,15 +68,15 @@ def _check_equivalences(b) -> tuple[bool, str]:
 def _check_recurrences(b) -> tuple[bool, str]:
     top = b["recur"]
     series: list[tuple[str, Callable[[int], list[FamilySpec]], int]] = [
-        ("P", lambda m: [_spec("P", m)], 2),
-        ("C", lambda m: [_spec("C", m)], 5),
-        ("D", lambda m: [_spec("D", m)], 4),
-        ("Y:m,1,1", lambda m: [_spec("Y", m, 1, 1)], 3),
-        ("B:m,1,1", lambda m: [_spec("B", m, 1, 1)], 2),
-        ("A:m,2", lambda m: [_spec("A", m, 2)], 3),
-        ("F4", lambda m: [_spec("F4", m)], 3),
-        ("F5:1,m", lambda m: [_spec("F5", 1, m)], 3),
-        ("F6:1,1,m", lambda m: [_spec("F6", 1, 1, m)], 3),
+        ("P", lambda m: [spec("P", m)], 2),
+        ("C", lambda m: [spec("C", m)], 5),
+        ("D", lambda m: [spec("D", m)], 4),
+        ("Y:m,1,1", lambda m: [spec("Y", m, 1, 1)], 3),
+        ("B:m,1,1", lambda m: [spec("B", m, 1, 1)], 2),
+        ("A:m,2", lambda m: [spec("A", m, 2)], 3),
+        ("F4", lambda m: [spec("F4", m)], 3),
+        ("F5:1,m", lambda m: [spec("F5", 1, m)], 3),
+        ("F6:1,1,m", lambda m: [spec("F6", 1, 1, m)], 3),
     ]
     for name, make, start in series:
         for m in range(start, top + 1):
@@ -92,9 +88,9 @@ def _check_recurrences(b) -> tuple[bool, str]:
 
 
 def _check_edge_deletion(b) -> tuple[bool, str]:
-    specs = [_spec("C", 6), _spec("D", 6), _spec("Y", 3, 2, 1), _spec("E", 2, 2),
-             _spec("A", 2, 2), _spec("B", 1, 2, 1), _spec("K4e"), _spec("F3", 2),
-             _spec("F7", 1), _spec("F9", 0, 1, 0)]
+    specs = [spec("C", 6), spec("D", 6), spec("Y", 3, 2, 1), spec("E", 2, 2),
+             spec("A", 2, 2), spec("B", 1, 2, 1), spec("K4e"), spec("F3", 2),
+             spec("F7", 1), spec("F9", 0, 1, 0)]
     for s in specs:
         g = build(s)
         if g.n > b["edge_verts"]:
@@ -166,13 +162,13 @@ def _check_basis_roots(b) -> tuple[bool, str]:
 def _check_elimination_values(b) -> tuple[bool, str]:
     top = b["elim"]
     for fam in ("Y", "B", "A", "F3", "F4", "F5", "F6", "F7", "F8", "F9"):
-        floors = _PARAM_FLOORS[fam]
+        floors = FAMILIES[fam].floors
         for params in itertools.product(*[range(f, top + 1) for f in floors]):
             s = FamilySpec(fam, params)
             if classify.elimination_value(s) != _poly_of(s).eval_rational(_QUARTER):
                 return False, f"closed form disagrees with evaluation at {s}"
-    f42 = classify.elimination_value(_spec("F4", 2))
-    f43 = classify.elimination_value(_spec("F4", 3))
+    f42 = classify.elimination_value(spec("F4", 2))
+    f43 = classify.elimination_value(spec("F4", 3))
     if f42 != Fraction(-1, 64) or f43 != Fraction(-1, 64):
         return False, "F4 base values are not -1/64"
     return True, f"elimination closed forms equal exact evaluation, parameters <= {top}"
@@ -181,11 +177,11 @@ def _check_elimination_values(b) -> tuple[bool, str]:
 def _check_screens(b) -> tuple[bool, str]:
     top = b["sweep"]
     y = {m for m in range(1, top + 1)
-         if classify.screen_family(_spec("Y", m, 1, 1)).admissible}
+         if classify.screen_family(spec("Y", m, 1, 1)).admissible}
     if y != {2, 5, 10} & set(range(1, top + 1)):
         return False, f"Y:m,1,1 admissible set is {sorted(y)}"
     bb = {m for m in range(0, top + 1)
-          if classify.screen_family(_spec("B", m, 1, 1)).admissible}
+          if classify.screen_family(spec("B", m, 1, 1)).admissible}
     if bb != {0, 5} & set(range(0, top + 1)):
         return False, f"B:m,1,1 admissible set is {sorted(bb)}"
     triples = {s.params for s, v in classify.sweep_family("Y", 6)
@@ -222,10 +218,10 @@ def _oracle_agrees(reference: FamilySpec, predicted: frozenset) -> bool:
 
 def _check_path_classes(b) -> tuple[bool, str]:
     for nv in b["class_paths"]:
-        if not _oracle_agrees(_spec("P", nv), classify.path_class(nv).canonical_forms()):
+        if not _oracle_agrees(spec("P", nv), classify.path_class(nv).canonical_forms()):
             return False, f"path class mismatch at n={nv}"
     for nv in b["odd_paths"]:
-        if not _oracle_agrees(_spec("P", nv), frozenset({canonical_form(build(_spec("P", nv)))})):
+        if not _oracle_agrees(spec("P", nv), frozenset({canonical_form(build(spec("P", nv)))})):
             return False, f"odd path P:{nv} is not unique in its class"
     return True, f"brute-force classes match for paths {b['class_paths']} and odd {b['odd_paths']}"
 
@@ -234,7 +230,7 @@ def _check_cycle_classes(b) -> tuple[bool, str]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", classify.EvenCycleClassNote)
         for n in b["cycles"]:
-            if not _oracle_agrees(_spec("C", n), classify.cycle_class(n).canonical_forms()):
+            if not _oracle_agrees(spec("C", n), classify.cycle_class(n).canonical_forms()):
                 return False, f"cycle class mismatch at n={n}"
     return True, f"brute-force cycle classes match for n in {b['cycles']}"
 

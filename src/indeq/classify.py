@@ -27,7 +27,7 @@ from math import comb
 from typing import Optional, Sequence
 
 from .factorbasis import two_adic_split
-from .graphcore import _PARAM_FLOORS, FamilySpec, Graph, build, canonical_form
+from .graphcore import FAMILIES, FamilySpec, Graph, build, canonical_form, graph6_write, spec
 from .indpoly import independence_polynomial, path_polynomial
 from .polyalg import (
     IntPoly,
@@ -181,7 +181,7 @@ def screen_family(spec: FamilySpec) -> Verdict:
 
 def sweep_family(family: str, max_param: int) -> list[tuple[FamilySpec, Verdict]]:
     """Screen every parameter tuple of a family with all parameters <= max_param."""
-    ranges = [range(f, max_param + 1) for f in _PARAM_FLOORS[family]]
+    ranges = [range(f, max_param + 1) for f in FAMILIES[family].floors]
     specs = [FamilySpec(family, params) for params in itertools.product(*ranges)]
     return [(spec, screen_family(spec)) for spec in specs]
 
@@ -207,10 +207,6 @@ class CatalogueEntry:
     reason: str = ""
 
 
-def _fs(family, *params):
-    return FamilySpec(family, tuple(params))
-
-
 def _row(spec, tri, deg3, factors, eliminated=False, reason=""):
     return CatalogueEntry(str(spec), tri, deg3, spec, tuple(factors), eliminated, reason)
 
@@ -222,38 +218,38 @@ def _obstruction(name: str) -> str:
 CATALOGUE: tuple[CatalogueEntry, ...] = (
     CatalogueEntry("P:k (k>=1)", 0, 0),
     CatalogueEntry("C:k (k>=4) / D:k", 0, 0),
-    _row(_fs("C", 3), 1, 0, (("f", 3),)),
+    _row(spec("C", 3), 1, 0, (("f", 3),)),
     CatalogueEntry("D:k (k>=4)", 1, 1),
     CatalogueEntry("Y:z,2,1 (z>=1)", 0, 1),
-    _row(_fs("Y", 10, 1, 1), 0, 1, (("f", 4), ("f", 9), ("ftilde", 5)),
+    _row(spec("Y", 10, 1, 1), 0, 1, (("f", 4), ("f", 9), ("ftilde", 5)),
          True, _obstruction("f36")),
-    _row(_fs("Y", 9, 3, 1), 0, 1, (("f", 21), ("ftilde", 5)),
+    _row(spec("Y", 9, 3, 1), 0, 1, (("f", 21), ("ftilde", 5)),
          True, _obstruction("f105")),
-    _row(_fs("Y", 7, 3, 1), 0, 1, (("f", 15), ("ftilde", 7)),
+    _row(spec("Y", 7, 3, 1), 0, 1, (("f", 15), ("ftilde", 7)),
          True, _obstruction("f105")),
-    _row(_fs("Y", 5, 4, 1), 0, 1, (("f", 3), ("f", 15), ("ftilde", 3)),
+    _row(spec("Y", 5, 4, 1), 0, 1, (("f", 3), ("f", 15), ("ftilde", 3)),
          True, _obstruction("f~15")),
-    _row(_fs("Y", 5, 1, 1), 0, 1, (("f", 6), ("ftilde", 3), ("ftilde", 5)),
+    _row(spec("Y", 5, 1, 1), 0, 1, (("f", 6), ("ftilde", 3), ("ftilde", 5)),
          True, _obstruction("f~15")),
-    _row(_fs("Y", 4, 3, 1), 0, 1, (("f", 9), ("ftilde", 5)),
+    _row(spec("Y", 4, 3, 1), 0, 1, (("f", 9), ("ftilde", 5)),
          True, _obstruction("f~45")),
-    _row(_fs("Y", 4, 2, 2), 0, 1, (("f", 12), ("ftilde", 3))),
-    _row(_fs("Y", 3, 3, 2), 0, 1, (("f", 2), ("f", 15)),
+    _row(spec("Y", 4, 2, 2), 0, 1, (("f", 12), ("ftilde", 3))),
+    _row(spec("Y", 3, 3, 2), 0, 1, (("f", 2), ("f", 15)),
          True, _obstruction("f30")),
-    _row(_fs("Y", 3, 2, 2), 0, 1, (("f", 2), ("f", 9)),
+    _row(spec("Y", 3, 2, 2), 0, 1, (("f", 2), ("f", 9)),
          True, _obstruction("f18")),
-    _row(_fs("B", 5, 1, 1), 1, 2, (("f", 4), ("f", 15)),
+    _row(spec("B", 5, 1, 1), 1, 2, (("f", 4), ("f", 15)),
          True, _obstruction("f60")),
-    _row(_fs("B", 0, 1, 1), 1, 2, (("f", 9),)),
-    _row(_fs("E", 2, 1), 0, 1, (("f", 9),)),
-    _row(_fs("E", 1, 2), 0, 1, (("f", 9),)),
-    _row(_fs("A", 2, 1), 1, 2, (("f", 9),)),
-    _row(_fs("E", 3, 1), 0, 1, (("f", 15),)),
-    _row(_fs("E", 1, 3), 0, 1, (("f", 15),)),
-    _row(_fs("A", 3, 1), 1, 2, (("f", 15),)),
-    _row(_fs("E", 1, 1), 0, 1, (("f", 6), ("ftilde", 3))),
-    _row(_fs("A", 1, 1), 1, 2, (("f", 6), ("ftilde", 3))),
-    _row(_fs("K4e"), 2, 2, (("f", 6),)),
+    _row(spec("B", 0, 1, 1), 1, 2, (("f", 9),)),
+    _row(spec("E", 2, 1), 0, 1, (("f", 9),)),
+    _row(spec("E", 1, 2), 0, 1, (("f", 9),)),
+    _row(spec("A", 2, 1), 1, 2, (("f", 9),)),
+    _row(spec("E", 3, 1), 0, 1, (("f", 15),)),
+    _row(spec("E", 1, 3), 0, 1, (("f", 15),)),
+    _row(spec("A", 3, 1), 1, 2, (("f", 15),)),
+    _row(spec("E", 1, 1), 0, 1, (("f", 6), ("ftilde", 3))),
+    _row(spec("A", 1, 1), 1, 2, (("f", 6), ("ftilde", 3))),
+    _row(spec("K4e"), 2, 2, (("f", 6),)),
 )
 
 
@@ -286,8 +282,6 @@ class EquivClass:
         return frozenset(canonical_form(g) for g in self.graphs())
 
     def to_json(self, include_graph6: bool = False) -> dict:
-        from .graphcore import graph6_write
-
         payload = {
             "reference": str(self.reference),
             "members": [

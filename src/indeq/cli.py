@@ -26,7 +26,7 @@ from typing import Optional
 
 from . import checks, classify, factorbasis, indpoly, oracle, polyalg
 from .graphcore import (
-    FAMILY_ARITY,
+    FAMILIES,
     FamilySpec,
     Graph,
     Graph6Error,
@@ -53,13 +53,13 @@ def parse_spec_text(text: str) -> tuple[FamilySpec, ...]:
             raise SpecSyntaxError(f"empty spec component at position {pos}")
         head, _, tail = part.partition(":")
         family = head.strip()
-        if family not in FAMILY_ARITY:
+        if family not in FAMILIES:
             raise SpecSyntaxError(f"unknown family {family!r} at position {pos}")
         params: tuple[int, ...] = ()
-        if tail or FAMILY_ARITY[family] > 0:
+        if tail or FAMILIES[family].floors:
             if not tail:
                 raise SpecSyntaxError(
-                    f"{family} needs {FAMILY_ARITY[family]} parameter(s) at position {pos}"
+                    f"{family} needs {len(FAMILIES[family].floors)} parameter(s) at position {pos}"
                 )
             items = tail.split(",")
             try:
@@ -188,7 +188,7 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_screen(args) -> int:
-    if args.family not in FAMILY_ARITY:
+    if args.family not in FAMILIES:
         print(f"error: unknown family {args.family!r}", file=sys.stderr)
         return 2
     rows = classify.sweep_family(args.family, args.max)

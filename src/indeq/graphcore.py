@@ -32,14 +32,15 @@ classifier and the screening machinery work with:
   K4e           K4 minus an edge
 
 Whenever a spacing parameter is 0 the two anchor vertices it separates
-are adjacent.  Vertex labels follow the construction order (triangle
-first, then spine, then branches) so fixtures are stable.
+are adjacent.  ``FAMILIES`` states each family once: its parameter
+floors and its drawing.  Vertex labels follow the drawing order
+(triangle first, then spine, then branches) so fixtures are stable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 
 class Graph6Error(ValueError):
@@ -250,21 +251,83 @@ def _bits(mask: int) -> list[int]:
 
 # -- family specifications ------------------------------------------------
 
-FAMILY_ARITY = {
-    "P": 1, "C": 1, "D": 1, "Y": 3, "E": 2, "A": 2, "B": 3,
-    "F1": 2, "F2": 1, "F3": 1, "F4": 1, "F5": 2, "F6": 3,
-    "F7": 1, "F8": 2, "F9": 3, "K4e": 0,
-}
+class _Drawing:
+    """Adjacency rows under construction; each new vertex takes the next label."""
 
-FAMILY_ORDER = ("P", "C", "D", "Y", "E", "A", "B",
-                "F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9", "K4e")
+    def __init__(self):
+        self.adj: list[int] = []
 
-# minimum allowed value per parameter slot
-_PARAM_FLOORS = {
-    "P": (0,), "C": (3,), "D": (2,), "Y": (1, 1, 1), "E": (1, 1), "A": (1, 1),
-    "B": (0, 1, 1), "F1": (0, 1), "F2": (1,), "F3": (0,), "F4": (0,),
-    "F5": (0, 1), "F6": (0, 0, 1), "F7": (0,), "F8": (0, 0), "F9": (0, 0, 0),
-    "K4e": (),
+    def vertex(self, *nbrs: int) -> int:
+        """Add a vertex adjacent to ``nbrs``; return its label."""
+        v = len(self.adj)
+        row = 0
+        for u in nbrs:
+            self.adj[u] |= 1 << v
+            row |= 1 << u
+        self.adj.append(row)
+        return v
+
+    def path(self, anchor: int, count: int) -> int:
+        """Hang a path of ``count`` new vertices off ``anchor``; return its far end."""
+        for _ in range(count):
+            anchor = self.vertex(anchor)
+        return anchor
+
+    def ring(self, k: int) -> None:
+        """Add a cycle on ``k`` new vertices, consecutive labels adjacent."""
+        first = self.vertex()
+        self.vertex(self.path(first, k - 2), first)
+
+    def triangle(self, anchor: int) -> tuple[int, int]:
+        """Glue a triangle onto ``anchor``; return its two new corners."""
+        b = self.vertex(anchor)
+        return b, self.vertex(anchor, b)
+
+
+class Family(NamedTuple):
+    """One catalogue family: the minimum of each parameter, and its drawing.
+
+    ``draw(d, *params)`` makes its moves on a fresh ``_Drawing`` from left
+    to right, so a row may name its first vertices by label: the first
+    triangle is 0, 1, 2, a ring starts at 0 and a spider's center is 0.
+    """
+
+    floors: tuple[int, ...]
+    draw: Callable[..., object]
+
+
+#: The family catalogue in sort order; the module docstring describes each shape.
+FAMILIES: dict[str, Family] = {
+    "P": Family((0,), lambda d, n: n and d.path(d.vertex(), n - 1)),
+    "C": Family((3,), lambda d, n: d.ring(n)),
+    "D": Family((2,), lambda d, n: d.path(d.vertex(), 1) if n == 2
+                else (d.triangle(d.vertex()), d.path(2, n - 3))),
+    "Y": Family((1, 1, 1), lambda d, a, b, c: (
+        d.vertex(), d.path(0, a), d.path(0, b), d.path(0, c))),
+    "E": Family((1, 1), lambda d, a, b: (d.ring(a + 3), d.path(0, b))),
+    "A": Family((1, 1), lambda d, a, b: (
+        d.triangle(d.vertex()), d.path(1, a), d.path(2, b))),
+    "B": Family((0, 1, 1), lambda d, a, b, c: (
+        d.triangle(d.vertex()), (u := d.path(2, a + 1)), d.path(u, b), d.path(u, c))),
+    "F1": Family((0, 1), lambda d, a, b: (
+        d.triangle(d.vertex()), (u := d.path(2, a + 1)), d.vertex(d.path(u, b + 1), u))),
+    "F2": Family((1,), lambda d, m: (d.ring(m + 3), d.vertex(0, 1))),
+    "F3": Family((0,), lambda d, m: (
+        d.triangle(d.vertex()), d.triangle(d.path(2, m + 1)))),
+    "F4": Family((0,), lambda d, m: (d.vertex(*d.triangle(d.vertex())), d.path(3, m))),
+    "F5": Family((0, 1), lambda d, a, b: (
+        d.triangle(d.vertex()), d.path(d.triangle(d.path(2, a + 1))[0], b))),
+    "F6": Family((0, 0, 1), lambda d, a, b, c: (
+        d.triangle(d.vertex()), (u := d.path(2, a + 1)),
+        d.triangle(d.path(u, b + 1)), d.path(u, c))),
+    "F7": Family((0,), lambda d, m: (
+        d.vertex(*d.triangle(d.vertex())), d.triangle(d.path(3, m + 1)))),
+    "F8": Family((0, 0), lambda d, a, b: (
+        d.triangle(d.vertex()), d.triangle(d.path(d.triangle(d.path(2, a + 1))[0], b + 1)))),
+    "F9": Family((0, 0, 0), lambda d, a, b, c: (
+        d.triangle(d.vertex()), (w := d.path(2, a + 1)),
+        d.triangle(d.path(w, b + 1)), d.triangle(d.path(w, c + 1)))),
+    "K4e": Family((), lambda d: d.vertex(*d.triangle(d.vertex()))),
 }
 
 
@@ -276,15 +339,15 @@ class FamilySpec:
     params: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.family not in FAMILY_ARITY:
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         object.__setattr__(self, "params", tuple(int(p) for p in self.params))
-        arity = FAMILY_ARITY[self.family]
-        if len(self.params) != arity:
+        floors = FAMILIES[self.family].floors
+        if len(self.params) != len(floors):
             raise ValueError(
-                f"{self.family} takes {arity} parameter(s), got {len(self.params)}"
+                f"{self.family} takes {len(floors)} parameter(s), got {len(self.params)}"
             )
-        for slot, (p, floor) in enumerate(zip(self.params, _PARAM_FLOORS[self.family])):
+        for slot, (p, floor) in enumerate(zip(self.params, floors)):
             if p < floor:
                 raise ValueError(
                     f"{self.family} parameter {slot + 1} must be >= {floor}, got {p}"
@@ -297,7 +360,7 @@ class FamilySpec:
 
     @property
     def sort_key(self) -> tuple:
-        return (FAMILY_ORDER.index(self.family), self.params)
+        return (list(FAMILIES).index(self.family), self.params)
 
 
 #: One FamilySpec, or any iterable of them meaning a disjoint union.
@@ -308,198 +371,16 @@ def spec(text_family: str, *params: int) -> FamilySpec:
     return FamilySpec(text_family, tuple(params))
 
 
-def _chain(edges: list, anchor: int, count: int, nxt: int) -> tuple[int, int]:
-    """Attach a path of `count` new vertices to `anchor`; return (end, next id)."""
-    last = anchor
-    for _ in range(count):
-        edges.append((last, nxt))
-        last = nxt
-        nxt += 1
-    return last, nxt
-
-
-def _triangle(edges: list, anchor: Optional[int], nxt: int) -> tuple[int, int]:
-    """Add a triangle; if anchor is given, one corner is glued onto it.
-
-    Returns (corner vertex that carries further attachments, next id).
-    """
-    if anchor is None:
-        a, b, c = nxt, nxt + 1, nxt + 2
-        edges.extend([(a, b), (a, c), (b, c)])
-        return c, nxt + 3
-    b, c = nxt, nxt + 1
-    edges.extend([(anchor, b), (anchor, c), (b, c)])
-    return anchor, nxt + 2
-
-
 def build(specs: SpecLike) -> Graph:
     """Construct the graph described by a FamilySpec or a disjoint union of them."""
     if isinstance(specs, FamilySpec):
         specs = (specs,)
     g = Graph.empty(0)
     for s in specs:
-        g = g.disjoint_union(_build_one(s))
+        d = _Drawing()
+        FAMILIES[s.family].draw(d, *s.params)
+        g = g.disjoint_union(Graph(len(d.adj), d.adj))
     return g
-
-
-def _build_one(s: FamilySpec) -> Graph:
-    fam, p = s.family, s.params
-    edges: list[tuple[int, int]] = []
-
-    if fam == "P":
-        n = p[0]
-        return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-    if fam == "C":
-        n = p[0]
-        return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-    if fam == "D":
-        n = p[0]
-        if n == 2:
-            return _build_one(FamilySpec("P", (2,)))
-        if n == 3:
-            return _build_one(FamilySpec("C", (3,)))
-        edges = [(0, 1), (0, 2), (1, 2)]
-        _chain(edges, 2, n - 3, 3)
-        return Graph.from_edges(n, edges)
-
-    if fam == "Y":
-        a, b, c = p
-        nxt = 1
-        for leg in (a, b, c):
-            _, nxt = _chain(edges, 0, leg, nxt)
-        return Graph.from_edges(nxt, edges)
-
-    if fam == "E":
-        a, b = p
-        ring = a + 3
-        edges = [(i, (i + 1) % ring) for i in range(ring)]
-        _, nxt = _chain(edges, 0, b, ring)
-        return Graph.from_edges(nxt, edges)
-
-    if fam == "A":
-        a, b = p
-        edges = [(0, 1), (0, 2), (1, 2)]
-        _, nxt = _chain(edges, 1, a, 3)
-        _, nxt = _chain(edges, 2, b, nxt)
-        return Graph.from_edges(nxt, edges)
-
-    if fam == "B":
-        a, b, c = p
-        edges = [(0, 1), (0, 2), (1, 2)]
-        end, nxt = _chain(edges, 2, a, 3)
-        u = nxt
-        edges.append((end, u))
-        nxt += 1
-        _, nxt = _chain(edges, u, b, nxt)
-        _, nxt = _chain(edges, u, c, nxt)
-        return Graph.from_edges(nxt, edges)
-
-    if fam == "F1":
-        a, b = p
-        edges = [(0, 1), (0, 2), (1, 2)]
-        end, nxt = _chain(edges, 2, a, 3)
-        u = nxt
-        edges.append((end, u))
-        nxt += 1
-        # cycle of length b+3 through u
-        ring_rest, nxt = _chain(edges, u, b + 2, nxt)
-        edges.append((ring_rest, u))
-        return Graph.from_edges(nxt, edges)
-
-    if fam == "F2":
-        m = p[0]
-        ring = m + 3
-        edges = [(i, (i + 1) % ring) for i in range(ring)]
-        apex = ring
-        edges.extend([(apex, 0), (apex, 1)])
-        return Graph.from_edges(ring + 1, edges)
-
-    if fam == "F3":
-        m = p[0]
-        edges = [(0, 1), (0, 2), (1, 2)]
-        end, nxt = _chain(edges, 2, m, 3)
-        apex = nxt
-        edges.append((end, apex))
-        _, nxt = _triangle(edges, apex, nxt + 1)
-        return Graph.from_edges(nxt, edges)
-
-    if fam == "F4":
-        m = p[0]
-        edges = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
-        _, nxt = _chain(edges, 3, m, 4)
-        return Graph.from_edges(nxt, edges)
-
-    if fam == "F5":
-        a, b = p
-        edges = [(0, 1), (0, 2), (1, 2)]
-        end, nxt = _chain(edges, 2, a, 3)
-        u = nxt
-        edges.append((end, u))
-        x, y = nxt + 1, nxt + 2
-        edges.extend([(u, x), (u, y), (x, y)])
-        _, nxt = _chain(edges, x, b, nxt + 3)
-        return Graph.from_edges(nxt, edges)
-
-    if fam == "F6":
-        a, b, c = p
-        edges = [(0, 1), (0, 2), (1, 2)]
-        end, nxt = _chain(edges, 2, a, 3)
-        u = nxt
-        edges.append((end, u))
-        nxt += 1
-        end, nxt = _chain(edges, u, b, nxt)
-        w = nxt
-        edges.append((end, w))
-        _, nxt = _triangle(edges, w, nxt + 1)
-        _, nxt = _chain(edges, u, c, nxt)
-        return Graph.from_edges(nxt, edges)
-
-    if fam == "F7":
-        m = p[0]
-        edges = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
-        end, nxt = _chain(edges, 3, m, 4)
-        u = nxt
-        edges.append((end, u))
-        _, nxt = _triangle(edges, u, nxt + 1)
-        return Graph.from_edges(nxt, edges)
-
-    if fam == "F8":
-        a, b = p
-        edges = [(0, 1), (0, 2), (1, 2)]
-        end, nxt = _chain(edges, 2, a, 3)
-        w = nxt
-        edges.append((end, w))
-        x, y = nxt + 1, nxt + 2  # middle triangle is (w, x, y)
-        edges.extend([(w, x), (w, y), (x, y)])
-        end, nxt = _chain(edges, x, b, nxt + 3)
-        u2 = nxt
-        edges.append((end, u2))
-        _, nxt = _triangle(edges, u2, nxt + 1)
-        return Graph.from_edges(nxt, edges)
-
-    if fam == "F9":
-        a, b, c = p
-        edges = [(0, 1), (0, 2), (1, 2)]
-        end, nxt = _chain(edges, 2, a, 3)
-        w = nxt
-        edges.append((end, w))
-        nxt += 1
-        end, nxt = _chain(edges, w, b, nxt)
-        u = nxt
-        edges.append((end, u))
-        _, nxt = _triangle(edges, u, nxt + 1)
-        end, nxt = _chain(edges, w, c, nxt)
-        wp = nxt
-        edges.append((end, wp))
-        _, nxt = _triangle(edges, wp, nxt + 1)
-        return Graph.from_edges(nxt, edges)
-
-    if fam == "K4e":
-        return Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
-
-    raise ValueError(f"unknown family {fam!r}")
 
 
 # -- shape recognition -------------------------------------------------------

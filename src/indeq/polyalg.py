@@ -61,12 +61,6 @@ class IntPoly:
     def x(cls) -> "IntPoly":
         return cls((0, 1))
 
-    @classmethod
-    def monomial(cls, coeff: int, power: int) -> "IntPoly":
-        if coeff == 0:
-            return cls.zero()
-        return cls((0,) * power + (coeff,))
-
     # -- basic queries ------------------------------------------------
 
     @property
@@ -166,9 +160,9 @@ class IntPoly:
         """Exact quotient in Z[x]; raises NotDivisibleError otherwise."""
         q = self.try_divide(divisor)
         if q is None:
-            _, r = _divmod_over_q(self, divisor)
             raise NotDivisibleError(
-                f"({self}) is not divisible by ({divisor})", remainder=r
+                f"({self}) is not divisible by ({divisor})",
+                remainder=_rem_positive_multiple(self, divisor),
             )
         return q
 
@@ -198,9 +192,6 @@ class IntPoly:
         if any(rem[: len(div) - 1]):
             return None
         return IntPoly(out)
-
-    def __floordiv__(self, other: "IntPoly") -> "IntPoly":
-        return self.divide_exact(other)
 
     def __pow__(self, k: int) -> "IntPoly":
         if k < 0:
@@ -317,27 +308,6 @@ class IntPoly:
     @classmethod
     def from_decimal_strings(cls, items: Sequence[str]) -> "IntPoly":
         return cls(int(s) for s in items)
-
-
-def _divmod_over_q(a: IntPoly, b: IntPoly) -> tuple[list[Fraction], IntPoly]:
-    """Quotient/remainder over the rationals; remainder scaled back primitive."""
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in a.coeffs]
-    div = b.coeffs
-    lead = Fraction(div[-1])
-    quo: list[Fraction] = []
-    for top in range(len(rem) - 1, len(div) - 2, -1):
-        q = rem[top] / lead
-        quo.append(q)
-        off = top - (len(div) - 1)
-        for i, d in enumerate(div):
-            rem[off + i] -= q * d
-    den = 1
-    for f in rem:
-        den = den * f.denominator // int_gcd(den, f.denominator)
-    r = IntPoly(int(f * den) for f in rem).primitive_part()
-    return quo, r
 
 
 def _rem_positive_multiple(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -458,11 +428,6 @@ def count_real_roots(chain: SturmChain, lo: Endpoint, hi: Endpoint) -> int:
     v_lo = chain.variations_at(lo, positive_infinity=False)
     v_hi = chain.variations_at(hi, positive_infinity=True)
     return v_lo - v_hi
-
-
-def count_real_roots_of(p: IntPoly, lo: Endpoint, hi: Endpoint) -> int:
-    """Distinct real roots of p in (lo, hi]; squarefree part taken first."""
-    return count_real_roots(SturmChain.of(squarefree_part(p)), lo, hi)
 
 
 def all_roots_real_below(p: IntPoly, bound: RationalLike) -> bool:

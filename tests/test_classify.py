@@ -17,7 +17,7 @@ from indeq.classify import (
     sweep_family,
 )
 from indeq.factorbasis import basis_f, basis_ftilde, product_of
-from indeq.graphcore import FamilySpec, Graph, build, canonical_form
+from indeq.graphcore import FAMILIES, FamilySpec, Graph, build, canonical_form
 from indeq.indpoly import independence_polynomial
 
 from conftest import QUARTER, fs
@@ -72,10 +72,8 @@ FAMILY_GRIDS = {
 
 @pytest.mark.parametrize("fam", sorted(FAMILY_GRIDS))
 def test_elimination_value_matches_evaluation(fam):
-    from indeq.graphcore import _PARAM_FLOORS
-
     top = FAMILY_GRIDS[fam]
-    for params in itertools.product(*[range(f, top + 1) for f in _PARAM_FLOORS[fam]]):
+    for params in itertools.product(*[range(f, top + 1) for f in FAMILIES[fam].floors]):
         spec = FamilySpec(fam, params)
         assert elimination_value(spec) == independence_polynomial(
             build(spec)
@@ -147,10 +145,8 @@ STRUCTURE_BY_FAMILY = {
 
 
 def _structure_grid():
-    from indeq.graphcore import _PARAM_FLOORS
-
     for fam, want in STRUCTURE_BY_FAMILY.items():
-        floors = _PARAM_FLOORS[fam]
+        floors = FAMILIES[fam].floors
         if fam == "P":
             floors = (1,)
         if fam == "C":

@@ -1,10 +1,12 @@
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indeq.graphcore import (
+    FAMILIES,
     FamilySpec,
     Graph,
     Graph6Error,
@@ -47,6 +49,27 @@ FLOORS = {
     "F5": (0, 1), "F6": (0, 0, 1), "F7": (0,), "F8": (0, 0), "F9": (0, 0, 0),
     "K4e": (),
 }
+
+
+BUILD_GOLDEN = Path(__file__).parent / "golden" / "build_specs.tsv"
+
+
+def test_build_labels_match_golden():
+    """Every spec with parameters <= 12 (<= 6 for three-parameter families),
+    1960 in all, builds with the vertex labels recorded in the golden file,
+    one ``spec<TAB>graph6`` line each, in table order."""
+    rows = [line.split("\t") for line in BUILD_GOLDEN.read_text().splitlines()]
+    grid = [
+        FamilySpec(fam, params)
+        for fam, row in FAMILIES.items()
+        for params in itertools.product(
+            *[range(f, (6 if len(row.floors) == 3 else 12) + 1) for f in row.floors])
+    ]
+    assert [text for text, _ in rows] == [str(s) for s in grid]
+    assert len(grid) == 1960
+    for s, (_, want) in zip(grid, rows):
+        assert graph6_write(build(s)) == want, s
+    assert set(FLOORS) == set(COUNTS) == set(FAMILIES)
 
 
 def grid_specs(top=8, three_param_top=4):

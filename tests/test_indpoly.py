@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from indeq.cli import main
-from indeq.graphcore import FamilySpec, Graph, build, graph6_write
+from indeq.graphcore import FAMILIES, FamilySpec, Graph, build, graph6_write
 from indeq.indpoly import (
     bruteforce_counts,
     bruteforce_polynomial,
@@ -55,9 +55,7 @@ SMALL_GRID = [
 
 
 def _catalogue_grid(max_vertices, top=8, three_param_top=4):
-    from indeq.graphcore import _PARAM_FLOORS
-
-    for fam, floors in _PARAM_FLOORS.items():
+    for fam, (floors, _) in FAMILIES.items():
         if fam == "P":
             floors = (1,)
         cap = three_param_top if len(floors) == 3 else top
