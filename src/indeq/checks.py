@@ -161,7 +161,7 @@ def _check_basis_roots(b) -> tuple[bool, str]:
 
 def _check_elimination_values(b) -> tuple[bool, str]:
     top = b["elim"]
-    for fam in ("Y", "B", "A", "F3", "F4", "F5", "F6", "F7", "F8", "F9"):
+    for fam in classify.ELIMINATION_FORMS:
         floors = FAMILIES[fam].floors
         for params in itertools.product(*[range(f, top + 1) for f in floors]):
             s = FamilySpec(fam, params)

@@ -24,7 +24,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .factorbasis import two_adic_split
 from .graphcore import FAMILIES, FamilySpec, Graph, build, canonical_form, graph6_write, spec
@@ -103,46 +103,33 @@ def path_targets(n: int) -> tuple[int, int, int]:
 
 # -- exact elimination values ---------------------------------------------------
 
-def elimination_value(spec: FamilySpec) -> Fraction:
-    """Closed form for I(spec, -1/4) on the families that admit one.
+# Closed forms for I(spec, -1/4), one per family that admits one, as
+# functions of the family's parameters.  Derived by pushing the
+# vertex-deletion identity through the known values
+# I(P_k, -1/4) = (k+2)/2^(k+1) and I(C_k, -1/4) = I(D_k, -1/4) = 1/2^(k-1),
+# or by solving tau_m = (U m + V)/2^m against two base cases for the
+# families satisfying the two-term recurrence.
+ELIMINATION_FORMS: dict[str, Callable[..., Fraction]] = {
+    "Y": lambda a, b, c: Fraction(
+        (a + 2) * (b + 2) * (c + 2) - 2 * (a + 1) * (b + 1) * (c + 1), 2 ** (a + b + c + 3)),
+    "B": lambda a, b, c: Fraction(2 - b * c, 2 ** (a + b + c + 4)),
+    "A": lambda a, b: Fraction(4 - a * b, 2 ** (a + b + 4)),
+    "F3": lambda m: Fraction(0),
+    "F4": lambda m: Fraction(1 - m, 2 ** (m + 4)),
+    "F5": lambda a, b: Fraction(-b, 2 ** (a + b + 5)),
+    "F6": lambda a, b, c: Fraction(-c, 2 ** (a + b + c + 5)),
+    "F7": lambda m: Fraction(-1, 2 ** (m + 5)),
+    "F8": lambda a, b: Fraction(-1, 2 ** (a + b + 6)),
+    "F9": lambda a, b, c: Fraction(-1, 2 ** (a + b + c + 6)),
+}
 
-    Derived by pushing the vertex-deletion identity through the known
-    values I(P_k, -1/4) = (k+2)/2^(k+1) and I(C_k, -1/4) = I(D_k, -1/4)
-    = 1/2^(k-1), or by solving tau_m = (U m + V)/2^m against two base
-    cases for the families satisfying the two-term recurrence.
-    """
-    fam, p = spec.family, spec.params
-    if fam == "Y":
-        a, b, c = p
-        num = (a + 2) * (b + 2) * (c + 2) - 2 * (a + 1) * (b + 1) * (c + 1)
-        return Fraction(num, 2 ** (a + b + c + 3))
-    if fam == "B":
-        a, b, c = p
-        return Fraction(2 - b * c, 2 ** (a + b + c + 4))
-    if fam == "A":
-        a, b = p
-        return Fraction(4 - a * b, 2 ** (a + b + 4))
-    if fam == "F3":
-        return Fraction(0)
-    if fam == "F4":
-        (m,) = p
-        return Fraction(1 - m, 2 ** (m + 4))
-    if fam == "F5":
-        a, b = p
-        return Fraction(-b, 2 ** (a + b + 5))
-    if fam == "F6":
-        a, b, c = p
-        return Fraction(-c, 2 ** (a + b + c + 5))
-    if fam == "F7":
-        (m,) = p
-        return Fraction(-1, 2 ** (m + 5))
-    if fam == "F8":
-        a, b = p
-        return Fraction(-1, 2 ** (a + b + 6))
-    if fam == "F9":
-        a, b, c = p
-        return Fraction(-1, 2 ** (a + b + c + 6))
-    raise ValueError(f"no elimination closed form for family {fam}")
+
+def elimination_value(spec: FamilySpec) -> Fraction:
+    """I(spec, -1/4) by the closed form of its family (``ELIMINATION_FORMS``)."""
+    form = ELIMINATION_FORMS.get(spec.family)
+    if form is None:
+        raise ValueError(f"no elimination closed form for family {spec.family}")
+    return form(*spec.params)
 
 
 @dataclass(frozen=True)

@@ -54,12 +54,13 @@ class Graph6Error(ValueError):
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "_canon")
+    __slots__ = ("n", "adj", "_canon", "_autos")
 
     def __init__(self, n: int, adj: Sequence[int]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(self, "_canon", None)
+        object.__setattr__(self, "_autos", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -521,24 +522,50 @@ def canonical_form(g: Graph) -> bytes:
     The bytes are the graph6 encoding of a canonical relabeling, so they
     decode back to a representative of the class.
     """
-    cached = g._canon
-    if cached is not None:
-        return cached
+    if g._canon is None:
+        _canonize(g)
+    return g._canon
+
+
+def automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The automorphisms of g that its canonical search met (at most 64).
+
+    Each is a vertex map, perm[v] being the image of v.  They generate a
+    subgroup of the automorphism group, not always all of it.
+    """
+    if g._autos is None:
+        _canonize(g)
+    return g._autos
+
+
+def _canonize(g: Graph) -> None:
+    """Store g's canonical form and the automorphisms its search found."""
     if g.n == 0:
-        result = graph6_write(g).encode("ascii")
+        result, autos = graph6_write(g).encode("ascii"), ()
     else:
         # dense graphs canonicalize faster through the complement; the
-        # ordering found there is just as canonical for the original
+        # ordering and automorphisms found there hold for the original
         maxe = g.n * (g.n - 1) // 2
         target = g.complement() if 2 * g.edge_count > maxe else g
-        order = _canonical_order(target)
+        order, autos = _canonical_order(target)
         result = graph6_write(g.relabel(order)).encode("ascii")
     object.__setattr__(g, "_canon", result)
-    return result
+    object.__setattr__(g, "_autos", autos)
+
+
+def from_canonical_form(key: bytes) -> Graph:
+    """The graph a canonical form encodes, with that form preset.
+
+    A graph in canonical labeling is its own canonical relabeling, so its
+    canonical form is the key it was read from.
+    """
+    g = graph6_read(key.decode("ascii"))
+    object.__setattr__(g, "_canon", key)
+    return g
 
 
 def canonical_graph(g: Graph) -> Graph:
-    return graph6_read(canonical_form(g).decode("ascii"))
+    return from_canonical_form(canonical_form(g))
 
 
 def _refine(adj: Sequence[int], cells: list[list[int]]) -> list[list[int]]:
@@ -582,7 +609,8 @@ def _order_key(adj: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
     return tuple(key)
 
 
-def _canonical_order(g: Graph) -> list[int]:
+def _canonical_order(g: Graph) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
+    """The canonical ordering of g's vertices and the automorphisms found."""
     n, adj = g.n, g.adj
     by_degree: dict[int, list[int]] = {}
     for v in range(n):
@@ -637,7 +665,7 @@ def _canonical_order(g: Graph) -> list[int]:
             explored.append(v)
 
     search(start)
-    return best_order[0]
+    return best_order[0], tuple(autos)
 
 
 # -- graph6 (header-less) ----------------------------------------------------

@@ -4,7 +4,9 @@ Three mechanisms cross-check the classifier from different directions:
 
   * enumerate_graphs: every isomorphism class on a fixed vertex count,
     grown edge by edge from the empty graph with canonical-form
-    deduplication at each level, streamed in a deterministic order
+    deduplication at each level, streamed in a deterministic order; a
+    parent gains one new edge per orbit of its automorphisms, not one per
+    non-edge (McKay, "Isomorph-free exhaustive generation", 1998)
   * equivalence_class_bruteforce: filter an exhaustive enumeration down
     to the graphs sharing a reference independence polynomial; the only
     filters applied are the vertex and edge counts, both of which are
@@ -31,7 +33,9 @@ from typing import Iterator, Optional
 
 from .classify import CATALOGUE, EquivClass, _member_key
 from .factorbasis import factor_cycle, factor_path
-from .graphcore import FamilySpec, Graph, canonical_form, graph6_read, recognize
+from .graphcore import (
+    FamilySpec, Graph, automorphisms, canonical_form, from_canonical_form, recognize,
+)
 from .indpoly import independence_polynomial
 
 _UNFILTERED_MAX = 10
@@ -72,25 +76,53 @@ def _check_bounds(filt: EnumFilter) -> None:
         )
 
 
-def _expand_level(args) -> list[tuple[bytes, tuple[int, ...]]]:
-    """Children of a chunk of parent adjacency tuples (worker-safe)."""
+def _orbit_leaders(n: int, adj: tuple[int, ...], autos) -> list[tuple[int, int]]:
+    """The non-edges (u, v), u < v, that are least in their orbit under
+    the group the automorphisms generate.
+
+    Adding any edge of an orbit gives isomorphic children, so one per
+    orbit loses no class.  If autos generate only part of the group, the
+    orbits are finer and some children are merely canonicalized twice.
+    """
+    leaders = []
+    seen = set()
+    for u in range(n):
+        for v in range(u + 1, n):
+            if adj[u] >> v & 1 or (u, v) in seen:
+                continue
+            leaders.append((u, v))
+            seen.add((u, v))
+            todo = [(u, v)]
+            while todo:
+                a, b = todo.pop()
+                for perm in autos:
+                    x, y = perm[a], perm[b]
+                    pair = (x, y) if x < y else (y, x)
+                    if pair not in seen:
+                        seen.add(pair)
+                        todo.append(pair)
+    return leaders
+
+
+def _expand_level(args) -> dict[bytes, tuple]:
+    """Children of a chunk of (adjacency, automorphisms) parents (worker-safe):
+    canonical form -> (adjacency, automorphisms) of the first child found."""
     n, rows, max_degree = args
-    out = []
-    for adj in rows:
-        parent = Graph(n, adj)
-        for u in range(n):
-            for v in range(u + 1, n):
-                if adj[u] >> v & 1:
-                    continue
-                if max_degree is not None and (
-                    parent.degree(u) >= max_degree or parent.degree(v) >= max_degree
-                ):
-                    continue
-                child_adj = list(adj)
-                child_adj[u] |= 1 << v
-                child_adj[v] |= 1 << u
-                child = Graph(n, child_adj)
-                out.append((canonical_form(child), child.adj))
+    out: dict[bytes, tuple] = {}
+    for adj, autos in rows:
+        for u, v in _orbit_leaders(n, adj, autos):
+            # degrees are invariant, so the filter keeps or drops whole orbits
+            if max_degree is not None and (
+                adj[u].bit_count() >= max_degree or adj[v].bit_count() >= max_degree
+            ):
+                continue
+            child_adj = list(adj)
+            child_adj[u] |= 1 << v
+            child_adj[v] |= 1 << u
+            child = Graph(n, child_adj)
+            key = canonical_form(child)
+            if key not in out:
+                out[key] = (child.adj, automorphisms(child))
     return out
 
 
@@ -121,30 +153,28 @@ def enumerate_graphs(filt: EnumFilter) -> Iterator[Graph]:
             return False
         return True
 
-    level: dict[bytes, Graph] = {}
+    # canonical form -> (adjacency, automorphisms) of one labeled member
     empty = Graph.empty(n)
-    level[canonical_form(empty)] = empty
+    level = {canonical_form(empty): (empty.adj, automorphisms(empty))}
     for edges in range(top + 1):
         if filt.edge_count is None or edges == filt.edge_count:
             # yield the canonical representative so the stream does not
             # depend on which labeled copy each worker found first
             for key in sorted(level):
-                if matches(level[key]):
-                    yield graph6_read(key.decode("ascii"))
+                if matches(Graph(n, level[key][0])):
+                    yield from_canonical_form(key)
         if edges == top:
             break
-        rows = [g.adj for g in level.values()]
-        nxt: dict[bytes, tuple[int, ...]] = {}
+        rows = list(level.values())
         if workers > 1 and len(rows) >= 4 * workers:
             chunks = [(n, rows[i::workers], filt.max_degree) for i in range(workers)]
+            level = {}
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 for result in pool.map(_expand_level, chunks):
-                    for key, adj in result:
-                        nxt.setdefault(key, adj)
+                    for key, entry in result.items():
+                        level.setdefault(key, entry)
         else:
-            for key, adj in _expand_level((n, rows, filt.max_degree)):
-                nxt.setdefault(key, adj)
-        level = {key: Graph(n, adj) for key, adj in nxt.items()}
+            level = _expand_level((n, rows, filt.max_degree))
 
 
 def count_isomorphism_classes(n: int) -> int:

@@ -6,6 +6,7 @@ import pytest
 
 from indeq.classify import (
     CATALOGUE,
+    ELIMINATION_FORMS,
     EvenCycleClassNote,
     cycle_class,
     degree_stats,
@@ -68,6 +69,10 @@ FAMILY_GRIDS = {
     "Y": 5, "B": 5, "A": 6, "F3": 8, "F4": 8, "F5": 6,
     "F6": 4, "F7": 8, "F8": 6, "F9": 4,
 }
+
+
+def test_family_grids_cover_every_closed_form():
+    assert list(FAMILY_GRIDS) == list(ELIMINATION_FORMS)
 
 
 @pytest.mark.parametrize("fam", sorted(FAMILY_GRIDS))

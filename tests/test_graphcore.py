@@ -1,15 +1,19 @@
 import itertools
+import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from indeq import graphcore
 from indeq.graphcore import (
     FAMILIES,
     FamilySpec,
     Graph,
     Graph6Error,
+    automorphisms,
     build,
     canonical_form,
     canonical_graph,
@@ -197,6 +201,48 @@ def test_canonical_relabel_invariance(g, rng):
     order = list(range(g.n))
     rng.shuffle(order)
     assert canonical_form(g) == canonical_form(g.relabel(order))
+
+
+@given(random_graphs(max_vertices=9))
+@settings(max_examples=60, deadline=None)
+def test_canonical_graph_is_a_fixed_point(g):
+    # canonical_graph presets the form it was read from; a fresh copy of
+    # the same adjacency must compute that same form
+    h = canonical_graph(g)
+    assert canonical_form(Graph(h.n, h.adj)) == canonical_form(g)
+
+
+@given(random_graphs(max_vertices=10))
+@settings(max_examples=80, deadline=None)
+def test_stored_automorphisms_preserve_edges(g):
+    edges = set(g.edges())
+    for perm in automorphisms(g):
+        assert sorted(perm) == list(range(g.n))
+        assert {tuple(sorted((perm[u], perm[v]))) for u, v in edges} == edges
+
+
+def test_automorphisms_come_with_the_canonical_form():
+    g = build(fs("C", 6))
+    with mock.patch.object(graphcore, "_canonical_order", wraps=graphcore._canonical_order) as search:
+        canonical_form(g)
+        assert automorphisms(g)
+        assert search.call_count == 1
+    assert automorphisms(Graph.empty(0)) == ()
+    assert automorphisms(build(fs("Y", 3, 2, 1))) == ()  # no symmetry to find
+
+
+def test_canonical_forms_separate_the_graph_atlas():
+    atlas = pytest.importorskip("networkx.generators.atlas")
+    rng = random.Random(1253)
+    forms = set()
+    for a in atlas.graph_atlas_g():
+        g = Graph.from_edges(a.number_of_nodes(), a.edges())
+        key = canonical_form(g)
+        order = list(range(g.n))
+        rng.shuffle(order)
+        assert canonical_form(g.relabel(order)) == key, graph6_write(g)
+        forms.add(key)
+    assert len(forms) == 1253
 
 
 @given(random_graphs(max_vertices=9))

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import warnings
 from unittest import mock
@@ -5,10 +6,14 @@ from unittest import mock
 import pytest
 
 from indeq.classify import EvenCycleClassNote, cycle_class, path_class
-from indeq.graphcore import build, canonical_form, graph6_write
+from hypothesis import given, settings
+
+from indeq import graphcore
+from indeq.graphcore import Graph, automorphisms, build, canonical_form, graph6_write
 from indeq.indpoly import independence_polynomial
 from indeq.oracle import (
     EnumFilter,
+    _orbit_leaders,
     _worker_count,
     as_equiv_class,
     catalogue_class_search,
@@ -20,7 +25,7 @@ from indeq.oracle import (
     unlabeled_graph_count,
 )
 
-from conftest import fs
+from conftest import fs, random_graphs
 
 
 def test_enumerate_counts_small():
@@ -60,6 +65,68 @@ def test_enumerate_deterministic_stream():
     lines2 = [graph6_write(g) for g in enumerate_graphs(EnumFilter(5, edge_count=4))]
     assert lines1 == lines2
     assert lines1 == sorted(lines1)
+
+
+# sha256 of the enumerator's graph6 lines (each ending in a newline), recorded
+# before the enumerator learned to extend each parent once per orbit; the
+# stream must not change with the way the classes are reached
+GOLDEN_STREAMS = [
+    (EnumFilter(0), "ce773b87709a04bbcb0ead74fea94b1f20fa4a4d185fc06a24a9bc703dd99613"),
+    (EnumFilter(1), "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46"),
+    (EnumFilter(2), "b7cd2a004ade86133158ffa94292f1d79a1fa154874706bf33b9e841cd3fa4cb"),
+    (EnumFilter(3), "af2f77461a0c6ead588ab554abaf75d44f62f9183021f5656b2be2c189dd77c4"),
+    (EnumFilter(4), "8ca9e155939708588125a5910cc245b757017318811a4d95ec68bd9d85092d7f"),
+    (EnumFilter(5), "cb18a7a8da6caabb828de5aeffa9314f46b82c71d1e24e22aadb458d4145ff7e"),
+    (EnumFilter(6), "34581c4a78e12f4f86a8ca17f3b956cb8d64a740ff4e1898cf46c6ab435b9a40"),
+    (EnumFilter(7), "9ae6c8b279f11a01a5d5f0fd2b9f44a4d1eed4eefd41cfd2b349d3b2ea50931e"),
+    (EnumFilter(8, 7), "24c2e4e6297bb1f089f87c8ecf4695006b3b11567cbf78f5b43de7c449b90772"),
+    (EnumFilter(9, 8), "cf7131a359437cecab27726de18969871fc8359c4ba2cd692e24d5ff67db7551"),
+]
+
+
+@pytest.mark.parametrize(
+    "filt,digest", GOLDEN_STREAMS,
+    ids=[f"{f.vertex_count}-{f.edge_count}" for f, _ in GOLDEN_STREAMS],
+)
+def test_enumeration_stream_matches_golden(filt, digest):
+    h = hashlib.sha256()
+    for g in enumerate_graphs(filt):
+        h.update(graph6_write(g).encode("ascii") + b"\n")
+    assert h.hexdigest() == digest
+
+
+def test_enumerated_graphs_carry_their_canonical_form():
+    reps = list(enumerate_graphs(EnumFilter(5)))
+    with mock.patch.object(graphcore, "_canonical_order") as search:
+        forms = [canonical_form(g) for g in reps]
+    assert search.call_count == 0
+    assert forms == [canonical_form(Graph(g.n, g.adj)) for g in reps]
+
+
+def _child(g, u, v):
+    adj = list(g.adj)
+    adj[u] |= 1 << v
+    adj[v] |= 1 << u
+    return Graph(g.n, adj)
+
+
+@given(random_graphs(max_vertices=8))
+@settings(max_examples=60, deadline=None)
+def test_orbit_leaders_reach_every_child(g):
+    leaders = _orbit_leaders(g.n, g.adj, automorphisms(g))
+    assert leaders == sorted(set(leaders))
+    assert all(not g.has_edge(u, v) for u, v in leaders)
+    reached = {canonical_form(_child(g, u, v)) for u, v in leaders}
+    non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+    assert {canonical_form(_child(g, u, v)) for u, v in non_edges} == reached
+
+
+def test_orbit_leaders_prune_symmetric_parents():
+    for n in range(2, 9):
+        g = Graph.empty(n)
+        assert _orbit_leaders(n, g.adj, automorphisms(g)) == [(0, 1)]
+    c6 = build(fs("C", 6))
+    assert _orbit_leaders(6, c6.adj, automorphisms(c6)) == [(0, 2), (0, 3)]
 
 
 def test_enumerate_pairwise_nonisomorphic():
