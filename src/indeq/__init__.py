@@ -33,8 +33,6 @@ from .polyalg import (
 from .indpoly import (
     bruteforce_counts,
     cycle_polynomial,
-    independence_count_bruteforce,
-    independence_equivalent,
     independence_polynomial,
     path_polynomial,
 )

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 from .factorbasis import two_adic_split
 from .graphcore import FAMILIES, FamilySpec, Graph, build, canonical_form, graph6_write, spec
-from .indpoly import independence_polynomial, path_polynomial
+from .indpoly import independence_polynomial
 from .polyalg import (
     IntPoly,
     SturmChain,
@@ -93,12 +93,6 @@ def structural_filter(stats: DegreeStats, i1: int, i2: int, i3: int) -> bool:
     if stats.max_degree > 3:
         return False
     return tri == stats.count(0) + stats.count(3)
-
-
-def path_targets(n: int) -> tuple[int, int, int]:
-    """First three coefficients of I(P_n, x), for feeding structural_filter."""
-    cs = path_polynomial(n).coeffs
-    return tuple(cs[k] if k < len(cs) else 0 for k in (1, 2, 3))
 
 
 # -- exact elimination values ---------------------------------------------------

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import comb
 
 from .polyalg import IntPoly
 
@@ -145,19 +146,19 @@ def real_cyclotomic(n: int) -> IntPoly:
     d = euler_phi(n) // 2
     residual = list(cyclotomic(n).coeffs)
     coeffs = [0] * (d + 1)
-    # binomials[j][k] = C(j, k), the coefficient of x^(2k) in (x^2+1)^j
-    binom = [1]
-    binomials = [list(binom)]
-    for j in range(1, d + 1):
-        binom = [1] + [binom[k] + binom[k - 1] for k in range(1, j)] + [1]
-        binomials.append(list(binom))
+    # row[k] = C(j, k), the coefficient of x^(2k) in (x^2+1)^j
+    row = [comb(d, k) for k in range(d + 1)]
     for j in range(d, -1, -1):
         c = residual[d + j]
         coeffs[j] = c
         if c:
             base = d - j
-            for k, b in enumerate(binomials[j]):
+            for k, b in enumerate(row):
                 residual[base + 2 * k] -= c * b
+        # step down to row j - 1 by Pascal's rule: C(j-1, k) = C(j, k) - C(j-1, k-1)
+        row.pop()
+        for k in range(1, j):
+            row[k] -= row[k - 1]
     if any(residual):
         raise ArithmeticError(f"triangular solve failed for index {n}")
     return IntPoly(coeffs)

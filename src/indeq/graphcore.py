@@ -40,6 +40,7 @@ floors and its drawing.  Vertex labels follow the drawing order
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 
@@ -372,10 +373,26 @@ def spec(text_family: str, *params: int) -> FamilySpec:
     return FamilySpec(text_family, tuple(params))
 
 
+#: The most vertices build() draws; P_n's adjacency rows take about n^2/16 bytes.
+MAX_BUILD_VERTICES = 10_000
+
+
+@lru_cache(maxsize=None)
+def _vertex_offset(family: str) -> int:
+    """Vertices beyond the parameter sum: each unit of a parameter adds one."""
+    d = _Drawing()
+    FAMILIES[family].draw(d, *FAMILIES[family].floors)
+    return len(d.adj) - sum(FAMILIES[family].floors)
+
+
 def build(specs: SpecLike) -> Graph:
-    """Construct the graph described by a FamilySpec or a disjoint union of them."""
+    """Construct the graph described by a FamilySpec or a disjoint union of
+    them; a ValueError refuses more than MAX_BUILD_VERTICES vertices."""
     if isinstance(specs, FamilySpec):
         specs = (specs,)
+    n = sum(sum(s.params) + _vertex_offset(s.family) for s in specs)
+    if n > MAX_BUILD_VERTICES:
+        raise ValueError(f"{'+'.join(map(str, specs))} has {n} vertices, above the cap of {MAX_BUILD_VERTICES}")
     g = Graph.empty(0)
     for s in specs:
         d = _Drawing()

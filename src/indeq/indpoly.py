@@ -3,9 +3,10 @@
 The evaluator is one recursion over vertex masks of the input's fixed
 adjacency rows.  A mask splits into connected components, whose
 polynomials multiply.  A component with in-mask degrees at most 2 is a
-path or a cycle (its degree sum tells which) and takes its closed form
-from the two-term deletion recurrence; any other component pivots on a
-vertex v of largest in-mask degree:
+path or a cycle (its degree sum tells which) and takes its closed form,
+i_k(P_n) = C(n-k+1, k) and i_k(C_n) = n/(n-k) * C(n-k, k), from
+binomials; any other component pivots on a vertex v of largest in-mask
+degree:
 
     I(G, x) = I(G - v, x) + x * I(G - N[v], x)
 
@@ -18,33 +19,29 @@ module's independent ground truth.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import comb
+
 from .graphcore import Graph, mask_components
 from .polyalg import IntPoly
 
 _ONE = IntPoly.one()
-_path_cache: list[IntPoly] = [_ONE, IntPoly((1, 1))]
-_cycle_cache: dict[int, IntPoly] = {}
 
 
+@lru_cache()
 def path_polynomial(n: int) -> IntPoly:
-    """I(P_n, x) via the deletion recurrence; P_0 is the empty graph."""
+    """I(P_n, x), with i_k = C(n-k+1, k); P_0 is the empty graph."""
     if n < 0:
         raise ValueError(f"path length must be >= 0, got {n}")
-    while len(_path_cache) <= n:
-        k = len(_path_cache)
-        _path_cache.append(_path_cache[k - 1] + _path_cache[k - 2].mul_xpow(1))
-    return _path_cache[n]
+    return IntPoly([comb(n + 1 - k, k) for k in range((n + 3) // 2)])
 
 
+@lru_cache()
 def cycle_polynomial(n: int) -> IntPoly:
-    """I(C_n, x) for n >= 3: delete one vertex, then its closed neighborhood."""
+    """I(C_n, x) for n >= 3: i_k = n/(n-k) * C(n-k, k)."""
     if n < 3:
         raise ValueError(f"cycle length must be >= 3, got {n}")
-    poly = _cycle_cache.get(n)
-    if poly is None:
-        poly = path_polynomial(n - 1) + path_polynomial(n - 3).mul_xpow(1)
-        _cycle_cache[n] = poly
-    return poly
+    return IntPoly([n * comb(n - k, k) // (n - k) for k in range(n // 2 + 1)])
 
 
 def independence_polynomial(g: Graph) -> IntPoly:
@@ -89,11 +86,6 @@ def independence_polynomial(g: Graph) -> IntPoly:
         raise ValueError(f"graph on {g.n} vertices is too deep for the pivot recursion") from None
 
 
-def independence_equivalent(g: Graph, h: Graph) -> bool:
-    """True iff the two graphs share the same independence polynomial."""
-    return independence_polynomial(g) == independence_polynomial(h)
-
-
 # -- brute force ------------------------------------------------------------
 
 _BRUTE_FORCE_MAX = 40
@@ -124,14 +116,6 @@ def bruteforce_counts(g: Graph) -> tuple[int, ...]:
         return result
 
     return counts((1 << g.n) - 1)
-
-
-def independence_count_bruteforce(g: Graph, k: int) -> int:
-    """Number of independent vertex sets of cardinality k."""
-    if k < 0:
-        raise ValueError("set size must be non-negative")
-    all_counts = bruteforce_counts(g)
-    return all_counts[k] if k < len(all_counts) else 0
 
 
 def bruteforce_polynomial(g: Graph) -> IntPoly:

@@ -89,7 +89,7 @@ def test_family_counts_match_drawings(fam):
     floors = FLOORS[fam]
     for params in itertools.product(*[range(f, f + 5) for f in floors]):
         g = build(FamilySpec(fam, params))
-        assert g.n == vf(params), (fam, params)
+        assert g.n == vf(params) == sum(params) + graphcore._vertex_offset(fam), (fam, params)
         assert g.edge_count == ef(params), (fam, params)
 
 

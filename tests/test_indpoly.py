@@ -9,8 +9,6 @@ from indeq.indpoly import (
     bruteforce_counts,
     bruteforce_polynomial,
     cycle_polynomial,
-    independence_count_bruteforce,
-    independence_equivalent,
     independence_polynomial,
     path_polynomial,
 )
@@ -38,10 +36,10 @@ def test_examples():
 
 
 def test_bruteforce_examples():
-    assert independence_count_bruteforce(build(fs("P", 10)), 2) == 36
-    assert independence_count_bruteforce(build(fs("C", 6)), 0) == 1
-    assert independence_count_bruteforce(build(fs("F9", 0, 0, 0)), 3) == 39
-    assert independence_count_bruteforce(build(fs("P", 3)), 9) == 0
+    assert bruteforce_counts(build(fs("P", 10)))[2] == 36
+    assert bruteforce_counts(build(fs("C", 6)))[0] == 1
+    assert bruteforce_counts(build(fs("F9", 0, 0, 0)))[3] == 39
+    assert bruteforce_counts(build(fs("P", 3))) == (1, 3, 1)
     with pytest.raises(ValueError, match="capped"):
         bruteforce_counts(Graph.empty(41))
 
@@ -86,6 +84,31 @@ def test_closed_forms_cross_validated(n):
         assert cycle_polynomial(n) == _generic_recursion(build(fs("C", n)))
 
 
+def _deletion_recurrence(top):
+    """P_0..P_top and C_3..C_top by deleting an end vertex, then its closed
+    neighborhood (test-local oracle)."""
+    paths = [IntPoly.one(), IntPoly((1, 1))]
+    while len(paths) <= top:
+        paths.append(paths[-1] + paths[-2].mul_xpow(1))
+    cycles = {n: paths[n - 1] + paths[n - 3].mul_xpow(1) for n in range(3, top + 1)}
+    return paths, cycles
+
+
+def test_closed_forms_match_deletion_recurrence():
+    paths, cycles = _deletion_recurrence(400)
+    for n, want in enumerate(paths):
+        assert path_polynomial(n) == want, n
+    for n, want in cycles.items():
+        assert cycle_polynomial(n) == want, n
+
+
+def test_closed_forms_match_bruteforce():
+    for n in range(31):
+        assert path_polynomial(n).coeffs == bruteforce_counts(build(fs("P", n))), n
+        if n >= 3:
+            assert cycle_polynomial(n).coeffs == bruteforce_counts(build(fs("C", n))), n
+
+
 def test_edge_deletion_identity_across_catalogue():
     checked = 0
     for spec, g in _catalogue_grid(max_vertices=12):
@@ -101,29 +124,29 @@ def test_edge_deletion_identity_across_catalogue():
 
 
 def test_equivalence_examples():
-    assert independence_equivalent(build(fs("C", 6)), build(fs("D", 6)))
-    assert independence_equivalent(
-        build(fs("P", 10)), build([fs("P", 4), fs("C", 6)])
+    assert independence_polynomial(build(fs("C", 6))) == independence_polynomial(build(fs("D", 6)))
+    assert independence_polynomial(build(fs("P", 10))) == independence_polynomial(
+        build([fs("P", 4), fs("C", 6)])
     )
-    assert not independence_equivalent(build(fs("C", 6)), build(fs("C", 7)))
+    assert independence_polynomial(build(fs("C", 6))) != independence_polynomial(build(fs("C", 7)))
 
 
 @pytest.mark.parametrize("n", range(4, 41))
 def test_cycle_triangle_twin_battery(n):
-    assert independence_equivalent(build(fs("C", n)), build(fs("D", n)))
+    assert independence_polynomial(build(fs("C", n))) == independence_polynomial(build(fs("D", n)))
 
 
 @pytest.mark.parametrize("n", range(2, 41))
 def test_even_path_split_battery(n):
-    assert independence_equivalent(
-        build(fs("P", 2 * n)), build([fs("P", n - 1), fs("C", n + 1)])
+    assert independence_polynomial(build(fs("P", 2 * n))) == independence_polynomial(
+        build([fs("P", n - 1), fs("C", n + 1)])
     )
 
 
 @pytest.mark.parametrize("m", range(1, 21))
 def test_spider_tadpole_battery(m):
-    assert independence_equivalent(
-        build(fs("Y", m, 2, 1)), build([fs("P", 1), fs("C", m + 3)])
+    assert independence_polynomial(build(fs("Y", m, 2, 1))) == independence_polynomial(
+        build([fs("P", 1), fs("C", m + 3)])
     )
 
 

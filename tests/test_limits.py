@@ -1,0 +1,68 @@
+"""Memory bounds: closed forms allocate little, and huge specs fail fast.
+
+The size-guard cases run in a child process under an address-space
+limit, so a missing guard fails the test instead of exhausting memory.
+"""
+
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import pytest
+
+from indeq.factorbasis import real_cyclotomic
+from indeq.graphcore import MAX_BUILD_VERTICES, FamilySpec, build
+from indeq.indpoly import path_polynomial
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+CHILD_LIMIT = 1 << 30  # bytes of address space for the child
+
+# sets the limit before importing indeq, then runs the CLI on argv
+CHILD = f"""
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, ({CHILD_LIMIT}, {CHILD_LIMIT}))
+from indeq.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _cli_under_limit(*argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("fn,n", [(path_polynomial, 3000), (real_cyclotomic, 2003)],
+                         ids=["path_polynomial", "real_cyclotomic"])
+def test_closed_forms_peak_under_5_mb(fn, n):
+    tracemalloc.start()
+    try:
+        fn.__wrapped__(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, peak
+
+
+@pytest.mark.parametrize("spec,count", [
+    ("P:200000", 200000), ("P:1000000000", 1000000000), ("P:6000+C:5000", 11000),
+    (f"Y:{MAX_BUILD_VERTICES},1,1", MAX_BUILD_VERTICES + 3),
+])
+def test_huge_spec_is_refused_before_building(spec, count):
+    done = _cli_under_limit("poly", spec)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert done.stderr == (
+        f"error: {spec} has {count} vertices, above the cap of {MAX_BUILD_VERTICES}\n")
+
+
+def test_the_cap_itself_builds():
+    assert build(FamilySpec("P", (MAX_BUILD_VERTICES,))).n == MAX_BUILD_VERTICES
+
+
+def test_index_only_queries_build_nothing():
+    done = _cli_under_limit("class", "path", "1000000")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "P:1000000"
