@@ -5,9 +5,11 @@ Runs the ``path-classes``, ``cycle-classes`` and ``cover-search`` checks
 of the verification registry (``indeq.checks``), one size per call, and
 prints each result with its time.  For a path or cycle the oracle lists
 every graph on the same vertex and edge counts (up to isomorphism) and
-keeps those with the reference's independence polynomial; the survivors
-must be exactly the classifier's members (for odd paths, the path
-alone).  The only inputs to the enumeration are the two counts forced by
+keeps those whose independent-set counts equal the reference's, every
+count made by the oracle's own brute-force counter
+(``indpoly.bruteforce_counts``), never by the classifier's evaluator; the
+survivors must be exactly the classifier's members (for odd paths, the
+path alone).  The only inputs to the enumeration are the two counts forced by
 the polynomial, so the confirmation is independent of the classification
 argument.  The catalogue cover search is then compared with the
 classifier for every even path size up to ``--max-path``.

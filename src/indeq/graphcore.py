@@ -557,15 +557,19 @@ def automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 def _canonize(g: Graph) -> None:
     """Store g's canonical form and the automorphisms its search found."""
-    if g.n == 0:
-        result, autos = graph6_write(g).encode("ascii"), ()
+    n = g.n
+    if n == 0:
+        result, autos = _graph6(0, 0), ()
     else:
         # dense graphs canonicalize faster through the complement; the
-        # ordering and automorphisms found there hold for the original
-        maxe = g.n * (g.n - 1) // 2
-        target = g.complement() if 2 * g.edge_count > maxe else g
-        order, autos = _canonical_order(target)
-        result = graph6_write(g.relabel(order)).encode("ascii")
+        # ordering and automorphisms found there hold for the original,
+        # whose rows are the complement's rows flipped within their width
+        flip = 2 * g.edge_count > n * (n - 1) // 2
+        rows, autos = _canonical_order(g.complement() if flip else g)
+        stream = 0
+        for j, row in enumerate(rows, 1):
+            stream = stream << j | (row ^ ((1 << j) - 1) if flip else row)
+        result = _graph6(n, stream)
     object.__setattr__(g, "_canon", result)
     object.__setattr__(g, "_autos", autos)
 
@@ -585,26 +589,46 @@ def canonical_graph(g: Graph) -> Graph:
     return from_canonical_form(canonical_form(g))
 
 
-def _refine(adj: Sequence[int], cells: list[list[int]]) -> list[list[int]]:
-    """Equitable refinement of an ordered partition (stable, iso-invariant)."""
-    cells = [list(c) for c in cells]
-    changed = True
-    while changed:
-        changed = False
-        masks = [_mask(c) for c in cells]
+def _refine(adj: Sequence[int], cells: list[list[int]], masks: list[int], fresh: int) -> None:
+    """Equitable refinement of an ordered partition, in place (stable, iso-invariant).
+
+    Until every cell is uniform against every cell, the first cell that
+    is not is split by its vertices' counts into every cell, the parts in
+    order of those count vectors.  ``masks`` holds each cell's vertex
+    mask.  ``fresh`` is a union of whole cells, and a cell uniform against
+    the cells meeting it must be uniform against all: at the root it is
+    every vertex; in a child, which splits v off a cell of an equitable
+    partition, it is ``1 << v``, as counts into the rest of that cell are
+    the old counts less those into v.  A cell is uniform against every
+    cell that existed when it was last tested or split off, so it is
+    counted only against the cells made since.
+    """
+    born = [1 if m & fresh else 0 for m in masks]
+    tested = [0] * len(cells)
+    clock = 1
+    while True:
         for ci, cell in enumerate(cells):
-            if len(cell) == 1:
+            since = tested[ci]
+            if since == clock or len(cell) == 1:
                 continue
+            against = [m for m, b in zip(masks, born) if b > since]
             sigs: dict[tuple, list[int]] = {}
             for v in cell:
-                key = tuple((adj[v] & m).bit_count() for m in masks)
-                sigs.setdefault(key, []).append(v)
+                av = adj[v]
+                sigs.setdefault(tuple([(av & m).bit_count() for m in against]), []).append(v)
             if len(sigs) > 1:
-                parts = [sigs[k] for k in sorted(sigs)]
-                cells[ci:ci + 1] = parts
-                changed = True
                 break
-    return cells
+            tested[ci] = clock
+        else:
+            return
+        # the counts left out are equal across the cell, or fixed by the
+        # count into the v just before them, so the parts keep their order
+        parts = [sigs[k] for k in sorted(sigs)]
+        clock += 1
+        cells[ci:ci + 1] = parts
+        masks[ci:ci + 1] = [_mask(p) for p in parts]
+        born[ci:ci + 1] = [clock] * len(parts)
+        tested[ci:ci + 1] = [clock - 1] * len(parts)
 
 
 def _mask(vs: Iterable[int]) -> int:
@@ -614,20 +638,13 @@ def _mask(vs: Iterable[int]) -> int:
     return m
 
 
-def _order_key(adj: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
-    """Row-by-row adjacency key of an ordering; smaller key = more canonical."""
-    key = []
-    for k in range(1, len(order)):
-        row = 0
-        av = adj[order[k]]
-        for i in range(k):
-            row = row << 1 | (av >> order[i] & 1)
-        key.append(row)
-    return tuple(key)
-
-
 def _canonical_order(g: Graph) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
-    """The canonical ordering of g's vertices and the automorphisms found."""
+    """The adjacency rows of g's canonical ordering, and the automorphisms found.
+
+    Row k (k = 1..n-1) holds the adjacency of the k-th vertex to the
+    vertices before it, the first of them in its top bit.  A smaller row
+    list is more canonical.
+    """
     n, adj = g.n, g.adj
     by_degree: dict[int, list[int]] = {}
     for v in range(n):
@@ -638,76 +655,85 @@ def _canonical_order(g: Graph) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
     best_order: list = [None]
     autos: list[tuple[int, ...]] = []
 
-    def leaf(order: list[int]) -> None:
-        key = _order_key(adj, order)
-        if best_key[0] is None or key < best_key[0]:
-            best_key[0] = key
-            best_order[0] = list(order)
-        elif key == best_key[0] and len(autos) < 64:
-            ref = best_order[0]
-            perm = [0] * n
-            for i in range(n):
-                perm[order[i]] = ref[i]
-            autos.append(tuple(perm))
-
-    def search(cells: list[list[int]]) -> None:
-        cells = _refine(adj, cells)
-        prefix: list[int] = []
-        target = None
-        for cell in cells:
-            if len(cell) == 1 and target is None:
-                prefix.append(cell[0])
-            else:
-                target = target or cell
-        if best_key[0] is not None and len(prefix) > 1:
-            pk = _order_key(adj, prefix)
-            bk = best_key[0][: len(pk)]
-            if pk > bk:
-                return
-        if target is None:
-            leaf(prefix)
+    def search(cells: list[list[int]], masks: list[int], fresh: int,
+               prefix: list[int], key: list[int]) -> None:
+        # prefix: the leading singleton cells, key: their rows; both
+        # extend the parent's, since refinement keeps singletons in place
+        _refine(adj, cells, masks, fresh)
+        ti = len(prefix)
+        while ti < n and len(cells[ti]) == 1:
+            u = cells[ti][0]
+            if prefix:
+                au, row = adj[u], 0
+                for w in prefix:
+                    row = row << 1 | (au >> w & 1)
+                key.append(row)
+            prefix.append(u)
+            ti += 1
+        best = best_key[0]
+        if best is not None and key > best[:len(key)]:
             return
-        ti = cells.index(target)
+        if ti == n:
+            if best is None or key < best:
+                best_key[0] = key
+                best_order[0] = prefix
+            elif key == best and len(autos) < 64:
+                perm = [0] * n
+                for u, w in zip(prefix, best_order[0]):
+                    perm[u] = w
+                autos.append(tuple(perm))
+            return
+        # skip v when an automorphism fixing the prefix maps an explored
+        # vertex to it: images holds every such image
+        target, mask = cells[ti], masks[ti]
         explored: list[int] = []
-        fixed = set(prefix)
+        fixing: list[tuple[int, ...]] = []
+        images: set[int] = set()
+        seen = 0
         for v in target:
-            if any(
-                all(a[x] == x for x in fixed) and a[u] == v
-                for a in autos
-                for u in explored
-            ):
+            while seen < len(autos):
+                a = autos[seen]
+                seen += 1
+                if all(a[x] == x for x in prefix):
+                    fixing.append(a)
+                    images.update(a[u] for u in explored)
+            if v in images:
                 continue
-            child = cells[:ti] + [[v], [w for w in target if w != v]] + cells[ti + 1:]
-            search(child)
+            bit = 1 << v
+            search(cells[:ti] + [[v], [w for w in target if w != v]] + cells[ti + 1:],
+                   masks[:ti] + [bit, mask ^ bit] + masks[ti + 1:],
+                   bit, prefix[:], key[:])
             explored.append(v)
+            images.update(a[v] for a in fixing)
 
-    search(start)
-    return best_order[0], tuple(autos)
+    search(start, [_mask(c) for c in start], (1 << n) - 1, [], [])
+    return best_key[0], tuple(autos)
 
 
 # -- graph6 (header-less) ----------------------------------------------------
 
-def graph6_write(g: Graph) -> str:
-    n = g.n
+def _graph6(n: int, stream: int) -> bytes:
+    """graph6 bytes of an n-vertex graph whose upper triangle, column by
+    column (j = 1..n-1, rows 0..j-1), is the bit string ``stream`` read
+    from its top bit."""
     if n <= 62:
         head = [n + 63]
     elif n <= 258047:
         head = [126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
     else:
         head = [126, 126] + [((n >> s) & 63) + 63 for s in range(30, -1, -6)]
-    bits = []
-    for j in range(1, n):
-        col = g.adj[j]
-        for i in range(j):
-            bits.append(col >> i & 1)
-    data = []
-    for k in range(0, len(bits), 6):
-        group = bits[k:k + 6] + [0] * (6 - len(bits[k:k + 6]))
-        val = 0
-        for b in group:
-            val = val << 1 | b
-        data.append(val + 63)
-    return bytes(head + data).decode("ascii")
+    nbits = n * (n - 1) // 2
+    width = nbits + (-nbits % 6)
+    text = format(stream << (width - nbits), f"0{width}b") if nbits else ""
+    return bytes(head + [int(text[k:k + 6], 2) + 63 for k in range(0, width, 6)])
+
+
+def graph6_write(g: Graph) -> str:
+    stream = 0
+    for j in range(1, g.n):
+        # column j lists rows 0..j-1, row 0 first: adj[j]'s low bits reversed
+        stream = stream << j | int(format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1], 2)
+    return _graph6(g.n, stream).decode("ascii")
 
 
 def graph6_read(text: str) -> Graph:
@@ -746,26 +772,19 @@ def graph6_read(text: str) -> Graph:
             f"expected {need} data byte(s) for n={n}, got {len(raw) - pos}", pos
         )
     adj = [0] * n
-    bit_index = 0
+    # the bits run down column j (rows i = 0..j-1), then on to column j + 1
+    i, j = 0, 1
     for k in range(need):
         val = raw[pos + k] - 63
         for b in range(5, -1, -1):
-            if bit_index >= nbits:
+            if j >= n:
                 if val >> b & 1:
                     raise Graph6Error("nonzero padding bits", pos + k)
                 continue
             if val >> b & 1:
-                i, j = _pair_from_index(bit_index)
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-            bit_index += 1
+            i += 1
+            if i == j:
+                i, j = 0, j + 1
     return Graph(n, adj)
-
-
-def _pair_from_index(idx: int) -> tuple[int, int]:
-    # column-major upper triangle: column j holds j bits (rows 0..j-1)
-    j = 1
-    while idx >= j:
-        idx -= j
-        j += 1
-    return idx, j

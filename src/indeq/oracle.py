@@ -10,7 +10,9 @@ Three mechanisms cross-check the classifier from different directions:
   * equivalence_class_bruteforce: filter an exhaustive enumeration down
     to the graphs sharing a reference independence polynomial; the only
     filters applied are the vertex and edge counts, both of which are
-    forced by the polynomial's first two coefficients
+    forced by the polynomial's first two coefficients, and every
+    polynomial, the reference's included, is counted by
+    indpoly.bruteforce_counts, not by the classifier's evaluator
   * catalogue_class_search: assemble class members as exact covers of
     the reference's basis-factor set by shortlist components, using the
     factorization tables but none of the final case analysis
@@ -24,6 +26,7 @@ canonical-form machinery.
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -36,7 +39,7 @@ from .factorbasis import factor_cycle, factor_path
 from .graphcore import (
     FamilySpec, Graph, automorphisms, canonical_form, from_canonical_form, recognize,
 )
-from .indpoly import independence_polynomial
+from .indpoly import bruteforce_counts
 
 _UNFILTERED_MAX = 10
 _FILTERED_MAX = 12
@@ -156,25 +159,34 @@ def enumerate_graphs(filt: EnumFilter) -> Iterator[Graph]:
     # canonical form -> (adjacency, automorphisms) of one labeled member
     empty = Graph.empty(n)
     level = {canonical_form(empty): (empty.adj, automorphisms(empty))}
-    for edges in range(top + 1):
-        if filt.edge_count is None or edges == filt.edge_count:
-            # yield the canonical representative so the stream does not
-            # depend on which labeled copy each worker found first
-            for key in sorted(level):
-                if matches(Graph(n, level[key][0])):
-                    yield from_canonical_form(key)
-        if edges == top:
-            break
-        rows = list(level.values())
-        if workers > 1 and len(rows) >= 4 * workers:
-            chunks = [(n, rows[i::workers], filt.max_degree) for i in range(workers)]
-            level = {}
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+    # one pool serves every level; it opens at the first level worth
+    # splitting and closes when the generator finishes or is closed
+    pool = None
+    try:
+        for edges in range(top + 1):
+            if filt.edge_count is None or edges == filt.edge_count:
+                # yield the canonical representative so the stream does not
+                # depend on which labeled copy each worker found first
+                for key in sorted(level):
+                    if matches(Graph(n, level[key][0])):
+                        yield from_canonical_form(key)
+            if edges == top:
+                break
+            rows = list(level.values())
+            if workers > 1 and len(rows) >= 4 * workers:
+                if pool is None:
+                    pool = ProcessPoolExecutor(
+                        max_workers=workers, mp_context=multiprocessing.get_context("spawn"))
+                chunks = [(n, rows[i::workers], filt.max_degree) for i in range(workers)]
+                level = {}
                 for result in pool.map(_expand_level, chunks):
                     for key, entry in result.items():
                         level.setdefault(key, entry)
-        else:
-            level = _expand_level((n, rows, filt.max_degree))
+            else:
+                level = _expand_level((n, rows, filt.max_degree))
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
 
 def count_isomorphism_classes(n: int) -> int:
@@ -274,10 +286,9 @@ def equivalence_class_bruteforce(
     rejected unless explicitly marked assisted, because an assisted run
     no longer proves completeness on its own.
     """
-    poly = independence_polynomial(reference)
-    cs = poly.coeffs
-    i1 = cs[1] if len(cs) > 1 else 0
-    i2 = cs[2] if len(cs) > 2 else 0
+    target = bruteforce_counts(reference)
+    i1 = target[1] if len(target) > 1 else 0
+    i2 = target[2] if len(target) > 2 else 0
     derived = EnumFilter(reference.n, comb(reference.n, 2) - i2)
     assert i1 == reference.n
     if filt is None:
@@ -295,7 +306,7 @@ def equivalence_class_bruteforce(
         raise ValueError(
             "structural filters beyond vertex/edge counts require assisted=True"
         )
-    members = [g for g in enumerate_graphs(filt) if independence_polynomial(g) == poly]
+    members = [g for g in enumerate_graphs(filt) if bruteforce_counts(g) == target]
     members.sort(key=canonical_form)
     return members
 

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -21,7 +23,7 @@ from indeq.graphcore import (
     graph6_write,
     recognize,
 )
-from indeq.oracle import isomorphic_bruteforce
+from indeq.oracle import EnumFilter, enumerate_graphs, isomorphic_bruteforce
 
 from conftest import fs, random_graphs
 
@@ -221,6 +223,75 @@ def test_stored_automorphisms_preserve_edges(g):
         assert {tuple(sorted((perm[u], perm[v]))) for u, v in edges} == edges
 
 
+# sha256 of one "form<TAB>repr(automorphisms)" line per graph, recorded before
+# the canonical search learned to refine incrementally: every graph on 7
+# vertices, relabelled by a random.Random(7) permutation, then its complement
+FORMS_AND_AUTOS_7 = "64ddb25846820331d45d60ec7c8c479bc5f5b00f7b56aadaf61615612a90c8f9"
+
+
+def test_canonical_forms_and_automorphisms_match_golden():
+    rng = random.Random(7)
+    h = hashlib.sha256()
+    for g in enumerate_graphs(EnumFilter(7)):
+        order = list(range(g.n))
+        rng.shuffle(order)
+        r = g.relabel(order)
+        for x in (r, r.complement()):
+            h.update(canonical_form(x) + b"\t" + repr(automorphisms(x)).encode("ascii") + b"\n")
+    assert h.hexdigest() == FORMS_AND_AUTOS_7
+
+
+def _refine_reference(adj, cells):
+    """The refinement rule written plainly: split the first cell that is not
+    uniform against every cell, by its full count vectors, parts sorted."""
+    cells = [list(c) for c in cells]
+    while True:
+        masks = [sum(1 << v for v in c) for c in cells]
+        for ci, cell in enumerate(cells):
+            sigs = {}
+            for v in cell:
+                sigs.setdefault(tuple((adj[v] & m).bit_count() for m in masks), []).append(v)
+            if len(sigs) > 1:
+                cells[ci:ci + 1] = [sigs[k] for k in sorted(sigs)]
+                break
+        else:
+            return cells
+
+
+@given(random_graphs(max_vertices=12), st.data())
+@settings(max_examples=120, deadline=None)
+def test_refine_is_the_plain_rule(g, data):
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
+    start = [c for c in ([v for v in range(g.n) if labels[v] == k] for k in range(4)) if c]
+
+    def refine(cells, fresh):
+        cells = [list(c) for c in cells]
+        masks = [sum(1 << v for v in c) for c in cells]
+        graphcore._refine(g.adj, cells, masks, fresh)
+        assert masks == [sum(1 << v for v in c) for c in cells]
+        return cells
+
+    out = refine(start, (1 << g.n) - 1)
+    assert out == _refine_reference(g.adj, start)
+    # equitable: each cell's vertices agree on their count into every cell
+    for x in out:
+        for y in out:
+            assert len({(g.adj[v] & sum(1 << w for w in y)).bit_count() for v in x}) == 1
+    # each input cell is cut into consecutive parts that keep its vertex order
+    owner = {v: (i, j) for i, c in enumerate(start) for j, v in enumerate(c)}
+    assert sorted(v for c in out for v in c) == list(range(g.n))
+    assert all(owner[c[0]][0] <= owner[d[0]][0] for c, d in zip(out, out[1:]))
+    for c in out:
+        places = [owner[v] for v in c]
+        assert len({i for i, _ in places}) == 1 and places == sorted(places)
+    # a child node splits one vertex off an equitable cell; only it is fresh
+    ti = next((i for i, c in enumerate(out) if len(c) > 1), None)
+    if ti is not None:
+        v = data.draw(st.sampled_from(out[ti]))
+        child = out[:ti] + [[v], [w for w in out[ti] if w != v]] + out[ti + 1:]
+        assert refine(child, 1 << v) == _refine_reference(g.adj, child)
+
+
 def test_automorphisms_come_with_the_canonical_form():
     g = build(fs("C", 6))
     with mock.patch.object(graphcore, "_canonical_order", wraps=graphcore._canonical_order) as search:
@@ -251,6 +322,13 @@ def test_graph6_round_trip(g):
     text = graph6_write(g)
     back = graph6_read(text)
     assert back.n == g.n and back.adj == g.adj
+
+
+def test_graph6_round_trip_is_linear():
+    k = Graph(1200, [((1 << 1200) - 1) & ~(1 << v) for v in range(1200)])
+    start = time.perf_counter()
+    assert graph6_read(graph6_write(k)) == k
+    assert time.perf_counter() - start < 5
 
 
 def test_graph6_examples():

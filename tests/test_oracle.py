@@ -1,6 +1,9 @@
+import contextlib
 import hashlib
 import os
+import sys
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from unittest import mock
 
 import pytest
@@ -8,7 +11,7 @@ import pytest
 from indeq.classify import EvenCycleClassNote, cycle_class, path_class
 from hypothesis import given, settings
 
-from indeq import graphcore
+from indeq import graphcore, oracle
 from indeq.graphcore import Graph, automorphisms, build, canonical_form, graph6_write
 from indeq.indpoly import independence_polynomial
 from indeq.oracle import (
@@ -159,6 +162,34 @@ def test_workers_mode_matches_sequential():
     assert base == par
 
 
+def test_one_pool_per_enumeration():
+    made = []
+
+    class Pool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.closed = False
+            made.append(self)
+
+        def shutdown(self, *args, **kwargs):
+            self.closed = True
+            super().shutdown(*args, **kwargs)
+
+    filt = EnumFilter(7, edge_count=8)  # four levels large enough to split
+    base = [graph6_write(g) for g in enumerate_graphs(filt)]
+    with mock.patch.object(oracle, "ProcessPoolExecutor", Pool), \
+            mock.patch("os.cpu_count", return_value=2), \
+            mock.patch.dict(os.environ, {"INDEQ_WORKERS": "2"}):
+        assert [graph6_write(g) for g in enumerate_graphs(filt)] == base
+        assert len(made) == 1 and made[0].closed
+        # closing the generator early closes its pool too
+        stream = enumerate_graphs(EnumFilter(7))
+        while next(stream).edge_count < 6:
+            pass
+        stream.close()
+        assert len(made) == 2 and made[1].closed
+
+
 def test_worker_count_is_clamped_to_cpu_count():
     with mock.patch("os.cpu_count", return_value=4):
         for raw, want in (("1000", 4), ("3", 3), ("0", 1), ("-5", 1), ("many", 1)):
@@ -189,6 +220,18 @@ def test_bruteforce_class_c6():
         warnings.simplefilter("ignore", EvenCycleClassNote)
         want = cycle_class(6).canonical_forms()
     assert {canonical_form(g) for g in members} == want
+
+
+def test_bruteforce_class_never_calls_the_evaluator():
+    def refuse(g):
+        raise AssertionError("the oracle counts with bruteforce_counts")
+
+    with contextlib.ExitStack() as stack:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("indeq") and hasattr(module, "independence_polynomial"):
+                stack.enter_context(mock.patch.object(module, "independence_polynomial", refuse))
+        members = equivalence_class_bruteforce(build(fs("P", 8)))
+    assert len(members) == 3
 
 
 def test_bruteforce_filter_validation():
