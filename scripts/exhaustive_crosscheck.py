@@ -9,17 +9,17 @@ keeps those whose independent-set counts equal the reference's, every
 count made by the oracle's own brute-force counter
 (``indpoly.bruteforce_counts``), never by the classifier's evaluator; the
 survivors must be exactly the classifier's members (for odd paths, the
-path alone).  The only inputs to the enumeration are the two counts forced by
-the polynomial, so the confirmation is independent of the classification
-argument.  The catalogue cover search is then compared with the
+path alone).  The only inputs to the enumeration are the two counts
+forced by the polynomial, so the confirmation is independent of the
+classification argument.  The catalogue cover search is then compared with the
 classifier for every even path size up to ``--max-path``.
 
 Usage: python scripts/exhaustive_crosscheck.py [--max-path 10] [--max-cycle 9]
 
-The defaults take about 6 s on a 2-vCPU host.  The filtered enumeration
+The defaults take about 5.5 s on a 2-vCPU host.  The filtered enumeration
 is capped at 12 vertices, so P_11, P_12 and C_10 to C_12 are within the
-cap but limited by time: on the same host P_11 takes about 15 s, C_10
-about 8 s and P_12 about 70 s; C_11 and C_12 grow through several times
+cap but limited by time: on the same host P_11 takes about 11 s, C_10
+about 5 s and P_12 about 47 s; C_11 and C_12 grow through several times
 as many classes and have not been timed.
 """
 

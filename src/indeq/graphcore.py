@@ -558,19 +558,15 @@ def automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
 def _canonize(g: Graph) -> None:
     """Store g's canonical form and the automorphisms its search found."""
     n = g.n
-    if n == 0:
-        result, autos = _graph6(0, 0), ()
-    else:
-        # dense graphs canonicalize faster through the complement; the
-        # ordering and automorphisms found there hold for the original,
-        # whose rows are the complement's rows flipped within their width
-        flip = 2 * g.edge_count > n * (n - 1) // 2
-        rows, autos = _canonical_order(g.complement() if flip else g)
-        stream = 0
-        for j, row in enumerate(rows, 1):
-            stream = stream << j | (row ^ ((1 << j) - 1) if flip else row)
-        result = _graph6(n, stream)
-    object.__setattr__(g, "_canon", result)
+    # dense graphs canonicalize faster through the complement; the
+    # ordering and automorphisms found there hold for the original,
+    # whose rows are the complement's rows flipped within their width
+    flip = 2 * g.edge_count > n * (n - 1) // 2
+    rows, autos = _canonical_order(g.complement() if flip else g)
+    stream = 0
+    for j, row in enumerate(rows, 1):
+        stream = stream << j | (row ^ ((1 << j) - 1) if flip else row)
+    object.__setattr__(g, "_canon", _graph6(n, stream))
     object.__setattr__(g, "_autos", autos)
 
 
