@@ -3,24 +3,25 @@
 
 Runs the ``path-classes``, ``cycle-classes`` and ``cover-search`` checks
 of the verification registry (``indeq.checks``), one size per call, and
-prints each result with its time.  For a path or cycle the oracle lists
-every graph on the same vertex and edge counts (up to isomorphism) and
-keeps those whose independent-set counts equal the reference's, every
-count made by the oracle's own brute-force counter
-(``indpoly.bruteforce_counts``), never by the classifier's evaluator; the
-survivors must be exactly the classifier's members (for odd paths, the
-path alone).  The only inputs to the enumeration are the two counts
-forced by the polynomial, so the confirmation is independent of the
-classification argument.  The catalogue cover search is then compared with the
-classifier for every even path size up to ``--max-path``.
+prints each result with its time.  For a path or cycle the oracle grows
+every graph on the same vertex count edge by edge up to the edge count
+the polynomial forces, drops each graph whose independent-set counts can
+no longer reach the reference's (adding an edge never creates an
+independent set), and keeps the graphs of the last level whose counts
+equal the reference's; every count is made by the oracle's own
+brute-force counter (``indpoly.bruteforce_counts``), never by the
+classifier's evaluator.  The survivors must be exactly the classifier's
+members (for odd paths, the path alone).  The only inputs to the search
+are the reference's counts, so the confirmation is independent of the
+classification argument.  The catalogue cover search is then compared
+with the classifier for every even path size up to ``--max-path``.
 
-Usage: python scripts/exhaustive_crosscheck.py [--max-path 10] [--max-cycle 9]
+Usage: python scripts/exhaustive_crosscheck.py [--max-path 12] [--max-cycle 10]
 
-The defaults take about 5.5 s on a 2-vCPU host.  The filtered enumeration
-is capped at 12 vertices, so P_11, P_12 and C_10 to C_12 are within the
-cap but limited by time: on the same host P_11 takes about 11 s, C_10
-about 5 s and P_12 about 47 s; C_11 and C_12 grow through several times
-as many classes and have not been timed.
+On a 2-vCPU host the defaults take about 10 s, of which P_11 takes about
+1.5 s, P_12 about 5 s and C_10 about 1.5 s.  The class search is capped at
+14 vertices: ``--max-path 14`` adds P_13 (about 15 s) and P_14 (about
+42 s), and a larger ``--max-path`` stops at P_15 with the cap's error.
 """
 
 import argparse
@@ -40,8 +41,8 @@ def run(label: str, check: str, bounds: dict) -> bool:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-path", type=int, default=10)
-    parser.add_argument("--max-cycle", type=int, default=9)
+    parser.add_argument("--max-path", type=int, default=12)
+    parser.add_argument("--max-cycle", type=int, default=10)
     args = parser.parse_args()
     ok = True
     for n in range(3, args.max_path + 1):

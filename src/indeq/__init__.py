@@ -60,7 +60,6 @@ from .classify import (
     elimination_value,
     path_class,
     screen_family,
-    structural_filter,
     sweep_family,
 )
 from .oracle import (

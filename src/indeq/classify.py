@@ -5,8 +5,8 @@ independence-equivalent to a path if its independence polynomial is
 squarefree with every root real and strictly below -1/4.  This module
 carries three layers of that argument:
 
-  * structural filters: degree/triangle identities every candidate
-    component must satisfy (max degree 3, at most three triangles, ...)
+  * degree statistics: the degree histogram and triangle count that
+    each catalogue row records for its shape
   * exact elimination values: closed forms for I(G, -1/4) on the Y, B,
     A and F families, used to discard shapes whose value is <= 0
   * the final classifiers: complete member lists for the independence
@@ -23,7 +23,6 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Callable, Optional, Sequence
 
 from .factorbasis import two_adic_split
@@ -44,7 +43,7 @@ class EvenCycleClassNote(UserWarning):
     """Even-cycle classes come from the two-member case list; see README caveats."""
 
 
-# -- degree statistics and structural filters ---------------------------------
+# -- degree statistics ---------------------------------------------------------
 
 @dataclass(frozen=True)
 class DegreeStats:
@@ -69,30 +68,6 @@ class DegreeStats:
 
 def degree_stats(g: Graph) -> DegreeStats:
     return DegreeStats(g.degree_histogram(), g.triangle_count())
-
-
-def structural_filter(stats: DegreeStats, i1: int, i2: int, i3: int) -> bool:
-    """Degree/triangle identities forced by matching a path's first coefficients.
-
-    Checks the four counting identities tying the histogram to the
-    target coefficients, plus max degree <= 3 and triangles = g0 + g3.
-    """
-    n = i1
-    hist = stats.histogram
-    tri = stats.triangle_count
-    edges = comb(n, 2) - i2
-    if sum(hist) != n:
-        return False
-    if sum(i * h for i, h in enumerate(hist)) != 2 * edges:
-        return False
-    cherries = i3 - comb(n, 3) + edges * (n - 2) + tri
-    if sum(comb(i, 2) * h for i, h in enumerate(hist)) != cherries:
-        return False
-    if tri != stats.count(0) + sum(comb(i - 1, 2) * h for i, h in enumerate(hist) if i >= 3):
-        return False
-    if stats.max_degree > 3:
-        return False
-    return tri == stats.count(0) + stats.count(3)
 
 
 # -- exact elimination values ---------------------------------------------------

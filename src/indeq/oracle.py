@@ -7,12 +7,15 @@ Three mechanisms cross-check the classifier from different directions:
     deduplication at each level, streamed in a deterministic order; a
     parent gains one new edge per orbit of its automorphisms, not one per
     non-edge (McKay, "Isomorph-free exhaustive generation", 1998)
-  * equivalence_class_bruteforce: filter an exhaustive enumeration down
-    to the graphs sharing a reference independence polynomial; the only
-    filters applied are the vertex and edge counts, both of which are
-    forced by the polynomial's first two coefficients, and every
-    polynomial, the reference's included, is counted by
-    indpoly.bruteforce_counts, not by the classifier's evaluator
+  * equivalence_class_bruteforce: every graph sharing a reference
+    independence polynomial, grown by the same level loop up to the
+    vertex and edge counts forced by the polynomial's first two
+    coefficients; a child is dropped before its canonical search once
+    its independent-set counts can no longer reach the reference's
+    (adding an edge never creates an independent set, so every spanning
+    subgraph of a member survives), and every count, the reference's
+    included, is made by indpoly.bruteforce_counts, not by the
+    classifier's evaluator
   * catalogue_class_search: assemble class members as exact covers of
     the reference's basis-factor set by shortlist components, using the
     factorization tables but none of the final case analysis
@@ -25,6 +28,7 @@ canonical-form machinery.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import multiprocessing
 import os
@@ -43,6 +47,9 @@ from .indpoly import bruteforce_counts
 
 _UNFILTERED_MAX = 10
 _FILTERED_MAX = 12
+# the class search's own cap: P_13 takes about 15 s and P_14 about 42 s
+# on a 2-vCPU host
+_CLASS_MAX = 14
 _WORKERS_ENV = "INDEQ_WORKERS"
 
 
@@ -109,8 +116,13 @@ def _orbit_leaders(n: int, adj: tuple[int, ...], autos) -> list[tuple[int, int]]
 
 def _expand_level(args) -> dict[bytes, tuple]:
     """Children of a chunk of (adjacency, automorphisms) parents (worker-safe):
-    canonical form -> (adjacency, automorphisms) of the first child found."""
-    n, rows, max_degree = args
+    canonical form -> (adjacency, automorphisms) of the first child found.
+
+    With a prune of (target counts, edges left after the child), a child
+    is dropped before its canonical search unless _within_reach keeps it.
+    """
+    n, rows, max_degree, prune = args
+    bounds = None if prune is None else _reach_bounds(n, *prune)
     out: dict[bytes, tuple] = {}
     for adj, autos in rows:
         for u, v in _orbit_leaders(n, adj, autos):
@@ -123,10 +135,29 @@ def _expand_level(args) -> dict[bytes, tuple]:
             child_adj[u] |= 1 << v
             child_adj[v] |= 1 << u
             child = Graph(n, child_adj)
+            if bounds is not None and not _within_reach(bruteforce_counts(child), bounds):
+                continue
             key = canonical_form(child)
             if key not in out:
                 out[key] = (child.adj, automorphisms(child))
     return out
+
+
+def _reach_bounds(n: int, target: tuple[int, ...], left: int) -> list[tuple[int, int]]:
+    """Per size k, the (least, most) independent k-sets a graph on n vertices
+    may have if `left` more edges can bring its counts down to target.
+
+    Adding an edge never creates an independent set, so no count may be
+    below the target's.  Edge uv removes exactly the independent k-sets
+    holding both u and v, at most C(n-2, k-2) of them, so no count may
+    exceed the target's by more than `left` such edges remove.
+    """
+    padded = target + (0,) * (n + 1 - len(target))
+    return [(t, t + left * comb(n - 2, k - 2) if k >= 2 else t) for k, t in enumerate(padded)]
+
+
+def _within_reach(counts: tuple[int, ...], bounds: list[tuple[int, int]]) -> bool:
+    return all(lo <= c <= hi for c, (lo, hi) in itertools.zip_longest(counts, bounds, fillvalue=0))
 
 
 def _worker_count() -> int:
@@ -138,6 +169,52 @@ def _worker_count() -> int:
         return 1
 
 
+def _levels(n: int, top: int, max_degree: Optional[int],
+            target: Optional[tuple[int, ...]] = None) -> Iterator[dict[bytes, tuple]]:
+    """The graphs on n vertices grown edge by edge from the empty graph,
+    one level per edge count 0..top: canonical form -> (adjacency,
+    automorphisms) of one labeled member.
+
+    With target counts, a child is kept only if it can still reach them
+    with the edges left up to top (_reach_bounds).  One process pool
+    serves every level; it opens at the first level worth splitting and
+    closes when the generator finishes or is closed.
+    """
+    workers = _worker_count()
+    empty = Graph.empty(n)
+    level = {canonical_form(empty): (empty.adj, automorphisms(empty))}
+    pool = None
+    try:
+        for edges in range(top + 1):
+            yield level
+            if edges == top:
+                break
+            prune = None if target is None else (target, top - edges - 1)
+            rows = list(level.values())
+            if workers > 1 and len(rows) >= 4 * workers:
+                if pool is None:
+                    pool = ProcessPoolExecutor(
+                        max_workers=workers, mp_context=multiprocessing.get_context("spawn"))
+                chunks = [(n, rows[i::workers], max_degree, prune) for i in range(workers)]
+                level = {}
+                for result in pool.map(_expand_level, chunks):
+                    for key, entry in result.items():
+                        level.setdefault(key, entry)
+            else:
+                level = _expand_level((n, rows, max_degree, prune))
+    finally:
+        if pool is not None:
+            pool.shutdown()
+
+
+def _matches(filt: EnumFilter, g: Graph) -> bool:
+    if filt.connected_only and not g.is_connected():
+        return False
+    if filt.max_degree is not None and any(d > filt.max_degree for d in g.degrees()):
+        return False
+    return True
+
+
 def enumerate_graphs(filt: EnumFilter) -> Iterator[Graph]:
     """One representative per isomorphism class matching the filter.
 
@@ -147,46 +224,14 @@ def enumerate_graphs(filt: EnumFilter) -> Iterator[Graph]:
     _check_bounds(filt)
     n = filt.vertex_count
     top = comb(n, 2) if filt.edge_count is None else filt.edge_count
-    workers = _worker_count()
-
-    def matches(g: Graph) -> bool:
-        if filt.connected_only and not g.is_connected():
-            return False
-        if filt.max_degree is not None and any(d > filt.max_degree for d in g.degrees()):
-            return False
-        return True
-
-    # canonical form -> (adjacency, automorphisms) of one labeled member
-    empty = Graph.empty(n)
-    level = {canonical_form(empty): (empty.adj, automorphisms(empty))}
-    # one pool serves every level; it opens at the first level worth
-    # splitting and closes when the generator finishes or is closed
-    pool = None
-    try:
-        for edges in range(top + 1):
+    with contextlib.closing(_levels(n, top, filt.max_degree)) as levels:
+        for edges, level in enumerate(levels):
             if filt.edge_count is None or edges == filt.edge_count:
                 # yield the canonical representative so the stream does not
                 # depend on which labeled copy each worker found first
                 for key in sorted(level):
-                    if matches(Graph(n, level[key][0])):
+                    if _matches(filt, Graph(n, level[key][0])):
                         yield from_canonical_form(key)
-            if edges == top:
-                break
-            rows = list(level.values())
-            if workers > 1 and len(rows) >= 4 * workers:
-                if pool is None:
-                    pool = ProcessPoolExecutor(
-                        max_workers=workers, mp_context=multiprocessing.get_context("spawn"))
-                chunks = [(n, rows[i::workers], filt.max_degree) for i in range(workers)]
-                level = {}
-                for result in pool.map(_expand_level, chunks):
-                    for key, entry in result.items():
-                        level.setdefault(key, entry)
-            else:
-                level = _expand_level((n, rows, filt.max_degree))
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
 
 def count_isomorphism_classes(n: int) -> int:
@@ -279,13 +324,27 @@ def equivalence_class_bruteforce(
     filt: Optional[EnumFilter] = None,
     assisted: bool = False,
 ) -> list[Graph]:
-    """Every graph (up to isomorphism) sharing the reference's polynomial.
+    """Every graph (up to isomorphism) sharing the reference's polynomial,
+    sorted by canonical form.
+
+    The graphs on the reference's vertex count are grown edge by edge up
+    to the edge count the polynomial forces, dropping each child whose
+    independent-set counts can no longer reach the reference's
+    (_reach_bounds); the last level keeps the graphs whose counts equal
+    them.  Every count, the reference's included, is made by
+    indpoly.bruteforce_counts, not by the classifier's evaluator.
 
     The enumeration filter defaults to the vertex and edge counts read
     off the polynomial's first two coefficients; anything stronger is
     rejected unless explicitly marked assisted, because an assisted run
-    no longer proves completeness on its own.
+    no longer proves completeness on its own.  References above
+    _CLASS_MAX vertices are refused before any work.
     """
+    if reference.n > _CLASS_MAX:
+        raise ValueError(
+            f"the brute-force class search is capped at {_CLASS_MAX} vertices, "
+            f"got {reference.n}"
+        )
     target = bruteforce_counts(reference)
     i1 = target[1] if len(target) > 1 else 0
     i2 = target[2] if len(target) > 2 else 0
@@ -306,9 +365,10 @@ def equivalence_class_bruteforce(
         raise ValueError(
             "structural filters beyond vertex/edge counts require assisted=True"
         )
-    members = [g for g in enumerate_graphs(filt) if bruteforce_counts(g) == target]
-    members.sort(key=canonical_form)
-    return members
+    for level in _levels(reference.n, derived.edge_count, filt.max_degree, target):
+        pass
+    return [g for g in map(from_canonical_form, sorted(level))
+            if _matches(filt, g) and bruteforce_counts(g) == target]
 
 
 def as_equiv_class(reference: FamilySpec, graphs: list[Graph]) -> EquivClass:

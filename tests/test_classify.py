@@ -13,12 +13,11 @@ from indeq.classify import (
     elimination_value,
     path_class,
     screen_family,
-    structural_filter,
     sweep_family,
 )
 from indeq.factorbasis import basis_f, basis_ftilde, product_of
-from indeq.graphcore import FAMILIES, FamilySpec, Graph, build, canonical_form
-from indeq.indpoly import independence_polynomial, path_polynomial
+from indeq.graphcore import FAMILIES, FamilySpec, build, canonical_form
+from indeq.indpoly import independence_polynomial
 
 from conftest import QUARTER, fs
 
@@ -30,22 +29,6 @@ def test_degree_stats_examples():
     assert s.count(2) == 2 and s.count(3) == 2 and s.triangle_count == 2
     s = degree_stats(build(fs("B", 0, 1, 1)))
     assert (s.count(1), s.count(2), s.count(3), s.triangle_count) == (2, 2, 2, 1)
-
-
-def test_structural_filter_examples():
-    for n in (6, 10, 14):
-        assert structural_filter(degree_stats(build(fs("P", n))), *path_polynomial(n).coeffs[1:4])
-    k4 = Graph.from_edges(4, list(itertools.combinations(range(4), 2)))
-    assert path_polynomial(4).coeffs[1:4] == (4, 3)  # i_3(P_4) = 0
-    assert not structural_filter(degree_stats(k4), 4, 3, 0)
-    c3c3 = build([fs("C", 3), fs("C", 3)])
-    assert not structural_filter(degree_stats(c3c3), *path_polynomial(6).coeffs[1:4])
-
-
-def test_structural_filter_accepts_class_members():
-    for member in path_class(10).members:
-        stats = degree_stats(build(member))
-        assert structural_filter(stats, *path_polynomial(10).coeffs[1:4]), member
 
 
 def test_elimination_value_examples():

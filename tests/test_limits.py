@@ -19,19 +19,35 @@ from indeq.indpoly import path_polynomial
 SRC = Path(__file__).resolve().parent.parent / "src"
 CHILD_LIMIT = 1 << 30  # bytes of address space for the child
 
-# sets the limit before importing indeq, then runs the CLI on argv
-CHILD = f"""
+# sets the limit before importing indeq; the children then run the CLI on
+# argv, or the brute-force class search on the spec argv[1]
+LIMIT = f"""
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, ({CHILD_LIMIT}, {CHILD_LIMIT}))
+"""
+CHILD = LIMIT + """
 from indeq.cli import main
 sys.exit(main(sys.argv[1:]))
 """
+CLASS_CHILD = LIMIT + """
+from indeq.cli import parse_spec_text
+from indeq.graphcore import build
+from indeq.oracle import equivalence_class_bruteforce
+try:
+    equivalence_class_bruteforce(build(parse_spec_text(sys.argv[1])))
+except ValueError as exc:
+    sys.exit(f"error: {exc}")
+"""
+
+
+def _under_limit(child, *argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", child, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
 
 
 def _cli_under_limit(*argv):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True,
-                          text=True, env=env, timeout=120)
+    return _under_limit(CHILD, *argv)
 
 
 @pytest.mark.parametrize("fn,n", [(path_polynomial, 3000), (real_cyclotomic, 2003)],
@@ -66,3 +82,9 @@ def test_index_only_queries_build_nothing():
     done = _cli_under_limit("class", "path", "1000000")
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[0] == "P:1000000"
+
+
+def test_class_search_above_its_cap_is_refused():
+    done = _under_limit(CLASS_CHILD, "P:15")
+    assert done.returncode == 1, done.stderr
+    assert done.stderr == "error: the brute-force class search is capped at 14 vertices, got 15\n"

@@ -8,12 +8,14 @@ from unittest import mock
 
 import pytest
 
-from indeq.classify import EvenCycleClassNote, cycle_class, path_class
+from indeq.classify import CATALOGUE, EvenCycleClassNote, cycle_class, path_class
 from hypothesis import given, settings
 
 from indeq import graphcore, oracle
-from indeq.graphcore import Graph, automorphisms, build, canonical_form, graph6_write
-from indeq.indpoly import independence_polynomial
+from indeq.graphcore import (
+    Graph, automorphisms, build, canonical_form, graph6_read, graph6_write,
+)
+from indeq.indpoly import bruteforce_counts, independence_polynomial
 from indeq.oracle import (
     EnumFilter,
     _orbit_leaders,
@@ -260,6 +262,70 @@ def test_as_equiv_class_reuses_member_schema():
 def test_bruteforce_class_matches_classifier(n):
     members = equivalence_class_bruteforce(build(fs("P", n)))
     assert {canonical_form(g) for g in members} == path_class(n).canonical_forms()
+
+
+def _unpruned_class(reference, filt):
+    """The class as the plain filter of an exhaustive enumeration."""
+    target = bruteforce_counts(reference)
+    return [graph6_write(g) for g in enumerate_graphs(filt) if bruteforce_counts(g) == target]
+
+
+def _pruned_class(reference, filt=None, assisted=False):
+    return [graph6_write(g) for g in equivalence_class_bruteforce(reference, filt, assisted)]
+
+
+# every catalogue row on at most 8 vertices, the families instantiated
+SMALL_SPECS = [s for s in (
+    [fs("P", n) for n in range(1, 9)] + [fs("C", n) for n in range(3, 9)]
+    + [fs("D", n) for n in range(4, 9)] + [fs("Y", z, 2, 1) for z in range(1, 5)]
+    + [row.spec for row in CATALOGUE if row.spec is not None]
+) if build(s).n <= 8]
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
+def test_pruned_class_equals_unpruned(spec):
+    g = build(spec)
+    assert _pruned_class(g) == _unpruned_class(g, EnumFilter(g.n, g.edge_count))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_graphs(max_vertices=7))
+def test_pruned_class_equals_unpruned_on_random_graphs(g):
+    members = _pruned_class(g)
+    assert members == _unpruned_class(g, EnumFilter(g.n, g.edge_count))
+    assert canonical_form(g) in {canonical_form(graph6_read(m)) for m in members}
+
+
+@pytest.mark.parametrize("spec", [fs("P", 8), fs("C", 7), fs("Y", 3, 2, 1), fs("E", 1, 3)], ids=str)
+@pytest.mark.parametrize("max_degree,connected_only", [(2, False), (3, False), (None, True), (3, True)])
+def test_pruned_class_equals_unpruned_when_assisted(spec, max_degree, connected_only):
+    g = build(spec)
+    filt = EnumFilter(g.n, g.edge_count, max_degree=max_degree, connected_only=connected_only)
+    assert _pruned_class(g, filt, assisted=True) == _unpruned_class(g, filt)
+
+
+def test_pruned_class_equals_unpruned_with_workers():
+    refs = [build(fs("P", 8)), build(fs("C", 8))]
+    base = [_unpruned_class(g, EnumFilter(g.n, g.edge_count)) for g in refs]
+    with mock.patch("os.cpu_count", return_value=2), \
+            mock.patch.dict(os.environ, {"INDEQ_WORKERS": "2"}):
+        assert [_pruned_class(g) for g in refs] == base
+
+
+def test_class_search_prunes_before_canonicalizing():
+    counted = {"canonical_form": 0, "bruteforce_counts": 0}
+
+    def counting(fn):
+        def wrapper(g):
+            counted[fn.__name__] += 1
+            return fn(g)
+        return wrapper
+
+    with mock.patch.object(oracle, "canonical_form", counting(canonical_form)), \
+            mock.patch.object(oracle, "bruteforce_counts", counting(bruteforce_counts)), \
+            mock.patch.dict(os.environ, {"INDEQ_WORKERS": "1"}):
+        assert len(equivalence_class_bruteforce(build(fs("P", 8)))) == 3
+    assert 0 < counted["canonical_form"] < counted["bruteforce_counts"], counted
 
 
 @pytest.mark.parametrize("n", range(2, 31, 2))
