@@ -21,7 +21,8 @@ Usage: python scripts/exhaustive_crosscheck.py [--max-path 12] [--max-cycle 10]
 On a 2-vCPU host the defaults take about 10 s, of which P_11 takes about
 1.5 s, P_12 about 5 s and C_10 about 1.5 s.  The class search is capped at
 14 vertices: ``--max-path 14`` adds P_13 (about 15 s) and P_14 (about
-42 s), and a larger ``--max-path`` stops at P_15 with the cap's error.
+42 s).  A larger ``--max-path`` or ``--max-cycle`` is refused before any
+check runs.
 """
 
 import argparse
@@ -29,6 +30,7 @@ import sys
 import time
 
 from indeq.checks import CHECKS
+from indeq.oracle import _CLASS_MAX
 
 
 def run(label: str, check: str, bounds: dict) -> bool:
@@ -44,6 +46,9 @@ def main() -> int:
     parser.add_argument("--max-path", type=int, default=12)
     parser.add_argument("--max-cycle", type=int, default=10)
     args = parser.parse_args()
+    for flag, value in (("--max-path", args.max_path), ("--max-cycle", args.max_cycle)):
+        if value > _CLASS_MAX:
+            parser.error(f"{flag} {value} is above the class search's cap of {_CLASS_MAX} vertices")
     ok = True
     for n in range(3, args.max_path + 1):
         if n % 2 == 0:

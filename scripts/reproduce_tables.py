@@ -25,7 +25,7 @@ from indeq.classify import (
     screen_family,
 )
 from indeq.factorbasis import basis_f, basis_ftilde, factor_cycle, factor_path
-from indeq.graphcore import build
+from indeq.graphcore import build, spec
 from indeq.indpoly import independence_polynomial
 
 
@@ -50,10 +50,10 @@ def main() -> int:
     section("Path and cycle factorizations")
     for n in range(3, 13):
         names = " ".join(f.name for f in factor_cycle(n))
-        print(f"  I(C_{n:<2}) = {names:<18} = {independence_polynomial(build(parse('C', n)))}")
+        print(f"  I(C_{n:<2}) = {names:<18} = {independence_polynomial(build(spec('C', n)))}")
     for n in range(1, 13):
         names = " ".join(f.name for f in factor_path(n))
-        print(f"  I(P_{n:<2}) = {names:<18} = {independence_polynomial(build(parse('P', n)))}")
+        print(f"  I(P_{n:<2}) = {names:<18} = {independence_polynomial(build(spec('P', n)))}")
 
     section("Candidate shortlist")
     for entry in CATALOGUE:
@@ -89,12 +89,6 @@ def main() -> int:
             for member in cls.members:
                 print("      " + " + ".join(str(s) for s in member))
     return 0
-
-
-def parse(family, n):
-    from indeq.graphcore import FamilySpec
-
-    return FamilySpec(family, (n,))
 
 
 if __name__ == "__main__":

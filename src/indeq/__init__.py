@@ -14,15 +14,12 @@ from .graphcore import (
     Graph6Error,
     build,
     canonical_form,
-    canonical_graph,
     graph6_read,
     graph6_write,
-    recognize,
 )
 from .polyalg import (
     IntPoly,
     NotDivisibleError,
-    Rational,
     SturmChain,
     all_roots_real_below,
     count_real_roots,
@@ -51,12 +48,10 @@ from .factorbasis import (
 from .classify import (
     CATALOGUE,
     CatalogueEntry,
-    DegreeStats,
     EquivClass,
     EvenCycleClassNote,
     Verdict,
     cycle_class,
-    degree_stats,
     elimination_value,
     path_class,
     screen_family,
@@ -64,7 +59,6 @@ from .classify import (
 )
 from .oracle import (
     EnumFilter,
-    as_equiv_class,
     catalogue_class_search,
     enumerate_graphs,
     equivalence_class_bruteforce,

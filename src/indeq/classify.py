@@ -5,10 +5,11 @@ independence-equivalent to a path if its independence polynomial is
 squarefree with every root real and strictly below -1/4.  This module
 carries three layers of that argument:
 
-  * degree statistics: the degree histogram and triangle count that
-    each catalogue row records for its shape
   * exact elimination values: closed forms for I(G, -1/4) on the Y, B,
     A and F families, used to discard shapes whose value is <= 0
+  * the candidate catalogue: the shortlist shapes that survive the root
+    screens, each row with its basis factorization, triangle count and
+    number of degree-3 vertices
   * the final classifiers: complete member lists for the independence
     equivalence classes of even paths and of cycles, including the
     triangle-for-vertex (D) substitutions
@@ -29,7 +30,6 @@ from .factorbasis import two_adic_split
 from .graphcore import FAMILIES, FamilySpec, Graph, build, canonical_form, graph6_write, spec
 from .indpoly import independence_polynomial
 from .polyalg import (
-    IntPoly,
     SturmChain,
     all_roots_real_below,
     count_real_roots,
@@ -41,33 +41,6 @@ _QUARTER = Fraction(-1, 4)
 
 class EvenCycleClassNote(UserWarning):
     """Even-cycle classes come from the two-member case list; see README caveats."""
-
-
-# -- degree statistics ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class DegreeStats:
-    """Degree histogram plus triangle count of one graph."""
-
-    histogram: tuple[int, ...]
-    triangle_count: int
-
-    @property
-    def vertex_count(self) -> int:
-        return sum(self.histogram)
-
-    def count(self, degree: int) -> int:
-        if degree < len(self.histogram):
-            return self.histogram[degree]
-        return 0
-
-    @property
-    def max_degree(self) -> int:
-        return len(self.histogram) - 1
-
-
-def degree_stats(g: Graph) -> DegreeStats:
-    return DegreeStats(g.degree_histogram(), g.triangle_count())
 
 
 # -- exact elimination values ---------------------------------------------------
@@ -226,10 +199,6 @@ class EquivClass:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    @property
-    def polynomial(self) -> IntPoly:
-        return independence_polynomial(build(self.reference))
 
     def graphs(self) -> list[Graph]:
         return [build(member) for member in self.members]

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 
 class Graph6Error(ValueError):
@@ -106,9 +106,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.adj) // 2
-
-    def neighbors(self, v: int) -> list[int]:
-        return _bits(self.adj[v])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -186,10 +183,6 @@ class Graph:
         for v in vertices:
             mask |= 1 << v
         return self._remap(vertices, mask)
-
-    def relabel(self, order: Sequence[int]) -> "Graph":
-        """Graph whose new vertex i is the old vertex order[i]."""
-        return self._remap(order, -1)
 
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
@@ -401,7 +394,7 @@ def build(specs: SpecLike) -> Graph:
     return g
 
 
-# -- shape recognition -------------------------------------------------------
+# -- path and cycle shapes --------------------------------------------------
 
 def is_path_graph(g: Graph) -> bool:
     """True for P_n, n >= 1 (assumes nothing; checks connectivity)."""
@@ -419,116 +412,6 @@ def is_cycle_graph(g: Graph) -> bool:
     if g.n < 3:
         return False
     return all(m.bit_count() == 2 for m in g.adj) and g.is_connected()
-
-
-def recognize(g: Graph) -> Optional[FamilySpec]:
-    """Match a connected graph against the P/C/D/K4e/Y/E/A/B catalogue shapes.
-
-    Returns a FamilySpec whose build() is isomorphic to g, with symmetric
-    parameters sorted descending, or None if no catalogue shape fits.
-    The F families are not recognized (they never appear in equivalence
-    classes).
-    """
-    n = g.n
-    if n == 0 or not g.is_connected():
-        return None
-    if is_path_graph(g):
-        return FamilySpec("P", (n,))
-    if is_cycle_graph(g):
-        return FamilySpec("C", (n,))
-    degs = sorted(g.degrees())
-    e = g.edge_count
-    if n == 4 and e == 5 and degs == [2, 2, 3, 3]:
-        return FamilySpec("K4e", ())
-    if max(degs) != 3:
-        return None
-    tri = g.triangle_count()
-    if e == n - 1:
-        # tree: spider with three legs
-        if degs.count(3) == 1 and degs.count(1) == 3:
-            center = next(v for v in range(n) if g.degree(v) == 3)
-            legs = sorted((_arm_length(g, center, w) for w in g.neighbors(center)), reverse=True)
-            return FamilySpec("Y", tuple(legs))
-        return None
-    if e != n:
-        return None
-    # unicyclic shapes
-    cycle = _unique_cycle(g)
-    deg3 = [v for v in range(n) if g.degree(v) == 3]
-    if tri == 1 and len(cycle) == 3:
-        if len(deg3) == 1 and degs.count(1) == 1:
-            return FamilySpec("D", (n,))
-        if len(deg3) == 2 and degs.count(1) == 2:
-            on_cycle = [v for v in deg3 if v in cycle]
-            if len(on_cycle) == 2:
-                u, w = on_cycle
-                a = sorted((_arm_length(g, u, _arm_start(g, u, cycle)),
-                            _arm_length(g, w, _arm_start(g, w, cycle))), reverse=True)
-                return FamilySpec("A", tuple(a))
-            if len(on_cycle) == 1:
-                v = on_cycle[0]
-                u = next(x for x in deg3 if x != v)
-                tails = sorted(
-                    (_arm_length(g, u, w) for w in g.neighbors(u)
-                     if _away_from(g, u, w, v)),
-                    reverse=True,
-                )
-                if len(tails) == 2:
-                    # the spine holds every vertex off the triangle, u and the tails
-                    return FamilySpec("B", (n - 4 - sum(tails), tails[0], tails[1]))
-        return None
-    if tri == 0 and len(deg3) == 1 and degs.count(1) == 1:
-        v = deg3[0]
-        if v in cycle:
-            tail_start = next(w for w in g.neighbors(v) if w not in cycle)
-            return FamilySpec("E", (len(cycle) - 3, _arm_length(g, v, tail_start)))
-    return None
-
-
-def _arm_length(g: Graph, joint: int, first: int) -> int:
-    """Length of the pendant path starting at `first`, away from `joint`."""
-    count = 0
-    prev, cur = joint, first
-    while True:
-        count += 1
-        nbrs = [w for w in g.neighbors(cur) if w != prev]
-        if not nbrs:
-            return count
-        if len(nbrs) != 1:
-            raise ValueError("arm is not a pendant path")
-        prev, cur = cur, nbrs[0]
-
-
-def _arm_start(g: Graph, v: int, cycle: list[int]) -> int:
-    return next(w for w in g.neighbors(v) if w not in cycle)
-
-
-def _away_from(g: Graph, u: int, w: int, v: int) -> bool:
-    """True if the u->w arm does not head toward v (simple pendant test)."""
-    prev, cur = u, w
-    while True:
-        if cur == v:
-            return False
-        nbrs = [x for x in g.neighbors(cur) if x != prev]
-        if len(nbrs) != 1:
-            return not nbrs
-        prev, cur = cur, nbrs[0]
-
-
-def _unique_cycle(g: Graph) -> list[int]:
-    """Vertices of the unique cycle of a connected unicyclic graph."""
-    deg = g.degrees()
-    alive = set(range(g.n))
-    leaves = [v for v in alive if deg[v] == 1]
-    while leaves:
-        v = leaves.pop()
-        alive.discard(v)
-        for w in g.neighbors(v):
-            if w in alive:
-                deg[w] -= 1
-                if deg[w] == 1:
-                    leaves.append(w)
-    return sorted(alive)
 
 
 # -- canonical forms ---------------------------------------------------------
@@ -579,10 +462,6 @@ def from_canonical_form(key: bytes) -> Graph:
     g = graph6_read(key.decode("ascii"))
     object.__setattr__(g, "_canon", key)
     return g
-
-
-def canonical_graph(g: Graph) -> Graph:
-    return from_canonical_form(canonical_form(g))
 
 
 def _refine(adj: Sequence[int], cells: list[list[int]], masks: list[int], fresh: int) -> None:

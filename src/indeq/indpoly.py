@@ -116,8 +116,3 @@ def bruteforce_counts(g: Graph) -> tuple[int, ...]:
         return result
 
     return counts((1 << g.n) - 1)
-
-
-def bruteforce_polynomial(g: Graph) -> IntPoly:
-    return IntPoly(bruteforce_counts(g))
-

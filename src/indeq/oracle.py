@@ -7,15 +7,15 @@ Three mechanisms cross-check the classifier from different directions:
     deduplication at each level, streamed in a deterministic order; a
     parent gains one new edge per orbit of its automorphisms, not one per
     non-edge (McKay, "Isomorph-free exhaustive generation", 1998)
-  * equivalence_class_bruteforce: every graph sharing a reference
-    independence polynomial, grown by the same level loop up to the
-    vertex and edge counts forced by the polynomial's first two
-    coefficients; a child is dropped before its canonical search once
-    its independent-set counts can no longer reach the reference's
-    (adding an edge never creates an independent set, so every spanning
-    subgraph of a member survives), and every count, the reference's
-    included, is made by indpoly.bruteforce_counts, not by the
-    classifier's evaluator
+  * equivalence_class_bruteforce(reference): every graph sharing the
+    reference's independence polynomial, with the reference as its only
+    input, grown by the same level loop up to the vertex and edge counts
+    forced by the polynomial's first two coefficients; a child is
+    dropped before its canonical search once its independent-set counts
+    can no longer reach the reference's (adding an edge never creates an
+    independent set, so every spanning subgraph of a member survives),
+    and every count, the reference's included, is made by
+    indpoly.bruteforce_counts, not by the classifier's evaluator
   * catalogue_class_search: assemble class members as exact covers of
     the reference's basis-factor set by shortlist components, using the
     factorization tables but none of the final case analysis
@@ -40,9 +40,7 @@ from typing import Iterator, Optional
 
 from .classify import CATALOGUE, EquivClass, _member_key
 from .factorbasis import factor_cycle, factor_path
-from .graphcore import (
-    FamilySpec, Graph, automorphisms, canonical_form, from_canonical_form, recognize,
-)
+from .graphcore import FamilySpec, Graph, automorphisms, canonical_form, from_canonical_form
 from .indpoly import bruteforce_counts
 
 _UNFILTERED_MAX = 10
@@ -319,26 +317,17 @@ def isomorphic_bruteforce(g: Graph, h: Graph) -> bool:
     return assign(0)
 
 
-def equivalence_class_bruteforce(
-    reference: Graph,
-    filt: Optional[EnumFilter] = None,
-    assisted: bool = False,
-) -> list[Graph]:
+def equivalence_class_bruteforce(reference: Graph) -> list[Graph]:
     """Every graph (up to isomorphism) sharing the reference's polynomial,
     sorted by canonical form.
 
     The graphs on the reference's vertex count are grown edge by edge up
-    to the edge count the polynomial forces, dropping each child whose
-    independent-set counts can no longer reach the reference's
-    (_reach_bounds); the last level keeps the graphs whose counts equal
-    them.  Every count, the reference's included, is made by
-    indpoly.bruteforce_counts, not by the classifier's evaluator.
-
-    The enumeration filter defaults to the vertex and edge counts read
-    off the polynomial's first two coefficients; anything stronger is
-    rejected unless explicitly marked assisted, because an assisted run
-    no longer proves completeness on its own.  References above
-    _CLASS_MAX vertices are refused before any work.
+    to the edge count read off the polynomial's second coefficient,
+    dropping each child whose independent-set counts can no longer reach
+    the reference's (_reach_bounds); the last level keeps the graphs
+    whose counts equal them.  Every count, the reference's included, is
+    made by indpoly.bruteforce_counts, not by the classifier's evaluator.
+    References above _CLASS_MAX vertices are refused before any work.
     """
     if reference.n > _CLASS_MAX:
         raise ValueError(
@@ -348,48 +337,10 @@ def equivalence_class_bruteforce(
     target = bruteforce_counts(reference)
     i1 = target[1] if len(target) > 1 else 0
     i2 = target[2] if len(target) > 2 else 0
-    derived = EnumFilter(reference.n, comb(reference.n, 2) - i2)
     assert i1 == reference.n
-    if filt is None:
-        filt = derived
-    if filt.vertex_count != reference.n:
-        raise ValueError(
-            f"filter vertex count {filt.vertex_count} != reference's {reference.n}"
-        )
-    if filt.edge_count not in (None, derived.edge_count):
-        raise ValueError(
-            f"filter edge count {filt.edge_count} contradicts the "
-            f"coefficient-derived value {derived.edge_count}"
-        )
-    if not assisted and (filt.max_degree is not None or filt.connected_only):
-        raise ValueError(
-            "structural filters beyond vertex/edge counts require assisted=True"
-        )
-    for level in _levels(reference.n, derived.edge_count, filt.max_degree, target):
+    for level in _levels(reference.n, comb(reference.n, 2) - i2, None, target):
         pass
-    return [g for g in map(from_canonical_form, sorted(level))
-            if _matches(filt, g) and bruteforce_counts(g) == target]
-
-
-def as_equiv_class(reference: FamilySpec, graphs: list[Graph]) -> EquivClass:
-    """Express concrete class members as FamilySpec multisets.
-
-    Each connected component must match a catalogue shape; this holds
-    for every member of a path or cycle class.  Raises ValueError on an
-    unrecognizable component so silent mislabeling is impossible.
-    """
-    members = []
-    for g in graphs:
-        parts = []
-        for comp in g.connected_components():
-            spec = recognize(g.induced(comp))
-            if spec is None:
-                raise ValueError(
-                    f"component on {len(comp)} vertices matches no catalogue shape"
-                )
-            parts.append(spec)
-        members.append(tuple(sorted(parts, key=lambda s: s.sort_key)))
-    return EquivClass(reference, tuple(sorted(set(members), key=_member_key)))
+    return [g for g in map(from_canonical_form, sorted(level)) if bruteforce_counts(g) == target]
 
 
 # -- catalogue-driven class search ---------------------------------------------

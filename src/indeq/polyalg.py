@@ -2,7 +2,7 @@
 
 Polynomials are dense ascending coefficient vectors over Python's
 arbitrary-precision integers; the empty vector is the zero polynomial.
-Rational scalars are ``fractions.Fraction``.  On top of the ring
+Exact scalars are ``fractions.Fraction``.  On top of the ring
 operations the module provides Sturm chains and exact real-root
 counting over half-open intervals ``(lo, hi]`` with rational or
 infinite endpoints, plus bisection-based root isolation used for
@@ -18,9 +18,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
-Rational = Fraction
 #: Accepted exact scalar types for evaluation points.
 RationalLike = Union[int, Fraction]
 
@@ -56,10 +55,6 @@ class IntPoly:
     @classmethod
     def one(cls) -> "IntPoly":
         return cls((1,))
-
-    @classmethod
-    def x(cls) -> "IntPoly":
-        return cls((0, 1))
 
     # -- basic queries ------------------------------------------------
 
@@ -304,10 +299,6 @@ class IntPoly:
 
     def to_decimal_strings(self) -> list[str]:
         return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_decimal_strings(cls, items: Sequence[str]) -> "IntPoly":
-        return cls(int(s) for s in items)
 
 
 def _rem_positive_multiple(a: IntPoly, b: IntPoly) -> IntPoly:

@@ -9,7 +9,6 @@ from indeq.classify import (
     ELIMINATION_FORMS,
     EvenCycleClassNote,
     cycle_class,
-    degree_stats,
     elimination_value,
     path_class,
     screen_family,
@@ -23,12 +22,12 @@ from conftest import QUARTER, fs
 
 
 def test_degree_stats_examples():
-    s = degree_stats(build(fs("P", 10)))
-    assert s.count(1) == 2 and s.count(2) == 8 and s.triangle_count == 0
-    s = degree_stats(build(fs("K4e")))
-    assert s.count(2) == 2 and s.count(3) == 2 and s.triangle_count == 2
-    s = degree_stats(build(fs("B", 0, 1, 1)))
-    assert (s.count(1), s.count(2), s.count(3), s.triangle_count) == (2, 2, 2, 1)
+    g = build(fs("P", 10))
+    assert g.degree_histogram() == (0, 2, 8) and g.triangle_count() == 0
+    g = build(fs("K4e"))
+    assert g.degree_histogram() == (0, 0, 2, 2) and g.triangle_count() == 2
+    g = build(fs("B", 0, 1, 1))
+    assert (g.degree_histogram(), g.triangle_count()) == ((0, 2, 2, 2), 1)
 
 
 def test_elimination_value_examples():
@@ -114,8 +113,8 @@ def test_catalogue_rows():
             for kind, i in entry.factors
         ))
         assert poly == expect, entry.label
-        stats = degree_stats(build(entry.spec))
-        assert (stats.triangle_count, stats.count(3)) == (
+        g = build(entry.spec)
+        assert (g.triangle_count(), g.degrees().count(3)) == (
             entry.triangle_count, entry.degree3_count
         ), entry.label
         if entry.eliminated:
@@ -149,18 +148,18 @@ def _structure_grid():
 
 def test_family_structure_counts():
     for spec, want in _structure_grid():
-        stats = degree_stats(build(spec))
-        assert (stats.triangle_count, stats.count(3)) == want, spec
+        g = build(spec)
+        assert (g.triangle_count(), g.degrees().count(3)) == want, spec
 
 
 def test_degree3_triangle_bounds():
     # connected, max degree 3: g3 >= 2*tri - 2, and at most three triangles
     for spec, _ in _structure_grid():
         g = build(spec)
-        stats = degree_stats(g)
-        assert stats.triangle_count <= 3, spec
-        if stats.max_degree == 3:
-            assert stats.count(3) >= 2 * stats.triangle_count - 2, spec
+        degrees, tri = g.degrees(), g.triangle_count()
+        assert tri <= 3, spec
+        if max(degrees) == 3:
+            assert degrees.count(3) >= 2 * tri - 2, spec
 
 
 def test_path_class_examples():

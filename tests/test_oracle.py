@@ -20,7 +20,6 @@ from indeq.oracle import (
     EnumFilter,
     _orbit_leaders,
     _worker_count,
-    as_equiv_class,
     catalogue_class_search,
     count_isomorphism_classes,
     enumerate_graphs,
@@ -236,42 +235,21 @@ def test_bruteforce_class_never_calls_the_evaluator():
     assert len(members) == 3
 
 
-def test_bruteforce_filter_validation():
-    p4 = build(fs("P", 4))
-    with pytest.raises(ValueError, match="vertex count"):
-        equivalence_class_bruteforce(p4, EnumFilter(5, edge_count=3))
-    with pytest.raises(ValueError, match="contradicts"):
-        equivalence_class_bruteforce(p4, EnumFilter(4, edge_count=2))
-    with pytest.raises(ValueError, match="assisted"):
-        equivalence_class_bruteforce(p4, EnumFilter(4, edge_count=3, max_degree=3))
-    assisted = equivalence_class_bruteforce(
-        p4, EnumFilter(4, edge_count=3, max_degree=3), assisted=True
-    )
-    assert len(assisted) == 2
-
-
-def test_as_equiv_class_reuses_member_schema():
-    members = equivalence_class_bruteforce(build(fs("P", 6)))
-    cls = as_equiv_class(fs("P", 6), members)
-    assert cls.members == path_class(6).members
-    payload = cls.to_json()
-    assert payload["reference"] == "P:6"
-
-
 @pytest.mark.parametrize("n", (4, 6, 8))
 def test_bruteforce_class_matches_classifier(n):
     members = equivalence_class_bruteforce(build(fs("P", n)))
     assert {canonical_form(g) for g in members} == path_class(n).canonical_forms()
 
 
-def _unpruned_class(reference, filt):
+def _unpruned_class(reference):
     """The class as the plain filter of an exhaustive enumeration."""
     target = bruteforce_counts(reference)
-    return [graph6_write(g) for g in enumerate_graphs(filt) if bruteforce_counts(g) == target]
+    return [graph6_write(g) for g in enumerate_graphs(EnumFilter(reference.n, reference.edge_count))
+            if bruteforce_counts(g) == target]
 
 
-def _pruned_class(reference, filt=None, assisted=False):
-    return [graph6_write(g) for g in equivalence_class_bruteforce(reference, filt, assisted)]
+def _pruned_class(reference):
+    return [graph6_write(g) for g in equivalence_class_bruteforce(reference)]
 
 
 # every catalogue row on at most 8 vertices, the families instantiated
@@ -285,28 +263,20 @@ SMALL_SPECS = [s for s in (
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
 def test_pruned_class_equals_unpruned(spec):
     g = build(spec)
-    assert _pruned_class(g) == _unpruned_class(g, EnumFilter(g.n, g.edge_count))
+    assert _pruned_class(g) == _unpruned_class(g)
 
 
 @settings(max_examples=60, deadline=None)
 @given(random_graphs(max_vertices=7))
 def test_pruned_class_equals_unpruned_on_random_graphs(g):
     members = _pruned_class(g)
-    assert members == _unpruned_class(g, EnumFilter(g.n, g.edge_count))
+    assert members == _unpruned_class(g)
     assert canonical_form(g) in {canonical_form(graph6_read(m)) for m in members}
-
-
-@pytest.mark.parametrize("spec", [fs("P", 8), fs("C", 7), fs("Y", 3, 2, 1), fs("E", 1, 3)], ids=str)
-@pytest.mark.parametrize("max_degree,connected_only", [(2, False), (3, False), (None, True), (3, True)])
-def test_pruned_class_equals_unpruned_when_assisted(spec, max_degree, connected_only):
-    g = build(spec)
-    filt = EnumFilter(g.n, g.edge_count, max_degree=max_degree, connected_only=connected_only)
-    assert _pruned_class(g, filt, assisted=True) == _unpruned_class(g, filt)
 
 
 def test_pruned_class_equals_unpruned_with_workers():
     refs = [build(fs("P", 8)), build(fs("C", 8))]
-    base = [_unpruned_class(g, EnumFilter(g.n, g.edge_count)) for g in refs]
+    base = [_unpruned_class(g) for g in refs]
     with mock.patch("os.cpu_count", return_value=2), \
             mock.patch.dict(os.environ, {"INDEQ_WORKERS": "2"}):
         assert [_pruned_class(g) for g in refs] == base

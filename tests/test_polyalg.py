@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from indeq.graphcore import build
 from indeq.indpoly import (
-    bruteforce_polynomial,
+    bruteforce_counts,
     cycle_polynomial,
     independence_polynomial,
     path_polynomial,
@@ -38,7 +38,7 @@ def test_multiplication_example():
 
 def test_divide_exact():
     # dividend is the brute-force independence polynomial of the 9-cycle
-    dividend = bruteforce_polynomial(build(fs("C", 9)))
+    dividend = IntPoly(bruteforce_counts(build(fs("C", 9))))
     assert dividend == IntPoly((1, 9, 27, 30, 9))
     assert dividend.divide_exact(IntPoly((1, 3))) == IntPoly((1, 6, 9, 3))
     with pytest.raises(NotDivisibleError) as info:
@@ -215,5 +215,5 @@ def test_gcd_and_squarefree():
 def test_json_serialization_round_trip():
     p = IntPoly((1, -12345678901234567890, 7))
     strings = p.to_decimal_strings()
-    assert all(isinstance(s, str) for s in strings)
-    assert IntPoly.from_decimal_strings(strings) == p
+    assert strings == ["1", "-12345678901234567890", "7"]
+    assert IntPoly.zero().to_decimal_strings() == []
