@@ -159,14 +159,13 @@ def _cmd_class(args) -> int:
 def _cmd_roots(args) -> int:
     g, label = _graph_from_text(args.spec)
     poly = indpoly.independence_polynomial(g)
-    squarefree = polyalg.is_squarefree(poly)
     counted = polyalg.squarefree_part(poly)
+    squarefree = counted.degree == poly.degree
     chain = polyalg.SturmChain.of(counted)
     real_total = polyalg.count_real_roots(chain, None, None)
     below = polyalg.count_real_roots(chain, None, _QUARTER)
     at_quarter = counted.sign_at(_QUARTER) == 0
     strictly_below = below - (1 if at_quarter else 0)
-    approx = polyalg.real_roots_approx(poly)
     payload = {
         "input": label,
         "degree": poly.degree,
@@ -174,8 +173,9 @@ def _cmd_roots(args) -> int:
         "distinct_real_roots": real_total,
         "real_roots_below_-1/4": strictly_below,
         "root_at_-1/4": at_quarter,
-        "all_roots_real_below_-1/4": polyalg.all_roots_real_below(poly, _QUARTER),
-        "approx_real_roots": approx,
+        # what polyalg.all_roots_real_below(poly, -1/4) decides, from this chain
+        "all_roots_real_below_-1/4": squarefree and not at_quarter and below == poly.degree,
+        "approx_real_roots": polyalg.real_roots_approx(chain),
     }
     if args.json:
         print(json.dumps(payload))

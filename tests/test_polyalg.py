@@ -191,16 +191,138 @@ def test_path_cycle_roots_battery(n):
 
 def test_isolation_and_refinement():
     p = path_polynomial(6)
-    intervals = isolate_real_roots(p)
+    intervals = isolate_real_roots(SturmChain.of(p))
     assert len(intervals) == p.degree
     mids = []
     for lo, hi in intervals:
         rlo, rhi = refine_root(p, lo, hi, Fraction(1, 10**15))
         mids.append((rlo + rhi) / 2)
     assert mids == sorted(mids)
-    approx = real_roots_approx(p)
+    approx = real_roots_approx(SturmChain.of(p))
     assert len(approx) == p.degree
     assert all(m < -0.25 for m in approx)
+    with pytest.raises(ValueError):
+        isolate_real_roots(SturmChain.of(IntPoly((1, 2)) ** 2))
+
+
+# -- isolation and refinement against plain bisection ------------------------
+
+
+def _bisection_isolate(p):
+    """Reference isolation: bisect (-B, B], B the Cauchy bound, counting
+    every split on the full Sturm chain at both ends."""
+    chain = SturmChain.of(p)
+    bound = p.cauchy_bound()
+    stack = [(-bound, bound, count_real_roots(chain, -bound, bound))]
+    out = []
+    while stack:
+        a, b, k = stack.pop()
+        if k == 1:
+            out.append((a, b))
+        elif k > 1:
+            mid = (a + b) / 2
+            left = count_real_roots(chain, a, mid)
+            stack += [(a, mid, left), (mid, b, k - left)]
+    return sorted(out)
+
+
+def _bisection_refine(p, lo, hi, width):
+    """Reference refinement: halve (lo, hi] until it is no wider than width."""
+    s_hi = p.sign_at(hi)
+    if s_hi == 0:
+        return hi, hi
+    s_lo = p.sign_at(lo)
+    while s_lo == 0:
+        mid = (lo + hi) / 2
+        s_mid = p.sign_at(mid)
+        if s_mid == 0:
+            return mid, mid
+        if s_mid == s_hi:
+            hi = mid
+        else:
+            lo, s_lo = mid, s_mid
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        s_mid = p.sign_at(mid)
+        if s_mid == 0:
+            return mid, mid
+        if s_mid == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+WIDTHS = (Fraction(1, 10**12), Fraction(1, 7), Fraction(3, 1000))
+# dyadic denominators put roots on bisection grids; the others never do
+rationals = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 4, 8, 16, 3, 5, 7, 12]))
+quadratics = st.builds(
+    lambda c0, c1, c2: IntPoly((c0, c1, c2)),
+    st.integers(-30, 30), st.integers(-30, 30), st.integers(1, 9),
+)
+
+
+def _with_roots(roots):
+    """Primitive product of the linear factors (den x - num), one per root."""
+    p = IntPoly.one()
+    for r in roots:
+        p = p * IntPoly((-r.numerator, r.denominator))
+    return p
+
+
+@given(st.lists(rationals, min_size=1, max_size=6, unique=True), st.lists(quadratics, max_size=1))
+@settings(max_examples=60, deadline=None)
+def test_isolation_and_refinement_equal_bisection(roots, quadratic):
+    p = _with_roots(roots)
+    for q in quadratic:
+        p = p * q
+    if not is_squarefree(p):
+        return
+    intervals = isolate_real_roots(SturmChain.of(p))
+    assert intervals == _bisection_isolate(p)
+    for lo, hi in intervals:
+        for width in WIDTHS:
+            assert refine_root(p, lo, hi, width) == _bisection_refine(p, lo, hi, width)
+
+
+@given(st.lists(rationals, min_size=2, max_size=6, unique=True))
+@settings(max_examples=40, deadline=None)
+def test_refinement_from_a_root_at_the_lower_end_equals_bisection(roots):
+    # (r_i, m] isolates r_(i+1) when m lies between r_(i+1) and the next
+    # root; the root at lo is excluded, so the refinement first steps inward
+    p = _with_roots(roots)
+    roots = sorted(roots) + [max(roots) + 2]
+    for lo, r, nxt in zip(roots, roots[1:], roots[2:]):
+        for hi in (r, (r + nxt) / 2):
+            for width in WIDTHS:
+                assert refine_root(p, lo, hi, width) == _bisection_refine(p, lo, hi, width)
+
+
+@given(rationals, rationals.filter(lambda r: r > 0), st.integers(1, 8), st.data())
+@settings(max_examples=40, deadline=None)
+def test_refinement_lands_on_a_root_at_a_grid_point(lo, length, m, data):
+    hi = lo + length
+    root = lo + length * Fraction(2 * data.draw(st.integers(0, 2 ** (m - 1) - 1)) + 1, 2**m)
+    p = _with_roots([root, hi + 1, lo - 1])
+    for width in WIDTHS:
+        assert refine_root(p, lo, hi, width) == _bisection_refine(p, lo, hi, width)
+    assert refine_root(p, lo, hi, Fraction(1, 10**12)) == (root, root)
+
+
+def test_refinement_evaluates_fewer_than_half_the_points_of_bisection(monkeypatch):
+    p = path_polynomial(60)
+    intervals = isolate_real_roots(SturmChain.of(p))
+    width = Fraction(1, 10**12)
+    # every point either refinement evaluates p at is one eval_int call
+    calls = []
+    eval_int = IntPoly.eval_int
+    monkeypatch.setattr(IntPoly, "eval_int", lambda self, x: calls.append(x) or eval_int(self, x))
+    fast = [refine_root(p, lo, hi, width) for lo, hi in intervals]
+    refined = len(calls)
+    slow = [_bisection_refine(p, lo, hi, width) for lo, hi in intervals]
+    bisected = len(calls) - refined
+    assert fast == slow
+    assert bisected > 0 and 2 * refined < bisected
 
 
 def test_gcd_and_squarefree():
