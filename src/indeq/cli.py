@@ -22,6 +22,7 @@ import json
 import sys
 import warnings
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from . import checks, classify, factorbasis, indpoly, oracle, polyalg
@@ -238,7 +239,9 @@ def _cmd_verify(args) -> int:
 
 # -- argument parsing -------------------------------------------------------------
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="indeq",
         description="independence polynomials, basis factorizations, and "
@@ -308,8 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (SpecSyntaxError, ValueError) as exc:

@@ -19,9 +19,23 @@ multisets.  The factors are pairwise coprime, and:
   I(C_n, x)  =  product of f_{2^t * r} over r | m,        n = 2^t * m, m odd
   I(P_n, x)  =  product over the divisor pattern of n+2 (factor_path)
 
-Construction is exact: cyclotomic polynomials by Moebius product of
-x^d - 1 binomials, the 2*cos minimal polynomial by a triangular solve
-of Phi_n(x) = x^(phi(n)/2) * psi_n(x + 1/x), then shift and reverse.
+Construction is exact.  Cyclotomic polynomials come from the Moebius
+product of x^d - 1 binomials.  The 2*cos minimal polynomial psi_n
+(real_cyclotomic) solves Phi_n(x) = x^d * psi_n(x + 1/x), d = phi(n)/2,
+by a triangular solve; the basis does not use it.  A basis factor
+g = reverse_negate(psi_N(x - 2)), N = 2n for f_n and N = n for f~_n,
+comes straight from Phi_N: substituting x = -y/(1+y)^2 gives
+Phi_N(y) = (1+y)^(2d) * g(-y/(1+y)^2), and Lagrange inversion on
+y = w * (-(1+y)^2) yields, for j = 0..d,
+
+  g_j = sum over k <= j of  a_k (-1)^k C(2d - j - k + s, j - k)
+
+where a is (1 - y) Phi_N(y) for s = 0 or (1 - y^2) Phi_N(y) for s = 1
+(both hold for every N; only a_0..a_d matter).  For N = p prime and
+s = 0, a = 1 and g_j = C(p - 1 - j, j); for N = 2p and s = 1, a = 1 - y.
+Each nonzero a_k costs one diagonal of d - k + 1 big-by-small steps, so
+a factor costs O(nnz(a) * d) such steps, against O(d^2) big products
+for the solve and as many again for the Taylor shift.
 """
 
 from __future__ import annotations
@@ -193,8 +207,31 @@ def _make_factor(kind: str, index: int, poly: IntPoly) -> BasisFactor:
     return BasisFactor((rank, index), kind, index, poly)
 
 
-def _shift_and_reverse(cos_minpoly: IntPoly) -> IntPoly:
-    return cos_minpoly.shift(-2).reverse_negate()
+def _factor_poly(n: int) -> IntPoly:
+    """reverse_negate(psi_n(x - 2)) for n >= 3, straight from Phi_n.
+
+    Lagrange inversion, as in the module docstring, on whichever kernel
+    (s = 0 or 1) has fewer nonzero a_k.  Down each diagonal k the term
+    a_k (-1)^k C(r - m, m), r = 2d - 2k + s, steps to m + 1 by one small
+    multiplier and one exact division by a small integer.
+    """
+    d = euler_phi(n) // 2
+    phi = cyclotomic(n).coeffs
+    kernels = [[phi[k] - (phi[k - 1 - s] if k > s else 0) for k in range(d + 1)]
+               for s in (0, 1)]
+    s = int(sum(map(bool, kernels[1])) < sum(map(bool, kernels[0])))
+    g = [0] * (d + 1)
+    for k, c in enumerate(kernels[s]):
+        if not c:
+            continue
+        if k % 2:
+            c = -c
+        r = 2 * (d - k) + s
+        g[k] += c
+        for m in range(d - k):
+            c = c * ((r - 2 * m) * (r - 2 * m - 1)) // ((m + 1) * (r - m))
+            g[k + m + 1] += c
+    return IntPoly(g)
 
 
 @lru_cache(maxsize=None)
@@ -204,7 +241,7 @@ def basis_f(n: int) -> BasisFactor:
         raise ValueError(f"index must be >= 1, got {n}")
     if n == 1:
         return _make_factor("f", 1, IntPoly.one())
-    return _make_factor("f", n, _shift_and_reverse(real_cyclotomic(2 * n)))
+    return _make_factor("f", n, _factor_poly(2 * n))
 
 
 @lru_cache(maxsize=None)
@@ -216,7 +253,7 @@ def basis_ftilde(n: int) -> BasisFactor:
         raise ValueError(f"ftilde index must be odd, got {n}")
     if n == 1:
         return _make_factor("ftilde", 1, IntPoly.one())
-    return _make_factor("ftilde", n, _shift_and_reverse(real_cyclotomic(n)))
+    return _make_factor("ftilde", n, _factor_poly(n))
 
 
 FactorMultiset = tuple[BasisFactor, ...]

@@ -62,8 +62,11 @@ def test_criterion_02_basis_pipeline():
         assert basis_f(3).poly == IntPoly((1, 3))
         assert basis_f(6).poly == IntPoly((1, 4, 1))
         assert basis_ftilde(3).poly == IntPoly((1, 1))
-        # the construction really is minimal-poly -> shift(-2) -> reverse
-        assert real_cyclotomic(12).shift(-2).reverse_negate() == IntPoly((1, 4, 1))
+        # the factors equal the defining pipeline minimal-poly -> shift(-2) -> reverse
+        for n in range(2, 61):
+            assert basis_f(n).poly == real_cyclotomic(2 * n).shift(-2).reverse_negate(), n
+        for n in range(3, 121, 2):
+            assert basis_ftilde(n).poly == real_cyclotomic(n).shift(-2).reverse_negate(), n
         assert [f.name for f in factor_path(10)] == ["f2", "f3", "f6", "f~3"]
 
     _report(2, "basis factors via the shift-and-reverse pipeline", 1.0, body)

@@ -1,9 +1,10 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from indeq.cli import SpecSyntaxError, main, parse_spec_text
+from indeq.cli import SpecSyntaxError, _build_parser, main, parse_spec_text
 from indeq.graphcore import FamilySpec
 
 from conftest import fs
@@ -74,6 +75,39 @@ def test_factor_commands(capsys):
     # -1/4 is never a basis root, so this one cannot factor
     code, _, err = run(capsys, "factor", "spec", "F3:0")
     assert code == 1 and "remainder" in err
+
+
+# sha256 of `factor ... --json` stdout, recorded while the basis factors were
+# still built by a triangular solve, a Taylor shift and reverse-negate
+GOLDEN_FACTOR_DIGESTS = [
+    (("path", "2027"), "881c4b1e2fcee9e8ca93ed5a9b8493a5277537570c32380e13be556e79443a36"),
+    (("path", "2938"), "971c35fc0415a2b59dd1e8299e38b288dfb8bf87b91a6ea938b97ec3e3c82c6f"),
+    (("path", "4095"), "b7a6ea6c348c6ee34869cf332c696bed3489981bee95f828823b4421f011cead"),
+    (("cycle", "1470"), "088d2a9ecc1ea0419a865380d0fa03be22fbb8b756f560b6735555a3d6cbe5b7"),
+    (("cycle", "701"), "6676ea81eb8a3dcfdd3dfb5f988ecea54905440461ec8103bb562bb05d9a21ca"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_FACTOR_DIGESTS,
+                         ids=["-".join(a) for a, _ in GOLDEN_FACTOR_DIGESTS])
+def test_factor_json_matches_golden(capsys, argv, digest):
+    code, out, _ = run(capsys, "factor", *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+def test_parser_survives_an_argparse_exit(capsys):
+    """The parser is built once; a call that argparse exits leaves it usable."""
+    for bad in (["factor", "path", "ten"], ["factor", "path"], ["bogus"]):
+        with pytest.raises(SystemExit) as info:
+            main(bad)
+        assert info.value.code == 2
+        assert "usage: indeq" in capsys.readouterr().err
+        code, out, _ = run(capsys, "factor", "path", "10")
+        assert (code, out) == (0, "f2 f3 f6 f~3\n")
+        code, out, _ = run(capsys, "factor", "cycle", "6", "--json")
+        assert code == 0 and [f["index"] for f in json.loads(out)] == [2, 6]
+    assert _build_parser() is _build_parser()
 
 
 def test_class_commands(capsys):

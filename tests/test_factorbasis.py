@@ -157,3 +157,27 @@ def test_multiset_json():
     payload = multiset_to_json(factor_path(10))
     assert payload[0] == {"kind": "f", "index": 2, "coefficients": ["1", "2"]}
     assert payload[-1]["kind"] == "ftilde"
+
+
+def _defining_pipeline(n):
+    """The factor built on Phi_n by definition: psi_n, shift by -2, reverse-negate."""
+    return real_cyclotomic(n).shift(-2).reverse_negate()
+
+
+def test_basis_f_matches_defining_pipeline():
+    for n in range(2, 351):
+        assert basis_f(n).poly == _defining_pipeline(2 * n), n
+
+
+def test_basis_ftilde_matches_defining_pipeline():
+    for n in range(3, 700, 2):
+        assert basis_ftilde(n).poly == _defining_pipeline(n), n
+
+
+# dense kernels: 1155 = 3*5*7*11 (176 of 241 a_k nonzero, s = 1) and
+# 1405 = 5*281 (393 of 561, s = 0); sparse ones: 2029 prime (a = 1, s = 0)
+# and 4058 = 2*2029 (a = 1 - y, s = 1)
+@pytest.mark.parametrize("n", [1155, 1405, 2029, 4058])
+def test_large_basis_factors_match_defining_pipeline(n):
+    got = basis_ftilde(n) if n % 2 else basis_f(n // 2)
+    assert got.poly == _defining_pipeline(n)

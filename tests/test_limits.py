@@ -1,9 +1,11 @@
-"""Memory bounds: closed forms allocate little, and huge specs fail fast.
+"""Memory and time bounds: closed forms allocate little, huge specs fail
+fast, and a large prime path index factors in well under a minute.
 
 The size-guard cases run in a child process under an address-space
 limit, so a missing guard fails the test instead of exhausting memory.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from indeq.factorbasis import real_cyclotomic
+from indeq.factorbasis import basis_ftilde, real_cyclotomic
 from indeq.graphcore import MAX_BUILD_VERTICES, FamilySpec, build
 from indeq.indpoly import path_polynomial
 
@@ -20,7 +22,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 CHILD_LIMIT = 1 << 30  # bytes of address space for the child
 
 # sets the limit before importing indeq; the children then run the CLI on
-# argv, or the brute-force class search on the spec argv[1]
+# argv, the brute-force class search on the spec argv[1], or factor_path
 LIMIT = f"""
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, ({CHILD_LIMIT}, {CHILD_LIMIT}))
@@ -40,18 +42,19 @@ except ValueError as exc:
 """
 
 
-def _under_limit(child, *argv):
+def _under_limit(child, *argv, timeout=120):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", child, *argv], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=env, timeout=timeout)
 
 
 def _cli_under_limit(*argv):
     return _under_limit(CHILD, *argv)
 
 
-@pytest.mark.parametrize("fn,n", [(path_polynomial, 3000), (real_cyclotomic, 2003)],
-                         ids=["path_polynomial", "real_cyclotomic"])
+@pytest.mark.parametrize("fn,n", [(path_polynomial, 3000), (real_cyclotomic, 2003),
+                                  (basis_ftilde, 2003)],
+                         ids=["path_polynomial", "real_cyclotomic", "basis_ftilde"])
 def test_closed_forms_peak_under_5_mb(fn, n):
     tracemalloc.start()
     try:
@@ -60,6 +63,25 @@ def test_closed_forms_peak_under_5_mb(fn, n):
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2**20, peak
+
+
+LARGE_PATH_CHILD = LIMIT + """
+from indeq.factorbasis import factor_path
+(factor,) = factor_path(10005)
+print(factor.name, factor.poly.degree)
+for k in map(int, sys.argv[1:]):
+    print(hex(factor.poly.coeffs[k]))
+"""
+
+
+def test_large_prime_path_index_factors_fast():
+    # n + 2 = 10007 is prime: one factor, f~_10007, with g_k = C(10006 - k, k)
+    ks = [round(i * 5003 / 49) for i in range(50)]
+    done = _under_limit(LARGE_PATH_CHILD, *map(str, ks), timeout=60)
+    assert done.returncode == 0, done.stderr
+    head, *coeffs = done.stdout.splitlines()
+    assert head == "f~10007 5003"
+    assert [int(c, 16) for c in coeffs] == [math.comb(10006 - k, k) for k in ks]
 
 
 @pytest.mark.parametrize("spec,count", [
