@@ -17,9 +17,8 @@ from fractions import Fraction
 from typing import Callable
 
 from . import classify, factorbasis, indpoly, oracle, polyalg
+from .classify import QUARTER
 from .graphcore import FAMILIES, FamilySpec, build, canonical_form, spec
-
-_QUARTER = Fraction(-1, 4)
 
 BOUNDS: dict[str, dict] = {
     "small": {
@@ -128,8 +127,7 @@ def _check_degrees(b) -> tuple[bool, str]:
 
 def _check_coprime(b) -> tuple[bool, str]:
     top = b["coprime"]
-    polys = [factorbasis.basis_f(n).poly for n in range(2, top + 1)]
-    polys += [factorbasis.basis_ftilde(n).poly for n in range(3, top + 1, 2)]
+    polys = [f.poly for f in factorbasis.basis_through(top)]
     for i, p in enumerate(polys):
         for q in polys[i + 1:]:
             if polyalg.poly_gcd(p, q).degree != 0:
@@ -147,14 +145,14 @@ def _check_coprime(b) -> tuple[bool, str]:
 def _check_basis_roots(b) -> tuple[bool, str]:
     top = b["roots"]
     for n in range(1, top + 1):
-        if not polyalg.all_roots_real_below(indpoly.path_polynomial(n), _QUARTER):
+        if not polyalg.all_roots_real_below(indpoly.path_polynomial(n), QUARTER):
             return False, f"path polynomial roots escape at n={n}"
-        if n >= 3 and not polyalg.all_roots_real_below(indpoly.cycle_polynomial(n), _QUARTER):
+        if n >= 3 and not polyalg.all_roots_real_below(indpoly.cycle_polynomial(n), QUARTER):
             return False, f"cycle polynomial roots escape at n={n}"
-        if n >= 2 and not polyalg.all_roots_real_below(factorbasis.basis_f(n).poly, _QUARTER):
+        if n >= 2 and not polyalg.all_roots_real_below(factorbasis.basis_f(n).poly, QUARTER):
             return False, f"f{n} roots escape"
         if n >= 3 and n % 2 == 1 and not polyalg.all_roots_real_below(
-                factorbasis.basis_ftilde(n).poly, _QUARTER):
+                factorbasis.basis_ftilde(n).poly, QUARTER):
             return False, f"f~{n} roots escape"
     return True, f"all path/cycle/basis roots real and below -1/4 up to {top}"
 
@@ -165,7 +163,7 @@ def _check_elimination_values(b) -> tuple[bool, str]:
         floors = FAMILIES[fam].floors
         for params in itertools.product(*[range(f, top + 1) for f in floors]):
             s = FamilySpec(fam, params)
-            if classify.elimination_value(s) != _poly_of(s).eval_rational(_QUARTER):
+            if classify.elimination_value(s) != _poly_of(s).eval_rational(QUARTER):
                 return False, f"closed form disagrees with evaluation at {s}"
     f42 = classify.elimination_value(spec("F4", 2))
     f43 = classify.elimination_value(spec("F4", 3))

@@ -29,14 +29,10 @@ from typing import Callable, Optional, Sequence
 from .factorbasis import two_adic_split
 from .graphcore import FAMILIES, FamilySpec, Graph, build, canonical_form, graph6_write, spec
 from .indpoly import independence_polynomial
-from .polyalg import (
-    SturmChain,
-    all_roots_real_below,
-    count_real_roots,
-    is_squarefree,
-)
+from .polyalg import SturmChain, count_real_roots
 
-_QUARTER = Fraction(-1, 4)
+#: The point -1/4 that every root of a path-class component lies below.
+QUARTER = Fraction(-1, 4)
 
 
 class EvenCycleClassNote(UserWarning):
@@ -97,11 +93,11 @@ def screen_family(spec: FamilySpec) -> Verdict:
     if value is not None and value <= 0:
         return Verdict(False, f"I(-1/4) = {value} <= 0 forces a root in [-1/4, 1)")
     poly = independence_polynomial(build(spec))
-    if all_roots_real_below(poly, _QUARTER):
-        return Verdict(True, "all roots real and below -1/4")
-    if not is_squarefree(poly):
-        return Verdict(False, "independence polynomial has repeated roots")
     chain = SturmChain.of(poly)
+    if chain.all_roots_real_below(QUARTER):
+        return Verdict(True, "all roots real and below -1/4")
+    if not chain.squarefree:
+        return Verdict(False, "independence polynomial has repeated roots")
     real = count_real_roots(chain, None, None)
     if real < poly.degree:
         return Verdict(False, f"only {real} of {poly.degree} roots are real")

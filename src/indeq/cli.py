@@ -21,11 +21,11 @@ import argparse
 import json
 import sys
 import warnings
-from fractions import Fraction
 from functools import cache
 from typing import Optional
 
 from . import checks, classify, factorbasis, indpoly, oracle, polyalg
+from .classify import QUARTER
 from .graphcore import (
     FAMILIES,
     FamilySpec,
@@ -35,8 +35,6 @@ from .graphcore import (
     graph6_read,
     graph6_write,
 )
-
-_QUARTER = Fraction(-1, 4)
 
 
 class SpecSyntaxError(ValueError):
@@ -122,11 +120,7 @@ def _cmd_factor(args) -> int:
     else:
         g, _ = _graph_from_text(args.spec)
         poly = indpoly.independence_polynomial(g)
-        candidates = None
-        if args.max_index:
-            candidates = tuple(
-                factorbasis.basis_f(i) for i in range(2, args.max_index + 1)
-            ) + tuple(factorbasis.basis_ftilde(i) for i in range(3, args.max_index + 1, 2))
+        candidates = factorbasis.basis_through(args.max_index) if args.max_index else None
         try:
             factors = factorbasis.factor_into_basis(poly, candidates)
         except factorbasis.FactorizationError as exc:
@@ -160,23 +154,19 @@ def _cmd_class(args) -> int:
 def _cmd_roots(args) -> int:
     g, label = _graph_from_text(args.spec)
     poly = indpoly.independence_polynomial(g)
-    counted = polyalg.squarefree_part(poly)
-    squarefree = counted.degree == poly.degree
-    chain = polyalg.SturmChain.of(counted)
-    real_total = polyalg.count_real_roots(chain, None, None)
-    below = polyalg.count_real_roots(chain, None, _QUARTER)
-    at_quarter = counted.sign_at(_QUARTER) == 0
-    strictly_below = below - (1 if at_quarter else 0)
+    chain = polyalg.SturmChain.of(poly)
+    # the counts are of distinct roots, so they need a squarefree chain
+    counted = chain if chain.squarefree else polyalg.SturmChain.of(polyalg.squarefree_part(poly))
+    at_quarter = counted.poly.sign_at(QUARTER) == 0
     payload = {
         "input": label,
         "degree": poly.degree,
-        "squarefree": squarefree,
-        "distinct_real_roots": real_total,
-        "real_roots_below_-1/4": strictly_below,
+        "squarefree": chain.squarefree,
+        "distinct_real_roots": polyalg.count_real_roots(counted, None, None),
+        "real_roots_below_-1/4": polyalg.count_real_roots(counted, None, QUARTER) - int(at_quarter),
         "root_at_-1/4": at_quarter,
-        # what polyalg.all_roots_real_below(poly, -1/4) decides, from this chain
-        "all_roots_real_below_-1/4": squarefree and not at_quarter and below == poly.degree,
-        "approx_real_roots": polyalg.real_roots_approx(chain),
+        "all_roots_real_below_-1/4": chain.all_roots_real_below(QUARTER),
+        "approx_real_roots": polyalg.real_roots_approx(counted),
     }
     if args.json:
         print(json.dumps(payload))
@@ -279,9 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for q in (cp, cc):
         q.add_argument("--json", action="store_true")
         q.add_argument("--graph6", action="store_true")
-        q.add_argument("--expand-d", dest="expand_d", action="store_true", default=True,
-                       help="expand triangle-for-cycle substitutions (default)")
-        q.add_argument("--no-expand-d", dest="expand_d", action="store_false")
+    cp.add_argument("--no-expand-d", dest="expand_d", action="store_false",
+                    help="leave out the triangle-for-cycle (D) substitutions")
     p.set_defaults(func=_cmd_class)
 
     p = sub.add_parser("roots", help="root-location report")

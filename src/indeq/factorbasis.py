@@ -289,6 +289,12 @@ def factor_path(n_vertices: int) -> FactorMultiset:
     return tuple(sorted(f for f in factors if not f.is_unit))
 
 
+def basis_through(top: int) -> FactorMultiset:
+    """f_2 .. f_top, then the odd-index f~_3 .. f~_top."""
+    return (tuple(basis_f(i) for i in range(2, top + 1))
+            + tuple(basis_ftilde(i) for i in range(3, top + 1, 2)))
+
+
 def default_candidates(p: IntPoly) -> FactorMultiset:
     """Candidate basis factors for factoring a catalogue polynomial.
 
@@ -298,10 +304,7 @@ def default_candidates(p: IntPoly) -> FactorMultiset:
     """
     if p.degree < 1:
         return ()
-    top = 2 * (p.coeffs[1] + 2) if len(p.coeffs) > 1 else 4
-    cands = [basis_f(i) for i in range(2, top + 1)]
-    cands += [basis_ftilde(i) for i in range(3, top + 1, 2)]
-    return tuple(cands)
+    return basis_through(2 * (p.coeffs[1] + 2) if len(p.coeffs) > 1 else 4)
 
 
 def factor_into_basis(p: IntPoly, candidates: FactorMultiset | None = None) -> FactorMultiset:

@@ -5,11 +5,13 @@ arbitrary-precision integers; the empty vector is the zero polynomial.
 Exact scalars are ``fractions.Fraction``.  On top of the ring
 operations the module provides Sturm chains and exact real-root
 counting over half-open intervals ``(lo, hi]`` with rational or
-infinite endpoints, plus root isolation and refinement used for
-diagnostics.  Both return the intervals plain bisection returns: the
-isolation skips chain evaluations whose counts a root bound already
-fixes, and the refinement finds bisection's final grid cell by quadratic
-interval refinement on integer grid indices.
+infinite endpoints.  A chain also tells whether its polynomial is
+squarefree, from its last member, which is gcd(p, p') up to a scalar,
+and so whether every root is real and below a bound.  Root isolation
+and refinement, used for diagnostics, return the intervals plain
+bisection returns: the isolation skips chain evaluations whose counts a
+root bound already fixes, and the refinement finds bisection's final
+grid cell by quadratic interval refinement on integer grid indices.
 
 Everything here is pure value semantics: polynomials and chains are
 immutable and safe to share between threads.
@@ -254,11 +256,9 @@ class IntPoly:
     # -- evaluation -----------------------------------------------------
 
     def eval_rational(self, x: RationalLike) -> Fraction:
-        """Exact value at a rational point."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return Fraction(acc)
+        """Exact value at a rational point, integer arithmetic only."""
+        den = x.denominator
+        return Fraction(self.homogenized(den).eval_int(x.numerator), den ** max(self.degree, 0))
 
     def eval_int(self, x: int) -> int:
         acc = 0
@@ -400,6 +400,17 @@ class SturmChain:
     def poly(self) -> IntPoly:
         return self.chain[0]
 
+    @property
+    def squarefree(self) -> bool:
+        """Whether the polynomial is squarefree: the chain's last member is
+        gcd(p, p') up to a scalar, so it is constant exactly then."""
+        return self.chain[-1].degree <= 0
+
+    def all_roots_real_below(self, bound: RationalLike) -> bool:
+        """True iff the polynomial is squarefree with all its roots real and < bound."""
+        return (self.squarefree and self.poly.sign_at(bound) != 0
+                and count_real_roots(self, None, bound) == self.poly.degree)
+
     def variations_at(self, x: Endpoint, positive_infinity: bool = False) -> int:
         """Sign variation count at x (zeros skipped); x=None means an infinite end."""
         signs = []
@@ -430,17 +441,7 @@ def count_real_roots(chain: SturmChain, lo: Endpoint, hi: Endpoint) -> int:
 
 def all_roots_real_below(p: IntPoly, bound: RationalLike) -> bool:
     """True iff p is squarefree with deg(p) distinct real roots, all < bound."""
-    if p.is_zero():
-        raise ValueError("zero polynomial has no root set")
-    d = p.degree
-    if d == 0:
-        return True
-    if poly_gcd(p, p.derivative()).degree > 0:
-        return False
-    if p.sign_at(bound) == 0:
-        return False
-    chain = SturmChain.of(p)
-    return count_real_roots(chain, None, bound) == d
+    return SturmChain.of(p).all_roots_real_below(bound)
 
 
 def _root_radius(p: IntPoly) -> int:
@@ -464,8 +465,7 @@ def isolate_real_roots(chain: SturmChain) -> list[tuple[Fraction, Fraction]]:
     bound, at the first level where a cell holds at most one root.
     """
     p = chain.poly
-    if chain.chain[-1].degree > 0:
-        # the chain ends in gcd(p, p')
+    if not chain.squarefree:
         raise ValueError("root isolation requires a squarefree polynomial")
     if p.degree <= 0:
         return []

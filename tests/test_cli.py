@@ -123,6 +123,15 @@ def test_class_commands(capsys):
     assert all("\t" in line for line in out.strip().splitlines())
 
 
+@pytest.mark.parametrize("argv", [["class", "cycle", "9", "--no-expand-d"],
+                                  ["class", "path", "10", "--expand-d"]])
+def test_class_rejects_removed_expand_flags(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_roots_command(capsys):
     code, out, _ = run(capsys, "roots", "Y:2,1,1", "--json")
     payload = json.loads(out)

@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from indeq import polyalg
+from indeq.classify import screen_family
+from indeq.cli import main
 from indeq.graphcore import build
 from indeq.indpoly import (
     bruteforce_counts,
@@ -100,6 +103,20 @@ def test_eval_rational():
     assert IntPoly.one().eval_rational(Fraction(7, 3)) == 1
 
 
+def _horner(p, x):
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+@given(polys, st.one_of(st.integers(-50, 50), st.fractions(max_denominator=1000)))
+@settings(max_examples=150, deadline=None)
+def test_eval_rational_equals_fraction_horner(p, x):
+    value = p.eval_rational(x)
+    assert type(value) is Fraction and value == _horner(p, x)
+
+
 @pytest.mark.parametrize("n", range(1, 30))
 def test_path_value_at_quarter(n):
     # exact value of I(P_n, -1/4); the exponent is n + 1
@@ -180,6 +197,36 @@ def test_all_roots_real_below_examples():
     assert not all_roots_real_below(f3_2, QUARTER)
     # repeated roots disqualify outright
     assert not all_roots_real_below(IntPoly((1, 2)) * IntPoly((1, 2)), QUARTER)
+
+
+# (question, Sturm chains built, gcd(p, p') computations); every input but
+# C:4+C:4 is squarefree, and E:2,2 has a root at -1/4
+ROOT_QUESTIONS = {
+    "screen-admissible": (lambda: screen_family(fs("Y", 2, 1, 1)), 1, 0),
+    "screen-eliminated": (lambda: screen_family(fs("E", 2, 2)), 1, 0),
+    "all-roots-real-below": (lambda: all_roots_real_below(path_polynomial(12), QUARTER), 1, 0),
+    "indeq-roots": (lambda: main(["roots", "Y:2,1,1"]), 1, 0),
+    "indeq-roots-repeated": (lambda: main(["roots", "C:4+C:4"]), 2, 1),
+}
+
+
+@pytest.mark.parametrize("name", ROOT_QUESTIONS)
+def test_one_sturm_chain_per_root_question(monkeypatch, capsys, name):
+    question, chains, gcds = ROOT_QUESTIONS[name]
+    calls = []
+    of, gcd = SturmChain.of.__func__, polyalg.poly_gcd
+    monkeypatch.setattr(SturmChain, "of", classmethod(lambda cls, p: calls.append("chain") or of(cls, p)))
+    monkeypatch.setattr(polyalg, "poly_gcd", lambda a, b: calls.append("gcd") or gcd(a, b))
+    question()
+    assert (calls.count("chain"), calls.count("gcd")) == (chains, gcds)
+
+
+@given(polys, polys)
+@settings(max_examples=150, deadline=None)
+def test_chain_squarefree_answer_equals_the_gcd_route(a, b):
+    for p in (a, a * a * b):
+        if not p.is_zero():
+            assert SturmChain.of(p).squarefree == is_squarefree(p)
 
 
 @pytest.mark.parametrize("n", range(1, 61))
