@@ -15,12 +15,16 @@ carries three layers of that argument:
     triangle-for-vertex (D) substitutions
 
 The class listers are symbolic: members are multisets of FamilySpec
-components, built into graphs only when validation asks for it.
+components, built into graphs only when validation asks for it.  Both
+listers share one member pipeline, in which each cycle may stand in for
+any member of its own class, so the D-twin rule and the sporadic cycle
+classes (C_6, and the f_9 and f_15 carriers of C_9, C_15) are stated once.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -219,37 +223,49 @@ def _member_key(member: Member) -> tuple:
     return (len(member), tuple(s.sort_key for s in member))
 
 
-def _normalize(parts: Sequence[tuple[str, tuple[int, ...]]]) -> Optional[Member]:
-    """Turn raw (family, params) parts into a sorted member, or None if degenerate.
+#: The carriers of f_9 and of f_15: beside C_3 (and C_5 for f_15) they
+#: stand in for C_9 and C_15, so also in the path classes with m = 9, 15.
+_F9_CARRIERS = (spec("B", 0, 1, 1), spec("E", 2, 1), spec("E", 1, 2), spec("A", 2, 1))
+_F15_CARRIERS = (spec("E", 3, 1), spec("E", 1, 3), spec("A", 3, 1))
 
-    Empty-path components vanish; a cycle shorter than 3 or a negative
-    path makes the whole member degenerate.
+#: The members of the class of C_n besides C_n and its twin D_n.
+_SPORADIC_CYCLE_MEMBERS: dict[int, tuple[Member, ...]] = {
+    6: ((spec("P", 2), spec("K4e")),),
+    9: tuple((spec("C", 3), c) for c in _F9_CARRIERS),
+    15: tuple((spec("C", 3), spec("C", 5), c) for c in _F15_CARRIERS),
+}
+
+#: The most members a class may have before it is listed.
+MAX_CLASS_MEMBERS = 1 << 16
+
+
+def _variants(s: FamilySpec, expand_d: bool) -> list[Member]:
+    """The component lists that may stand in for s in a class member.
+
+    A cycle C_k may be swapped for any member of its own class: its
+    sporadic members and, when expand_d is set and k >= 4, its twin D_k.
     """
-    specs = []
-    for fam, params in parts:
-        if fam == "P":
-            if params[0] < 0:
-                return None
-            if params[0] == 0:
-                continue
-        if fam in ("C", "D") and params[0] < 3:
-            return None
-        specs.append(FamilySpec(fam, params))
-    return tuple(sorted(specs, key=lambda s: s.sort_key))
-
-
-def _expand_d_substitution(member: Member) -> list[Member]:
-    """All variants replacing any subset of cycles C_k (k >= 4) by D_k."""
-    options = []
-    for s in member:
-        if s.family == "C" and s.params[0] >= 4:
-            options.append((s, FamilySpec("D", s.params)))
-        else:
-            options.append((s,))
-    out = []
-    for combo in itertools.product(*options):
-        out.append(tuple(sorted(combo, key=lambda s: s.sort_key)))
+    if s.family != "C":
+        return [(s,)]
+    k = s.params[0]
+    out = [(s,)] + ([(FamilySpec("D", (k,)),)] if expand_d and k >= 4 else [])
+    for row in _SPORADIC_CYCLE_MEMBERS.get(k, ()):
+        out += [sum(combo, ()) for combo in itertools.product(*(_variants(c, expand_d) for c in row))]
     return out
+
+
+def _equiv_class(reference: FamilySpec, raw: Sequence[Sequence[FamilySpec]],
+                 expand_d: bool = True) -> EquivClass:
+    """The class of reference from raw members, each cycle in them expanded
+    by _variants; a ValueError refuses more than MAX_CLASS_MEMBERS members."""
+    options = [[_variants(s, expand_d) for s in parts] for parts in raw]
+    bound = sum(math.prod(map(len, opts)) for opts in options)
+    if bound > MAX_CLASS_MEMBERS:
+        raise ValueError(
+            f"the class of {reference} has up to {bound} members, above the cap of {MAX_CLASS_MEMBERS}")
+    members = {tuple(sorted(itertools.chain(*combo), key=lambda s: s.sort_key))
+               for opts in options for combo in itertools.product(*opts)}
+    return EquivClass(reference, tuple(sorted(members, key=_member_key)))
 
 
 def path_class(n_vertices: int, expand_d: bool = True) -> EquivClass:
@@ -258,9 +274,8 @@ def path_class(n_vertices: int, expand_d: bool = True) -> EquivClass:
     Members are generated from the divisor structure of n + 2 = 2^t * m
     (m odd): a shorter path of the same odd part together with the
     intermediate cycles, plus the sporadic shapes that exist exactly
-    when m is 3, 9 or 15.  Degenerate small cases drop out; every
-    remaining cycle of length >= 4 may independently be swapped for its
-    triangle-tailed twin when expand_d is set.
+    when m is 3, 9 or 15.  Every cycle may be swapped for a member of
+    its own class; D twins only when expand_d is set.
     """
     if n_vertices % 2 != 0:
         raise ValueError(
@@ -268,53 +283,24 @@ def path_class(n_vertices: int, expand_d: bool = True) -> EquivClass:
         )
     if n_vertices < 2:
         raise ValueError(f"need at least 2 vertices, got {n_vertices}")
-    n = n_vertices + 2
-    t, m = two_adic_split(n)
+    t, m = two_adic_split(n_vertices + 2)
 
-    def cycles(lo: int, hi: int) -> list[tuple[str, tuple[int, ...]]]:
-        return [("C", (m * 2**j,)) for j in range(lo, hi)]
+    def cycles(lo: int, hi: int) -> list[FamilySpec]:
+        return [spec("C", m * 2**j) for j in range(lo, hi)]
 
-    raw: list[list[tuple[str, tuple[int, ...]]]] = [[("P", (n_vertices,))]]
-    for tp in range(t):
-        raw.append([("P", (m * 2**tp - 2,))] + cycles(tp, t))
+    # a split point whose first cycle would be shorter than 3 has no member
+    raw = [[spec("P", n_vertices)]] + [
+        [spec("P", m * 2**tp - 2)] + cycles(tp, t) for tp in range(t) if m * 2**tp >= 3]
     if m == 3:
-        for z in range(1, t):
-            raw.append(cycles(0, z) + [("Y", (3 * 2**z - 3, 2, 1))] + cycles(z + 1, t))
+        # the rows that hold C_6 gain its P_2 + K4e member through _variants
+        raw += [cycles(0, z) + [spec("Y", 3 * 2**z - 3, 2, 1)] + cycles(z + 1, t)
+                for z in range(1, t)]
         if t >= 2:
-            raw.append([("P", (4,)), ("P", (2,)), ("K4e", ())] + cycles(2, t))
-            raw.append([("P", (1,)), ("C", (3,)), ("P", (2,)), ("K4e", ())] + cycles(2, t))
-            for z in range(2, t):
-                raw.append(
-                    [("C", (3,)), ("P", (2,)), ("K4e", ())]
-                    + cycles(2, z)
-                    + [("Y", (3 * 2**z - 3, 2, 1))]
-                    + cycles(z + 1, t)
-                )
-            raw.append([("E", (1, 1)), ("P", (2,)), ("C", (3,))] + cycles(2, t))
-            raw.append([("A", (1, 1)), ("P", (2,)), ("C", (3,))] + cycles(2, t))
+            raw += [[spec(f, 1, 1), spec("P", 2), spec("C", 3)] + cycles(2, t) for f in "EA"]
         if t >= 3:
-            tail = cycles(3, t)
-            raw.append([("Y", (4, 2, 2)), ("P", (2,)), ("C", (3,)), ("C", (4,)), ("K4e", ())] + tail)
-            raw.append([("Y", (4, 2, 2)), ("C", (3,)), ("C", (4,)), ("C", (6,))] + tail)
-            raw.append([("Y", (4, 2, 2)), ("C", (3,)), ("P", (6,)), ("K4e", ())] + tail)
-    if m == 9:
-        for extra in (("B", (0, 1, 1)), ("E", (2, 1)), ("E", (1, 2)), ("A", (2, 1))):
-            raw.append([("P", (7,)), ("C", (3,)), extra] + cycles(1, t))
-    if m == 15:
-        for extra in (("E", (3, 1)), ("E", (1, 3)), ("A", (3, 1))):
-            raw.append([("P", (13,)), ("C", (3,)), ("C", (5,)), extra] + cycles(1, t))
-
-    members: set[Member] = set()
-    for parts in raw:
-        member = _normalize(parts)
-        if member is None:
-            continue
-        if expand_d:
-            members.update(_expand_d_substitution(member))
-        else:
-            members.add(member)
-    ordered = tuple(sorted(members, key=_member_key))
-    return EquivClass(FamilySpec("P", (n_vertices,)), ordered)
+            raw.append([spec("Y", 4, 2, 2), spec("C", 3), spec("C", 4), spec("C", 6)] + cycles(3, t))
+            raw.append([spec("Y", 4, 2, 2), spec("C", 3), spec("P", 6), spec("K4e")] + cycles(3, t))
+    return _equiv_class(spec("P", n_vertices), raw, expand_d)
 
 
 def cycle_class(n: int) -> EquivClass:
@@ -328,21 +314,4 @@ def cycle_class(n: int) -> EquivClass:
             EvenCycleClassNote,
             stacklevel=2,
         )
-    if n == 3:
-        raw: list[list[tuple[str, tuple[int, ...]]]] = [[("C", (3,))]]
-    elif n == 6:
-        raw = [[("C", (6,))], [("D", (6,))], [("K4e", ()), ("P", (2,))]]
-    elif n == 9:
-        raw = [[("C", (9,))], [("D", (9,))]]
-        for extra in (("B", (0, 1, 1)), ("E", (2, 1)), ("E", (1, 2)), ("A", (2, 1))):
-            raw.append([("C", (3,)), extra])
-    elif n == 15:
-        raw = [[("C", (15,))], [("D", (15,))]]
-        for ring in (("C", (5,)), ("D", (5,))):
-            for extra in (("E", (3, 1)), ("E", (1, 3)), ("A", (3, 1))):
-                raw.append([("C", (3,)), ring, extra])
-    else:
-        raw = [[("C", (n,))], [("D", (n,))]]
-    normalized = {_normalize(parts) for parts in raw}
-    members = tuple(sorted((mem for mem in normalized if mem is not None), key=_member_key))
-    return EquivClass(FamilySpec("C", (n,)), members)
+    return _equiv_class(spec("C", n), [[spec("C", n)]])

@@ -182,9 +182,9 @@ def real_cyclotomic(n: int) -> IntPoly:
 
 @dataclass(frozen=True, order=True)
 class BasisFactor:
-    """One irreducible basis polynomial: kind 'f' or 'ftilde' plus its index."""
+    """One irreducible basis polynomial: kind 'f' or 'ftilde' plus its index,
+    ordered by (kind, index), so every f_n precedes every f~_n."""
 
-    sort_index: tuple[int, int] = field(repr=False)
     kind: str
     index: int
     poly: IntPoly = field(compare=False)
@@ -200,11 +200,6 @@ class BasisFactor:
     def to_json(self) -> dict:
         return {"kind": self.kind, "index": self.index,
                 "coefficients": self.poly.to_decimal_strings()}
-
-
-def _make_factor(kind: str, index: int, poly: IntPoly) -> BasisFactor:
-    rank = 0 if kind == "f" else 1
-    return BasisFactor((rank, index), kind, index, poly)
 
 
 def _factor_poly(n: int) -> IntPoly:
@@ -240,8 +235,8 @@ def basis_f(n: int) -> BasisFactor:
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
     if n == 1:
-        return _make_factor("f", 1, IntPoly.one())
-    return _make_factor("f", n, _factor_poly(2 * n))
+        return BasisFactor("f", 1, IntPoly.one())
+    return BasisFactor("f", n, _factor_poly(2 * n))
 
 
 @lru_cache(maxsize=None)
@@ -252,8 +247,8 @@ def basis_ftilde(n: int) -> BasisFactor:
     if n % 2 == 0:
         raise ValueError(f"ftilde index must be odd, got {n}")
     if n == 1:
-        return _make_factor("ftilde", 1, IntPoly.one())
-    return _make_factor("ftilde", n, _factor_poly(n))
+        return BasisFactor("ftilde", 1, IntPoly.one())
+    return BasisFactor("ftilde", n, _factor_poly(n))
 
 
 FactorMultiset = tuple[BasisFactor, ...]

@@ -63,6 +63,8 @@ class EnumFilter:
     def __post_init__(self):
         if self.vertex_count < 0:
             raise ValueError("vertex count must be non-negative")
+        if self.max_degree is not None and self.max_degree < 0:
+            raise ValueError(f"max degree must be non-negative, got {self.max_degree}")
         cap = comb(self.vertex_count, 2)
         if self.edge_count is not None and not (0 <= self.edge_count <= cap):
             raise ValueError(
@@ -205,14 +207,6 @@ def _levels(n: int, top: int, max_degree: Optional[int],
             pool.shutdown()
 
 
-def _matches(filt: EnumFilter, g: Graph) -> bool:
-    if filt.connected_only and not g.is_connected():
-        return False
-    if filt.max_degree is not None and any(d > filt.max_degree for d in g.degrees()):
-        return False
-    return True
-
-
 def enumerate_graphs(filt: EnumFilter) -> Iterator[Graph]:
     """One representative per isomorphism class matching the filter.
 
@@ -228,7 +222,7 @@ def enumerate_graphs(filt: EnumFilter) -> Iterator[Graph]:
                 # yield the canonical representative so the stream does not
                 # depend on which labeled copy each worker found first
                 for key in sorted(level):
-                    if _matches(filt, Graph(n, level[key][0])):
+                    if not filt.connected_only or Graph(n, level[key][0]).is_connected():
                         yield from_canonical_form(key)
 
 

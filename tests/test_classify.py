@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import json
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -212,8 +214,6 @@ def test_cycle_class_examples():
 
 @pytest.mark.parametrize("n", range(3, 31))
 def test_cycle_class_soundness(n):
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EvenCycleClassNote)
         cls = cycle_class(n)
@@ -224,6 +224,23 @@ def test_cycle_class_soundness(n):
         assert independence_polynomial(g) == ref, member
         forms.add(canonical_form(g))
     assert len(forms) == len(cls.members)
+
+
+# sha256 over the JSON of every path class P_2..P_2000 (both expand modes)
+# and every cycle class C_3..C_399, one line each: pins membership and order
+CLASS_DIGEST = "d558160a5d7cb681c430f19b4cf158b451ffdfb8911db831311ee7fc5201efa6"
+
+
+def test_class_lists_match_digest():
+    h = hashlib.sha256()
+    for n in range(2, 2001, 2):
+        for expand in (True, False):
+            h.update(json.dumps(path_class(n, expand_d=expand).to_json()).encode() + b"\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EvenCycleClassNote)
+        for n in range(3, 400):
+            h.update(json.dumps(cycle_class(n).to_json()).encode() + b"\n")
+    assert h.hexdigest() == CLASS_DIGEST
 
 
 def test_equiv_class_json():

@@ -158,6 +158,8 @@ def test_enumerate_command(capsys):
     assert out.strip().splitlines() == ["EBj?"]
     code, _, err = run(capsys, "enumerate", "--vertices", "40")
     assert code == 2 and "capped" in err
+    code, out, err = run(capsys, "enumerate", "--vertices", "3", "--max-degree", "-1")
+    assert (code, out, err) == (2, "", "error: max degree must be non-negative, got -1\n")
 
 
 def test_enumerate_byte_determinism(capsys):

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from indeq.classify import MAX_CLASS_MEMBERS
 from indeq.factorbasis import basis_ftilde, real_cyclotomic
 from indeq.graphcore import MAX_BUILD_VERTICES, FamilySpec, build
 from indeq.indpoly import path_polynomial
@@ -104,6 +105,22 @@ def test_index_only_queries_build_nothing():
     done = _cli_under_limit("class", "path", "1000000")
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[0] == "P:1000000"
+
+
+@pytest.mark.parametrize("n,bound", [(262142, 131071), (1099511627774, 549755813887)])
+def test_class_above_the_member_cap_is_refused(n, bound):
+    # n + 2 = 2^t: the D twins double the members with each cycle
+    done = _under_limit(CHILD, "class", "path", str(n), timeout=20)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == (
+        f"error: the class of P:{n} has up to {bound} members, above the cap of {MAX_CLASS_MEMBERS}\n")
+
+
+def test_class_without_d_twins_stays_under_the_cap():
+    done = _cli_under_limit("class", "path", "1099511627774", "--no-expand-d")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 39 and lines[0] == "P:1099511627774"
 
 
 def test_class_search_above_its_cap_is_refused():
