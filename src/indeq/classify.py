@@ -235,8 +235,8 @@ _SPORADIC_CYCLE_MEMBERS: dict[int, tuple[Member, ...]] = {
     15: tuple((spec("C", 3), spec("C", 5), c) for c in _F15_CARRIERS),
 }
 
-#: The most members a class may have before it is listed.
-MAX_CLASS_MEMBERS = 1 << 16
+#: The most components, summed over its members, a class may list.
+MAX_CLASS_COMPONENTS = 1 << 20
 
 
 def _variants(s: FamilySpec, expand_d: bool) -> list[Member]:
@@ -257,12 +257,16 @@ def _variants(s: FamilySpec, expand_d: bool) -> list[Member]:
 def _equiv_class(reference: FamilySpec, raw: Sequence[Sequence[FamilySpec]],
                  expand_d: bool = True) -> EquivClass:
     """The class of reference from raw members, each cycle in them expanded
-    by _variants; a ValueError refuses more than MAX_CLASS_MEMBERS members."""
-    options = [[_variants(s, expand_d) for s in parts] for parts in raw]
-    bound = sum(math.prod(map(len, opts)) for opts in options)
-    if bound > MAX_CLASS_MEMBERS:
-        raise ValueError(
-            f"the class of {reference} has up to {bound} members, above the cap of {MAX_CLASS_MEMBERS}")
+    by _variants; a ValueError refuses more than MAX_CLASS_COMPONENTS
+    components, counted row by row, and rows past the cap are not kept."""
+    options, bound = [], 0
+    for opts in ([_variants(s, expand_d) for s in parts] for parts in raw):
+        bound += math.prod(map(len, opts)) * sum(max(map(len, v)) for v in opts)
+        if bound <= MAX_CLASS_COMPONENTS:
+            options.append(opts)
+    if bound > MAX_CLASS_COMPONENTS:
+        raise ValueError(f"the class of {reference} has up to {bound} components, "
+                         f"above the cap of {MAX_CLASS_COMPONENTS}")
     members = {tuple(sorted(itertools.chain(*combo), key=lambda s: s.sort_key))
                for opts in options for combo in itertools.product(*opts)}
     return EquivClass(reference, tuple(sorted(members, key=_member_key)))
@@ -285,8 +289,10 @@ def path_class(n_vertices: int, expand_d: bool = True) -> EquivClass:
         raise ValueError(f"need at least 2 vertices, got {n_vertices}")
     t, m = two_adic_split(n_vertices + 2)
 
+    specs = {j: spec("C", m * 2**j) for j in range(t) if m * 2**j >= 3}  # built once for all rows
+
     def cycles(lo: int, hi: int) -> list[FamilySpec]:
-        return [spec("C", m * 2**j) for j in range(lo, hi)]
+        return [specs[j] for j in range(lo, hi)]
 
     # a split point whose first cycle would be shorter than 3 has no member
     raw = [[spec("P", n_vertices)]] + [

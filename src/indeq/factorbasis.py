@@ -19,8 +19,8 @@ multisets.  The factors are pairwise coprime, and:
   I(C_n, x)  =  product of f_{2^t * r} over r | m,        n = 2^t * m, m odd
   I(P_n, x)  =  product over the divisor pattern of n+2 (factor_path)
 
-Construction is exact.  Cyclotomic polynomials come from the Moebius
-product of x^d - 1 binomials.  The 2*cos minimal polynomial psi_n
+Construction is exact.  Phi_n is the Moebius product of 1 - x^d binomials
+as a power series cut at degree phi(n).  The 2*cos minimal polynomial psi_n
 (real_cyclotomic) solves Phi_n(x) = x^d * psi_n(x + 1/x), d = phi(n)/2,
 by a triangular solve; the basis does not use it.  A basis factor
 g = reverse_negate(psi_N(x - 2)), N = 2n for f_n and N = n for f~_n,
@@ -42,7 +42,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
+from itertools import chain, combinations
+from math import comb, prod
 
 from .polyalg import IntPoly
 
@@ -82,15 +83,6 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def moebius(n: int) -> int:
-    mu = 1
-    for _, e in factorize(n):
-        if e > 1:
-            return 0
-        mu = -mu
-    return mu
-
-
 def divisors(n: int) -> list[int]:
     divs = [1]
     for p, e in factorize(n):
@@ -109,39 +101,27 @@ def two_adic_split(n: int) -> tuple[int, int]:
 
 # -- cyclotomic and 2cos minimal polynomials -----------------------------------
 
-def _mul_xd_minus_1(coeffs: list[int], d: int) -> list[int]:
-    out = [0] * (len(coeffs) + d)
-    for i, c in enumerate(coeffs):
-        out[i + d] += c
-        out[i] -= c
-    return out
-
-
-def _div_xd_minus_1(coeffs: list[int], d: int) -> list[int]:
-    # p[j] = q[j-d] - q[j]; solve descending for q of degree deg(p) - d
-    dq = len(coeffs) - 1 - d
-    q = [0] * (dq + 1)
-    for j in range(len(coeffs) - 1, d - 1, -1):
-        q[j - d] = coeffs[j] + (q[j] if j <= dq else 0)
-    for j in range(d):
-        if coeffs[j] != -(q[j] if j <= dq else 0):
-            raise ArithmeticError("division by x^d - 1 left a remainder")
-    return q
-
-
-@lru_cache(maxsize=None)
 def cyclotomic(n: int) -> IntPoly:
-    """The n-th cyclotomic polynomial, by the Moebius product over divisors."""
+    """The n-th cyclotomic polynomial.  For n > 1 it is the product of
+    (1 - x^d)^mu(n/d) over d | n, read as a power series cut at degree
+    phi(n) (Arnold and Monagan, Math. Comp. 80, 2011)."""
     if n < 1:
         raise ValueError(f"cyclotomic index must be >= 1, got {n}")
-    coeffs = [1]
-    for d in divisors(n):
-        if moebius(n // d) == 1:
-            coeffs = _mul_xd_minus_1(coeffs, d)
-    for d in divisors(n):
-        if moebius(n // d) == -1:
-            coeffs = _div_xd_minus_1(coeffs, d)
-    return IntPoly(coeffs)
+    if n == 1:
+        return IntPoly((-1, 1))
+    top = euler_phi(n)
+    c = [1] + [0] * top
+    primes = [p for p, _ in factorize(n)]
+    # mu(n/d) is nonzero exactly when n/d is a product e of distinct primes
+    for e in chain.from_iterable(combinations(primes, k) for k in range(len(primes) + 1)):
+        d = n // prod(e)
+        if len(e) % 2 == 0:  # mu(n/d) = 1: times 1 - x^d
+            for i in range(top, d - 1, -1):
+                c[i] -= c[i - d]
+        else:  # mu(n/d) = -1: times 1 / (1 - x^d) = 1 + x^d + x^2d + ...
+            for i in range(d, top + 1):
+                c[i] += c[i - d]
+    return IntPoly(c)
 
 
 @lru_cache(maxsize=None)

@@ -506,7 +506,8 @@ def refine_root(p: IntPoly, lo: Fraction, hi: Fraction, width: Fraction) -> tupl
     level that holds the root, or (x, x) when the root is a point x of
     that level's grid.  It is found by grid-aligned quadratic interval
     refinement (J. Abbott, ACM Commun. Comput. Algebra 48, 2014), which
-    evaluates far fewer points than bisection.
+    evaluates far fewer points than bisection.  Raises ValueError when p
+    has the same sign just right of lo as at hi: (lo, hi] isolates no root.
     """
     if width <= 0:
         raise ValueError(f"refinement width must be positive, not {width}")
@@ -526,15 +527,19 @@ def refine_root(p: IntPoly, lo: Fraction, hi: Fraction, width: Fraction) -> tupl
     if fb == 0:
         return hi, hi
     if fa == 0:
-        # lo is a different root (excluded by the half-open convention):
-        # step inward until the sign shows up, then refine from there
-        s_hi = (fb > 0) - (fb < 0)
-        while True:
+        # lo is a different root (excluded by the half-open convention); just
+        # right of it p has the sign of its first derivative nonzero at lo
+        q = p.derivative()
+        while not (s_lo := q.sign_at(lo)):
+            q = q.derivative()
+        if (s_lo > 0) == (fb > 0):
+            raise ValueError(f"({lo}, {hi}] is not an isolating interval")
+        while True:  # step inward until that sign shows up, then refine
             mid = (lo + hi) / 2
             s_mid = p.sign_at(mid)
             if s_mid == 0:
                 return mid, mid
-            if s_mid != s_hi:
+            if s_mid == s_lo:
                 return refine_root(p, mid, hi, width)
             hi = mid
     if (fa > 0) == (fb > 0):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -41,6 +42,18 @@ def test_cyclotomic_product_identity(n):
     for d in divisors(n):
         prod = prod * cyclotomic(d)
     assert prod == IntPoly((-1,) + (0,) * (n - 1) + (1,))
+
+
+# sha256 of one line of comma-separated coefficients per Phi_n, 1 <= n < 3000,
+# recorded from the Moebius product of x^d - 1 binomials with exact division
+PHI_DIGEST = "bd6eb35f5d91ec64f28419436b73103481eeb9b18c4c07dd4a9a6d12c5957b32"
+
+
+def test_cyclotomic_matches_digest():
+    h = hashlib.sha256()
+    for n in range(1, 3000):
+        h.update((",".join(map(str, cyclotomic(n).coeffs)) + "\n").encode("ascii"))
+    assert h.hexdigest() == PHI_DIGEST
 
 
 def test_real_cyclotomic_examples():

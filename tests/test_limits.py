@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from indeq.classify import MAX_CLASS_MEMBERS
+from indeq.classify import MAX_CLASS_COMPONENTS
 from indeq.factorbasis import basis_ftilde, real_cyclotomic
 from indeq.graphcore import MAX_BUILD_VERTICES, FamilySpec, build
 from indeq.indpoly import path_polynomial
@@ -107,13 +107,23 @@ def test_index_only_queries_build_nothing():
     assert done.stdout.splitlines()[0] == "P:1000000"
 
 
-@pytest.mark.parametrize("n,bound", [(262142, 131071), (1099511627774, 549755813887)])
-def test_class_above_the_member_cap_is_refused(n, bound):
+@pytest.mark.parametrize("n,bound", [(262142, 2097153), (1099511627774, 20890720927745)])
+def test_class_above_the_component_cap_is_refused(n, bound):
     # n + 2 = 2^t: the D twins double the members with each cycle
     done = _under_limit(CHILD, "class", "path", str(n), timeout=20)
     assert done.returncode == 2 and done.stdout == ""
-    assert done.stderr == (
-        f"error: the class of P:{n} has up to {bound} members, above the cap of {MAX_CLASS_MEMBERS}\n")
+    assert done.stderr == (f"error: the class of P:{n} has up to {bound} components, "
+                           f"above the cap of {MAX_CLASS_COMPONENTS}\n")
+
+
+@pytest.mark.parametrize("t,bound", [(1449, 1049076), (1600, 1279200)])
+def test_class_without_d_twins_above_the_component_cap_is_refused(t, bound):
+    # n + 2 = 2^t: rows of up to t - 2 cycles, about t^2/2 components
+    n = 2**t - 2
+    done = _cli_under_limit("class", "path", str(n), "--no-expand-d")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == (f"error: the class of P:{n} has up to {bound} components, "
+                           f"above the cap of {MAX_CLASS_COMPONENTS}\n")
 
 
 def test_class_without_d_twins_stays_under_the_cap():
@@ -127,3 +137,20 @@ def test_class_search_above_its_cap_is_refused():
     done = _under_limit(CLASS_CHILD, "P:15")
     assert done.returncode == 1, done.stderr
     assert done.stderr == "error: the brute-force class search is capped at 14 vertices, got 15\n"
+
+
+REFINE_CHILD = LIMIT + """
+from fractions import Fraction
+from indeq.polyalg import IntPoly, refine_root
+try:
+    refine_root(IntPoly((0, 1)), Fraction(0), Fraction(1), Fraction(1, 100))
+except ValueError as exc:
+    sys.exit(f"error: {exc}")
+"""
+
+
+def test_refining_from_a_root_at_lo_without_a_root_in_the_interval_is_refused():
+    # x has its only root at lo = 0, so (0, 1] isolates nothing
+    done = _under_limit(REFINE_CHILD, timeout=20)
+    assert done.returncode == 1
+    assert done.stderr == "error: (0, 1] is not an isolating interval\n"
