@@ -147,7 +147,7 @@ def test_screen_command(capsys):
     admissible = {row["spec"] for row in payload if row["admissible"]}
     assert admissible == {"B:0,1,1", "B:5,1,1"}
     code, _, err = run(capsys, "screen", "Zf", "--max", "3")
-    assert code == 2
+    assert (code, err) == (2, "error: unknown family 'Zf'\n")
 
 
 def test_enumerate_command(capsys):

@@ -229,6 +229,20 @@ def test_chain_squarefree_answer_equals_the_gcd_route(a, b):
             assert SturmChain.of(p).squarefree == is_squarefree(p)
 
 
+small_polys = st.builds(IntPoly, st.lists(st.integers(min_value=-5, max_value=5), max_size=4))
+signs = st.sampled_from((1, -1))
+
+
+@given(small_polys, small_polys, small_polys, signs)
+@settings(max_examples=150, deadline=None)
+def test_squarefree_part_equals_the_gcd_route(a, b, c, sign):
+    # a b^2 c^3 of either sign: repeated roots, and chains whose last
+    # member has a negative leading coefficient
+    p = sign * a * b**2 * c**3
+    if p:
+        assert squarefree_part(p) == p.primitive_part().try_divide(poly_gcd(p, p.derivative()))
+
+
 @pytest.mark.parametrize("n", range(1, 61))
 def test_path_cycle_roots_battery(n):
     assert all_roots_real_below(path_polynomial(n), QUARTER)
