@@ -19,7 +19,6 @@ from .graphcore import (
 )
 from .polyalg import (
     IntPoly,
-    NotDivisibleError,
     SturmChain,
     all_roots_real_below,
     count_real_roots,

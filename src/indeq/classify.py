@@ -110,6 +110,8 @@ def screen_family(spec: FamilySpec) -> Verdict:
 
 def sweep_family(family: str, max_param: int) -> list[tuple[FamilySpec, Verdict]]:
     """Screen every parameter tuple of a family with all parameters <= max_param."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
     ranges = [range(f, max_param + 1) for f in FAMILIES[family].floors]
     specs = [FamilySpec(family, params) for params in itertools.product(*ranges)]
     return [(spec, screen_family(spec)) for spec in specs]

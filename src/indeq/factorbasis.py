@@ -233,6 +233,12 @@ def basis_ftilde(n: int) -> BasisFactor:
 
 FactorMultiset = tuple[BasisFactor, ...]
 
+#: The largest n factor_path and factor_cycle accept.  Basis factors have
+#: positive coefficients and multiply to I(P_n) or I(C_n), so each
+#: coefficient is at most F(n + 3) or L(n): about 4,180 digits here, within
+#: what Python converts to a decimal string.
+MAX_FACTOR_INDEX = 20_000
+
 
 def product_of(factors: FactorMultiset) -> IntPoly:
     out = IntPoly.one()
@@ -245,6 +251,8 @@ def factor_cycle(n: int) -> FactorMultiset:
     """Factor multiset of I(C_n, x): f_{2^t r} for r | m, where n = 2^t m."""
     if n < 3:
         raise ValueError(f"cycle length must be >= 3, got {n}")
+    if n > MAX_FACTOR_INDEX:
+        raise ValueError(f"cycle length {n} is above the cap of {MAX_FACTOR_INDEX}")
     t, m = two_adic_split(n)
     factors = [basis_f(2**t * r) for r in divisors(m)]
     return tuple(sorted(f for f in factors if not f.is_unit))
@@ -254,6 +262,8 @@ def factor_path(n_vertices: int) -> FactorMultiset:
     """Factor multiset of I(P_n, x), driven by the divisors of n + 2."""
     if n_vertices < 0:
         raise ValueError(f"path length must be >= 0, got {n_vertices}")
+    if n_vertices > MAX_FACTOR_INDEX:
+        raise ValueError(f"path length {n_vertices} is above the cap of {MAX_FACTOR_INDEX}")
     n = n_vertices + 2
     if n % 2 == 1:
         factors = [basis_ftilde(r) for r in divisors(n)]
@@ -290,7 +300,7 @@ def factor_into_basis(p: IntPoly, candidates: FactorMultiset | None = None) -> F
     are coprime.  Raises FactorizationError carrying the remainder when
     the leftover cofactor is not the constant 1.
     """
-    if p.is_zero():
+    if not p:
         raise ValueError("cannot factor the zero polynomial")
     if candidates is None:
         candidates = default_candidates(p)
@@ -307,7 +317,7 @@ def factor_into_basis(p: IntPoly, candidates: FactorMultiset | None = None) -> F
                 break
             found.append(cand)
             remainder = quotient
-    if not remainder.is_one():
+    if remainder != 1:
         raise FactorizationError(
             f"polynomial is not a product of the candidate basis factors; "
             f"remainder ({remainder})",

@@ -7,11 +7,12 @@ operations the module provides Sturm chains and exact real-root
 counting over half-open intervals ``(lo, hi]`` with rational or
 infinite endpoints.  A chain also tells whether its polynomial is
 squarefree, from its last member, which is gcd(p, p') up to a scalar,
-and so whether every root is real and below a bound.  Root isolation
-and refinement, used for diagnostics, return the intervals plain
-bisection returns: the isolation skips chain evaluations whose counts a
-root bound already fixes, and the refinement finds bisection's final
-grid cell by quadratic interval refinement on integer grid indices.
+and so whether every root is real and below a bound; dividing p by that
+member gives p's squarefree part.  Root isolation and refinement, used
+for diagnostics, return the intervals plain bisection returns: the
+isolation skips chain evaluations whose counts a root bound already
+fixes, and the refinement finds bisection's final grid cell by
+quadratic interval refinement on integer grid indices.
 
 Everything here is pure value semantics: polynomials and chains are
 immutable and safe to share between threads.
@@ -27,14 +28,6 @@ from typing import Iterable, Optional, Union
 
 #: Accepted exact scalar types for evaluation points.
 RationalLike = Union[int, Fraction]
-
-
-class NotDivisibleError(ArithmeticError):
-    """Raised by exact division when the divisor does not divide the dividend."""
-
-    def __init__(self, message: str, remainder: "IntPoly | None" = None):
-        super().__init__(message)
-        self.remainder = remainder
 
 
 class IntPoly:
@@ -68,23 +61,11 @@ class IntPoly:
         """Degree; the zero polynomial has degree -1."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_one(self) -> bool:
-        return self.coeffs == (1,)
-
     @property
     def lead(self) -> int:
         if not self.coeffs:
             return 0
         return self.coeffs[-1]
-
-    @property
-    def constant(self) -> int:
-        if not self.coeffs:
-            return 0
-        return self.coeffs[0]
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -156,21 +137,11 @@ class IntPoly:
             return self if self.coeffs else IntPoly.zero()
         return IntPoly((0,) * k + self.coeffs)
 
-    def divide_exact(self, divisor: "IntPoly") -> "IntPoly":
-        """Exact quotient in Z[x]; raises NotDivisibleError otherwise."""
-        q = self.try_divide(divisor)
-        if q is None:
-            raise NotDivisibleError(
-                f"({self}) is not divisible by ({divisor})",
-                remainder=_rem_positive_multiple(self, divisor),
-            )
-        return q
-
     def try_divide(self, divisor: "IntPoly") -> "IntPoly | None":
         """Exact quotient in Z[x], or None when the division does not come out."""
-        if divisor.is_zero():
+        if not divisor:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero():
+        if not self:
             return IntPoly.zero()
         if divisor.degree > self.degree:
             return None
@@ -227,7 +198,7 @@ class IntPoly:
         transform twice multiplies by (-1)^d, so it is an involution
         exactly on even-degree polynomials.
         """
-        if self.is_zero():
+        if not self:
             raise ValueError("reverse_negate is undefined for the zero polynomial")
         d = self.degree
         return IntPoly((-1) ** j * self.coeffs[d - j] for j in range(d + 1))
@@ -235,20 +206,10 @@ class IntPoly:
     def derivative(self) -> "IntPoly":
         return IntPoly(k * c for k, c in enumerate(self.coeffs) if k > 0)
 
-    # -- content, gcd, squarefree --------------------------------------
-
-    def content(self) -> int:
-        """Positive gcd of the coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self.coeffs:
-            g = int_gcd(g, c)
-            if g == 1:
-                break
-        return g
-
     def primitive_part(self) -> "IntPoly":
-        """Divide out the content; keeps the sign of the leading coefficient."""
-        g = self.content()
+        """Divide out the content, the positive gcd of the coefficients;
+        keeps the sign of the leading coefficient."""
+        g = int_gcd(*self.coeffs)
         if g in (0, 1):
             return self
         return IntPoly(c // g for c in self.coeffs)
@@ -288,7 +249,7 @@ class IntPoly:
         return (v > 0) - (v < 0)
 
     def sign_at_infinity(self, positive: bool) -> int:
-        if self.is_zero():
+        if not self:
             return 0
         s = (self.lead > 0) - (self.lead < 0)
         if positive or self.degree % 2 == 0:
@@ -343,26 +304,13 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     """Primitive gcd in Z[x] with positive leading coefficient."""
     a = a.primitive_part()
     b = b.primitive_part()
-    while not b.is_zero():
+    while b:
         a, b = b, _rem_positive_multiple(a, b)
-    if a.is_zero():
-        return a
-    if a.lead < 0:
-        a = -a
-    return a
-
-
-def squarefree_part(p: IntPoly) -> IntPoly:
-    if p.is_zero():
-        raise ValueError("squarefree part of the zero polynomial")
-    g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p.primitive_part()
-    return p.primitive_part().divide_exact(g)
+    return -a if a.lead < 0 else a
 
 
 def is_squarefree(p: IntPoly) -> bool:
-    if p.is_zero():
+    if not p:
         return False
     if p.degree <= 0:
         return True
@@ -383,15 +331,15 @@ class SturmChain:
 
     @classmethod
     def of(cls, p: IntPoly) -> "SturmChain":
-        if p.is_zero():
+        if not p:
             raise ValueError("Sturm chain of the zero polynomial")
         seq = [p.primitive_part()]
         dp = p.derivative()
-        if not dp.is_zero():
+        if dp:
             seq.append(dp.primitive_part())
             while seq[-1].degree > 0:
                 r = _rem_positive_multiple(seq[-2], seq[-1])
-                if r.is_zero():
+                if not r:
                     break
                 seq.append(-r)
         return cls(tuple(seq))
@@ -422,6 +370,16 @@ class SturmChain:
             if s != 0:
                 signs.append(s)
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def squarefree_part(chain: SturmChain) -> IntPoly:
+    """p / gcd(p, p'), primitive with p's leading sign, p the chain's polynomial.
+
+    The chain's last member is gcd(p, p') up to sign; it and p are
+    primitive, so by Gauss's lemma the division is exact.
+    """
+    g = chain.chain[-1]
+    return chain.poly.try_divide(-g if g.lead < 0 else g)
 
 
 def count_real_roots(chain: SturmChain, lo: Endpoint, hi: Endpoint) -> int:

@@ -1,5 +1,6 @@
-"""Memory and time bounds: closed forms allocate little, huge specs fail
-fast, and a large prime path index factors in well under a minute.
+"""Memory and time bounds: closed forms allocate little, huge specs and
+factor indices fail fast, and a large prime path index factors in well
+under a minute.
 
 The size-guard cases run in a child process under an address-space
 limit, so a missing guard fails the test instead of exhausting memory.
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from indeq.classify import MAX_CLASS_COMPONENTS
-from indeq.factorbasis import basis_ftilde, real_cyclotomic
+from indeq.factorbasis import MAX_FACTOR_INDEX, basis_ftilde, real_cyclotomic
 from indeq.graphcore import MAX_BUILD_VERTICES, FamilySpec, build
 from indeq.indpoly import path_polynomial
 
@@ -131,6 +132,17 @@ def test_class_without_d_twins_stays_under_the_cap():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert len(lines) == 39 and lines[0] == "P:1099511627774"
+
+
+@pytest.mark.parametrize("argv,kind,n", [
+    (["factor", "path", str(10**30)], "path", 10**30),
+    (["factor", "path", str(MAX_FACTOR_INDEX + 1)], "path", MAX_FACTOR_INDEX + 1),
+    (["factor", "cycle", "100003", "--json"], "cycle", 100003),
+], ids=["path-10^30", "path-cap+1", "cycle-100003-json"])
+def test_factor_index_above_the_cap_is_refused(argv, kind, n):
+    done = _under_limit(CHILD, *argv, timeout=20)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == f"error: {kind} length {n} is above the cap of {MAX_FACTOR_INDEX}\n"
 
 
 def test_class_search_above_its_cap_is_refused():

@@ -16,7 +16,6 @@ from indeq.indpoly import (
 )
 from indeq.polyalg import (
     IntPoly,
-    NotDivisibleError,
     SturmChain,
     all_roots_real_below,
     count_real_roots,
@@ -39,14 +38,14 @@ def test_multiplication_example():
     assert p * IntPoly.one() == p
 
 
-def test_divide_exact():
+def test_try_divide():
     # dividend is the brute-force independence polynomial of the 9-cycle
     dividend = IntPoly(bruteforce_counts(build(fs("C", 9))))
     assert dividend == IntPoly((1, 9, 27, 30, 9))
-    assert dividend.divide_exact(IntPoly((1, 3))) == IntPoly((1, 6, 9, 3))
-    with pytest.raises(NotDivisibleError) as info:
-        IntPoly((1, 1, 1)).divide_exact(IntPoly((1, 1)))
-    assert info.value.remainder == IntPoly((1,))
+    assert dividend.try_divide(IntPoly((1, 3))) == IntPoly((1, 6, 9, 3))
+    assert IntPoly((1, 1, 1)).try_divide(IntPoly((1, 1))) is None
+    with pytest.raises(ZeroDivisionError):
+        dividend.try_divide(IntPoly.zero())
 
 
 @given(polys, polys, polys)
@@ -61,8 +60,8 @@ def test_ring_laws(a, b, c):
 @given(polys, polys)
 @settings(max_examples=80, deadline=None)
 def test_divide_undoes_multiply(a, b):
-    if not b.is_zero():
-        assert (a * b).divide_exact(b) == a
+    if b:
+        assert (a * b).try_divide(b) == a
 
 
 def test_shift_examples():
@@ -91,7 +90,7 @@ def test_reverse_negate_examples():
 def test_reverse_negate_double_application(p):
     # twice is the identity on even degree and negation on odd degree,
     # provided no degree is lost (nonzero constant term)
-    if p.is_zero() or p.constant == 0:
+    if not p or p.coeffs[0] == 0:
         return
     twice = p.reverse_negate().reverse_negate()
     assert twice == (p if p.degree % 2 == 0 else -p)
@@ -172,7 +171,7 @@ def _descartes_root_count(p):
     bound = 1
     while p.cauchy_bound() > bound:
         bound *= 2
-    at_zero = 1 if p.constant == 0 else 0
+    at_zero = 1 if p.coeffs[0] == 0 else 0
     pos = IntPoly(c * bound**k for k, c in enumerate(p.coeffs))  # p(bound * x)
     neg = IntPoly(c * (-bound) ** k for k, c in enumerate(p.coeffs))
     return at_zero + _count_unit_interval(pos) + _count_unit_interval(neg)
@@ -184,7 +183,7 @@ def _descartes_root_count(p):
     fs("B", 1, 1, 1), fs("K4e"), fs("F3", 2), fs("F9", 0, 0, 0),
 ])
 def test_sturm_agrees_with_descartes_bisection(spec):
-    p = squarefree_part(independence_polynomial(build(spec)))
+    p = squarefree_part(SturmChain.of(independence_polynomial(build(spec))))
     assert p.degree <= 12
     chain = SturmChain.of(p)
     assert count_real_roots(chain, None, None) == _descartes_root_count(p)
@@ -200,13 +199,14 @@ def test_all_roots_real_below_examples():
 
 
 # (question, Sturm chains built, gcd(p, p') computations); every input but
-# C:4+C:4 is squarefree, and E:2,2 has a root at -1/4
+# C:4+C:4 is squarefree (its squarefree part comes off its first chain),
+# and E:2,2 has a root at -1/4
 ROOT_QUESTIONS = {
     "screen-admissible": (lambda: screen_family(fs("Y", 2, 1, 1)), 1, 0),
     "screen-eliminated": (lambda: screen_family(fs("E", 2, 2)), 1, 0),
     "all-roots-real-below": (lambda: all_roots_real_below(path_polynomial(12), QUARTER), 1, 0),
     "indeq-roots": (lambda: main(["roots", "Y:2,1,1"]), 1, 0),
-    "indeq-roots-repeated": (lambda: main(["roots", "C:4+C:4"]), 2, 1),
+    "indeq-roots-repeated": (lambda: main(["roots", "C:4+C:4"]), 2, 0),
 }
 
 
@@ -225,7 +225,7 @@ def test_one_sturm_chain_per_root_question(monkeypatch, capsys, name):
 @settings(max_examples=150, deadline=None)
 def test_chain_squarefree_answer_equals_the_gcd_route(a, b):
     for p in (a, a * a * b):
-        if not p.is_zero():
+        if p:
             assert SturmChain.of(p).squarefree == is_squarefree(p)
 
 
@@ -240,7 +240,7 @@ def test_squarefree_part_equals_the_gcd_route(a, b, c, sign):
     # member has a negative leading coefficient
     p = sign * a * b**2 * c**3
     if p:
-        assert squarefree_part(p) == p.primitive_part().try_divide(poly_gcd(p, p.derivative()))
+        assert squarefree_part(SturmChain.of(p)) == p.primitive_part().try_divide(poly_gcd(p, p.derivative()))
 
 
 @pytest.mark.parametrize("n", range(1, 61))
@@ -392,7 +392,7 @@ def test_gcd_and_squarefree():
     assert poly_gcd(a, b) == IntPoly((1, 3))
     sq = IntPoly((1, 3)) ** 2 * IntPoly((1, 2))
     assert not is_squarefree(sq)
-    assert squarefree_part(sq) == IntPoly((1, 3)) * IntPoly((1, 2))
+    assert squarefree_part(SturmChain.of(sq)) == IntPoly((1, 3)) * IntPoly((1, 2))
 
 
 def test_json_serialization_round_trip():
