@@ -118,6 +118,9 @@ def _cmd_factor(args) -> int:
     elif args.kind == "cycle":
         factors = factorbasis.factor_cycle(args.n)
     else:
+        cap = factorbasis.MAX_FACTOR_INDEX
+        if args.max_index > cap:
+            raise ValueError(f"max index {args.max_index} is above the cap of {cap}")
         g, _ = _graph_from_text(args.spec)
         poly = indpoly.independence_polynomial(g)
         candidates = factorbasis.basis_through(args.max_index) if args.max_index else None

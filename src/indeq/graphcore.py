@@ -207,15 +207,6 @@ class Graph:
             total += (self.adj[u] & self.adj[v]).bit_count()
         return total // 3
 
-    def degree_histogram(self) -> tuple[int, ...]:
-        """hist[i] = number of vertices of degree i, up to the max degree."""
-        degs = self.degrees()
-        top = max(degs, default=0)
-        hist = [0] * (top + 1)
-        for d in degs:
-            hist[d] += 1
-        return tuple(hist)
-
 
 def mask_components(adj: Sequence[int], mask: int) -> list[int]:
     """Vertex masks of the connected components of the subgraph that the
@@ -397,15 +388,9 @@ def build(specs: SpecLike) -> Graph:
 # -- path and cycle shapes --------------------------------------------------
 
 def is_path_graph(g: Graph) -> bool:
-    """True for P_n, n >= 1 (assumes nothing; checks connectivity)."""
-    if g.n == 0:
-        return False
-    if g.n == 1:
-        return True
-    hist = g.degree_histogram()
-    if len(hist) > 3 or g.edge_count != g.n - 1:
-        return False
-    return hist[1] == 2 and (len(hist) < 3 or hist[2] == g.n - 2) and g.is_connected()
+    """True for P_n, n >= 1: connected, n - 1 edges, no degree above 2."""
+    return (g.n >= 1 and g.edge_count == g.n - 1
+            and all(m.bit_count() <= 2 for m in g.adj) and g.is_connected())
 
 
 def is_cycle_graph(g: Graph) -> bool:
@@ -464,33 +449,34 @@ def from_canonical_form(key: bytes) -> Graph:
     return g
 
 
-def _refine(adj: Sequence[int], cells: list[list[int]], masks: list[int], fresh: int) -> None:
+def _refine(adj: Sequence[int], cells: list[int], fresh: int) -> None:
     """Equitable refinement of an ordered partition, in place (stable, iso-invariant).
 
-    Until every cell is uniform against every cell, the first cell that
-    is not is split by its vertices' counts into every cell, the parts in
-    order of those count vectors.  ``masks`` holds each cell's vertex
-    mask.  ``fresh`` is a union of whole cells, and a cell uniform against
-    the cells meeting it must be uniform against all: at the root it is
-    every vertex; in a child, which splits v off a cell of an equitable
-    partition, it is ``1 << v``, as counts into the rest of that cell are
-    the old counts less those into v.  A cell is uniform against every
-    cell that existed when it was last tested or split off, so it is
-    counted only against the cells made since.
+    Each cell is a vertex mask.  Until every cell is uniform against every
+    cell, the first cell that is not is split by its vertices' counts into
+    every cell, the parts in order of those count vectors.  ``fresh`` is a
+    union of whole cells, and a cell uniform against the cells meeting it
+    must be uniform against all: at the root it is every vertex; in a
+    child, which splits v off a cell of an equitable partition, it is
+    ``1 << v``, as counts into the rest of that cell are the old counts
+    less those into v.  A cell is uniform against every cell that existed
+    when it was last tested or split off, so it is counted only against
+    the cells made since.
     """
-    born = [1 if m & fresh else 0 for m in masks]
+    born = [1 if c & fresh else 0 for c in cells]
     tested = [0] * len(cells)
     clock = 1
     while True:
         for ci, cell in enumerate(cells):
             since = tested[ci]
-            if since == clock or len(cell) == 1:
+            if since == clock or cell & (cell - 1) == 0:
                 continue
-            against = [m for m, b in zip(masks, born) if b > since]
-            sigs: dict[tuple, list[int]] = {}
-            for v in cell:
+            against = [c for c, b in zip(cells, born) if b > since]
+            sigs: dict[tuple, int] = {}
+            for v in _bits(cell):
                 av = adj[v]
-                sigs.setdefault(tuple([(av & m).bit_count() for m in against]), []).append(v)
+                sig = tuple([(av & c).bit_count() for c in against])
+                sigs[sig] = sigs.get(sig, 0) | 1 << v
             if len(sigs) > 1:
                 break
             tested[ci] = clock
@@ -501,16 +487,8 @@ def _refine(adj: Sequence[int], cells: list[list[int]], masks: list[int], fresh:
         parts = [sigs[k] for k in sorted(sigs)]
         clock += 1
         cells[ci:ci + 1] = parts
-        masks[ci:ci + 1] = [_mask(p) for p in parts]
         born[ci:ci + 1] = [clock] * len(parts)
         tested[ci:ci + 1] = [clock - 1] * len(parts)
-
-
-def _mask(vs: Iterable[int]) -> int:
-    m = 0
-    for v in vs:
-        m |= 1 << v
-    return m
 
 
 def _canonical_order(g: Graph) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
@@ -518,26 +496,27 @@ def _canonical_order(g: Graph) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
 
     Row k (k = 1..n-1) holds the adjacency of the k-th vertex to the
     vertices before it, the first of them in its top bit.  A smaller row
-    list is more canonical.
+    list is more canonical.  The search's ordered partition is a list of
+    cell masks, seeded with the degree classes, highest degree first.
     """
     n, adj = g.n, g.adj
-    by_degree: dict[int, list[int]] = {}
+    by_degree: dict[int, int] = {}
     for v in range(n):
-        by_degree.setdefault(adj[v].bit_count(), []).append(v)
+        d = adj[v].bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
     start = [by_degree[d] for d in sorted(by_degree, reverse=True)]
 
     best_key: list = [None]
     best_order: list = [None]
     autos: list[tuple[int, ...]] = []
 
-    def search(cells: list[list[int]], masks: list[int], fresh: int,
-               prefix: list[int], key: list[int]) -> None:
+    def search(cells: list[int], fresh: int, prefix: list[int], key: list[int]) -> None:
         # prefix: the leading singleton cells, key: their rows; both
         # extend the parent's, since refinement keeps singletons in place
-        _refine(adj, cells, masks, fresh)
+        _refine(adj, cells, fresh)
         ti = len(prefix)
-        while ti < n and len(cells[ti]) == 1:
-            u = cells[ti][0]
+        while ti < n and cells[ti] & (cells[ti] - 1) == 0:
+            u = cells[ti].bit_length() - 1
             if prefix:
                 au, row = adj[u], 0
                 for w in prefix:
@@ -560,12 +539,12 @@ def _canonical_order(g: Graph) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
             return
         # skip v when an automorphism fixing the prefix maps an explored
         # vertex to it: images holds every such image
-        target, mask = cells[ti], masks[ti]
+        target = cells[ti]
         explored: list[int] = []
         fixing: list[tuple[int, ...]] = []
         images: set[int] = set()
         seen = 0
-        for v in target:
+        for v in _bits(target):
             while seen < len(autos):
                 a = autos[seen]
                 seen += 1
@@ -575,13 +554,11 @@ def _canonical_order(g: Graph) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
             if v in images:
                 continue
             bit = 1 << v
-            search(cells[:ti] + [[v], [w for w in target if w != v]] + cells[ti + 1:],
-                   masks[:ti] + [bit, mask ^ bit] + masks[ti + 1:],
-                   bit, prefix[:], key[:])
+            search(cells[:ti] + [bit, target ^ bit] + cells[ti + 1:], bit, prefix[:], key[:])
             explored.append(v)
             images.update(a[v] for a in fixing)
 
-    search(start, [_mask(c) for c in start], (1 << n) - 1, [], [])
+    search(start, (1 << n) - 1, [], [])
     return best_key[0], tuple(autos)
 
 

@@ -164,18 +164,6 @@ class IntPoly:
             return None
         return IntPoly(out)
 
-    def __pow__(self, k: int) -> "IntPoly":
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        result = IntPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     # -- the transforms used to build basis polynomials -----------------
 
     def shift(self, c: int) -> "IntPoly":

@@ -25,11 +25,11 @@ from conftest import QUARTER, fs
 
 def test_degree_stats_examples():
     g = build(fs("P", 10))
-    assert g.degree_histogram() == (0, 2, 8) and g.triangle_count() == 0
+    assert sorted(g.degrees()) == [1] * 2 + [2] * 8 and g.triangle_count() == 0
     g = build(fs("K4e"))
-    assert g.degree_histogram() == (0, 0, 2, 2) and g.triangle_count() == 2
+    assert sorted(g.degrees()) == [2, 2, 3, 3] and g.triangle_count() == 2
     g = build(fs("B", 0, 1, 1))
-    assert (g.degree_histogram(), g.triangle_count()) == ((0, 2, 2, 2), 1)
+    assert (sorted(g.degrees()), g.triangle_count()) == ([1, 1, 2, 2, 3, 3], 1)
 
 
 def test_elimination_value_examples():

@@ -70,10 +70,10 @@ def test_real_cyclotomic_defining_identity(n):
     psi = real_cyclotomic(n)
     d = euler_phi(n) // 2
     assert psi.degree == d and psi.lead == 1
-    acc = IntPoly.zero()
-    x2p1 = IntPoly((1, 0, 1))
+    acc, power = IntPoly.zero(), IntPoly.one()  # power = (x^2 + 1)^j
     for j, c in enumerate(psi.coeffs):
-        acc = acc + (x2p1**j).mul_xpow(d - j) * c
+        acc = acc + power.mul_xpow(d - j) * c
+        power = power * IntPoly((1, 0, 1))
     assert acc == cyclotomic(n)
 
 

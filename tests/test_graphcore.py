@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indeq import graphcore
+from indeq.cli import parse_spec_text
 from indeq.graphcore import (
     FAMILIES,
     FamilySpec,
@@ -21,6 +22,7 @@ from indeq.graphcore import (
     from_canonical_form,
     graph6_read,
     graph6_write,
+    is_path_graph,
 )
 from indeq.oracle import EnumFilter, enumerate_graphs, isomorphic_bruteforce
 
@@ -121,6 +123,17 @@ def test_parameter_range_errors():
 def test_d_aliases_resolve():
     assert build(fs("D", 2)) == build(fs("P", 2))
     assert build(fs("D", 3)) == build(fs("C", 3))
+
+
+def test_is_path_graph():
+    rng = random.Random(5)
+    for n in range(1, 10):
+        order = list(range(n))
+        rng.shuffle(order)
+        assert is_path_graph(build(fs("P", n)).induced(order)), n
+    # n - 1 edges and no degree above 2, but disconnected; or not a tree
+    for text in ("P:0", "C:3+P:1", "C:5+P:2", "P:2+P:2", "Y:1,1,1", "C:6", "K4e"):
+        assert not is_path_graph(build(parse_spec_text(text))), text
 
 
 @pytest.mark.parametrize("n", range(4, 12))
@@ -240,6 +253,35 @@ def test_canonical_forms_and_automorphisms_match_golden():
     assert h.hexdigest() == FORMS_AND_AUTOS_7
 
 
+# sha256 over graphs on up to 13 vertices, recorded before the search's
+# partition became cell masks only: random.Random(13) graphs on 8-13
+# vertices and symmetric shapes, each relabelled by a seeded permutation,
+# then its complement.  FORMS_8_13 covers the canonical bytes alone,
+# FORMS_AND_AUTOS_8_13 adds one repr(automorphisms) per graph.
+FORMS_8_13 = "340b26b9fee9e4f3dc7bb80a16ff3566fb86cbf5f51465ffd29b18b8f2a12c81"
+FORMS_AND_AUTOS_8_13 = "b2e989504856d4984960bf916701fc2bfa361bf07a221af9df588acf183d81ba"
+
+
+def test_canonical_forms_past_7_vertices_match_golden():
+    rng = random.Random(13)
+    pool = [Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+            for n in range(8, 14) for p in (0.15, 0.3, 0.45, 0.6) for _ in range(6)]
+    pool += [Graph.empty(n) for n in range(14)]
+    pool += [build([fs("P", 2)] * k) for k in range(1, 7)]
+    pool += [build(fs("C", n)) for n in range(3, 14)]
+    pool.append(Graph.from_edges(12, [(v, v + 1) for v in range(12) if v % 4 != 3]
+                                 + [(v, v + 4) for v in range(8)]))
+    forms, with_autos = hashlib.sha256(), hashlib.sha256()
+    for g in pool:
+        order = list(range(g.n))
+        rng.shuffle(order)
+        r = g.induced(order)
+        for x in (r, r.complement()):
+            forms.update(canonical_form(x) + b"\n")
+            with_autos.update(canonical_form(x) + b"\t" + repr(automorphisms(x)).encode("ascii") + b"\n")
+    assert (forms.hexdigest(), with_autos.hexdigest()) == (FORMS_8_13, FORMS_AND_AUTOS_8_13)
+
+
 def _refine_reference(adj, cells):
     """The refinement rule written plainly: split the first cell that is not
     uniform against every cell, by its full count vectors, parts sorted."""
@@ -264,11 +306,10 @@ def test_refine_is_the_plain_rule(g, data):
     start = [c for c in ([v for v in range(g.n) if labels[v] == k] for k in range(4)) if c]
 
     def refine(cells, fresh):
-        cells = [list(c) for c in cells]
+        # _refine splits cell masks; read each back as its ascending vertex list
         masks = [sum(1 << v for v in c) for c in cells]
-        graphcore._refine(g.adj, cells, masks, fresh)
-        assert masks == [sum(1 << v for v in c) for c in cells]
-        return cells
+        graphcore._refine(g.adj, masks, fresh)
+        return [[v for v in range(g.n) if m >> v & 1] for m in masks]
 
     out = refine(start, (1 << g.n) - 1)
     assert out == _refine_reference(g.adj, start)

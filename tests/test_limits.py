@@ -166,3 +166,10 @@ def test_refining_from_a_root_at_lo_without_a_root_in_the_interval_is_refused():
     done = _under_limit(REFINE_CHILD, timeout=20)
     assert done.returncode == 1
     assert done.stderr == "error: (0, 1] is not an isolating interval\n"
+
+
+@pytest.mark.parametrize("n", [MAX_FACTOR_INDEX + 1, 30000])
+def test_factor_max_index_above_the_cap_is_refused(n):
+    done = _cli_under_limit("factor", "spec", "P:2", "--max-index", str(n))
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == f"error: max index {n} is above the cap of {MAX_FACTOR_INDEX}\n"
