@@ -20,8 +20,8 @@ Usage: python scripts/exhaustive_crosscheck.py [--max-path 12] [--max-cycle 10]
 
 On a 2-vCPU host the defaults take about 10 s, of which P_11 takes about
 1.5 s, P_12 about 5 s and C_10 about 1.5 s.  The class search is capped at
-14 vertices: ``--max-path 14`` adds P_13 (about 15 s) and P_14 (about
-42 s).  A larger ``--max-path`` or ``--max-cycle`` is refused before any
+14 vertices: ``--max-path 14`` adds P_13 (about 13 s) and P_14 (about
+40 s).  A larger ``--max-path`` or ``--max-cycle`` is refused before any
 check runs.
 """
 

@@ -61,7 +61,6 @@ from .oracle import (
     catalogue_class_search,
     enumerate_graphs,
     equivalence_class_bruteforce,
-    isomorphic_bruteforce,
     naive_bucket_count,
     unlabeled_graph_count,
 )

@@ -261,11 +261,20 @@ def _equiv_class(reference: FamilySpec, raw: Sequence[Sequence[FamilySpec]],
     """The class of reference from raw members, each cycle in them expanded
     by _variants; a ValueError refuses more than MAX_CLASS_COMPONENTS
     components, counted row by row, and rows past the cap are not kept."""
+    # each spec's variants, their count and the longest one's length, keyed
+    # by identity: rows share their cycle specs, whose hash is slow on huge
+    # params, and raw keeps every spec alive
+    memo: dict[int, tuple[list[Member], int, int]] = {}
     options, bound = [], 0
-    for opts in ([_variants(s, expand_d) for s in parts] for parts in raw):
-        bound += math.prod(map(len, opts)) * sum(max(map(len, v)) for v in opts)
+    for parts in raw:
+        for s in parts:
+            if id(s) not in memo:
+                v = _variants(s, expand_d)
+                memo[id(s)] = (v, len(v), max(map(len, v)))
+        rows = [memo[id(s)] for s in parts]
+        bound += math.prod(c for _, c, _ in rows) * sum(w for _, _, w in rows)
         if bound <= MAX_CLASS_COMPONENTS:
-            options.append(opts)
+            options.append([v for v, _, _ in rows])
     if bound > MAX_CLASS_COMPONENTS:
         raise ValueError(f"the class of {reference} has up to {bound} components, "
                          f"above the cap of {MAX_CLASS_COMPONENTS}")

@@ -118,12 +118,14 @@ def _cmd_factor(args) -> int:
     elif args.kind == "cycle":
         factors = factorbasis.factor_cycle(args.n)
     else:
-        cap = factorbasis.MAX_FACTOR_INDEX
-        if args.max_index > cap:
-            raise ValueError(f"max index {args.max_index} is above the cap of {cap}")
+        top, cap = args.max_index, factorbasis.MAX_FACTOR_INDEX
+        if top is not None and top < 2:
+            raise ValueError(f"max index {top} is below 2")
+        if top is not None and top > cap:
+            raise ValueError(f"max index {top} is above the cap of {cap}")
         g, _ = _graph_from_text(args.spec)
         poly = indpoly.independence_polynomial(g)
-        candidates = factorbasis.basis_through(args.max_index) if args.max_index else None
+        candidates = None if top is None else factorbasis.basis_through(top)
         try:
             factors = factorbasis.factor_into_basis(poly, candidates)
         except factorbasis.FactorizationError as exc:
@@ -250,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fc.add_argument("n", type=int)
     fs = fsub.add_parser("spec")
     fs.add_argument("spec")
-    fs.add_argument("--max-index", type=int, default=0,
+    fs.add_argument("--max-index", type=int,
                     help="largest basis index to try (default: heuristic)")
     for q in (fp, fc, fs):
         q.add_argument("--json", action="store_true")

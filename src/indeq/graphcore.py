@@ -413,10 +413,11 @@ def canonical_form(g: Graph) -> bytes:
 
 
 def automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """The automorphisms of g that its canonical search met (at most 64).
+    """The automorphisms of g that its canonical search met.
 
-    Each is a vertex map, perm[v] being the image of v.  They generate a
-    subgroup of the automorphism group, not always all of it.
+    Each is a vertex map, perm[v] being the image of v.  They generate the
+    whole automorphism group: the search prunes a child only by the orbits
+    of automorphisms it has already met.
     """
     if g._autos is None:
         _canonize(g)
@@ -531,32 +532,32 @@ def _canonical_order(g: Graph) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
             if best is None or key < best:
                 best_key[0] = key
                 best_order[0] = prefix
-            elif key == best and len(autos) < 64:
+            elif key == best:
                 perm = [0] * n
                 for u, w in zip(prefix, best_order[0]):
                     perm[u] = w
                 autos.append(tuple(perm))
             return
-        # skip v when an automorphism fixing the prefix maps an explored
-        # vertex to it: images holds every such image
+        # skip v when an earlier vertex of the target cell shares its orbit
+        # under the stored automorphisms that fix the prefix (orb: v's orbit)
         target = cells[ti]
-        explored: list[int] = []
-        fixing: list[tuple[int, ...]] = []
-        images: set[int] = set()
+        members = _bits(target)
+        orb: dict[int, set[int]] = {}
         seen = 0
-        for v in _bits(target):
-            while seen < len(autos):
-                a = autos[seen]
-                seen += 1
+        for v in members:
+            for a in autos[seen:]:
                 if all(a[x] == x for x in prefix):
-                    fixing.append(a)
-                    images.update(a[u] for u in explored)
-            if v in images:
+                    orb = orb or {x: {x} for x in members}
+                    for x in members:
+                        o, p = orb[x], orb[a[x]]
+                        if o is not p:
+                            o |= p
+                            orb.update(dict.fromkeys(p, o))
+            seen = len(autos)
+            if orb and min(orb[v]) < v:
                 continue
             bit = 1 << v
             search(cells[:ti] + [bit, target ^ bit] + cells[ti + 1:], bit, prefix[:], key[:])
-            explored.append(v)
-            images.update(a[v] for a in fixing)
 
     search(start, (1 << n) - 1, [], [])
     return best_key[0], tuple(autos)

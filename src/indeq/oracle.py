@@ -45,7 +45,7 @@ from .indpoly import bruteforce_counts
 
 _UNFILTERED_MAX = 10
 _FILTERED_MAX = 12
-# the class search's own cap: P_13 takes about 15 s and P_14 about 42 s
+# the class search's own cap: P_13 takes about 13 s and P_14 about 40 s
 # on a 2-vCPU host
 _CLASS_MAX = 14
 _WORKERS_ENV = "INDEQ_WORKERS"
@@ -271,44 +271,6 @@ def naive_bucket_count(n: int) -> int:
         edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
         seen.add(canonical_form(Graph.from_edges(n, edges)))
     return len(seen)
-
-
-def isomorphic_bruteforce(g: Graph, h: Graph) -> bool:
-    """Isomorphism by backtracking vertex assignment; no canonical forms."""
-    if g.n != h.n or g.edge_count != h.edge_count:
-        return False
-    if sorted(g.degrees()) != sorted(h.degrees()):
-        return False
-    n = g.n
-    hdeg = h.degrees()
-    order = sorted(range(n), key=lambda v: -g.degree(v))
-    image = [-1] * n
-    used = 0
-
-    def assign(idx: int) -> bool:
-        nonlocal used
-        if idx == n:
-            return True
-        u = order[idx]
-        for w in range(n):
-            if used >> w & 1 or hdeg[w] != g.degree(u):
-                continue
-            ok = True
-            for j in range(idx):
-                prev = order[j]
-                if g.has_edge(u, prev) != h.has_edge(w, image[prev]):
-                    ok = False
-                    break
-            if ok:
-                image[u] = w
-                used |= 1 << w
-                if assign(idx + 1):
-                    return True
-                used &= ~(1 << w)
-                image[u] = -1
-        return False
-
-    return assign(0)
 
 
 def equivalence_class_bruteforce(reference: Graph) -> list[Graph]:

@@ -1,0 +1,52 @@
+"""Reference routes the tests check the library against.
+
+They find isomorphisms by backtracking vertex assignment and share no
+code with the canonical search.
+"""
+
+from typing import Iterator
+
+from indeq.graphcore import Graph
+
+
+def isomorphisms(g: Graph, h: Graph) -> Iterator[list[int]]:
+    """Every vertex map from g onto h (image[u] = w) that takes g's edges
+    exactly onto h's, by backtracking in order of falling degree."""
+    n = g.n
+    if h.n != n:
+        return
+    gdeg, hdeg = g.degrees(), h.degrees()
+    order = sorted(range(n), key=lambda v: -gdeg[v])
+    image = [-1] * n
+    used = 0
+
+    def assign(idx: int) -> Iterator[list[int]]:
+        nonlocal used
+        if idx == n:
+            yield list(image)
+            return
+        u = order[idx]
+        for w in range(n):
+            if used >> w & 1 or hdeg[w] != gdeg[u]:
+                continue
+            if all(g.has_edge(u, prev) == h.has_edge(w, image[prev]) for prev in order[:idx]):
+                image[u] = w
+                used |= 1 << w
+                yield from assign(idx + 1)
+                used &= ~(1 << w)
+
+    yield from assign(0)
+
+
+def isomorphic_bruteforce(g: Graph, h: Graph) -> bool:
+    """Isomorphism by backtracking vertex assignment; no canonical forms."""
+    if g.n != h.n or g.edge_count != h.edge_count:
+        return False
+    if sorted(g.degrees()) != sorted(h.degrees()):
+        return False
+    return next(isomorphisms(g, h), None) is not None
+
+
+def automorphism_count(g: Graph) -> int:
+    """The order of g's automorphism group, by counting its vertex maps."""
+    return sum(1 for _ in isomorphisms(g, g))

@@ -16,3 +16,16 @@ def test_workflow_runs_tier1_from_the_python_floor():
     floor = re.search(r'requires-python = ">=([0-9.]+)"', (ROOT / "pyproject.toml").read_text())[1]
     assert floor == "3.10"
     assert floor in job["strategy"]["matrix"]["python-version"]
+
+
+# import name -> distribution name, where they differ
+DISTRIBUTIONS = {"yaml": "pyyaml"}
+
+
+def test_test_extra_installs_every_module_a_test_skips_without():
+    extra = re.search(r"^test = \[(.*)\]$", (ROOT / "pyproject.toml").read_text(), re.M)[1]
+    installed = set(re.findall(r'"([^"]+)"', extra))
+    skipped = {name.split(".")[0] for path in (ROOT / "tests").glob("*.py")
+               for name in re.findall(r'importorskip\("([^"]+)"\)', path.read_text())}
+    assert "yaml" in skipped and "networkx" in skipped
+    assert {DISTRIBUTIONS.get(m, m) for m in skipped} <= installed

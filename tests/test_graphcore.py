@@ -24,9 +24,10 @@ from indeq.graphcore import (
     graph6_write,
     is_path_graph,
 )
-from indeq.oracle import EnumFilter, enumerate_graphs, isomorphic_bruteforce
+from indeq.oracle import EnumFilter, enumerate_graphs
 
 from conftest import fs, random_graphs
+from reference import automorphism_count, isomorphic_bruteforce
 
 
 # closed-form vertex/edge counts read off the family drawings
@@ -235,10 +236,41 @@ def test_stored_automorphisms_preserve_edges(g):
         assert {tuple(sorted((perm[u], perm[v]))) for u, v in edges} == edges
 
 
-# sha256 of one "form<TAB>repr(automorphisms)" line per graph, recorded before
-# the canonical search learned to refine incrementally: every graph on 7
-# vertices, relabelled by a random.Random(7) permutation, then its complement
-FORMS_AND_AUTOS_7 = "64ddb25846820331d45d60ec7c8c479bc5f5b00f7b56aadaf61615612a90c8f9"
+def _closure_size(n, gens):
+    """The order of the group the permutations generate: the identity
+    closed under composition with each of them."""
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        p = todo.pop()
+        for a in gens:
+            q = tuple(a[x] for x in p)
+            if q not in group:
+                group.add(q)
+                todo.append(q)
+    return len(group)
+
+
+def test_stored_automorphisms_generate_the_group():
+    pool = [g for n in range(7) for g in enumerate_graphs(EnumFilter(n))]
+    pool += [Graph.empty(8), build([fs("P", 2)] * 4), build(fs("C", 8)), build([fs("C", 4)] * 2)]
+    for g in pool:
+        assert _closure_size(g.n, automorphisms(g)) == automorphism_count(g), graph6_write(g)
+
+
+def test_symmetric_graphs_canonicalize_fast():
+    # without orbit pruning the search walks most of their n! leaves
+    for g in (build([fs("P", 2)] * 8), Graph.empty(15)):
+        start = time.perf_counter()
+        canonical_form(g)
+        assert time.perf_counter() - start < 1, g.n
+
+
+# sha256 of one "form<TAB>repr(automorphisms)" line per graph: every graph on
+# 7 vertices, relabelled by a random.Random(7) permutation, then its
+# complement.  Re-recorded when the search began pruning by orbits, which
+# changed the automorphisms stored but not the forms.
+FORMS_AND_AUTOS_7 = "9afa4b8faa0a0527561a8a0cd8103f441e552885fe3643e139138a8fd0e89f67"
 
 
 def test_canonical_forms_and_automorphisms_match_golden():
@@ -253,13 +285,13 @@ def test_canonical_forms_and_automorphisms_match_golden():
     assert h.hexdigest() == FORMS_AND_AUTOS_7
 
 
-# sha256 over graphs on up to 13 vertices, recorded before the search's
-# partition became cell masks only: random.Random(13) graphs on 8-13
+# sha256 over graphs on up to 13 vertices: random.Random(13) graphs on 8-13
 # vertices and symmetric shapes, each relabelled by a seeded permutation,
 # then its complement.  FORMS_8_13 covers the canonical bytes alone,
-# FORMS_AND_AUTOS_8_13 adds one repr(automorphisms) per graph.
+# FORMS_AND_AUTOS_8_13 adds one repr(automorphisms) per graph and was
+# re-recorded, like FORMS_AND_AUTOS_7, when the search began pruning by orbits.
 FORMS_8_13 = "340b26b9fee9e4f3dc7bb80a16ff3566fb86cbf5f51465ffd29b18b8f2a12c81"
-FORMS_AND_AUTOS_8_13 = "b2e989504856d4984960bf916701fc2bfa361bf07a221af9df588acf183d81ba"
+FORMS_AND_AUTOS_8_13 = "c9134debf49f98cecabfb5a8145f6f2e8831d36c91709bfac756967e231200a2"
 
 
 def test_canonical_forms_past_7_vertices_match_golden():

@@ -117,11 +117,12 @@ def test_class_above_the_component_cap_is_refused(n, bound):
                            f"above the cap of {MAX_CLASS_COMPONENTS}\n")
 
 
-@pytest.mark.parametrize("t,bound", [(1449, 1049076), (1600, 1279200)])
+@pytest.mark.parametrize("t,bound", [(1449, 1049076), (1600, 1279200), (3300, 5443350)])
 def test_class_without_d_twins_above_the_component_cap_is_refused(t, bound):
-    # n + 2 = 2^t: rows of up to t - 2 cycles, about t^2/2 components
+    # n + 2 = 2^t: rows of up to t - 2 cycles, about t^2/2 components,
+    # counted with each distinct cycle's variants made once
     n = 2**t - 2
-    done = _cli_under_limit("class", "path", str(n), "--no-expand-d")
+    done = _under_limit(CHILD, "class", "path", str(n), "--no-expand-d", timeout=6)
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr == (f"error: the class of P:{n} has up to {bound} components, "
                            f"above the cap of {MAX_CLASS_COMPONENTS}\n")
@@ -173,3 +174,10 @@ def test_factor_max_index_above_the_cap_is_refused(n):
     done = _cli_under_limit("factor", "spec", "P:2", "--max-index", str(n))
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr == f"error: max index {n} is above the cap of {MAX_FACTOR_INDEX}\n"
+
+
+@pytest.mark.parametrize("n", [0, 1, -5])
+def test_factor_max_index_below_2_is_refused(n):
+    done = _cli_under_limit("factor", "spec", "P:4", "--max-index", str(n))
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == f"error: max index {n} is below 2\n"

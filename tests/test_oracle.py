@@ -24,12 +24,12 @@ from indeq.oracle import (
     count_isomorphism_classes,
     enumerate_graphs,
     equivalence_class_bruteforce,
-    isomorphic_bruteforce,
     naive_bucket_count,
     unlabeled_graph_count,
 )
 
 from conftest import fs, random_graphs
+from reference import isomorphic_bruteforce
 
 
 def test_enumerate_counts_small():
