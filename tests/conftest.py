@@ -13,6 +13,19 @@ def fs(family, *params):
     return FamilySpec(family, tuple(params))
 
 
+def grid_graph(rows, cols):
+    """rows x cols grid, numbered column by column (2 x k is the ladder)."""
+    edges = []
+    for c in range(cols):
+        for r in range(rows):
+            v = c * rows + r
+            if r + 1 < rows:
+                edges.append((v, v + 1))
+            if c + 1 < cols:
+                edges.append((v, v + rows))
+    return Graph.from_edges(rows * cols, edges)
+
+
 @st.composite
 def random_graphs(draw, max_vertices):
     """Any simple graph on up to max_vertices vertices; the edge count is

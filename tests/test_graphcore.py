@@ -26,7 +26,7 @@ from indeq.graphcore import (
 )
 from indeq.oracle import EnumFilter, enumerate_graphs
 
-from conftest import fs, random_graphs
+from conftest import fs, grid_graph, random_graphs
 from reference import automorphism_count, isomorphic_bruteforce
 
 
@@ -312,6 +312,35 @@ def test_canonical_forms_past_7_vertices_match_golden():
             forms.update(canonical_form(x) + b"\n")
             with_autos.update(canonical_form(x) + b"\t" + repr(automorphisms(x)).encode("ascii") + b"\n")
     assert (forms.hexdigest(), with_autos.hexdigest()) == (FORMS_8_13, FORMS_AND_AUTOS_8_13)
+
+
+# sha256 of one "form<TAB>repr(automorphisms)" line per graph on 14-200
+# vertices: long paths and cycles, spiders, repeated components, grids,
+# random.Random(200) trees and G(n, p) graphs, each relabelled by a seeded
+# permutation, then its complement.  Their refinement chains are long, so
+# this pins the partitions the search refines past FORMS_AND_AUTOS_8_13.
+FORMS_AND_AUTOS_LARGE = "d8cc08f205aba1c263463764d0f2f1ae3553bc5b3f02f99c8f44a72a81630832"
+
+
+def test_canonical_forms_of_large_graphs_match_golden():
+    rng = random.Random(200)
+
+    def gnp(n, p):
+        return Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+
+    pool = [build(parse_spec_text(text)) for text in (
+        "P:200", "C:100", "Y:30,30,30", "+".join(["C:20"] * 5), "+".join(["P:2"] * 10), "D:40+E:10,10")]
+    pool += [grid_graph(10, 10), grid_graph(4, 25)]
+    pool += [Graph.from_edges(50, [(v, rng.randrange(v)) for v in range(1, 50)]) for _ in range(20)]
+    pool += [gnp(40, 0.3), gnp(80, 0.1), gnp(30, 0.5)] + [gnp(20, 0.2) for _ in range(30)]
+    h = hashlib.sha256()
+    for g in pool:
+        order = list(range(g.n))
+        rng.shuffle(order)
+        r = g.induced(order)
+        for x in (r, r.complement()):
+            h.update(canonical_form(x) + b"\t" + repr(automorphisms(x)).encode("ascii") + b"\n")
+    assert h.hexdigest() == FORMS_AND_AUTOS_LARGE
 
 
 def _refine_reference(adj, cells):

@@ -13,7 +13,7 @@ from indeq.indpoly import (
 )
 from indeq.polyalg import IntPoly
 
-from conftest import fs, random_graphs
+from conftest import fs, grid_graph, random_graphs
 
 
 def _generic_recursion(g: Graph) -> IntPoly:
@@ -205,19 +205,6 @@ def test_evaluator_matches_bruteforce_on_random_graphs(g):
     assert independence_polynomial(g).coeffs == bruteforce_counts(g)
 
 
-def _grid_graph(rows, cols):
-    """rows x cols grid, numbered column by column (2 x k is the ladder)."""
-    edges = []
-    for c in range(cols):
-        for r in range(rows):
-            v = c * rows + r
-            if r + 1 < rows:
-                edges.append((v, v + 1))
-            if c + 1 < cols:
-                edges.append((v, v + rows))
-    return Graph.from_edges(rows * cols, edges)
-
-
 def _grid_counts_by_transfer_matrix(rows, cols):
     """Independent sets of the rows x cols grid by size, column by column
     over the independent column states (test-local oracle)."""
@@ -247,7 +234,7 @@ def _grid_counts_by_transfer_matrix(rows, cols):
     [(2, k) for k in range(1, 41)] + [(5, k) for k in range(1, 11)] + [(6, 6)],
 )
 def test_grids_match_transfer_matrix(rows, cols):
-    g = _grid_graph(rows, cols)
+    g = grid_graph(rows, cols)
     assert independence_polynomial(g).coeffs == _grid_counts_by_transfer_matrix(rows, cols)
 
 
@@ -264,7 +251,7 @@ def test_long_closed_form_shapes_still_evaluate():
 
 
 def test_recursion_overflow_is_a_clear_error(capsys):
-    ladder = _grid_graph(2, 600)
+    ladder = grid_graph(2, 600)
     with pytest.raises(ValueError, match="1200 vertices"):
         independence_polynomial(ladder)
     assert main(["poly", graph6_write(ladder)]) == 2
