@@ -108,11 +108,21 @@ def screen_family(spec: FamilySpec) -> Verdict:
     return Verdict(False, "has a real root at or above -1/4")
 
 
+#: The most parameter tuples one sweep_family call screens.
+MAX_SWEEP_SPECS = 100_000
+
+
 def sweep_family(family: str, max_param: int) -> list[tuple[FamilySpec, Verdict]]:
-    """Screen every parameter tuple of a family with all parameters <= max_param."""
+    """Screen every parameter tuple of a family with all parameters <= max_param;
+    a ValueError refuses more than MAX_SWEEP_SPECS tuples before any is made."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    ranges = [range(f, max_param + 1) for f in FAMILIES[family].floors]
+    floors = FAMILIES[family].floors
+    count = math.prod(max(0, max_param + 1 - f) for f in floors)
+    if count > MAX_SWEEP_SPECS:
+        raise ValueError(f"{family} up to {max_param} has {count} parameter tuples, "
+                         f"above the cap of {MAX_SWEEP_SPECS}")
+    ranges = [range(f, max_param + 1) for f in floors]
     specs = [FamilySpec(family, params) for params in itertools.product(*ranges)]
     return [(spec, screen_family(spec)) for spec in specs]
 

@@ -151,7 +151,6 @@ class Graph:
         return self._remap(keep, ~drop_mask)
 
     def delete_vertex(self, v: int) -> "Graph":
-        self._check_vertex(v)
         return self.subgraph_without((v,))
 
     def delete_closed_neighborhood(self, v: int) -> "Graph":
@@ -316,6 +315,9 @@ FAMILIES: dict[str, Family] = {
     "K4e": Family((), lambda d: d.vertex(*d.triangle(d.vertex()))),
 }
 
+#: Each family's place in the catalogue, the first field of FamilySpec.sort_key.
+_FAMILY_RANK = {name: rank for rank, name in enumerate(FAMILIES)}
+
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -346,7 +348,7 @@ class FamilySpec:
 
     @property
     def sort_key(self) -> tuple:
-        return (list(FAMILIES).index(self.family), self.params)
+        return (_FAMILY_RANK[self.family], self.params)
 
 
 #: One FamilySpec, or any iterable of them meaning a disjoint union.
@@ -450,46 +452,31 @@ def from_canonical_form(key: bytes) -> Graph:
     return g
 
 
-def _refine(adj: Sequence[int], cells: list[int], fresh: int) -> None:
+def _refine(adj: Sequence[int], cells: list[int]) -> None:
     """Equitable refinement of an ordered partition, in place (stable, iso-invariant).
 
     Each cell is a vertex mask.  Until every cell is uniform against every
-    cell, the first cell that is not is split by its vertices' counts into
-    every cell, the parts in order of those count vectors.  ``fresh`` is a
-    union of whole cells, and a cell uniform against the cells meeting it
-    must be uniform against all: at the root it is every vertex; in a
-    child, which splits v off a cell of an equitable partition, it is
-    ``1 << v``, as counts into the rest of that cell are the old counts
-    less those into v.  A cell is uniform against every cell that existed
-    when it was last tested or split off, so it is counted only against
-    the cells made since.
+    cell, the first cell that is not is split by its vertices' count
+    vectors into every cell, the parts in ascending order of those vectors.
+    A vector is packed into one int, a field of equal width per cell, which
+    orders the vectors as tuples would.
     """
-    born = [1 if c & fresh else 0 for c in cells]
-    tested = [0] * len(cells)
-    clock = 1
+    width = len(adj).bit_length()
     while True:
         for ci, cell in enumerate(cells):
-            since = tested[ci]
-            if since == clock or cell & (cell - 1) == 0:
+            if cell & (cell - 1) == 0:
                 continue
-            against = [c for c, b in zip(cells, born) if b > since]
-            sigs: dict[tuple, int] = {}
+            sigs: dict[int, int] = {}
             for v in _bits(cell):
-                av = adj[v]
-                sig = tuple([(av & c).bit_count() for c in against])
+                av, sig = adj[v], 0
+                for c in cells:
+                    sig = sig << width | (av & c).bit_count()
                 sigs[sig] = sigs.get(sig, 0) | 1 << v
             if len(sigs) > 1:
+                cells[ci:ci + 1] = [sigs[k] for k in sorted(sigs)]
                 break
-            tested[ci] = clock
         else:
             return
-        # the counts left out are equal across the cell, or fixed by the
-        # count into the v just before them, so the parts keep their order
-        parts = [sigs[k] for k in sorted(sigs)]
-        clock += 1
-        cells[ci:ci + 1] = parts
-        born[ci:ci + 1] = [clock] * len(parts)
-        tested[ci:ci + 1] = [clock - 1] * len(parts)
 
 
 def _canonical_order(g: Graph) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
@@ -507,14 +494,14 @@ def _canonical_order(g: Graph) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
         by_degree[d] = by_degree.get(d, 0) | 1 << v
     start = [by_degree[d] for d in sorted(by_degree, reverse=True)]
 
-    best_key: list = [None]
-    best_order: list = [None]
+    best_key = best_order = None
     autos: list[tuple[int, ...]] = []
 
-    def search(cells: list[int], fresh: int, prefix: list[int], key: list[int]) -> None:
+    def search(cells: list[int], prefix: list[int], key: list[int]) -> None:
         # prefix: the leading singleton cells, key: their rows; both
         # extend the parent's, since refinement keeps singletons in place
-        _refine(adj, cells, fresh)
+        nonlocal best_key, best_order
+        _refine(adj, cells)
         ti = len(prefix)
         while ti < n and cells[ti] & (cells[ti] - 1) == 0:
             u = cells[ti].bit_length() - 1
@@ -525,16 +512,14 @@ def _canonical_order(g: Graph) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
                 key.append(row)
             prefix.append(u)
             ti += 1
-        best = best_key[0]
-        if best is not None and key > best[:len(key)]:
+        if best_key is not None and key > best_key[:len(key)]:
             return
         if ti == n:
-            if best is None or key < best:
-                best_key[0] = key
-                best_order[0] = prefix
-            elif key == best:
+            if best_key is None or key < best_key:
+                best_key, best_order = key, prefix
+            elif key == best_key:
                 perm = [0] * n
-                for u, w in zip(prefix, best_order[0]):
+                for u, w in zip(prefix, best_order):
                     perm[u] = w
                 autos.append(tuple(perm))
             return
@@ -557,10 +542,10 @@ def _canonical_order(g: Graph) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
             if orb and min(orb[v]) < v:
                 continue
             bit = 1 << v
-            search(cells[:ti] + [bit, target ^ bit] + cells[ti + 1:], bit, prefix[:], key[:])
+            search(cells[:ti] + [bit, target ^ bit] + cells[ti + 1:], prefix[:], key[:])
 
-    search(start, (1 << n) - 1, [], [])
-    return best_key[0], tuple(autos)
+    search(start, [], [])
+    return best_key, tuple(autos)
 
 
 # -- graph6 (header-less) ----------------------------------------------------
@@ -596,27 +581,17 @@ def graph6_read(text: str) -> Graph:
     for off, byte in enumerate(raw):
         if not (63 <= byte <= 126):
             raise Graph6Error(f"invalid graph6 byte 0x{byte:02x}", off)
-    pos = 0
     if raw[0] != 126:
-        n = raw[0] - 63
-        pos = 1
-    elif len(raw) >= 2 and raw[1] != 126:
-        if len(raw) < 4:
-            raise Graph6Error("truncated 18-bit size header", len(raw))
-        n = 0
-        for byte in raw[1:4]:
-            n = n << 6 | (byte - 63)
-        pos = 4
-        if n < 63:
-            raise Graph6Error("oversized length header for small n", 0)
+        n, pos = raw[0] - 63, 1
     else:
-        if len(raw) < 8:
-            raise Graph6Error("truncated 36-bit size header", len(raw))
+        # "~" and 3 size bytes for n >= 63, or "~~" and 6 for n >= 258048
+        bits, pos, low = (36, 8, 258048) if len(raw) < 2 or raw[1] == 126 else (18, 4, 63)
+        if len(raw) < pos:
+            raise Graph6Error(f"truncated {bits}-bit size header", len(raw))
         n = 0
-        for byte in raw[2:8]:
+        for byte in raw[pos - bits // 6:pos]:
             n = n << 6 | (byte - 63)
-        pos = 8
-        if n < 258048:
+        if n < low:
             raise Graph6Error("oversized length header for small n", 0)
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6

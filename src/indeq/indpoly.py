@@ -27,6 +27,10 @@ from .polyalg import IntPoly
 
 _ONE = IntPoly.one()
 
+#: The most vertex masks one evaluation memoizes; a 5 x 10 grid takes
+#: about 2,900, and a 10 x 10 grid is refused.
+MAX_EVAL_MASKS = 1 << 18
+
 
 @lru_cache()
 def path_polynomial(n: int) -> IntPoly:
@@ -48,7 +52,8 @@ def independence_polynomial(g: Graph) -> IntPoly:
     """Exact I(G, x); coefficient k counts the independent sets of size k.
 
     Raises ValueError when the pivot recursion outgrows Python's recursion
-    limit, as it does on a 2 x 600 ladder.
+    limit, as it does on a 2 x 600 ladder, or memoizes more than
+    MAX_EVAL_MASKS masks, as it would on a 10 x 10 grid.
     """
     adj = g.adj
     memo = {0: _ONE}
@@ -57,6 +62,9 @@ def independence_polynomial(g: Graph) -> IntPoly:
         out = memo.get(mask)
         if out is not None:
             return out
+        if len(memo) > MAX_EVAL_MASKS:
+            raise ValueError(f"graph on {g.n} vertices needs more than {MAX_EVAL_MASKS} "
+                             "memoized masks in the pivot recursion")
         comps = mask_components(adj, mask)
         if len(comps) > 1:
             out = poly(comps[0])

@@ -45,7 +45,7 @@ from .indpoly import bruteforce_counts
 
 _UNFILTERED_MAX = 10
 _FILTERED_MAX = 12
-# the class search's own cap: P_13 takes about 13 s and P_14 about 40 s
+# the class search's own cap: P_13 takes about 5 s and P_14 about 16 s
 # on a 2-vCPU host
 _CLASS_MAX = 14
 _WORKERS_ENV = "INDEQ_WORKERS"

@@ -12,7 +12,10 @@ def test_workflow_runs_tier1_from_the_python_floor():
     runs = [step.get("run") for step in job["steps"]]
     tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text())[1]
     assert tier1 in runs
-    assert 'python -m pip install ".[test]"' in runs
+    install = runs.index('python -m pip install ".[test]"')
+    # the installed package and its console script, not src on PYTHONPATH
+    assert runs[install + 1] == "indeq verify all"
+    assert 0 < job["timeout-minutes"] <= 60
     floor = re.search(r'requires-python = ">=([0-9.]+)"', (ROOT / "pyproject.toml").read_text())[1]
     assert floor == "3.10"
     assert floor in job["strategy"]["matrix"]["python-version"]

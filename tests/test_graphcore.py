@@ -366,13 +366,13 @@ def test_refine_is_the_plain_rule(g, data):
     labels = data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
     start = [c for c in ([v for v in range(g.n) if labels[v] == k] for k in range(4)) if c]
 
-    def refine(cells, fresh):
+    def refine(cells):
         # _refine splits cell masks; read each back as its ascending vertex list
         masks = [sum(1 << v for v in c) for c in cells]
-        graphcore._refine(g.adj, masks, fresh)
+        graphcore._refine(g.adj, masks)
         return [[v for v in range(g.n) if m >> v & 1] for m in masks]
 
-    out = refine(start, (1 << g.n) - 1)
+    out = refine(start)
     assert out == _refine_reference(g.adj, start)
     # equitable: each cell's vertices agree on their count into every cell
     for x in out:
@@ -385,12 +385,12 @@ def test_refine_is_the_plain_rule(g, data):
     for c in out:
         places = [owner[v] for v in c]
         assert len({i for i, _ in places}) == 1 and places == sorted(places)
-    # a child node splits one vertex off an equitable cell; only it is fresh
+    # a child node splits one vertex off an equitable cell
     ti = next((i for i, c in enumerate(out) if len(c) > 1), None)
     if ti is not None:
         v = data.draw(st.sampled_from(out[ti]))
         child = out[:ti] + [[v], [w for w in out[ti] if w != v]] + out[ti + 1:]
-        assert refine(child, 1 << v) == _refine_reference(g.adj, child)
+        assert refine(child) == _refine_reference(g.adj, child)
 
 
 def test_automorphisms_come_with_the_canonical_form():

@@ -1,13 +1,15 @@
-"""Memory and time bounds: closed forms allocate little, huge specs and
-factor indices fail fast, and a large prime path index factors in well
-under a minute.
+"""Memory and time bounds: closed forms allocate little, huge specs,
+sweeps, factor indices and evaluations fail fast, and a large prime path
+index factors in well under a minute.
 
 The size-guard cases run in a child process under an address-space
 limit, so a missing guard fails the test instead of exhausting memory.
 """
 
+import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -15,10 +17,10 @@ from pathlib import Path
 
 import pytest
 
-from indeq.classify import MAX_CLASS_COMPONENTS
+from indeq.classify import MAX_CLASS_COMPONENTS, MAX_SWEEP_SPECS
 from indeq.factorbasis import MAX_FACTOR_INDEX, basis_ftilde, real_cyclotomic
-from indeq.graphcore import MAX_BUILD_VERTICES, FamilySpec, build
-from indeq.indpoly import path_polynomial
+from indeq.graphcore import MAX_BUILD_VERTICES, FamilySpec, Graph, build, graph6_write
+from indeq.indpoly import MAX_EVAL_MASKS, path_polynomial
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CHILD_LIMIT = 1 << 30  # bytes of address space for the child
@@ -96,6 +98,25 @@ def test_huge_spec_is_refused_before_building(spec, count):
     assert done.stdout == ""
     assert done.stderr == (
         f"error: {spec} has {count} vertices, above the cap of {MAX_BUILD_VERTICES}\n")
+
+
+def test_oversized_screen_sweep_is_refused():
+    # 1000^3 spider parameter tuples, counted before any is made
+    done = _under_limit(CHILD, "screen", "Y", "--max", "1000", timeout=20)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == (f"error: Y up to 1000 has 1000000000 parameter tuples, "
+                           f"above the cap of {MAX_SWEEP_SPECS}\n")
+
+
+def test_evaluator_past_its_mask_budget_is_refused():
+    # a sparse random graph: its pivots leave few paths and cycles, so the
+    # memo would grow to millions of masks; the refusal takes about 4 s
+    rng = random.Random(1)
+    g = Graph.from_edges(120, [e for e in itertools.combinations(range(120), 2) if rng.random() < 0.035])
+    done = _under_limit(CHILD, "poly", graph6_write(g), timeout=20)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == (f"error: graph on 120 vertices needs more than {MAX_EVAL_MASKS} "
+                           "memoized masks in the pivot recursion\n")
 
 
 def test_the_cap_itself_builds():
