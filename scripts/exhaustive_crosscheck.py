@@ -18,10 +18,10 @@ with the classifier for every even path size up to ``--max-path``.
 
 Usage: python scripts/exhaustive_crosscheck.py [--max-path 12] [--max-cycle 10]
 
-On a 2-vCPU host the defaults take about 4 s, of which P_11 takes about
-0.6 s, P_12 about 2 s and C_10 about 0.5 s.  The class search is capped at
-14 vertices: ``--max-path 14`` adds P_13 (about 5 s) and P_14 (about
-16 s).  A larger ``--max-path`` or ``--max-cycle`` is refused before any
+On a 2-vCPU host the defaults take about 3 s, of which P_11 takes about
+0.4 s, P_12 about 1.5 s and C_10 about 0.4 s.  The class search is capped
+at 14 vertices: ``--max-path 14`` adds P_13 (about 4 s) and P_14 (about
+12 s).  A larger ``--max-path`` or ``--max-cycle`` is refused before any
 check runs.
 """
 

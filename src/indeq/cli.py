@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from functools import cache
@@ -300,10 +301,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:  # SpecSyntaxError is one
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed the pipe (`| head`); point stdout at devnull so
+        # the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
 
 
 if __name__ == "__main__":

@@ -55,13 +55,14 @@ class Graph6Error(ValueError):
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "_canon", "_autos")
+    # _search: (canonical order, automorphisms found) of the canonical search
+    __slots__ = ("n", "adj", "_canon", "_search")
 
     def __init__(self, n: int, adj: Sequence[int]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(self, "_canon", None)
-        object.__setattr__(self, "_autos", None)
+        object.__setattr__(self, "_search", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -421,24 +422,25 @@ def automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
     whole automorphism group: the search prunes a child only by the orbits
     of automorphisms it has already met.
     """
-    if g._autos is None:
+    if g._search is None:
         _canonize(g)
-    return g._autos
+    return g._search[1]
 
 
 def _canonize(g: Graph) -> None:
-    """Store g's canonical form and the automorphisms its search found."""
+    """Store g's canonical form, the automorphisms its search found and
+    its canonical order (the vertex at each canonical position)."""
     n = g.n
     # dense graphs canonicalize faster through the complement; the
     # ordering and automorphisms found there hold for the original,
     # whose rows are the complement's rows flipped within their width
     flip = 2 * g.edge_count > n * (n - 1) // 2
-    rows, autos = _canonical_order(g.complement() if flip else g)
+    rows, order, autos = _canonical_order(g.complement() if flip else g)
     stream = 0
     for j, row in enumerate(rows, 1):
         stream = stream << j | (row ^ ((1 << j) - 1) if flip else row)
     object.__setattr__(g, "_canon", _graph6(n, stream))
-    object.__setattr__(g, "_autos", autos)
+    object.__setattr__(g, "_search", (tuple(order), autos))
 
 
 def from_canonical_form(key: bytes) -> Graph:
@@ -479,8 +481,9 @@ def _refine(adj: Sequence[int], cells: list[int]) -> None:
             return
 
 
-def _canonical_order(g: Graph) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
-    """The adjacency rows of g's canonical ordering, and the automorphisms found.
+def _canonical_order(g: Graph) -> tuple[list[int], list[int], tuple[tuple[int, ...], ...]]:
+    """The adjacency rows of g's canonical ordering, the ordering itself
+    (the vertex at each position), and the automorphisms found.
 
     Row k (k = 1..n-1) holds the adjacency of the k-th vertex to the
     vertices before it, the first of them in its top bit.  A smaller row
@@ -545,7 +548,7 @@ def _canonical_order(g: Graph) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
             search(cells[:ti] + [bit, target ^ bit] + cells[ti + 1:], prefix[:], key[:])
 
     search(start, [], [])
-    return best_key, tuple(autos)
+    return best_key, best_order, tuple(autos)
 
 
 # -- graph6 (header-less) ----------------------------------------------------

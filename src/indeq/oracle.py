@@ -3,10 +3,12 @@
 Three mechanisms cross-check the classifier from different directions:
 
   * enumerate_graphs: every isomorphism class on a fixed vertex count,
-    grown edge by edge from the empty graph with canonical-form
-    deduplication at each level, streamed in a deterministic order; a
-    parent gains one new edge per orbit of its automorphisms, not one per
-    non-edge (McKay, "Isomorph-free exhaustive generation", 1998)
+    grown edge by edge from the empty graph by canonical augmentation
+    (McKay, "Isomorph-free exhaustive generation", 1998) and streamed in
+    a deterministic order: a parent gains one new edge per orbit of its
+    automorphisms, and a child is kept only from its canonical parent,
+    the child less its canonical last edge, so each class arises once
+    and no level needs deduplicating
   * equivalence_class_bruteforce(reference): every graph sharing the
     reference's independence polynomial, with the reference as its only
     input, grown by the same level loop up to the vertex and edge counts
@@ -45,7 +47,7 @@ from .indpoly import bruteforce_counts
 
 _UNFILTERED_MAX = 10
 _FILTERED_MAX = 12
-# the class search's own cap: P_13 takes about 5 s and P_14 about 16 s
+# the class search's own cap: P_13 takes about 4 s and P_14 about 12 s
 # on a 2-vCPU host
 _CLASS_MAX = 14
 _WORKERS_ENV = "INDEQ_WORKERS"
@@ -86,60 +88,127 @@ def _check_bounds(filt: EnumFilter) -> None:
         )
 
 
+def _edge_orbit(pair: tuple[int, int], autos) -> set[tuple[int, int]]:
+    """The pairs (x, y), x < y, that the automorphisms map pair to."""
+    orbit, todo = {pair}, [pair]
+    while todo:
+        a, b = todo.pop()
+        for perm in autos:
+            x, y = perm[a], perm[b]
+            image = (x, y) if x < y else (y, x)
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
+
+
 def _orbit_leaders(n: int, adj: tuple[int, ...], autos) -> list[tuple[int, int]]:
     """The non-edges (u, v), u < v, that are least in their orbit under
     the group the automorphisms generate.
 
     Adding any edge of an orbit gives isomorphic children, so one per
-    orbit loses no class.  If autos generate only part of the group, the
-    orbits are finer and some children are merely canonicalized twice.
+    orbit loses no class.  The stored automorphisms generate the whole
+    group, so no two leaders give isomorphic children either.
     """
     leaders = []
     seen = set()
     for u in range(n):
         for v in range(u + 1, n):
-            if adj[u] >> v & 1 or (u, v) in seen:
-                continue
-            leaders.append((u, v))
-            seen.add((u, v))
-            todo = [(u, v)]
-            while todo:
-                a, b = todo.pop()
-                for perm in autos:
-                    x, y = perm[a], perm[b]
-                    pair = (x, y) if x < y else (y, x)
-                    if pair not in seen:
-                        seen.add(pair)
-                        todo.append(pair)
+            if not adj[u] >> v & 1 and (u, v) not in seen:
+                leaders.append((u, v))
+                seen |= _edge_orbit((u, v), autos)
     return leaders
 
 
-def _expand_level(args) -> dict[bytes, tuple]:
-    """Children of a chunk of (adjacency, automorphisms) parents (worker-safe):
-    canonical form -> (adjacency, automorphisms) of the first child found.
+def _top_edges(n: int, adj) -> list[tuple[int, int]]:
+    """The edges (a, b), a < b, with the largest isomorphism invariant:
+    the two end degrees, larger first, then the common-neighbour count.
+
+    The larger end degree of a top edge is the maximum degree, so only
+    the edges at vertices of maximum degree are compared.
+    """
+    width = n.bit_length()
+    degree = [row.bit_count() for row in adj]
+    most = max(degree, default=0)
+    best, top = -1, []
+    for a in range(n):
+        if degree[a] != most:
+            continue
+        row = rest = adj[a]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            b = low.bit_length() - 1
+            if b < a and degree[b] == most:
+                continue  # met from b
+            inv = degree[b] << width | (row & adj[b]).bit_count()
+            if inv > best:
+                best, top = inv, []
+            if inv == best:
+                top.append((a, b) if a < b else (b, a))
+    return top
+
+
+def _from_canonical_parent(g: Graph, edge: tuple[int, int], top: list[tuple[int, int]]) -> bool:
+    """Whether edge, one of g's top edges, lies in the Aut(g) orbit of g's
+    canonical last edge: the top edge whose pair of canonical positions,
+    larger first, is largest.  That orbit is the same for every labeling
+    of g, so g - edge is g's canonical parent."""
+    if len(top) == 1:
+        return True
+    autos = automorphisms(g)
+    place = [0] * g.n
+    for i, v in enumerate(g._search[0]):  # the canonical order, stored with autos
+        place[v] = i
+    last = max(top, key=lambda e: (max(place[e[0]], place[e[1]]), min(place[e[0]], place[e[1]])))
+    return edge == last or edge in _edge_orbit(last, autos)
+
+
+def _expand_level(args) -> list[tuple]:
+    """Children of a chunk of (canonical form, adjacency, automorphisms)
+    parents (worker-safe), as (canonical form, adjacency, automorphisms).
+
+    A child G + uv is kept only from its canonical parent: when uv lies in
+    the Aut(G + uv) orbit of the child's canonical last edge, an edge of
+    largest invariant (_top_edges), ties broken by canonical position
+    (_from_canonical_parent).  Every class of the next level then arises
+    from exactly one parent and one orbit leader, so no two children are
+    isomorphic (McKay, "Isomorph-free exhaustive generation", 1998).  A
+    child whose edge uv has a smaller invariant than another edge is
+    dropped before its canonical search.
 
     With a prune of (target counts, edges left after the child), a child
     is dropped before its canonical search unless _within_reach keeps it.
+    Both filters keep every graph's canonical parent along with the graph:
+    deleting an edge raises no degree, and the canonical parent of a
+    spanning subgraph of a member is one too.
     """
     n, rows, max_degree, prune = args
     bounds = None if prune is None else _reach_bounds(n, *prune)
-    out: dict[bytes, tuple] = {}
-    for adj, autos in rows:
+    out = []
+    for _, adj, autos in rows:
+        degree = [row.bit_count() for row in adj]
+        most = max(degree, default=0)
         for u, v in _orbit_leaders(n, adj, autos):
+            high = max(degree[u], degree[v])
             # degrees are invariant, so the filter keeps or drops whole orbits
-            if max_degree is not None and (
-                adj[u].bit_count() >= max_degree or adj[v].bit_count() >= max_degree
-            ):
+            if max_degree is not None and high >= max_degree:
+                continue
+            # a top edge of the child meets a vertex of its maximum degree
+            if high + 1 < most:
                 continue
             child_adj = list(adj)
             child_adj[u] |= 1 << v
             child_adj[v] |= 1 << u
+            top = _top_edges(n, child_adj)
+            if (u, v) not in top:
+                continue
             child = Graph(n, child_adj)
             if bounds is not None and not _within_reach(bruteforce_counts(child), bounds):
                 continue
             key = canonical_form(child)
-            if key not in out:
-                out[key] = (child.adj, automorphisms(child))
+            if _from_canonical_parent(child, (u, v), top):
+                out.append((key, child.adj, automorphisms(child)))
     return out
 
 
@@ -170,10 +239,10 @@ def _worker_count() -> int:
 
 
 def _levels(n: int, top: int, max_degree: Optional[int],
-            target: Optional[tuple[int, ...]] = None) -> Iterator[dict[bytes, tuple]]:
+            target: Optional[tuple[int, ...]] = None) -> Iterator[list[tuple]]:
     """The graphs on n vertices grown edge by edge from the empty graph,
-    one level per edge count 0..top: canonical form -> (adjacency,
-    automorphisms) of one labeled member.
+    one level per edge count 0..top: a (canonical form, adjacency,
+    automorphisms) entry per class, in no particular order.
 
     With target counts, a child is kept only if it can still reach them
     with the edges left up to top (_reach_bounds).  One process pool
@@ -182,7 +251,7 @@ def _levels(n: int, top: int, max_degree: Optional[int],
     """
     workers = _worker_count()
     empty = Graph.empty(n)
-    level = {canonical_form(empty): (empty.adj, automorphisms(empty))}
+    level = [(canonical_form(empty), empty.adj, automorphisms(empty))]
     pool = None
     try:
         for edges in range(top + 1):
@@ -190,18 +259,14 @@ def _levels(n: int, top: int, max_degree: Optional[int],
             if edges == top:
                 break
             prune = None if target is None else (target, top - edges - 1)
-            rows = list(level.values())
-            if workers > 1 and len(rows) >= 4 * workers:
+            if workers > 1 and len(level) >= 4 * workers:
                 if pool is None:
                     pool = ProcessPoolExecutor(
                         max_workers=workers, mp_context=multiprocessing.get_context("spawn"))
-                chunks = [(n, rows[i::workers], max_degree, prune) for i in range(workers)]
-                level = {}
-                for result in pool.map(_expand_level, chunks):
-                    for key, entry in result.items():
-                        level.setdefault(key, entry)
+                chunks = [(n, level[i::workers], max_degree, prune) for i in range(workers)]
+                level = [entry for chunk in pool.map(_expand_level, chunks) for entry in chunk]
             else:
-                level = _expand_level((n, rows, max_degree, prune))
+                level = _expand_level((n, level, max_degree, prune))
     finally:
         if pool is not None:
             pool.shutdown()
@@ -221,8 +286,8 @@ def enumerate_graphs(filt: EnumFilter) -> Iterator[Graph]:
             if filt.edge_count is None or edges == filt.edge_count:
                 # yield the canonical representative so the stream does not
                 # depend on which labeled copy each worker found first
-                for key in sorted(level):
-                    if not filt.connected_only or Graph(n, level[key][0]).is_connected():
+                for key, adj, _ in sorted(level):
+                    if not filt.connected_only or Graph(n, adj).is_connected():
                         yield from_canonical_form(key)
 
 
@@ -296,7 +361,8 @@ def equivalence_class_bruteforce(reference: Graph) -> list[Graph]:
     assert i1 == reference.n
     for level in _levels(reference.n, comb(reference.n, 2) - i2, None, target):
         pass
-    return [g for g in map(from_canonical_form, sorted(level)) if bruteforce_counts(g) == target]
+    keys = sorted(key for key, _, _ in level)
+    return [g for g in map(from_canonical_form, keys) if bruteforce_counts(g) == target]
 
 
 # -- catalogue-driven class search ---------------------------------------------

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -183,3 +186,23 @@ def test_golden_output(capsys, name):
     code, out, err = run(capsys, *case["argv"])
     assert (code, err) == (case["exit"], case["stderr"])
     assert out == (GOLDEN / f"{name}.stdout").read_text()
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_pipe_ends_quietly(unbuffered):
+    # 86 kB of output, more than a pipe and the stdout buffer hold, so the
+    # writer meets the closed pipe whatever its buffering
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.Popen([sys.executable, "-m", "indeq", "enumerate", "--vertices", "8"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert child.stdout.readline() == b"G?????\n"
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=60) == 141, err
+    finally:
+        child.kill()
+        child.wait()
+    assert "Traceback" not in err and "Exception ignored" not in err, err

@@ -1,9 +1,11 @@
 import contextlib
 import hashlib
 import os
+import random
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from math import comb
 from unittest import mock
 
 import pytest
@@ -18,7 +20,10 @@ from indeq.graphcore import (
 from indeq.indpoly import bruteforce_counts, independence_polynomial
 from indeq.oracle import (
     EnumFilter,
+    _from_canonical_parent,
+    _levels,
     _orbit_leaders,
+    _top_edges,
     _worker_count,
     catalogue_class_search,
     count_isomorphism_classes,
@@ -29,7 +34,7 @@ from indeq.oracle import (
 )
 
 from conftest import fs, random_graphs
-from reference import isomorphic_bruteforce
+from reference import isomorphic_bruteforce, isomorphisms
 
 
 def test_enumerate_counts_small():
@@ -133,6 +138,50 @@ def test_orbit_leaders_prune_symmetric_parents():
     assert _orbit_leaders(6, c6.adj, automorphisms(c6)) == [(0, 2), (0, 3)]
 
 
+def _accepted_edges(g):
+    """The edges uv that the level loop accepts g from, as (g - uv) + uv."""
+    top = _top_edges(g.n, g.adj)
+    return {e for e in top if _from_canonical_parent(g, e, top)}
+
+
+# every graph on 2..6 vertices with at least one edge, freshly labeled
+SMALL_GRAPHS = [Graph(g.n, g.adj) for n in range(2, 7)
+                for g in enumerate_graphs(EnumFilter(n)) if g.edge_count]
+
+
+def test_accepted_edges_form_one_automorphism_orbit():
+    for g in SMALL_GRAPHS:
+        accepted = _accepted_edges(g)
+        a, b = min(accepted)
+        # the orbit under every automorphism, found by backtracking
+        orbit = {tuple(sorted((image[a], image[b]))) for image in isomorphisms(g, g)}
+        assert accepted == orbit, graph6_write(g)
+
+
+def test_accepted_edges_follow_a_relabelling():
+    rng = random.Random(19)
+    for g in SMALL_GRAPHS:
+        image = list(range(g.n))
+        rng.shuffle(image)
+        h = Graph.from_edges(g.n, [(image[a], image[b]) for a, b in g.edges()])
+        moved = {tuple(sorted((image[a], image[b]))) for a, b in _accepted_edges(g)}
+        assert _accepted_edges(h) == moved, graph6_write(g)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_each_level_holds_each_class_once(n):
+    sizes = []
+    with contextlib.closing(_levels(n, comb(n, 2), None)) as levels:
+        for edges, level in enumerate(levels):
+            keys = [key for key, _, _ in level]
+            assert len(set(keys)) == len(keys)
+            for key, adj, _ in level:
+                g = Graph(n, adj)
+                assert g.edge_count == edges and canonical_form(g) == key
+            sizes.append(len(level))
+    assert sum(sizes) == unlabeled_graph_count(n)
+
+
 def test_enumerate_pairwise_nonisomorphic():
     reps = list(enumerate_graphs(EnumFilter(5)))
     for i, g in enumerate(reps):
@@ -189,6 +238,29 @@ def test_one_pool_per_enumeration():
             pass
         stream.close()
         assert len(made) == 2 and made[1].closed
+
+
+@pytest.mark.parametrize(
+    "filt,digest", [row for row in GOLDEN_STREAMS if row[0] in (EnumFilter(7), EnumFilter(9, 8))],
+    ids=["7-None", "9-8"],
+)
+def test_pool_stream_matches_golden(filt, digest):
+    # the workers' chunks are concatenated, not merged by canonical form
+    made = []
+
+    class Pool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    h = hashlib.sha256()
+    with mock.patch.object(oracle, "ProcessPoolExecutor", Pool), \
+            mock.patch("os.cpu_count", return_value=2), \
+            mock.patch.dict(os.environ, {"INDEQ_WORKERS": "2"}):
+        for g in enumerate_graphs(filt):
+            h.update(graph6_write(g).encode("ascii") + b"\n")
+    assert len(made) == 1
+    assert h.hexdigest() == digest
 
 
 def test_worker_count_is_clamped_to_cpu_count():
