@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -264,6 +265,24 @@ def test_isolation_and_refinement():
     assert all(m < -0.25 for m in approx)
     with pytest.raises(ValueError):
         isolate_real_roots(SturmChain.of(IntPoly((1, 2)) * IntPoly((1, 2))))
+
+
+# sha256 of the repr of every isolating interval and of its refinement to
+# width 1e-12, recorded while the chain was evaluated member by member by Horner
+ISOLATION_DIGEST = "3b3d71d4fc60e1bbff26df599163892b7ba6123efc0232e50f6f83bf81132866"
+
+
+def test_isolation_and_refinement_match_golden():
+    polys = ([path_polynomial(n) for n in range(1, 81)]
+             + [cycle_polynomial(n) for n in range(3, 81)]
+             + [independence_polynomial(build(fs("Y", m, 1, 1))) for m in range(1, 41)]
+             + [squarefree_part(SturmChain.of(independence_polynomial(build([fs("P", 2)] * 3))))])
+    digest = hashlib.sha256()
+    for p in polys:
+        intervals = isolate_real_roots(SturmChain.of(p))
+        digest.update(repr(intervals).encode())
+        digest.update(repr([refine_root(p, lo, hi, Fraction(1, 10**12)) for lo, hi in intervals]).encode())
+    assert digest.hexdigest() == ISOLATION_DIGEST
 
 
 # -- isolation and refinement against plain bisection ------------------------
