@@ -5,10 +5,16 @@ arbitrary-precision integers; the empty vector is the zero polynomial.
 Exact scalars are ``fractions.Fraction``.  On top of the ring
 operations the module provides Sturm chains and exact real-root
 counting over half-open intervals ``(lo, hi]`` with rational or
-infinite endpoints.  A chain also tells whether its polynomial is
-squarefree, from its last member, which is gcd(p, p') up to a scalar,
-and so whether every root is real and below a bound; dividing p by that
-member gives p's squarefree part.  Root isolation and refinement, used
+infinite endpoints.  A chain keeps, for each remainder step, the data of
+its exact identity g·s[i+2] = q·s[i+1] − m·s[i] (q the pseudo-quotient,
+m > 0 the pseudo-division multiplier, g > 0 the content divided out),
+so its values at a rational point follow from those of its last two
+members by that recurrence, in O(d) big-integer products instead of
+Horner's O(d²); every division in it is exact, so every sign is.  A
+chain also tells whether its polynomial is squarefree, from its last
+member, which is gcd(p, p') up to a scalar, and so whether every root is
+real and below a bound; dividing p by that member gives p's squarefree
+part.  Root isolation and refinement, used
 for diagnostics, return the intervals plain bisection returns: the
 isolation skips chain evaluations whose counts a root bound already
 fixes, and the refinement finds bisection's final grid cell by
@@ -24,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd, isqrt, lcm
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 #: Accepted exact scalar types for evaluation points.
 RationalLike = Union[int, Fraction]
@@ -230,6 +236,15 @@ class IntPoly:
         out.reverse()
         return IntPoly(out)
 
+    def homogeneous_value(self, num: int, den: int) -> int:
+        """den^d * p(num / den), d the degree, by Horner on integers."""
+        acc = 0
+        dp = 1
+        for c in reversed(self.coeffs):
+            acc = acc * num + c * dp
+            dp *= den
+        return acc
+
     def sign_at(self, x: RationalLike) -> int:
         """Sign of p(x) at a rational point, integer arithmetic only."""
         # den > 0, so the scaling by den^d is sign-safe
@@ -257,11 +272,14 @@ class IntPoly:
         return [str(c) for c in self.coeffs]
 
 
-def _rem_positive_multiple(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive positive-scalar multiple of the rational remainder of a by b.
+def _pseudo_divide(a: IntPoly, b: IntPoly) -> tuple[IntPoly, int, int, IntPoly]:
+    """Pseudo-division of a by b, normalized for Sturm chains: (q, m, g, r) with
 
-    Uses pseudo-division, then corrects for the sign of the accumulated
-    multiplier so the returned polynomial is a positive multiple of rem(a, b).
+        m·a = q·b − g·r,   m > 0, g > 0, r primitive,
+
+    so r is a negative multiple of the rational remainder of a by b: the
+    member that follows a and b in a Sturm chain.  Each elimination step
+    multiplies by b's leading coefficient lb, so m = |lb|^steps.
     """
     db = b.degree
     if db < 0:
@@ -269,7 +287,7 @@ def _rem_positive_multiple(a: IntPoly, b: IntPoly) -> IntPoly:
     lb = b.lead
     rb = b.coeffs
     r = list(a.coeffs)
-    steps = 0
+    quot = [0] * (len(r) - db)
     while True:
         while r and r[-1] == 0:
             r.pop()
@@ -281,11 +299,23 @@ def _rem_positive_multiple(a: IntPoly, b: IntPoly) -> IntPoly:
         off = dr - db
         for i, d in enumerate(rb):
             r[off + i] -= lr * d
-        steps += 1
-    rem = IntPoly(r)
-    if lb < 0 and steps % 2 == 1:
-        rem = -rem
-    return rem.primitive_part()
+        quot[off] = lr
+    # each step multiplied the terms found before it by lb, so the terms
+    # take lb^0, lb^1, ... from the lowest up, and scale ends at lb^steps
+    scale = 1
+    for i, c in enumerate(quot):
+        if c:
+            quot[i] = c * scale
+            scale *= lb
+    # m·a = q·b − g·r with m = |scale|: lb^steps's sign goes to q, its
+    # opposite to r, in the pass that divides out r's content g
+    if scale < 0:
+        quot = [-c for c in quot]
+    g = int_gcd(*r) or 1
+    h = -g if scale > 0 else g
+    if h != 1:
+        r = [c // h for c in r]
+    return IntPoly(quot), abs(scale), g, IntPoly(r)
 
 
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -293,7 +323,7 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     a = a.primitive_part()
     b = b.primitive_part()
     while b:
-        a, b = b, _rem_positive_multiple(a, b)
+        a, b = b, _pseudo_divide(a, b)[3]
     return -a if a.lead < 0 else a
 
 
@@ -311,26 +341,57 @@ def is_squarefree(p: IntPoly) -> bool:
 Endpoint = Optional[RationalLike]
 
 
+class SturmStep(NamedTuple):
+    """One remainder step of a Sturm chain: the exact identity
+
+        g·s[i+2] = q·s[i+1] − m·s[i],   m > 0, g > 0,
+
+    with q the pseudo-quotient (of degree deg s[i] − deg s[i+1], usually
+    1), m the pseudo-division multiplier, g the content divided out, and
+    k = deg s[i] − deg s[i+2].
+    """
+
+    q: IntPoly
+    m: int
+    g: int
+    k: int
+
+
 @dataclass(frozen=True)
 class SturmChain:
-    """Signed remainder sequence of p and p', content-normalized."""
+    """Signed remainder sequence of p and p', content-normalized.
+
+    ``steps[i]`` holds the identity that ties ``chain[i]``,
+    ``chain[i + 1]`` and ``chain[i + 2]``.  At x = num/den the values
+    cleared of denominators, H = den^deg · s(x), then follow from those
+    of the last two members, bottom up:
+
+        H[i] = (q̂·H[i+1] − g·den^k·H[i+2]) / m,   q̂ = den^deg q · q(x).
+
+    That is O(d) big-integer products per point where Horner on every
+    member takes O(d²).  The division is exact, so every value and every
+    sign is the exact one.
+    """
 
     chain: tuple[IntPoly, ...]
+    steps: tuple[SturmStep, ...]
 
     @classmethod
     def of(cls, p: IntPoly) -> "SturmChain":
         if not p:
             raise ValueError("Sturm chain of the zero polynomial")
         seq = [p.primitive_part()]
+        steps = []
         dp = p.derivative()
         if dp:
             seq.append(dp.primitive_part())
             while seq[-1].degree > 0:
-                r = _rem_positive_multiple(seq[-2], seq[-1])
+                q, m, g, r = _pseudo_divide(seq[-2], seq[-1])
                 if not r:
                     break
-                seq.append(-r)
-        return cls(tuple(seq))
+                steps.append(SturmStep(q, m, g, seq[-2].degree - r.degree))
+                seq.append(r)
+        return cls(tuple(seq), tuple(steps))
 
     @property
     def poly(self) -> IntPoly:
@@ -347,16 +408,28 @@ class SturmChain:
         return (self.squarefree and self.poly.sign_at(bound) != 0
                 and count_real_roots(self, None, bound) == self.poly.degree)
 
+    def values_at(self, x: RationalLike) -> list[int]:
+        """den^deg s(x) for each member s, x = num/den with den > 0; each
+        has the sign of s(x).
+
+        Horner gives the last two members, for a squarefree polynomial a
+        constant and (unless the chain skips a degree) a linear one, and
+        the remainder steps give the rest from the bottom of the chain up.
+        """
+        num, den = x.numerator, x.denominator
+        values = [s.homogeneous_value(num, den) for s in self.chain[:-3:-1]]
+        for q, m, g, k in reversed(self.steps):
+            values.append((q.homogeneous_value(num, den) * values[-1] - g * den**k * values[-2]) // m)
+        values.reverse()
+        return values
+
     def variations_at(self, x: Endpoint, positive_infinity: bool = False) -> int:
         """Sign variation count at x (zeros skipped); x=None means an infinite end."""
-        signs = []
-        for q in self.chain:
-            if x is None:
-                s = q.sign_at_infinity(positive_infinity)
-            else:
-                s = q.sign_at(x)
-            if s != 0:
-                signs.append(s)
+        if x is None:
+            signs = [q.sign_at_infinity(positive_infinity) for q in self.chain]
+        else:
+            signs = [(v > 0) - (v < 0) for v in self.values_at(x)]
+        signs = [s for s in signs if s]
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 

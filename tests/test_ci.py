@@ -15,6 +15,8 @@ def test_workflow_runs_tier1_from_the_python_floor():
     install = runs.index('python -m pip install ".[test]"')
     # the installed package and its console script, not src on PYTHONPATH
     assert runs[install + 1] == "indeq verify all"
+    # then at the full bounds, whose root and sweep checks build larger Sturm chains
+    assert runs.index("indeq verify all --bound full") > install + 1
     # the independent cross-check at its defaults, on the installed package
     assert runs.index("python scripts/exhaustive_crosscheck.py") > install
     assert 0 < job["timeout-minutes"] <= 60

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from indeq import polyalg
 from indeq.classify import screen_family
 from indeq.cli import main
+from indeq.factorbasis import basis_f
 from indeq.graphcore import build
 from indeq.indpoly import (
     bruteforce_counts,
@@ -283,6 +284,68 @@ def test_isolation_and_refinement_match_golden():
         digest.update(repr(intervals).encode())
         digest.update(repr([refine_root(p, lo, hi, Fraction(1, 10**12)) for lo, hi in intervals]).encode())
     assert digest.hexdigest() == ISOLATION_DIGEST
+
+
+# -- the chain's remainder recurrence -----------------------------------------
+
+
+def _assert_remainder_identities(chain):
+    s = chain.chain
+    assert len(chain.steps) == max(len(s) - 2, 0)
+    for i, (q, m, g, k) in enumerate(chain.steps):
+        assert g > 0 and m > 0
+        assert k == s[i].degree - s[i + 2].degree
+        assert g * s[i + 2] == q * s[i + 1] - m * s[i]
+
+
+def test_chain_steps_satisfy_the_remainder_identity():
+    polys = ([path_polynomial(n) for n in range(1, 41)]
+             + [cycle_polynomial(n) for n in range(3, 41)]
+             + [basis_f(n).poly for n in range(2, 41)])
+    for p in polys:
+        _assert_remainder_identities(SturmChain.of(p))
+
+
+def _reference_variations(chain, x):
+    """Sign variations at x, every member evaluated on its own by sign_at."""
+    signs = [s for s in (member.sign_at(x) for member in chain.chain) if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+small_coeffs = st.integers(-4, 4)
+# (factor, multiplicity): linear and quadratic factors with small integer
+# coefficients, zero constant terms included; multiplicities above 1 give
+# chains that end in a non-constant gcd
+factors = st.tuples(
+    st.one_of(
+        st.builds(lambda c0, c1: IntPoly((c0, c1)), small_coeffs, small_coeffs.filter(bool)),
+        st.builds(lambda c0, c1, c2: IntPoly((c0, c1, c2)), small_coeffs, small_coeffs, small_coeffs.filter(bool)),
+    ),
+    st.sampled_from((1, 1, 2, 3)),
+)
+
+
+points = st.one_of(st.integers(-12, 12), st.fractions(-12, 12, max_denominator=60))
+
+
+@given(st.lists(factors, min_size=1, max_size=5), st.lists(points, max_size=8))
+@settings(max_examples=120, deadline=None)
+def test_recurrence_values_equal_horner_on_each_member(parts, drawn):
+    p = IntPoly.one()
+    for factor, multiplicity in parts:
+        for _ in range(multiplicity):
+            p = p * factor
+    chain = SturmChain.of(p)
+    _assert_remainder_identities(chain)
+    # rational roots of the linear factors (roots of p and of the gcd) and of
+    # the linear interior members, where members vanish
+    roots = [Fraction(-f.coeffs[0], f.coeffs[1]) for f, _ in parts if f.degree == 1]
+    roots += [Fraction(-s.coeffs[0], s.coeffs[1]) for s in chain.chain[1:-1] if s.degree == 1]
+    for x in drawn + roots:
+        values = chain.values_at(x)
+        assert values == [s.homogenized(x.denominator).eval_int(x.numerator) for s in chain.chain]
+        assert [(v > 0) - (v < 0) for v in values] == [s.sign_at(x) for s in chain.chain]
+        assert chain.variations_at(x) == _reference_variations(chain, x)
 
 
 # -- isolation and refinement against plain bisection ------------------------
