@@ -323,8 +323,6 @@ factors = st.tuples(
     ),
     st.sampled_from((1, 1, 2, 3)),
 )
-
-
 points = st.one_of(st.integers(-12, 12), st.fractions(-12, 12, max_denominator=60))
 
 
