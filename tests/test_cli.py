@@ -99,6 +99,24 @@ def test_factor_json_matches_golden(capsys, argv, digest):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
+# sha256 of `poly ... --json` stdout, recorded while the closed forms were
+# built from math.comb and every product was schoolbook; the last two take
+# the large-product route
+GOLDEN_POLY_DIGESTS = [
+    ("P:2500", "2213b5c95b8ce864bb70f667a1c8d435c4904a5f2b3c25666763cd2655fa45e3"),
+    ("C:1500", "a0dbd7bbae5de603e32203c65712a4be10f0ae9631e3e9cfe568ddf05005b455"),
+    ("P:1200+P:1200", "332862360ed18836b2a69628e87e8df0632dec31d21eb84b65f7bc71fd686d69"),
+    ("Y:600,600,600", "f7596b67595ecda6e927765b406fa7610c79ae0197af356194bedaa5fc5aa62b"),
+]
+
+
+@pytest.mark.parametrize("spec,digest", GOLDEN_POLY_DIGESTS, ids=[s for s, _ in GOLDEN_POLY_DIGESTS])
+def test_poly_json_matches_golden(capsys, spec, digest):
+    code, out, _ = run(capsys, "poly", spec, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
 def test_parser_survives_an_argparse_exit(capsys):
     """The parser is built once; a call that argparse exits leaves it usable."""
     for bad in (["factor", "path", "ten"], ["factor", "path"], ["bogus"]):
