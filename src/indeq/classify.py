@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -266,28 +267,42 @@ def _variants(s: FamilySpec, expand_d: bool) -> list[Member]:
     return out
 
 
-def _equiv_class(reference: FamilySpec, raw: Sequence[Sequence[FamilySpec]],
-                 expand_d: bool = True) -> EquivClass:
+def _equiv_class(reference: FamilySpec, raw: Sequence[Sequence[FamilySpec | slice]],
+                 expand_d: bool = True, chain: Sequence[FamilySpec] = ()) -> EquivClass:
     """The class of reference from raw members, each cycle in them expanded
-    by _variants; a ValueError refuses more than MAX_CLASS_COMPONENTS
-    components, counted row by row, and rows past the cap are not kept."""
+    by _variants.  A raw member lists specs and slices, a slice standing for
+    that run of chain.  A ValueError refuses more than MAX_CLASS_COMPONENTS
+    components, counted from the chain's prefix products and sums before
+    any member is built."""
     # each spec's variants, their count and the longest one's length, keyed
-    # by identity: rows share their cycle specs, whose hash is slow on huge
-    # params, and raw keeps every spec alive
+    # by identity: members share their cycle specs, whose hash is slow on
+    # huge params, and raw and chain keep every spec alive
     memo: dict[int, tuple[list[Member], int, int]] = {}
-    options, bound = [], 0
+
+    def variants(s: FamilySpec) -> tuple[list[Member], int, int]:
+        if id(s) not in memo:
+            v = _variants(s, expand_d)
+            memo[id(s)] = (v, len(v), max(map(len, v)))
+        return memo[id(s)]
+
+    counts = list(itertools.accumulate((variants(s)[1] for s in chain), operator.mul, initial=1))
+    widths = list(itertools.accumulate((variants(s)[2] for s in chain), initial=0))
+    bound = 0
     for parts in raw:
-        for s in parts:
-            if id(s) not in memo:
-                v = _variants(s, expand_d)
-                memo[id(s)] = (v, len(v), max(map(len, v)))
-        rows = [memo[id(s)] for s in parts]
-        bound += math.prod(c for _, c, _ in rows) * sum(w for _, _, w in rows)
-        if bound <= MAX_CLASS_COMPONENTS:
-            options.append([v for v, _, _ in rows])
+        count, width = 1, 0
+        for p in parts:
+            if isinstance(p, slice):
+                count *= counts[p.stop] // counts[p.start]
+                width += widths[p.stop] - widths[p.start]
+            else:
+                _, c, w = variants(p)
+                count, width = count * c, width + w
+        bound += count * width
     if bound > MAX_CLASS_COMPONENTS:
         raise ValueError(f"the class of {reference} has up to {bound} components, "
                          f"above the cap of {MAX_CLASS_COMPONENTS}")
+    options = ([variants(s)[0] for p in parts for s in (chain[p] if isinstance(p, slice) else (p,))]
+               for parts in raw)
     members = {tuple(sorted(itertools.chain(*combo), key=lambda s: s.sort_key))
                for opts in options for combo in itertools.product(*opts)}
     return EquivClass(reference, tuple(sorted(members, key=_member_key)))
@@ -310,10 +325,13 @@ def path_class(n_vertices: int, expand_d: bool = True) -> EquivClass:
         raise ValueError(f"need at least 2 vertices, got {n_vertices}")
     t, m = two_adic_split(n_vertices + 2)
 
-    specs = {j: spec("C", m * 2**j) for j in range(t) if m * 2**j >= 3}  # built once for all rows
+    # the cycles C_(m 2^j), j0 <= j < t, built once; a row names a run of
+    # them by one slice, so that counting its components is O(1)
+    j0 = next(j for j in range(t + 1) if m * 2**j >= 3)
+    chain = [spec("C", m * 2**j) for j in range(j0, t)]
 
-    def cycles(lo: int, hi: int) -> list[FamilySpec]:
-        return [specs[j] for j in range(lo, hi)]
+    def cycles(lo: int, hi: int) -> list[slice]:
+        return [slice(lo - j0, hi - j0)]
 
     # a split point whose first cycle would be shorter than 3 has no member
     raw = [[spec("P", n_vertices)]] + [
@@ -327,7 +345,7 @@ def path_class(n_vertices: int, expand_d: bool = True) -> EquivClass:
         if t >= 3:
             raw.append([spec("Y", 4, 2, 2), spec("C", 3), spec("C", 4), spec("C", 6)] + cycles(3, t))
             raw.append([spec("Y", 4, 2, 2), spec("C", 3), spec("P", 6), spec("K4e")] + cycles(3, t))
-    return _equiv_class(spec("P", n_vertices), raw, expand_d)
+    return _equiv_class(spec("P", n_vertices), raw, expand_d, chain)
 
 
 def cycle_class(n: int) -> EquivClass:

@@ -4,9 +4,9 @@ The evaluator is one recursion over vertex masks of the input's fixed
 adjacency rows.  A mask splits into connected components, whose
 polynomials multiply.  A component with in-mask degrees at most 2 is a
 path or a cycle (its degree sum tells which) and takes its closed form,
-i_k(P_n) = C(n-k+1, k) and i_k(C_n) = n/(n-k) * C(n-k, k), from
-binomials; any other component pivots on a vertex v of largest in-mask
-degree:
+i_k(P_n) = C(n-k+1, k) and i_k(C_n) = n/(n-k) * C(n-k, k), built by the
+exact ratio of consecutive coefficients; any other component pivots on a
+vertex v of largest in-mask degree:
 
     I(G, x) = I(G - v, x) + x * I(G - N[v], x)
 
@@ -20,7 +20,6 @@ module's independent ground truth.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
 
 from .graphcore import Graph, mask_components
 from .polyalg import IntPoly
@@ -32,20 +31,36 @@ _ONE = IntPoly.one()
 MAX_EVAL_MASKS = 1 << 18
 
 
+# Each closed form is built from i_0 = 1 by the ratio of consecutive
+# coefficients: one multiply by a small integer and one exact division per
+# coefficient, where a binomial per coefficient costs a product of k terms.
+
 @lru_cache()
 def path_polynomial(n: int) -> IntPoly:
-    """I(P_n, x), with i_k = C(n-k+1, k); P_0 is the empty graph."""
+    """I(P_n, x), with i_k = C(n-k+1, k); P_0 is the empty graph.
+
+    i_k = i_(k-1) * (n-2k+3)(n-2k+2) / (k * (n-k+2)).
+    """
     if n < 0:
         raise ValueError(f"path length must be >= 0, got {n}")
-    return IntPoly([comb(n + 1 - k, k) for k in range((n + 3) // 2)])
+    coeffs = [1]
+    for k in range(1, (n + 3) // 2):
+        coeffs.append(coeffs[-1] * ((n - 2 * k + 3) * (n - 2 * k + 2)) // (k * (n - k + 2)))
+    return IntPoly(coeffs)
 
 
 @lru_cache()
 def cycle_polynomial(n: int) -> IntPoly:
-    """I(C_n, x) for n >= 3: i_k = n/(n-k) * C(n-k, k)."""
+    """I(C_n, x) for n >= 3: i_k = n/(n-k) * C(n-k, k).
+
+    i_(k+1) = i_k * (n-2k)(n-2k-1) / ((k+1) * (n-k-1)).
+    """
     if n < 3:
         raise ValueError(f"cycle length must be >= 3, got {n}")
-    return IntPoly([n * comb(n - k, k) // (n - k) for k in range(n // 2 + 1)])
+    coeffs = [1]
+    for k in range(n // 2):
+        coeffs.append(coeffs[-1] * ((n - 2 * k) * (n - 2 * k - 1)) // ((k + 1) * (n - k - 1)))
+    return IntPoly(coeffs)
 
 
 def independence_polynomial(g: Graph) -> IntPoly:

@@ -1,10 +1,11 @@
 """Reference routes the tests check the library against.
 
 They find isomorphisms by backtracking vertex assignment and share no
-code with the canonical search.
+code with the canonical search, and multiply polynomials by the
+schoolbook double loop.
 """
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from indeq.graphcore import Graph
 
@@ -50,3 +51,15 @@ def isomorphic_bruteforce(g: Graph, h: Graph) -> bool:
 def automorphism_count(g: Graph) -> int:
     """The order of g's automorphism group, by counting its vertex maps."""
     return sum(1 for _ in isomorphisms(g, g))
+
+
+def poly_product(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """The coefficients of a * b, ascending, by the schoolbook double loop;
+    trailing zeros are dropped, so the zero polynomial is ()."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ci in enumerate(a):
+        for j, cj in enumerate(b):
+            out[i + j] += ci * cj
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)

@@ -1,4 +1,6 @@
 import itertools
+import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -99,6 +101,36 @@ def test_closed_forms_match_deletion_recurrence():
         assert path_polynomial(n) == want, n
     for n, want in cycles.items():
         assert cycle_polynomial(n) == want, n
+
+
+# every n up to 1500, then every 97th up to 10,000 and 10,000 itself; the
+# closed forms are built uncached, so no large polynomial stays in memory
+CLOSED_FORM_NS = sorted({*range(1501), *range(1501, 10_001, 97), 10_000})
+
+
+def test_closed_form_values_match_integer_recurrences():
+    # p_n = p_(n-1) + x p_(n-2) and c_n = p_(n-1) + x p_(n-3) at x = 1, 2, -1
+    p = {}
+    for x in (1, 2, -1):
+        p[x] = [1, 1 + x]
+        while len(p[x]) <= CLOSED_FORM_NS[-1]:
+            p[x].append(p[x][-1] + x * p[x][-2])
+    for n in CLOSED_FORM_NS:
+        path = path_polynomial.__wrapped__(n)
+        assert [path.eval_int(x) for x in p] == [p[x][n] for x in p], n
+        if n >= 3:
+            cycle = cycle_polynomial.__wrapped__(n)
+            assert [cycle.eval_int(x) for x in p] == [p[x][n - 1] + x * p[x][n - 3] for x in p], n
+
+
+@pytest.mark.parametrize("n", [4099, 9998, 9999, 10_000])
+def test_closed_forms_match_sampled_binomials(n):
+    path, cycle = path_polynomial.__wrapped__(n).coeffs, cycle_polynomial.__wrapped__(n).coeffs
+    assert (len(path), len(cycle)) == ((n + 3) // 2, n // 2 + 1)
+    for k in random.Random(n).sample(range(n // 2 + 1), 25) + [0, 1, n // 2]:
+        assert path[k] == comb(n + 1 - k, k)
+        assert cycle[k] * (n - k) == n * comb(n - k, k)
+    assert path[-1] == comb(n + 1 - (n + 1) // 2, (n + 1) // 2)
 
 
 def test_closed_forms_match_bruteforce():

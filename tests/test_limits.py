@@ -12,12 +12,13 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from indeq.classify import MAX_CLASS_COMPONENTS, MAX_SWEEP_SPECS
+from indeq.classify import MAX_CLASS_COMPONENTS, MAX_SWEEP_SPECS, path_class
 from indeq.factorbasis import MAX_FACTOR_INDEX, basis_ftilde, real_cyclotomic
 from indeq.graphcore import MAX_BUILD_VERTICES, FamilySpec, Graph, build, graph6_write
 from indeq.indpoly import MAX_EVAL_MASKS, path_polynomial
@@ -138,15 +139,24 @@ def test_class_above_the_component_cap_is_refused(n, bound):
                            f"above the cap of {MAX_CLASS_COMPONENTS}\n")
 
 
-@pytest.mark.parametrize("t,bound", [(1449, 1049076), (1600, 1279200), (3300, 5443350)])
+@pytest.mark.parametrize("t,bound", [(1449, 1049076), (1600, 1279200), (3300, 5443350),
+                                     (6000, 17997000)])
 def test_class_without_d_twins_above_the_component_cap_is_refused(t, bound):
     # n + 2 = 2^t: rows of up to t - 2 cycles, about t^2/2 components,
-    # counted with each distinct cycle's variants made once
+    # counted from the cycle chain's prefix sums without building a row
     n = 2**t - 2
     done = _under_limit(CHILD, "class", "path", str(n), "--no-expand-d", timeout=6)
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr == (f"error: the class of P:{n} has up to {bound} components, "
                            f"above the cap of {MAX_CLASS_COMPONENTS}\n")
+
+
+def test_class_refusal_is_immediate():
+    # t = 6000: the rows would hold 18 million cycle slots
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"has up to 17997000 components, above the cap"):
+        path_class(2**6000 - 2, expand_d=False)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_class_without_d_twins_stays_under_the_cap():

@@ -30,6 +30,7 @@ from indeq.polyalg import (
 )
 
 from conftest import QUARTER, fs
+from reference import poly_product
 
 polys = st.builds(IntPoly, st.lists(st.integers(min_value=-9, max_value=9), max_size=7))
 
@@ -57,6 +58,45 @@ def test_ring_laws(a, b, c):
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
     assert (a * b) * c == a * (b * c)
+
+
+# lengths on both sides of _KRONECKER_MIN_TERMS; coefficient widths from a
+# few bits to a few hundred, so that both sides of the slot-width test
+# occur too; zero coefficients and negative leading ones included
+@st.composite
+def product_factors(draw):
+    bits = draw(st.sampled_from([2, 40, 700]))
+    size = draw(st.integers(0, 2 * polyalg._KRONECKER_MIN_TERMS))
+    coeff = st.integers(-2**bits, 2**bits) | st.just(0)
+    return IntPoly(draw(st.lists(coeff, min_size=size, max_size=size)))
+
+
+@given(product_factors(), product_factors() | st.integers(-10**30, 10**30))
+@settings(max_examples=150, deadline=None)
+def test_multiply_matches_schoolbook_reference(a, b):
+    got = a * b
+    assert isinstance(got, IntPoly)
+    if isinstance(b, int):
+        assert got == b * a == IntPoly(c * b for c in a.coeffs)
+    else:
+        assert got.coeffs == poly_product(a.coeffs, b.coeffs)
+        assert (a * a).coeffs == poly_product(a.coeffs, a.coeffs)
+        assert a * IntPoly.zero() == IntPoly.zero() * a == IntPoly.zero()
+
+
+def test_long_products_take_the_kronecker_route(monkeypatch):
+    calls = []
+    kronecker = polyalg._kronecker_product
+    monkeypatch.setattr(polyalg, "_kronecker_product", lambda *a: calls.append(a) or kronecker(*a))
+    short = polyalg._KRONECKER_MIN_TERMS
+    p, q = path_polynomial(2 * short - 2), path_polynomial(2 * short)  # short, short + 1 terms
+    assert (p * q).coeffs == poly_product(p.coeffs, q.coeffs) and len(calls) == 1
+    # one factor too short, or narrow coefficients in slots as wide as
+    # I(P_3000)'s: schoolbook
+    r, wide = path_polynomial(2 * short - 4), path_polynomial(3000)
+    assert (r * q).coeffs == poly_product(r.coeffs, q.coeffs)
+    assert (p * wide).coeffs == poly_product(p.coeffs, wide.coeffs)
+    assert len(calls) == 1
 
 
 @given(polys, polys)
