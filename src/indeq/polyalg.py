@@ -3,7 +3,7 @@
 Polynomials are dense ascending coefficient vectors over Python's
 arbitrary-precision integers; the empty vector is the zero polynomial.
 Exact scalars are ``fractions.Fraction``.  Long polynomials multiply by
-Kronecker substitution, one big-integer product of their coefficients
+Kronecker substitution, big-integer products of their coefficients
 packed into fixed-width slots; short ones by the schoolbook loop.  On top
 of the ring operations the module provides Sturm chains and exact
 real-root counting over half-open intervals ``(lo, hi]`` with rational or
@@ -61,19 +61,38 @@ def _pack(coeffs: tuple[int, ...], width: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _kronecker_product(a: tuple[int, ...], b: tuple[int, ...], width: int) -> list[int]:
-    """The coefficients of a * b by Kronecker substitution at 256**width,
-    each of which must lie strictly between -(256**width)/2 and (256**width)/2
-    (Harvey, J. Symb. Comput. 44, 2009)."""
-    packed = _pack(a, width)
-    product = packed * (packed if b is a else _pack(b, width))
-    n = len(a) + len(b) - 1
+def _unpack(value: int, width: int, n: int) -> list[int]:
+    """The n signed width-byte slots of value, each of which must lie
+    strictly between -(256**width)/2 and (256**width)/2."""
     # adding half a slot to every slot leaves each one holding c + half, in
     # [0, 2 * half), so no borrow crosses a slot boundary
     half = bytes(width - 1) + b"\x80"
-    data = (product + int.from_bytes(half * n, "little")).to_bytes(width * n, "little")
+    data = (value + int.from_bytes(half * n, "little")).to_bytes(width * n, "little")
     offset = 1 << (8 * width - 1)
     return [int.from_bytes(data[i:i + width], "little") - offset for i in range(0, width * n, width)]
+
+
+def _kronecker_product(a: tuple[int, ...], b: tuple[int, ...], width: int) -> list[int]:
+    """The coefficients of h = a * b, each strictly between -(256**width)/2
+    and (256**width)/2, by two-point Kronecker substitution (Harvey, J.
+    Symb. Comput. 44, 2009): h(2**s) and h(-2**s), s = 4 * width bits, are
+    two products of integers half as long as those of h(256**width).  Their
+    half sum holds h's even coefficients in width-byte slots, and their
+    half difference, shifted down by s, its odd ones."""
+    s = 4 * width
+
+    def at_plus_minus(c: tuple[int, ...]) -> tuple[int, int]:
+        even, odd = _pack(c[0::2], width), _pack(c[1::2], width) << s
+        return even + odd, even - odd
+
+    a_plus, a_minus = at_plus_minus(a)
+    b_plus, b_minus = (a_plus, a_minus) if b is a else at_plus_minus(b)
+    plus, minus = a_plus * b_plus, a_minus * b_minus
+    n = len(a) + len(b) - 1
+    out = [0] * n
+    out[0::2] = _unpack((plus + minus) >> 1, width, (n + 1) // 2)
+    out[1::2] = _unpack((plus - minus) >> (s + 1), width, n // 2)
+    return out
 
 
 class IntPoly:

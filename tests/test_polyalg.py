@@ -99,6 +99,19 @@ def test_long_products_take_the_kronecker_route(monkeypatch):
     assert len(calls) == 1
 
 
+def test_kronecker_slots_hold_extreme_coefficients():
+    # every coefficient at its largest magnitude and 2^6 - 1 terms, so that
+    # the middle product coefficient comes as close to the slot bound as it
+    # can, at every residue of the slot width modulo 8
+    terms = 63
+    assert terms >= polyalg._KRONECKER_MIN_TERMS
+    for bits in range(1, 72):
+        top = 2**bits - 1
+        p, q = IntPoly([top] * terms), IntPoly([-top] * terms + [top])
+        assert (p * q).coeffs == poly_product(p.coeffs, q.coeffs), bits
+        assert (q * q).coeffs == poly_product(q.coeffs, q.coeffs), bits
+
+
 @given(polys, polys)
 @settings(max_examples=80, deadline=None)
 def test_divide_undoes_multiply(a, b):
