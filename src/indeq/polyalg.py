@@ -187,7 +187,7 @@ class IntPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPoly.zero()
-        if min(len(a), len(b)) >= _KRONECKER_MIN_TERMS:
+        if len(a) >= _KRONECKER_MIN_TERMS <= len(b):
             bits_a, bits_b = max(map(int.bit_length, a)), max(map(int.bit_length, b))
             # every product coefficient fits in slot - 1 bits and a sign
             slot = bits_a + bits_b + min(len(a), len(b)).bit_length() + 1
