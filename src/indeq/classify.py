@@ -330,21 +330,21 @@ def path_class(n_vertices: int, expand_d: bool = True) -> EquivClass:
     j0 = next(j for j in range(t + 1) if m << j >= 3)
     chain = [spec("C", m << j) for j in range(j0, t)]
 
-    def cycles(lo: int, hi: int) -> list[slice]:
-        return [slice(lo - j0, hi - j0)]
+    def cycles(lo: int, hi: int) -> slice:
+        return slice(lo - j0, hi - j0)
 
     # a split point whose first cycle would be shorter than 3 has no member
     raw = [[spec("P", n_vertices)]] + [
-        [spec("P", (m << tp) - 2)] + cycles(tp, t) for tp in range(j0, t)]
+        [spec("P", (m << tp) - 2), cycles(tp, t)] for tp in range(j0, t)]
     if m == 3:
         # the rows that hold C_6 gain its P_2 + K4e member through _variants
-        raw += [cycles(0, z) + [spec("Y", (3 << z) - 3, 2, 1)] + cycles(z + 1, t)
+        raw += [[cycles(0, z), spec("Y", (3 << z) - 3, 2, 1), cycles(z + 1, t)]
                 for z in range(1, t)]
         if t >= 2:
-            raw += [[spec(f, 1, 1), spec("P", 2), spec("C", 3)] + cycles(2, t) for f in "EA"]
+            raw += [[spec(f, 1, 1), spec("P", 2), spec("C", 3), cycles(2, t)] for f in "EA"]
         if t >= 3:
-            raw.append([spec("Y", 4, 2, 2), spec("C", 3), spec("C", 4), spec("C", 6)] + cycles(3, t))
-            raw.append([spec("Y", 4, 2, 2), spec("C", 3), spec("P", 6), spec("K4e")] + cycles(3, t))
+            raw.append([spec("Y", 4, 2, 2), spec("C", 3), spec("C", 4), spec("C", 6), cycles(3, t)])
+            raw.append([spec("Y", 4, 2, 2), spec("C", 3), spec("P", 6), spec("K4e"), cycles(3, t)])
     return _equiv_class(spec("P", n_vertices), raw, expand_d, chain)
 
 
