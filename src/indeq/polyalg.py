@@ -38,16 +38,17 @@ from typing import Iterable, NamedTuple, Optional, Union
 RationalLike = Union[int, Fraction]
 
 
-#: Products take Kronecker substitution when the shorter factor has at
-#: least _KRONECKER_MIN_TERMS coefficients and the slots waste little: per
-#: pair of coefficients, a packed product costs about slot**2 /
-#: _KRONECKER_PAYS bit operations, schoolbook bits_a * bits_b plus one
-#: interpreter step, worth about _PAIR_COST_BITS2.  The three are measured
-#: crossovers (CPython 3.11, 2 vCPUs).  Short of them the packing costs
-#: more than it saves, as on the evaluator's products of at most about 30
-#: terms, or a factor with narrow coefficients pays for slots as wide as
-#: the other's, as I(P_100) does against I(P_3000).
-_KRONECKER_MIN_TERMS = 32
+#: Products take Kronecker substitution when both factors have at least
+#: _KRONECKER_MIN_TERMS coefficients and the slots waste little: per pair
+#: of coefficients, a packed product costs about slot**2 / _KRONECKER_PAYS
+#: bit operations, schoolbook bits_a * bits_b plus one interpreter step,
+#: worth about _PAIR_COST_BITS2 (measured crossovers, CPython 3.11, 2
+#: vCPUs).  Kronecker wins from 16-32 balanced terms, but the evaluator's
+#: products, whose shorter factor has at most 51 coefficients over every
+#: spec `indeq verify` evaluates, keep the schoolbook loop.  A factor with
+#: narrow coefficients pays for slots as wide as the other's: packed,
+#: I(P_126) times I(P_4000) takes 2.7 times as long as schoolbook.
+_KRONECKER_MIN_TERMS = 64
 _KRONECKER_PAYS = 8
 _PAIR_COST_BITS2 = 1 << 14
 

@@ -9,7 +9,7 @@ from indeq import polyalg
 from indeq.classify import screen_family
 from indeq.cli import main
 from indeq.factorbasis import basis_f
-from indeq.graphcore import build
+from indeq.graphcore import FamilySpec, build
 from indeq.indpoly import (
     bruteforce_counts,
     cycle_polynomial,
@@ -99,11 +99,22 @@ def test_long_products_take_the_kronecker_route(monkeypatch):
     assert len(calls) == 1
 
 
+def test_evaluator_products_keep_the_schoolbook_route(monkeypatch):
+    # P:99+C:101 has the longest factors of every spec `indeq verify`
+    # evaluates, 51 coefficients each
+    calls = []
+    monkeypatch.setattr(polyalg, "_kronecker_product", lambda *a: calls.append(a))
+    got = independence_polynomial(build((FamilySpec("P", (99,)), FamilySpec("C", (101,)))))
+    assert got.coeffs == poly_product(path_polynomial(99).coeffs, cycle_polynomial(101).coeffs)
+    assert len(path_polynomial(99).coeffs) == len(cycle_polynomial(101).coeffs) == 51
+    assert calls == []
+
+
 def test_kronecker_slots_hold_extreme_coefficients():
-    # every coefficient at its largest magnitude and 2^6 - 1 terms, so that
+    # every coefficient at its largest magnitude and 2^7 - 1 terms, so that
     # the middle product coefficient comes as close to the slot bound as it
     # can, at every residue of the slot width modulo 8
-    terms = 63
+    terms = 127
     assert terms >= polyalg._KRONECKER_MIN_TERMS
     for bits in range(1, 72):
         top = 2**bits - 1
