@@ -91,12 +91,11 @@ def divisors(n: int) -> list[int]:
 
 
 def two_adic_split(n: int) -> tuple[int, int]:
-    """n = 2^t * m with m odd; returns (t, m)."""
-    t = 0
-    while n % 2 == 0:
-        n //= 2
-        t += 1
-    return t, n
+    """n = 2^t * m with m odd; returns (t, m).  Raises ValueError for n < 1."""
+    if n < 1:
+        raise ValueError(f"two-adic split needs n >= 1, got {n}")
+    t = (n & -n).bit_length() - 1
+    return t, n >> t
 
 
 # -- cyclotomic and 2cos minimal polynomials -----------------------------------

@@ -4,19 +4,21 @@ Polynomials are dense ascending coefficient vectors over Python's
 arbitrary-precision integers; the empty vector is the zero polynomial.
 Exact scalars are ``fractions.Fraction``.  Long polynomials multiply by
 Kronecker substitution, big-integer products of their coefficients
-packed into fixed-width slots; short ones by the schoolbook loop.  On top
-of the ring operations the module provides Sturm chains and exact
-real-root counting over half-open intervals ``(lo, hi]`` with rational or
-infinite endpoints.  A chain keeps, for each remainder step, the data of
-its exact identity g·s[i+2] = q·s[i+1] − m·s[i] (q the pseudo-quotient,
-m > 0 the pseudo-division multiplier, g > 0 the content divided out),
-so its values at a rational point follow from those of its last two
-members by that recurrence, in O(d) big-integer products instead of
-Horner's O(d²); every division in it is exact, so every sign is.  A
-chain also tells whether its polynomial is squarefree, from its last
-member, which is gcd(p, p') up to a scalar, and so whether every root is
-real and below a bound; dividing p by that member gives p's squarefree
-part.  Root isolation and refinement, used
+packed into fixed-width slots; short ones by the schoolbook loop.  One
+rational point num/den is evaluated cleared of denominators,
+den^d·p(num/den), by ``homogeneous_value``; root refinement, whose grid
+points share one den, scales a copy of p once per root and runs Horner.
+Sturm chains give exact real-root counts over half-open intervals
+``(lo, hi]`` with rational or infinite endpoints.  A chain keeps, for
+each remainder step, the data of its exact identity
+g·s[i+2] = q·s[i+1] − m·s[i] (q the pseudo-quotient, m > 0 the
+pseudo-division multiplier, g > 0 the content divided out), so its
+values at a rational point follow from those of its last two members by
+that recurrence, in O(d) big-integer products instead of Horner's O(d²);
+every division in it is exact, so every sign is.  Squarefreeness is
+read from a chain's last member, which is gcd(p, p') up to a scalar, and
+so is whether every root is real and below a bound; dividing p by that
+member gives p's squarefree part.  Root isolation and refinement, used
 for diagnostics, return the intervals plain bisection returns: the
 isolation skips chain evaluations whose counts a root bound already
 fixes, and the refinement finds bisection's final grid cell by
@@ -279,28 +281,13 @@ class IntPoly:
     def eval_rational(self, x: RationalLike) -> Fraction:
         """Exact value at a rational point, integer arithmetic only."""
         den = x.denominator
-        return Fraction(self.homogenized(den).eval_int(x.numerator), den ** max(self.degree, 0))
+        return Fraction(self.homogeneous_value(x.numerator, den), den ** max(self.degree, 0))
 
     def eval_int(self, x: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def homogenized(self, den: int) -> "IntPoly":
-        """den^d * p(x / den) as a polynomial in x, d the degree.
-
-        Its coefficient of x^j is c_j den^(d-j), so its value at an integer
-        num is den^d * p(num / den), the value of p at num / den cleared of
-        denominators.
-        """
-        out = []
-        dp = 1
-        for c in reversed(self.coeffs):
-            out.append(c * dp)
-            dp *= den
-        out.reverse()
-        return IntPoly(out)
 
     def homogeneous_value(self, num: int, den: int) -> int:
         """den^d * p(num / den), d the degree, by Horner on integers."""
@@ -314,7 +301,7 @@ class IntPoly:
     def sign_at(self, x: RationalLike) -> int:
         """Sign of p(x) at a rational point, integer arithmetic only."""
         # den > 0, so the scaling by den^d is sign-safe
-        v = self.homogenized(x.denominator).eval_int(x.numerator)
+        v = self.homogeneous_value(x.numerator, x.denominator)
         return (v > 0) - (v < 0)
 
     def sign_at_infinity(self, positive: bool) -> int:
@@ -394,11 +381,7 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
 
 
 def is_squarefree(p: IntPoly) -> bool:
-    if not p:
-        return False
-    if p.degree <= 0:
-        return True
-    return poly_gcd(p, p.derivative()).degree == 0
+    return bool(p) and SturmChain.of(p).squarefree
 
 
 # -- Sturm chains and root counting ------------------------------------
@@ -606,7 +589,12 @@ def refine_root(p: IntPoly, lo: Fraction, hi: Fraction, width: Fraction) -> tupl
     step = hi.numerator * (den // hi.denominator) - num0
     num0 <<= j
     den <<= j
-    scaled = p.homogenized(den)  # scaled.eval_int(num0 + step * k) = den^d p(x_k)
+    # every probe shares den, so p is scaled once: scaled.eval_int(num0 + step * k) = den^d p(x_k)
+    coeffs, dp = [], 1
+    for c in reversed(p.coeffs):
+        coeffs.append(c * dp)
+        dp *= den
+    scaled = IntPoly(reversed(coeffs))
     a, b = 0, 1 << j
     fa, fb = scaled.eval_int(num0), scaled.eval_int(num0 + step * b)
     if fb == 0:

@@ -16,6 +16,7 @@ from indeq.factorbasis import (
     multiset_to_json,
     product_of,
     real_cyclotomic,
+    two_adic_split,
 )
 from indeq.graphcore import build
 from indeq.indpoly import cycle_polynomial, independence_polynomial, path_polynomial
@@ -125,6 +126,28 @@ def test_degree_bookkeeping():
         assert basis_f(n).poly.degree == euler_phi(2 * n) // 2
         if n % 2 == 1 and n >= 3:
             assert basis_ftilde(n).poly.degree == euler_phi(n) // 2
+
+
+def test_basis_is_irreducible_by_sympy():
+    # a second system's factorization: one factor, of multiplicity 1 and
+    # of the basis degree, for f_n, n <= 40, and odd f~_n, n < 80
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    cases = [(basis_f(n), euler_phi(2 * n) // 2) for n in range(2, 41)]
+    cases += [(basis_ftilde(n), euler_phi(n) // 2) for n in range(3, 80, 2)]
+    for factor, degree in cases:
+        _, factors = sympy.factor_list(sympy.Poly(factor.poly.coeffs[::-1], x))
+        assert [(f.degree(), m) for f, m in factors] == [(degree, 1)], factor.name
+
+
+def test_two_adic_split():
+    assert two_adic_split(1) == (0, 1)
+    for k in range(12):
+        for m in (1, 3, 5, 45, 2**61 - 1):
+            assert two_adic_split(2**k * m) == (k, m)
+    for n in (0, -4):
+        with pytest.raises(ValueError):
+            two_adic_split(n)
 
 
 def test_pairwise_coprimality():

@@ -2,7 +2,7 @@ import hashlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from indeq import polyalg
@@ -292,7 +292,7 @@ def test_one_sturm_chain_per_root_question(monkeypatch, capsys, name):
 def test_chain_squarefree_answer_equals_the_gcd_route(a, b):
     for p in (a, a * a * b):
         if p:
-            assert SturmChain.of(p).squarefree == is_squarefree(p)
+            assert SturmChain.of(p).squarefree == is_squarefree(p) == (poly_gcd(p, p.derivative()).degree == 0)
 
 
 small_polys = st.builds(IntPoly, st.lists(st.integers(min_value=-5, max_value=5), max_size=4))
@@ -370,6 +370,15 @@ def test_chain_steps_satisfy_the_remainder_identity():
         _assert_remainder_identities(SturmChain.of(p))
 
 
+def _cleared_value(p, x):
+    """den^deg p(x), x = num/den, by Horner over Fractions (0 for p = 0)."""
+    x = Fraction(x)
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc * x.denominator ** max(p.degree, 0)
+
+
 def _reference_variations(chain, x):
     """Sign variations at x, every member evaluated on its own by sign_at."""
     signs = [s for s in (member.sign_at(x) for member in chain.chain) if s]
@@ -405,7 +414,7 @@ def test_recurrence_values_equal_horner_on_each_member(parts, drawn):
     roots += [Fraction(-s.coeffs[0], s.coeffs[1]) for s in chain.chain[1:-1] if s.degree == 1]
     for x in drawn + roots:
         values = chain.values_at(x)
-        assert values == [s.homogenized(x.denominator).eval_int(x.numerator) for s in chain.chain]
+        assert values == [_cleared_value(s, x) for s in chain.chain]
         assert [(v > 0) - (v < 0) for v in values] == [s.sign_at(x) for s in chain.chain]
         assert chain.variations_at(x) == _reference_variations(chain, x)
 
@@ -467,6 +476,25 @@ quadratics = st.builds(
 )
 
 
+@given(st.builds(IntPoly, st.lists(st.integers(-10**6, 10**6), max_size=8)),
+       st.one_of(st.integers(-40, 40), rationals, st.fractions(-9, 9, max_denominator=10**9)))
+@example(IntPoly(), Fraction(-3, 7))
+@example(IntPoly((5,)), Fraction(5, 8))
+@example(IntPoly((0, 0, -3)), 0)
+@settings(max_examples=200, deadline=None)
+def test_every_evaluation_route_equals_the_fraction_reference(p, x):
+    value = _cleared_value(p, x)
+    num, den = x.numerator, x.denominator
+    if den == 1:
+        assert p.eval_int(num) == value
+    assert p.homogeneous_value(num, den) == value
+    assert p.eval_rational(x) == value / den ** max(p.degree, 0)
+    assert p.sign_at(x) == (value > 0) - (value < 0)
+    if p:
+        chain = SturmChain.of(p)
+        assert chain.values_at(x) == [_cleared_value(s, x) for s in chain.chain]
+
+
 def _with_roots(roots):
     """Primitive product of the linear factors (den x - num), one per root."""
     p = IntPoly.one()
@@ -518,10 +546,12 @@ def test_refinement_evaluates_fewer_than_half_the_points_of_bisection(monkeypatc
     p = path_polynomial(60)
     intervals = isolate_real_roots(SturmChain.of(p))
     width = Fraction(1, 10**12)
-    # every point either refinement evaluates p at is one eval_int call
+    # refinement evaluates its grid points by eval_int on a scaled copy of p
+    # and any other point by sign_at; bisection evaluates every point by sign_at
     calls = []
-    eval_int = IntPoly.eval_int
-    monkeypatch.setattr(IntPoly, "eval_int", lambda self, x: calls.append(x) or eval_int(self, x))
+    for name in ("eval_int", "sign_at"):
+        method = getattr(IntPoly, name)
+        monkeypatch.setattr(IntPoly, name, lambda self, x, method=method: calls.append(x) or method(self, x))
     fast = [refine_root(p, lo, hi, width) for lo, hi in intervals]
     refined = len(calls)
     slow = [_bisection_refine(p, lo, hi, width) for lo, hi in intervals]
