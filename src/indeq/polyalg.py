@@ -6,8 +6,9 @@ Exact scalars are ``fractions.Fraction``.  Long polynomials multiply by
 Kronecker substitution, big-integer products of their coefficients
 packed into fixed-width slots; short ones by the schoolbook loop.  One
 rational point num/den is evaluated cleared of denominators,
-den^d·p(num/den), by ``homogeneous_value``; root refinement, whose grid
-points share one den, scales a copy of p once per root and runs Horner.
+den^d·p(num/den), by ``homogeneous_value``; root refinement, whose
+probes k/2^e share one denominator, scales a copy of p once per root and
+runs Horner.
 Sturm chains give exact real-root counts over half-open intervals
 ``(lo, hi]`` with rational or infinite endpoints.  A chain keeps, for
 each remainder step, the data of its exact identity
@@ -22,7 +23,8 @@ member gives p's squarefree part.  Root isolation and refinement, used
 for diagnostics, return the intervals plain bisection returns: the
 isolation skips chain evaluations whose counts a root bound already
 fixes, and the refinement finds bisection's final grid cell by
-quadratic interval refinement on integer grid indices.
+quadratic interval refinement on short dyadic points, with at most one
+exact evaluation at a point of that grid.
 
 Everything here is pure value semantics: polynomials and chains are
 immutable and safe to share between threads.
@@ -572,80 +574,143 @@ def refine_root(p: IntPoly, lo: Fraction, hi: Fraction, width: Fraction) -> tupl
 
     The result is the interval bisection returns: the cell of its final
     level that holds the root, or (x, x) when the root is a point x of
-    that level's grid.  It is found by grid-aligned quadratic interval
-    refinement (J. Abbott, ACM Commun. Comput. Algebra 48, 2014), which
-    evaluates far fewer points than bisection.  Raises ValueError when p
-    has the same sign just right of lo as at hi: (lo, hi] isolates no root.
+    that level's grid.  Exact signs at hi and just right of lo, stepping
+    inward first when lo is a root itself, give the sign of p above the
+    root; quadratic interval refinement on short dyadic points then finds
+    the cell, with at most one more exact evaluation, at a point of that
+    grid.  Raises ValueError when p has the same sign just right of lo as
+    at hi: (lo, hi] isolates no root.
     """
     if width <= 0:
         raise ValueError(f"refinement width must be positive, not {width}")
     lo, hi = Fraction(lo), Fraction(hi)
-    # bisection stops at the least level j with (hi - lo) / 2^j <= width;
-    # that level's grid is x_k = (num0 + step * k) / den, k = 0 .. 2^j
-    ratio = (hi - lo) / width
-    j = (-(-ratio.numerator // ratio.denominator) - 1).bit_length()
-    den = lcm(lo.denominator, hi.denominator)
-    num0 = lo.numerator * (den // lo.denominator)
-    step = hi.numerator * (den // hi.denominator) - num0
-    num0 <<= j
-    den <<= j
-    # every probe shares den, so p is scaled once: scaled.eval_int(num0 + step * k) = den^d p(x_k)
-    coeffs, dp = [], 1
-    for c in reversed(p.coeffs):
-        coeffs.append(c * dp)
-        dp *= den
-    scaled = IntPoly(reversed(coeffs))
-    a, b = 0, 1 << j
-    fa, fb = scaled.eval_int(num0), scaled.eval_int(num0 + step * b)
-    if fb == 0:
+    above = p.sign_at(hi)
+    if above == 0:
         return hi, hi
-    if fa == 0:
+    below = p.sign_at(lo)
+    if below == 0:
         # lo is a different root (excluded by the half-open convention); just
         # right of it p has the sign of its first derivative nonzero at lo
         q = p.derivative()
-        while not (s_lo := q.sign_at(lo)):
+        while not (below := q.sign_at(lo)):
             q = q.derivative()
-        if (s_lo > 0) == (fb > 0):
-            raise ValueError(f"({lo}, {hi}] is not an isolating interval")
-        while True:  # step inward until that sign shows up, then refine
-            mid = (lo + hi) / 2
-            s_mid = p.sign_at(mid)
-            if s_mid == 0:
-                return mid, mid
-            if s_mid == s_lo:
-                return refine_root(p, mid, hi, width)
-            hi = mid
-    if (fa > 0) == (fb > 0):
+        if below != above:
+            while True:  # step inward until that sign shows up
+                mid = (lo + hi) / 2
+                s_mid = p.sign_at(mid)
+                if s_mid == 0:
+                    return mid, mid
+                if s_mid == below:
+                    lo = mid
+                    break
+                hi = mid
+    if below == above:
         raise ValueError(f"({lo}, {hi}] is not an isolating interval")
+    return _refine_isolated(p, lo, hi, width, above)
+
+
+def _refine_isolated(p: IntPoly, lo: Fraction, hi: Fraction, width: Fraction,
+                     above: int) -> tuple[Fraction, Fraction]:
+    """``refine_root`` for an interval (lo, hi] that holds exactly one root r
+    of p, a simple one, where lo is no root and p has the sign ``above`` on
+    (r, hi) and its opposite on (lo, r).  No exact value at lo or hi is
+    needed.
+
+    Quadratic interval refinement (J. Abbott, ACM Commun. Comput. Algebra
+    48, 2014) probes dyadic points k / 2^e strictly inside (lo, hi), e the
+    least with 2^-e at most 1/16 of bisection's final grid spacing, so the
+    probes are far shorter integers than that grid's points (M. Sagraloff
+    and K. Mehlhorn, J. Symb. Comput. 73, 2016).  Its final bracket is
+    narrower than a grid cell, so it meets at most one grid point, and only
+    then is p evaluated exactly, once, at that point.
+    """
+    # bisection stops at the least level j with (hi - lo) / 2^j <= width;
+    # that level's grid is x_i = (num0 + step * i) / den, i = 0 .. 2^j
+    den = lcm(lo.denominator, hi.denominator)
+    num0 = lo.numerator * (den // lo.denominator)
+    step = hi.numerator * (den // hi.denominator) - num0
+    # 2^j >= (hi - lo) / width = step * width.denominator / (den * width.numerator)
+    j = ((step * width.denominator - 1) // (den * width.numerator)).bit_length()
+    num0 <<= j
+    den <<= j
+    e = ((16 * den - 1) // step).bit_length()  # least e with 2^e * step >= 16 * den
+    # every probe shares the denominator 2^e: scaled.eval_int(k) = 2^(e d) p(k / 2^e)
+    d = p.degree
+    scaled = IntPoly(c << e * (d - i) for i, c in enumerate(p.coeffs))
+
+    def grid_index(k: int) -> tuple[int, int]:
+        """Quotient and remainder of (k / 2^e - lo) by the grid spacing."""
+        return divmod(k * den - (num0 << e), step << e)
+
+    def cell(i: int) -> tuple[Fraction, Fraction]:
+        return Fraction(num0 + step * i, den), Fraction(num0 + step * (i + 1), den)
+
+    # the bracket (a, b) of probe indices starts at lo and hi themselves,
+    # a = kmin - 1 and b = kmax + 1 standing for them; its first probes are
+    # the dyadic points nearest hi and lo, which give the secant its values
+    kmin = (lo.numerator << e) // lo.denominator + 1
+    kmax = -((-hi.numerator << e) // hi.denominator) - 1
+    a, fa, b, fb = kmin - 1, 0, kmax + 1, 0
+    up = above > 0
     n = 4
     while b - a > 1:
-        # probe the window of w cells around the secant point; the root is
-        # strictly inside (x_a, x_b), where fa and fb have opposite signs
-        w = max(1, (b - a) // n)
-        guess = a + (b - a) * fa // (fa - fb)
-        x0 = min(max(a, guess - w // 2), b - w)
-        x1 = x0 + w
+        if not fb:
+            x0 = x1 = b - 1
+        elif not fa:
+            x0 = x1 = a + 1
+        else:
+            # probe the window of w indices around the secant point
+            w = max(1, (b - a) // n)
+            guess = a + (b - a) * fa // (fa - fb)
+            x0 = min(max(a, guess - w // 2), b - w)
+            x1 = x0 + w
         for k in (x0, x1):
             if a < k < b:
-                f = scaled.eval_int(num0 + step * k)
-                if f == 0:
-                    x = Fraction(num0 + step * k, den)
+                f = scaled.eval_int(k)
+                if f == 0:  # a probe hit the root: read its cell directly
+                    i, rem = grid_index(k)
+                    if rem:
+                        return cell(i)
+                    x = Fraction(k, 1 << e)
                     return x, x
-                if (f > 0) == (fa > 0):
-                    a, fa = k, f
-                else:
+                if (f > 0) == up:
                     b, fb = k, f
                     break
+                a, fa = k, f
         n = n * n if x0 <= a and b <= x1 else max(4, isqrt(n))
-    return Fraction(num0 + step * a, den), Fraction(num0 + step * b, den)
+    # r lies in (A, B), A = lo or a / 2^e and B = b / 2^e, or in (A, hi] when
+    # b stands for hi; the grid point after A's cell is the only one that can
+    # lie in (A, B], and hi always does when b stands for it
+    i = 0 if a < kmin else grid_index(a)[0]
+    g = num0 + step * (i + 1)
+    if b > kmax or g << e < b * den:
+        x = Fraction(g, den)
+        s = p.sign_at(x)
+        if s == 0:
+            return x, x
+        if s != above:
+            i += 1
+    return cell(i)
 
 
 def real_roots_approx(chain: SturmChain, width: Fraction = Fraction(1, 10**12)) -> list[float]:
     """Float approximations of the distinct real roots of the chain's
     polynomial, which must be squarefree (diagnostics only)."""
+    if width <= 0:
+        raise ValueError(f"refinement width must be positive, not {width}")
     p = chain.poly
+    intervals = isolate_real_roots(chain)
+    # above a simple root p has the sign it has at +infinity, flipped once
+    # for every root further up
+    above = (1 if p.lead > 0 else -1) * (-1) ** (len(intervals) - 1)
     roots = []
-    for lo, hi in isolate_real_roots(chain):
-        a, b = refine_root(p, lo, hi, width)
+    a = b = None
+    for lo, hi in intervals:
+        if a == b == lo:
+            # the root below sits at lo, and bisection steps in from it first
+            a, b = refine_root(p, lo, hi, width)
+        else:
+            a, b = _refine_isolated(p, lo, hi, width, above)
         roots.append(float((a + b) / 2))
+        above = -above
     return roots

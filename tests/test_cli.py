@@ -162,6 +162,24 @@ def test_roots_command(capsys):
     assert "squarefree: True" in out
 
 
+# sha256 of `roots ... --json` stdout, recorded while the refinement probed
+# the points of the bisection grid itself; C:9+C:9+P:4 is not squarefree, so
+# its roots come from the squarefree part
+GOLDEN_ROOTS_DIGESTS = [
+    ("P:200", "e1bb55d408e59483503be193451702e987abfbae769189d82d502d1669e6ecf6"),
+    ("C:150", "85bdf58ea3c1250c94710a96f61fc412414ec56f71bcfd4692ccab35884661e0"),
+    ("Y:64,1,1", "61c1864f0f27db537876423b71230588fce078f31276a7bf47540307eb6ea096"),
+    ("C:9+C:9+P:4", "eabb7689890d025d01569491b8e202b56ff193eaa4a4a768cd2c748d9109a7f5"),
+]
+
+
+@pytest.mark.parametrize("spec,digest", GOLDEN_ROOTS_DIGESTS, ids=[s for s, _ in GOLDEN_ROOTS_DIGESTS])
+def test_roots_json_matches_golden(capsys, spec, digest):
+    code, out, _ = run(capsys, "roots", spec, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
 def test_screen_command(capsys):
     code, out, _ = run(capsys, "screen", "B", "--max", "6", "--json")
     payload = json.loads(out)

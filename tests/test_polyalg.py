@@ -542,12 +542,33 @@ def test_refinement_lands_on_a_root_at_a_grid_point(lo, length, m, data):
     assert refine_root(p, lo, hi, Fraction(1, 10**12)) == (root, root)
 
 
+# denominators 1, 2, 8 and 1024 make dyadic roots, some of them on the final
+# grid of a refinement or at an isolation endpoint (0 is the first split of
+# every isolation); 3, 7 and 61 never do
+linear_roots = st.builds(Fraction, st.one_of(st.integers(-12, 12), st.integers(-5000, 5000)),
+                         st.sampled_from([1, 2, 8, 1024, 3, 7, 61]))
+
+
+@given(st.lists(linear_roots, min_size=1, max_size=7, unique=True),
+       st.sampled_from([1, -1, 3, -2]), st.sampled_from(WIDTHS))
+@example([Fraction(-1), Fraction(0), Fraction(1)], 1, WIDTHS[0])
+@example([Fraction(-1), Fraction(0), Fraction(1), Fraction(2)], -1, WIDTHS[0])
+@settings(max_examples=150, deadline=None)
+def test_real_roots_approx_equals_bisection_midpoints(roots, lead, width):
+    # real_roots_approx takes the sign above each root from the lead's sign
+    # and the number of roots above it; the examples put roots at isolation ends
+    p = _with_roots(roots) * lead
+    expected = [float((a + b) / 2) for a, b in
+                (_bisection_refine(p, lo, hi, width) for lo, hi in _bisection_isolate(p))]
+    assert real_roots_approx(SturmChain.of(p), width) == expected
+
+
 def test_refinement_evaluates_fewer_than_half_the_points_of_bisection(monkeypatch):
     p = path_polynomial(60)
     intervals = isolate_real_roots(SturmChain.of(p))
     width = Fraction(1, 10**12)
-    # refinement evaluates its grid points by eval_int on a scaled copy of p
-    # and any other point by sign_at; bisection evaluates every point by sign_at
+    # refinement probes dyadic points by eval_int on a scaled copy of p and
+    # evaluates exactly by sign_at; bisection evaluates every point by sign_at
     calls = []
     for name in ("eval_int", "sign_at"):
         method = getattr(IntPoly, name)
@@ -558,6 +579,25 @@ def test_refinement_evaluates_fewer_than_half_the_points_of_bisection(monkeypatc
     bisected = len(calls) - refined
     assert fast == slow
     assert bisected > 0 and 2 * refined < bisected
+    # real_roots_approx knows the sign above each root from the isolation
+    # order, so past its dyadic probes it evaluates p exactly (through
+    # homogeneous_value, which sign_at calls) at most once per root
+    p = path_polynomial(120)
+    chain = SturmChain.of(p)
+    intervals = isolate_real_roots(chain)
+    monkeypatch.setattr(polyalg, "isolate_real_roots", lambda chain: intervals)
+    exact = []
+    method = IntPoly.homogeneous_value
+    monkeypatch.setattr(IntPoly, "homogeneous_value",
+                        lambda self, num, den: exact.append(num) or method(self, num, den))
+    calls.clear()
+    approx = real_roots_approx(chain, width)
+    refined, certified = len(calls), len(exact)
+    slow = [_bisection_refine(p, lo, hi, width) for lo, hi in intervals]
+    bisected = len(calls) - refined
+    assert approx == [float((a + b) / 2) for a, b in slow]
+    assert len(approx) == 60 and certified <= len(approx)
+    assert 2 * refined < bisected
 
 
 def test_gcd_and_squarefree():
