@@ -30,7 +30,7 @@ import sys
 import time
 
 from indeq.checks import CHECKS
-from indeq.oracle import _CLASS_MAX
+from indeq.oracle import CLASS_MAX
 
 
 def run(label: str, check: str, bounds: dict) -> bool:
@@ -47,8 +47,8 @@ def main() -> int:
     parser.add_argument("--max-cycle", type=int, default=10)
     args = parser.parse_args()
     for flag, value in (("--max-path", args.max_path), ("--max-cycle", args.max_cycle)):
-        if value > _CLASS_MAX:
-            parser.error(f"{flag} {value} is above the class search's cap of {_CLASS_MAX} vertices")
+        if value > CLASS_MAX:
+            parser.error(f"{flag} {value} is above the class search's cap of {CLASS_MAX} vertices")
     ok = True
     for n in range(3, args.max_path + 1):
         if n % 2 == 0:

@@ -77,8 +77,8 @@ def main() -> int:
     for n in range(2, args.max_path + 1, 2):
         cls = path_class(n)
         print(f"  P_{n} ({len(cls)} member{'s' if len(cls) != 1 else ''}):")
-        for member in cls.members:
-            print("      " + " + ".join(str(s) for s in member))
+        for line in cls.member_lines():
+            print("      " + line)
 
     section("Sporadic cycle classes")
     with warnings.catch_warnings():
@@ -86,8 +86,8 @@ def main() -> int:
         for n in (6, 9, 15):
             cls = cycle_class(n)
             print(f"  C_{n} ({len(cls)} members):")
-            for member in cls.members:
-                print("      " + " + ".join(str(s) for s in member))
+            for line in cls.member_lines():
+                print("      " + line)
     return 0
 
 

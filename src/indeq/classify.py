@@ -29,7 +29,7 @@ import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .factorbasis import two_adic_split
 from .graphcore import FAMILIES, FamilySpec, Graph, build, canonical_form, graph6_write, spec
@@ -204,11 +204,18 @@ Member = tuple[FamilySpec, ...]
 class EquivClass:
     """All graphs sharing the reference's independence polynomial.
 
-    Members are canonically ordered multisets of FamilySpec components.
+    Members may come as any iterable of component iterables, consumed once;
+    each is stored once, components by sort_key, members by size then components.
     """
 
     reference: FamilySpec
     members: tuple[Member, ...]
+
+    def __post_init__(self):
+        by_key = operator.attrgetter("sort_key")
+        unique = {tuple(sorted(member, key=by_key)) for member in self.members}
+        ordered = sorted(unique, key=lambda m: (len(m), tuple(map(by_key, m))))
+        object.__setattr__(self, "members", tuple(ordered))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -218,6 +225,15 @@ class EquivClass:
 
     def canonical_forms(self) -> frozenset[bytes]:
         return frozenset(canonical_form(g) for g in self.graphs())
+
+    def member_lines(self, include_graph6: bool = False) -> Iterator[str]:
+        """Each member as its components joined by " + ", with the member's
+        graph6 code after a tab when include_graph6 is set."""
+        for member in self.members:
+            line = " + ".join(map(str, member))
+            if include_graph6:
+                line += "\t" + graph6_write(build(member))
+            yield line
 
     def to_json(self, include_graph6: bool = False) -> dict:
         payload = {
@@ -230,10 +246,6 @@ class EquivClass:
         if include_graph6:
             payload["graph6"] = [graph6_write(g) for g in self.graphs()]
         return payload
-
-
-def _member_key(member: Member) -> tuple:
-    return (len(member), tuple(s.sort_key for s in member))
 
 
 #: The carriers of f_9 and of f_15: beside C_3 (and C_5 for f_15) they
@@ -274,19 +286,10 @@ def _equiv_class(reference: FamilySpec, raw: Sequence[Sequence[FamilySpec | slic
     that run of chain.  A ValueError refuses more than MAX_CLASS_COMPONENTS
     components, counted from the chain's prefix products and sums before
     any member is built."""
-    # each spec's variants, their count and the longest one's length, keyed
-    # by identity: members share their cycle specs, whose hash is slow on
-    # huge params, and raw and chain keep every spec alive
-    memo: dict[int, tuple[list[Member], int, int]] = {}
-
-    def variants(s: FamilySpec) -> tuple[list[Member], int, int]:
-        if id(s) not in memo:
-            v = _variants(s, expand_d)
-            memo[id(s)] = (v, len(v), max(map(len, v)))
-        return memo[id(s)]
-
-    counts = list(itertools.accumulate((variants(s)[1] for s in chain), operator.mul, initial=1))
-    widths = list(itertools.accumulate((variants(s)[2] for s in chain), initial=0))
+    # each chain cycle's variants; a slice of a raw member indexes this list
+    chain_variants = [_variants(s, expand_d) for s in chain]
+    counts = list(itertools.accumulate(map(len, chain_variants), operator.mul, initial=1))
+    widths = list(itertools.accumulate((max(map(len, v)) for v in chain_variants), initial=0))
     bound = 0
     for parts in raw:
         count, width = 1, 0
@@ -295,17 +298,17 @@ def _equiv_class(reference: FamilySpec, raw: Sequence[Sequence[FamilySpec | slic
                 count *= counts[p.stop] // counts[p.start]
                 width += widths[p.stop] - widths[p.start]
             else:
-                _, c, w = variants(p)
-                count, width = count * c, width + w
+                v = _variants(p, expand_d)
+                count, width = count * len(v), width + max(map(len, v))
         bound += count * width
     if bound > MAX_CLASS_COMPONENTS:
         raise ValueError(f"the class of {reference} has up to {bound} components, "
                          f"above the cap of {MAX_CLASS_COMPONENTS}")
-    options = ([variants(s)[0] for p in parts for s in (chain[p] if isinstance(p, slice) else (p,))]
+    options = ([v for p in parts for v in
+                (chain_variants[p] if isinstance(p, slice) else [_variants(p, expand_d)])]
                for parts in raw)
-    members = {tuple(sorted(itertools.chain(*combo), key=lambda s: s.sort_key))
-               for opts in options for combo in itertools.product(*opts)}
-    return EquivClass(reference, tuple(sorted(members, key=_member_key)))
+    return EquivClass(reference, (itertools.chain(*combo)
+                                  for opts in options for combo in itertools.product(*opts)))
 
 
 def path_class(n_vertices: int, expand_d: bool = True) -> EquivClass:

@@ -149,10 +149,7 @@ def _cmd_class(args) -> int:
     if args.json:
         print(json.dumps(cls.to_json(include_graph6=args.graph6)))
         return 0
-    for member in cls.members:
-        line = " + ".join(str(s) for s in member)
-        if args.graph6:
-            line += "\t" + graph6_write(build(member))
+    for line in cls.member_lines(include_graph6=args.graph6):
         print(line)
     return 0
 

@@ -427,6 +427,13 @@ def automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
     return g._search[1]
 
 
+def canonical_order(g: Graph) -> tuple[int, ...]:
+    """The vertex at each position of g's canonical labeling."""
+    if g._search is None:
+        _canonize(g)
+    return g._search[0]
+
+
 def _canonize(g: Graph) -> None:
     """Store g's canonical form, the automorphisms its search found and
     its canonical order (the vertex at each canonical position)."""

@@ -19,8 +19,8 @@ Three mechanisms cross-check the classifier from different directions:
     and every count, the reference's included, is made by
     indpoly.bruteforce_counts, not by the classifier's evaluator
   * catalogue_class_search: assemble class members as exact covers of
-    the reference's basis-factor set by shortlist components, using the
-    factorization tables but none of the final case analysis
+    the reference's basis-factor set by shortlist components, each
+    factored from its own polynomial, using none of the final case analysis
 
 Enumeration totals are themselves checked two ways: against naive
 bucketing of all labeled graphs (small n) and against an orbit-counting
@@ -40,16 +40,16 @@ from functools import lru_cache
 from math import comb, factorial, gcd
 from typing import Iterator, Optional
 
-from .classify import CATALOGUE, EquivClass, _member_key
-from .factorbasis import factor_cycle, factor_path
-from .graphcore import FamilySpec, Graph, automorphisms, canonical_form, from_canonical_form
-from .indpoly import bruteforce_counts
+from .classify import CATALOGUE, EquivClass
+from .factorbasis import factor_into_basis
+from .graphcore import FamilySpec, Graph, automorphisms, build, canonical_form, canonical_order
+from .graphcore import from_canonical_form, spec
+from .indpoly import bruteforce_counts, independence_polynomial
 
 _UNFILTERED_MAX = 10
 _FILTERED_MAX = 12
-# the class search's own cap: P_13 takes about 4 s and P_14 about 12 s
-# on a 2-vCPU host
-_CLASS_MAX = 14
+#: The brute-force class search's cap on vertices; P_14 takes about 12 s on 2 vCPUs.
+CLASS_MAX = 14
 _WORKERS_ENV = "INDEQ_WORKERS"
 
 
@@ -158,7 +158,7 @@ def _from_canonical_parent(g: Graph, edge: tuple[int, int], top: list[tuple[int,
         return True
     autos = automorphisms(g)
     place = [0] * g.n
-    for i, v in enumerate(g._search[0]):  # the canonical order, stored with autos
+    for i, v in enumerate(canonical_order(g)):
         place[v] = i
     last = max(top, key=lambda e: (max(place[e[0]], place[e[1]]), min(place[e[0]], place[e[1]])))
     return edge == last or edge in _edge_orbit(last, autos)
@@ -348,11 +348,11 @@ def equivalence_class_bruteforce(reference: Graph) -> list[Graph]:
     the reference's (_reach_bounds); the last level keeps the graphs
     whose counts equal them.  Every count, the reference's included, is
     made by indpoly.bruteforce_counts, not by the classifier's evaluator.
-    References above _CLASS_MAX vertices are refused before any work.
+    References above CLASS_MAX vertices are refused before any work.
     """
-    if reference.n > _CLASS_MAX:
+    if reference.n > CLASS_MAX:
         raise ValueError(
-            f"the brute-force class search is capped at {_CLASS_MAX} vertices, "
+            f"the brute-force class search is capped at {CLASS_MAX} vertices, "
             f"got {reference.n}"
         )
     target = bruteforce_counts(reference)
@@ -367,70 +367,47 @@ def equivalence_class_bruteforce(reference: Graph) -> list[Graph]:
 
 # -- catalogue-driven class search ---------------------------------------------
 
-def _factor_key(factors) -> frozenset:
-    return frozenset((f.kind, f.index) for f in factors)
+@lru_cache(maxsize=None)
+def _basis_factors(s: FamilySpec) -> Optional[frozenset]:
+    """The (kind, index) basis factors of I(s), or None when one repeats."""
+    factors = [(f.kind, f.index) for f in factor_into_basis(independence_polynomial(build(s)))]
+    return frozenset(factors) if len(set(factors)) == len(factors) else None
 
 
 def catalogue_class_search(n_vertices: int) -> EquivClass:
     """Members of the even path's class via exact cover of its factor set.
 
-    Candidate components are the shortlist shapes; each occupies the set
-    of basis factors of its polynomial, and members are exactly the ways
-    to cover the path's factor set with disjoint candidate sets.  The
-    search consumes the factorization tables but not the case analysis
-    behind the final classification, so agreement with path_class is a
-    real check.
+    Each candidate shape (paths, cycles, D twins, Y:z,2,1 and the surviving
+    concrete shortlist rows) occupies the basis factors of its own
+    polynomial, factored here; members are the covers of the path's factor
+    set by disjoint candidate sets.  None of the classifier's case analysis
+    is used, so agreement with path_class is a real check.
     """
     if n_vertices % 2 != 0 or n_vertices < 2:
         raise ValueError("catalogue search is defined for even paths on >= 2 vertices")
     if n_vertices > 60:
         raise ValueError("catalogue search is capped at 60 vertices")
-    target = _factor_key(factor_path(n_vertices))
+    target = _basis_factors(spec("P", n_vertices))
+    # the shortlist's C_3 row is also a cycle; dict keys list each shape once
+    shapes = dict.fromkeys(itertools.chain(
+        (spec("P", k) for k in range(1, n_vertices + 1)),
+        (spec("C", k) for k in range(3, n_vertices + 1)),
+        (spec("D", k) for k in range(4, n_vertices + 1)),
+        (spec("Y", z, 2, 1) for z in range(1, n_vertices - 3)),
+        (row.spec for row in CATALOGUE if row.spec is not None and not row.eliminated),
+    ))
+    # shapes with the same factor set are interchangeable in every cover
+    groups: dict[frozenset, list[FamilySpec]] = {}
+    for s in shapes:
+        fs = _basis_factors(s)
+        if fs is not None and fs <= target:
+            groups.setdefault(fs, []).append(s)
 
-    entries: list[tuple[frozenset, tuple[FamilySpec, ...]]] = []
-    for k in range(1, n_vertices + 1):
-        fs = _factor_key(factor_path(k))
-        if fs and fs <= target:
-            entries.append((fs, (FamilySpec("P", (k,)),)))
-    for k in range(3, n_vertices + 1):
-        fs = _factor_key(factor_cycle(k))
-        if fs <= target:
-            variants = (FamilySpec("C", (k,)),)
-            if k >= 4:
-                variants += (FamilySpec("D", (k,)),)
-            entries.append((fs, variants))
-    for z in range(1, max(0, n_vertices - 3)):
-        fs = frozenset({("ftilde", 3)} | _factor_key(factor_cycle(z + 3)))
-        if fs <= target:
-            entries.append((fs, (FamilySpec("Y", (z, 2, 1)),)))
-    # the other concrete shortlist rows that survive the screens (paths,
-    # cycles and D twins are listed above), grouped by their factor sets
-    groups: dict[frozenset, tuple[FamilySpec, ...]] = {}
-    for row in CATALOGUE:
-        if row.spec is not None and not row.eliminated and row.spec.family not in ("P", "C", "D"):
-            key = frozenset(row.factors)
-            groups[key] = groups.get(key, ()) + (row.spec,)
-    entries += [(fs, variants) for fs, variants in groups.items() if fs <= target]
-    entries.sort(key=lambda e: (sorted(e[0]), e[1]))
-
-    order = sorted(target)
-    covers: list[tuple[int, ...]] = []
-
-    def cover(remaining: frozenset, start_chosen: tuple[int, ...]) -> None:
+    def covers(remaining: frozenset) -> list[tuple[FamilySpec, ...]]:
         if not remaining:
-            covers.append(start_chosen)
-            return
-        pivot = min(f for f in order if f in remaining)
-        for idx, (fs, _) in enumerate(entries):
-            if pivot in fs and fs <= remaining:
-                cover(remaining - fs, start_chosen + (idx,))
+            return [()]
+        pivot = min(remaining)
+        return [(s,) + rest for fs, group in groups.items() if pivot in fs and fs <= remaining
+                for rest in covers(remaining - fs) for s in group]
 
-    cover(target, ())
-
-    members = set()
-    for chosen in covers:
-        pools = [entries[idx][1] for idx in chosen]
-        for combo in itertools.product(*pools):
-            members.add(tuple(sorted(combo, key=lambda s: s.sort_key)))
-    ordered = tuple(sorted(members, key=_member_key))
-    return EquivClass(FamilySpec("P", (n_vertices,)), ordered)
+    return EquivClass(spec("P", n_vertices), covers(target))

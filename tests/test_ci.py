@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -36,3 +37,30 @@ def test_test_extra_installs_every_module_a_test_skips_without():
                for name in re.findall(r'importorskip\("([^"]+)"\)', path.read_text())}
     assert "yaml" in skipped and "networkx" in skipped
     assert {DISTRIBUTIONS.get(m, m) for m in skipped} <= installed
+
+
+def _private_imports(tree):
+    """The underscore names a module imports from an indeq module, and the
+    underscore attributes it reads off an indeq module it imported."""
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "indeq"):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append(alias.name)
+                modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name.split(".")[0] == "indeq"}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_uses_another_modules_private_names():
+    paths = sorted((ROOT / "src" / "indeq").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    assert len(paths) >= 10
+    found = {path.name: names for path in paths
+             if (names := _private_imports(ast.parse(path.read_text())))}
+    assert found == {}

@@ -9,6 +9,7 @@ import pytest
 from indeq.classify import (
     CATALOGUE,
     ELIMINATION_FORMS,
+    EquivClass,
     EvenCycleClassNote,
     cycle_class,
     elimination_value,
@@ -241,6 +242,26 @@ def test_class_lists_match_digest():
         for n in range(3, 400):
             h.update(json.dumps(cycle_class(n).to_json()).encode() + b"\n")
     assert h.hexdigest() == CLASS_DIGEST
+
+
+def test_equiv_class_stores_the_member_normal_form():
+    members = [
+        [fs("C", 5), fs("P", 3)],
+        [fs("D", 4), fs("P", 2)],
+        (fs("P", 8),),
+        (fs("P", 3), fs("C", 5)),
+        [fs("P", 2), fs("C", 4)],
+        (fs("P", 8),),
+    ]
+    cls = EquivClass(fs("P", 8), (iter(m) for m in reversed(members)))
+    assert cls.members == (
+        (fs("P", 8),),
+        (fs("P", 2), fs("C", 4)),
+        (fs("P", 2), fs("D", 4)),
+        (fs("P", 3), fs("C", 5)),
+    )
+    assert list(cls.member_lines()) == ["P:8", "P:2 + C:4", "P:2 + D:4", "P:3 + C:5"]
+    assert cls == EquivClass(fs("P", 8), members)
 
 
 def test_equiv_class_json():

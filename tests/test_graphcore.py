@@ -19,6 +19,7 @@ from indeq.graphcore import (
     automorphisms,
     build,
     canonical_form,
+    canonical_order,
     from_canonical_form,
     graph6_read,
     graph6_write,
@@ -234,6 +235,16 @@ def test_stored_automorphisms_preserve_edges(g):
     for perm in automorphisms(g):
         assert sorted(perm) == list(range(g.n))
         assert {tuple(sorted((perm[u], perm[v]))) for u, v in edges} == edges
+
+
+@given(random_graphs(max_vertices=10))
+@settings(max_examples=80, deadline=None)
+def test_canonical_order_relabels_to_the_canonical_form(g):
+    order = canonical_order(g)
+    assert sorted(order) == list(range(g.n))
+    place = {v: i for i, v in enumerate(order)}
+    relabeled = Graph.from_edges(g.n, [(place[u], place[v]) for u, v in g.edges()])
+    assert relabeled.adj == from_canonical_form(canonical_form(g)).adj
 
 
 def _closure_size(n, gens):

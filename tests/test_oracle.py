@@ -370,7 +370,7 @@ def test_class_search_prunes_before_canonicalizing():
     assert 0 < counted["canonical_form"] < counted["bruteforce_counts"], counted
 
 
-@pytest.mark.parametrize("n", range(2, 31, 2))
+@pytest.mark.parametrize("n", range(2, 61, 2))
 def test_catalogue_search_matches_classifier(n):
     assert catalogue_class_search(n).members == path_class(n).members
 
