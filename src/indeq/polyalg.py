@@ -20,11 +20,12 @@ every division in it is exact, so every sign is.  Squarefreeness is
 read from a chain's last member, which is gcd(p, p') up to a scalar, and
 so is whether every root is real and below a bound; dividing p by that
 member gives p's squarefree part.  Root isolation and refinement, used
-for diagnostics, return the intervals plain bisection returns: the
-isolation skips chain evaluations whose counts a root bound already
-fixes, and the refinement finds bisection's final grid cell by
-quadratic interval refinement on short dyadic points, with at most one
-exact evaluation at a point of that grid.
+for diagnostics, return the intervals plain bisection returns, probing
+short dyadic points: the isolation brackets each root by Sturm bisection
+of (-R, R], R a power-of-two root bound, and reads bisection's leaves off
+those brackets; the refinement finds bisection's final grid cell by
+quadratic interval refinement, with at most one exact evaluation at a
+point of that grid.
 
 Everything here is pure value semantics: polynomials and chains are
 immutable and safe to share between threads.
@@ -533,39 +534,107 @@ def isolate_real_roots(chain: SturmChain) -> list[tuple[Fraction, Fraction]]:
     The chain's polynomial must be squarefree.  Intervals are returned
     sorted; they are the leaves of the bisection of (-B, B], B the Cauchy
     bound, at the first level where a cell holds at most one root.
+
+    Those leaves are found in two passes.  Sturm bisection of (-R, R], R
+    a power of two beyond every root, brackets each root in a dyadic cell
+    of its own, so the chain is evaluated only at short dyadic points
+    (Sagraloff and Mehlhorn, J. Symb. Comput. 73, 2016).  Bisection of
+    (-B, B] is then replayed on integers, each cell splitting while it
+    holds two or more brackets (``_bisection_leaves``).
     """
     p = chain.poly
     if not chain.squarefree:
         raise ValueError("root isolation requires a squarefree polynomial")
     if p.degree <= 0:
         return []
-    bound = p.cauchy_bound()
-    radius = _root_radius(p)
-    # Each stack entry carries the variation counts at its ends, so a split
-    # evaluates the chain at the midpoint only, and not even there when the
-    # midpoint lies outside (-radius, radius): the half away from the roots
-    # then holds none of them.  No root lies beyond +-B either, so the
-    # counts at the infinite ends stand for the counts at +-B.
-    stack = [(-bound, chain.variations_at(None), bound, chain.variations_at(None, positive_infinity=True))]
-    out: list[tuple[Fraction, Fraction]] = []
+    return _bisection_leaves(p, _dyadic_brackets(chain, _root_radius(p)))
+
+
+def _midpoint(a: int, b: int, e: int) -> tuple[int, int, int, int]:
+    """(a, c, b, e) with c / 2^e the midpoint of (a / 2^e, b / 2^e], e raised
+    by one when a + b is odd; then c is odd, so c / 2^e is in lowest terms."""
+    if (a ^ b) & 1:
+        a, b, e = 2 * a, 2 * b, e + 1
+    return a, (a + b) >> 1, b, e
+
+
+def _dyadic_brackets(chain: SturmChain, radius: int) -> list[list[int]]:
+    """One bracket [a, b, e] per real root, ascending: the root lies in
+    (a / 2^e, b / 2^e] and no other root does.
+
+    Sturm bisection of (-radius, radius], first split at 0.  No root lies
+    at or beyond +-radius, so the counts at the infinite ends stand for
+    the counts there.  Each stack entry carries the variation counts at
+    its ends, so a split evaluates the chain at its midpoint only.
+    """
+    v0 = chain.variations_at(0)
+    stack = [(0, v0, radius, chain.variations_at(None, positive_infinity=True), 0),
+             (-radius, chain.variations_at(None), 0, v0, 0)]
+    out = []
     while stack:
-        a, va, b, vb = stack.pop()
-        k = va - vb
-        if k == 0:
-            continue
-        if k == 1:
-            out.append((a, b))
-            continue
-        mid = (a + b) / 2
-        if mid <= -radius:
-            vmid = va
-        elif mid >= radius:
-            vmid = vb
-        else:
-            vmid = chain.variations_at(mid)
-        stack.append((a, va, mid, vmid))
-        stack.append((mid, vmid, b, vb))
-    out.sort()
+        a, va, b, vb, e = stack.pop()
+        if va - vb == 1:
+            out.append([a, b, e])
+        elif va - vb > 1:
+            a, c, b, e = _midpoint(a, b, e)
+            vc = chain.variations_at(Fraction(c, 1 << e))
+            stack.append((c, vc, b, vb, e))
+            stack.append((a, va, c, vc, e))
+    return out
+
+
+def _bisection_leaves(p: IntPoly, brackets: list[list[int]]) -> list[tuple[Fraction, Fraction]]:
+    """The leaves of the bisection of (-B, B], B = num / den the Cauchy
+    bound, given ``_dyadic_brackets``' brackets, which it may narrow.
+
+    Cell i of level l is (num (2i - 2^l), num (2i + 2 - 2^l)] / (den 2^l),
+    and it splits at M = num (2i + 1 - 2^l) / (den 2^l) while it holds two
+    or more roots.  A bracket on one side of M puts its root there.  The
+    at most one bracket that straddles M is halved on short dyadic points,
+    using p's sign above its root, until it falls on one side; p is
+    evaluated at M itself only once those points would be no shorter than
+    M.  A probe that hits the root leaves the bracket a point, (c, c].
+    """
+    bound = p.cauchy_bound()
+    num, den = bound.numerator, bound.denominator
+
+    def above_m(j: int, m_num: int, m_den: int) -> bool:
+        """Whether the root of brackets[j] lies above M = m_num / m_den."""
+        bracket = brackets[j]
+        # above a simple root p has the sign it has at +infinity, flipped
+        # once for every root further up
+        above = (1 if p.lead > 0 else -1) * (-1) ** (len(brackets) - 1 - j)
+        while True:
+            a, b, e = bracket
+            if b * m_den <= m_num << e:
+                return False
+            if a * m_den >= m_num << e:
+                return True
+            a, c, b, e = _midpoint(a, b, e)
+            if max(c.bit_length(), e + 1) >= max(m_num.bit_length(), m_den.bit_length()):
+                # the root is above M exactly when p has there the sign below it
+                return p.sign_at(Fraction(m_num, m_den)) == -above
+            v = p.homogeneous_value(c, 1 << e)
+            bracket[:] = (c, c, e) if v == 0 else (a, c, e) if (v > 0) == (above > 0) else (c, b, e)
+
+    out = []
+    stack = [(0, 0, 0, len(brackets))]  # cell i of level l holds the roots of brackets[lo:hi]
+    while stack:
+        i, l, lo, hi = stack.pop()
+        if hi - lo == 1:
+            out.append((Fraction(num * (2 * i - (1 << l)), den << l),
+                        Fraction(num * (2 * i + 2 - (1 << l)), den << l)))
+        elif hi - lo > 1:
+            m_num, m_den = num * (2 * i + 1 - (1 << l)), den << l
+            split, stop = lo, hi  # the first root above M, by binary search
+            while split < stop:
+                j = (split + stop) // 2
+                if above_m(j, m_num, m_den):
+                    stop = j
+                else:
+                    split = j + 1
+            stack.append((2 * i + 1, l + 1, split, hi))
+            stack.append((2 * i, l + 1, lo, split))
     return out
 
 

@@ -335,6 +335,9 @@ def test_isolation_and_refinement():
 # sha256 of the repr of every isolating interval and of its refinement to
 # width 1e-12, recorded while the chain was evaluated member by member by Horner
 ISOLATION_DIGEST = "3b3d71d4fc60e1bbff26df599163892b7ba6123efc0232e50f6f83bf81132866"
+# sha256 of the repr of the isolating intervals of P_200, P_300, P_400 and
+# C_301, recorded while the isolation bisected (-B, B] on the chain
+LARGE_ISOLATION_DIGEST = "eba205466c7f1461b7104b79649b640c709f2c9526ba221fc409cc83b2295b92"
 
 
 def test_isolation_and_refinement_match_golden():
@@ -348,6 +351,13 @@ def test_isolation_and_refinement_match_golden():
         digest.update(repr(intervals).encode())
         digest.update(repr([refine_root(p, lo, hi, Fraction(1, 10**12)) for lo, hi in intervals]).encode())
     assert digest.hexdigest() == ISOLATION_DIGEST
+
+
+def test_large_degree_isolation_matches_golden():
+    digest = hashlib.sha256()
+    for p in (path_polynomial(200), path_polynomial(300), path_polynomial(400), cycle_polynomial(301)):
+        digest.update(repr(isolate_real_roots(SturmChain.of(p))).encode())
+    assert digest.hexdigest() == LARGE_ISOLATION_DIGEST
 
 
 # -- the chain's remainder recurrence -----------------------------------------
@@ -561,6 +571,36 @@ def test_real_roots_approx_equals_bisection_midpoints(roots, lead, width):
     expected = [float((a + b) / 2) for a, b in
                 (_bisection_refine(p, lo, hi, width) for lo, hi in _bisection_isolate(p))]
     assert real_roots_approx(SturmChain.of(p), width) == expected
+
+
+@given(st.lists(linear_roots, min_size=1, max_size=7, unique=True), st.sampled_from([1, -1, 3, -2]))
+# -1/7 is a midpoint of (-B, B], never reached by dyadic probes: p is
+# evaluated exactly there
+@example([Fraction(-1, 7), Fraction(0)], -2)
+# 1/2, 3/4 and 1 are dyadic probes of (-R, R], so their brackets end at a root
+@example([Fraction(1, 2), Fraction(3, 4), Fraction(1)], 3)
+# the last two roots are 1/62464 apart, 2^-42 of the cell of (-B, B] whose
+# midpoint splits them
+@example([Fraction(-5000), Fraction(5000), Fraction(-4999), Fraction(4999),
+          Fraction(4885, 1024), Fraction(291, 61)], 1)
+@settings(max_examples=150, deadline=None)
+def test_isolation_on_rational_roots_equals_bisection(roots, lead):
+    p = _with_roots(roots) * lead
+    assert isolate_real_roots(SturmChain.of(p)) == _bisection_isolate(p)
+
+
+def test_isolation_evaluates_only_short_points(monkeypatch):
+    # bisecting (-B, B] evaluates the chain at 86-bit numerators for P_120;
+    # the isolation probes dyadic points of (-R, R], R about 2^10, instead
+    chains = [SturmChain.of(path_polynomial(120)), SturmChain.of(cycle_polynomial(90))]
+    points = []
+    method = IntPoly.homogeneous_value
+    monkeypatch.setattr(IntPoly, "homogeneous_value",
+                        lambda self, num, den: points.append((num, den)) or method(self, num, den))
+    for chain in chains:
+        isolate_real_roots(chain)
+    assert points
+    assert max(max(abs(num).bit_length(), den.bit_length()) for num, den in points) <= 40
 
 
 def test_refinement_evaluates_fewer_than_half_the_points_of_bisection(monkeypatch):
