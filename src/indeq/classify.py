@@ -283,19 +283,22 @@ def _equiv_class(reference: FamilySpec, raw: Sequence[Sequence[FamilySpec | slic
                  expand_d: bool = True, chain: Sequence[FamilySpec] = ()) -> EquivClass:
     """The class of reference from raw members, each cycle in them expanded
     by _variants.  A raw member lists specs and slices, a slice standing for
-    that run of chain.  A ValueError refuses more than MAX_CLASS_COMPONENTS
-    components, counted from the chain's prefix products and sums before
-    any member is built."""
+    a run of chain that starts at its head or ends at its tail.  A ValueError
+    refuses more than MAX_CLASS_COMPONENTS components, counted from the
+    chain's prefix and suffix products and prefix sums before any member is
+    built."""
     # each chain cycle's variants; a slice of a raw member indexes this list
     chain_variants = [_variants(s, expand_d) for s in chain]
-    counts = list(itertools.accumulate(map(len, chain_variants), operator.mul, initial=1))
+    lengths = [len(v) for v in chain_variants]
+    counts = list(itertools.accumulate(lengths, operator.mul, initial=1))
+    tails = list(itertools.accumulate(reversed(lengths), operator.mul, initial=1))[::-1]
     widths = list(itertools.accumulate((max(map(len, v)) for v in chain_variants), initial=0))
     bound = 0
     for parts in raw:
         count, width = 1, 0
         for p in parts:
             if isinstance(p, slice):
-                count *= counts[p.stop] // counts[p.start]
+                count *= counts[p.stop] if p.start == 0 else tails[p.start]
                 width += widths[p.stop] - widths[p.start]
             else:
                 v = _variants(p, expand_d)

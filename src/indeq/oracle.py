@@ -369,9 +369,10 @@ def equivalence_class_bruteforce(reference: Graph) -> list[Graph]:
 
 @lru_cache(maxsize=None)
 def _basis_factors(s: FamilySpec) -> Optional[frozenset]:
-    """The (kind, index) basis factors of I(s), or None when one repeats."""
-    factors = [(f.kind, f.index) for f in factor_into_basis(independence_polynomial(build(s)))]
-    return frozenset(factors) if len(set(factors)) == len(factors) else None
+    """The basis factors of I(s), or None when one repeats."""
+    factors = factor_into_basis(independence_polynomial(build(s)))
+    unique = frozenset(factors)
+    return unique if len(unique) == len(factors) else None
 
 
 def catalogue_class_search(n_vertices: int) -> EquivClass:

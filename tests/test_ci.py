@@ -58,6 +58,38 @@ def _private_imports(tree):
     return found
 
 
+def _package_names(tree, relative: bool):
+    """The names a module takes from the bare indeq package: `from indeq
+    import x` (or `from . import x` inside the package) and `indeq.x` after
+    `import indeq`."""
+    names, bound = set(), False
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.module == "indeq" and not node.level
+                or relative and node.level == 1 and node.module is None):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            bound |= any(a.name.split(".")[0] == "indeq" and a.asname is None for a in node.names)
+    if bound:
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name) and node.value.id == "indeq"}
+    return names
+
+
+def test_the_package_is_its_modules():
+    package = ROOT / "src" / "indeq"
+    init = ast.parse((package / "__init__.py").read_text())
+    assert not [node for node in ast.walk(init) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    submodules = {path.stem for path in package.glob("*.py")} - {"__init__"}
+    paths = [path for top in ("src", "scripts", "tests", "perfbench")
+             for path in sorted((ROOT / top).rglob("*.py"))]
+    assert len(paths) >= 25
+    found = {str(path.relative_to(ROOT)): names for path in paths
+             if (names := _package_names(ast.parse(path.read_text()), path.parent == package)
+                 - submodules)}
+    assert found == {}
+
+
 def test_no_module_uses_another_modules_private_names():
     paths = sorted((ROOT / "src" / "indeq").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
     assert len(paths) >= 10

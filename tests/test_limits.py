@@ -171,6 +171,18 @@ def test_class_refusal_is_immediate():
     assert peak < 32 * 2**20, peak
 
 
+def test_class_refusal_with_d_twins_is_immediate():
+    # t = 14,000 with D twins: a row's variant count is a 2^t-sized integer,
+    # read off the chain's prefix or suffix products, never divided out
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"has up to \d+ components, above the cap"):
+            path_class(2**14000 - 2)
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 0.5, seconds
+
+
 def test_class_without_d_twins_stays_under_the_cap():
     done = _cli_under_limit("class", "path", "1099511627774", "--no-expand-d")
     assert done.returncode == 0, done.stderr
