@@ -67,9 +67,7 @@ def main() -> int:
         except ValueError:
             value_text = ""
         status = "eliminated: " + entry.reason if entry.eliminated else "kept"
-        factors = " ".join(
-            ("f~" if kind == "ftilde" else "f") + str(i) for kind, i in entry.factors
-        )
+        factors = " ".join(f.name for f in entry.basis_factors)
         print(f"  {entry.label:<12} = {factors:<14} roots-ok={verdict.admissible!s:<5} "
               f"{value_text:<18} {status}")
 

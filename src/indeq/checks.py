@@ -3,10 +3,11 @@
 Each check takes a bounds dict and returns ``(ok, detail)``; ``detail``
 names the claim on success and the first counterexample on failure.
 A check reads only its own keys, so callers may pass a partial dict.
-``BOUNDS`` holds the two named bound sets of the CLI, ``SUITES`` groups
-the checks the way ``indeq verify`` runs them, and ``CHECKS`` maps each
-check name to its function.  The CLI, the acceptance tests and
-``scripts/exhaustive_crosscheck.py`` all run these same functions.
+``BOUNDS`` holds the two named bound sets of the CLI, ``SUITES`` maps
+each suite to its checks by name, in the order ``indeq verify`` runs
+them, and ``CHECKS`` maps every check name to its function.  The CLI,
+the acceptance tests and ``scripts/exhaustive_crosscheck.py`` all run
+these same functions.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ BOUNDS: dict[str, dict] = {
         "cycles": (4, 5, 6, 7, 8, 9), "search": 40, "enum": 7,
     },
 }
+
+Check = Callable[[dict], tuple[bool, str]]
 
 
 def _poly_of(*specs) -> polyalg.IntPoly:
@@ -196,10 +199,7 @@ def _check_catalogue(b) -> tuple[bool, str]:
         if entry.spec is None:
             continue
         poly = _poly_of(entry.spec)
-        want = factorbasis.product_of(tuple(
-            factorbasis.basis_f(i) if kind == "f" else factorbasis.basis_ftilde(i)
-            for kind, i in entry.factors
-        ))
+        want = factorbasis.product_of(entry.basis_factors)
         if poly != want:
             return False, f"catalogue factorization wrong for {entry.label}"
         g = build(entry.spec)
@@ -251,26 +251,15 @@ def _check_enumeration(b) -> tuple[bool, str]:
     return True, f"enumeration counts match orbit counting up to n={top}"
 
 
-SUITES: dict[str, list[str]] = {
-    "identities": ["equivalences", "recurrences", "edge-deletion"],
-    "factorization": ["factor-products", "basis-degrees", "coprimality", "root-locations"],
-    "eliminations": ["closed-forms", "screens", "catalogue"],
-    "classes-vs-oracle": ["enumeration", "path-classes", "cycle-classes", "cover-search"],
+SUITES: dict[str, dict[str, Check]] = {
+    "identities": {"equivalences": _check_equivalences, "recurrences": _check_recurrences,
+                   "edge-deletion": _check_edge_deletion},
+    "factorization": {"factor-products": _check_factorizations, "basis-degrees": _check_degrees,
+                      "coprimality": _check_coprime, "root-locations": _check_basis_roots},
+    "eliminations": {"closed-forms": _check_elimination_values, "screens": _check_screens,
+                     "catalogue": _check_catalogue},
+    "classes-vs-oracle": {"enumeration": _check_enumeration, "path-classes": _check_path_classes,
+                          "cycle-classes": _check_cycle_classes, "cover-search": _check_search},
 }
 
-CHECKS: dict[str, Callable[[dict], tuple[bool, str]]] = {
-    "equivalences": _check_equivalences,
-    "recurrences": _check_recurrences,
-    "edge-deletion": _check_edge_deletion,
-    "factor-products": _check_factorizations,
-    "basis-degrees": _check_degrees,
-    "coprimality": _check_coprime,
-    "root-locations": _check_basis_roots,
-    "closed-forms": _check_elimination_values,
-    "screens": _check_screens,
-    "catalogue": _check_catalogue,
-    "enumeration": _check_enumeration,
-    "path-classes": _check_path_classes,
-    "cycle-classes": _check_cycle_classes,
-    "cover-search": _check_search,
-}
+CHECKS: dict[str, Check] = {name: check for suite in SUITES.values() for name, check in suite.items()}

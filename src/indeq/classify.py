@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
-from .factorbasis import two_adic_split
+from .factorbasis import FactorMultiset, basis_f, basis_ftilde, two_adic_split
 from .graphcore import FAMILIES, FamilySpec, Graph, build, canonical_form, graph6_write, spec
 from .indpoly import independence_polynomial
 from .polyalg import SturmChain, count_real_roots
@@ -79,9 +79,6 @@ def elimination_value(spec: FamilySpec) -> Fraction:
 class Verdict:
     admissible: bool
     reason: str
-
-    def __bool__(self) -> bool:
-        return self.admissible
 
 
 def screen_family(spec: FamilySpec) -> Verdict:
@@ -147,6 +144,11 @@ class CatalogueEntry:
     factors: Optional[tuple[tuple[str, int], ...]] = None
     eliminated: bool = False
     reason: str = ""
+
+    @property
+    def basis_factors(self) -> FactorMultiset:
+        """The concrete row's factorization as BasisFactors, in ``factors`` order."""
+        return tuple(basis_f(i) if kind == "f" else basis_ftilde(i) for kind, i in self.factors)
 
 
 def _row(spec, tri, deg3, factors, eliminated=False, reason=""):
@@ -248,10 +250,12 @@ class EquivClass:
         return payload
 
 
-#: The carriers of f_9 and of f_15: beside C_3 (and C_5 for f_15) they
-#: stand in for C_9 and C_15, so also in the path classes with m = 9, 15.
-_F9_CARRIERS = (spec("B", 0, 1, 1), spec("E", 2, 1), spec("E", 1, 2), spec("A", 2, 1))
-_F15_CARRIERS = (spec("E", 3, 1), spec("E", 1, 3), spec("A", 3, 1))
+#: The carriers of f_9 and of f_15, the kept shortlist rows that factor as
+#: that one factor: beside C_3 (and C_5 for f_15) they stand in for C_9 and
+#: C_15, so also in the path classes with m = 9, 15.
+_F9_CARRIERS, _F15_CARRIERS = (
+    tuple(e.spec for e in CATALOGUE if not e.eliminated and e.factors == (("f", m),))
+    for m in (9, 15))
 
 #: The members of the class of C_n besides C_n and its twin D_n.
 _SPORADIC_CYCLE_MEMBERS: dict[int, tuple[Member, ...]] = {

@@ -60,7 +60,9 @@ class FactorizationError(ValueError):
 
 @lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization as ((p, e), ...)."""
+    """Prime factorization as ((p, e), ...).  Raises ValueError for n < 1."""
+    if n < 1:
+        raise ValueError(f"factorization needs n >= 1, got {n}")
     out = []
     d = 2
     while d * d <= n:

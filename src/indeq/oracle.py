@@ -55,7 +55,8 @@ _WORKERS_ENV = "INDEQ_WORKERS"
 
 @dataclass(frozen=True)
 class EnumFilter:
-    """What to enumerate: vertex count plus optional structural filters."""
+    """What to enumerate: vertex count plus optional structural filters; a
+    ValueError refuses an impossible filter or a vertex count above the caps."""
 
     vertex_count: int
     edge_count: Optional[int] = None
@@ -67,25 +68,15 @@ class EnumFilter:
             raise ValueError("vertex count must be non-negative")
         if self.max_degree is not None and self.max_degree < 0:
             raise ValueError(f"max degree must be non-negative, got {self.max_degree}")
-        cap = comb(self.vertex_count, 2)
-        if self.edge_count is not None and not (0 <= self.edge_count <= cap):
-            raise ValueError(
-                f"edge count {self.edge_count} impossible on {self.vertex_count} vertices"
-            )
-
-
-def _check_bounds(filt: EnumFilter) -> None:
-    n = filt.vertex_count
-    if filt.edge_count is None and n > _UNFILTERED_MAX:
-        raise ValueError(
-            f"unfiltered enumeration is capped at {_UNFILTERED_MAX} vertices "
-            f"(n={n} spans 2^{comb(n, 2)} labeled graphs)"
-        )
-    if n > _FILTERED_MAX:
-        raise ValueError(
-            f"enumeration is capped at {_FILTERED_MAX} vertices "
-            f"(n={n} spans 2^{comb(n, 2)} labeled graphs)"
-        )
+        n, pairs = self.vertex_count, comb(self.vertex_count, 2)
+        if self.edge_count is not None and not (0 <= self.edge_count <= pairs):
+            raise ValueError(f"edge count {self.edge_count} impossible on {n} vertices")
+        if self.edge_count is None and n > _UNFILTERED_MAX:
+            raise ValueError(f"unfiltered enumeration is capped at {_UNFILTERED_MAX} vertices "
+                             f"(n={n} spans 2^{pairs} labeled graphs)")
+        if n > _FILTERED_MAX:
+            raise ValueError(f"enumeration is capped at {_FILTERED_MAX} vertices "
+                             f"(n={n} spans 2^{pairs} labeled graphs)")
 
 
 def _edge_orbit(pair: tuple[int, int], autos) -> set[tuple[int, int]]:
@@ -278,7 +269,6 @@ def enumerate_graphs(filt: EnumFilter) -> Iterator[Graph]:
     Graphs are yielded by increasing edge count and, within an edge
     count, by canonical form, so the stream is byte-deterministic.
     """
-    _check_bounds(filt)
     n = filt.vertex_count
     top = comb(n, 2) if filt.edge_count is None else filt.edge_count
     with contextlib.closing(_levels(n, top, filt.max_degree)) as levels:

@@ -647,12 +647,14 @@ def refine_root(p: IntPoly, lo: Fraction, hi: Fraction, width: Fraction) -> tupl
     inward first when lo is a root itself, give the sign of p above the
     root; quadratic interval refinement on short dyadic points then finds
     the cell, with at most one more exact evaluation, at a point of that
-    grid.  Raises ValueError when p has the same sign just right of lo as
-    at hi: (lo, hi] isolates no root.
+    grid.  Raises ValueError when lo >= hi, or when p has the same sign
+    just right of lo as at hi: (lo, hi] isolates no root.
     """
     if width <= 0:
         raise ValueError(f"refinement width must be positive, not {width}")
     lo, hi = Fraction(lo), Fraction(hi)
+    if lo >= hi:
+        raise ValueError(f"empty interval ({lo}, {hi}]")
     above = p.sign_at(hi)
     if above == 0:
         return hi, hi

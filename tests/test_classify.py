@@ -77,8 +77,8 @@ def test_f4_base_values():
 
 
 def test_screen_examples():
-    assert {m for m in range(1, 16) if screen_family(fs("Y", m, 1, 1))} == {2, 5, 10}
-    assert {m for m in range(0, 16) if screen_family(fs("B", m, 1, 1))} == {0, 5}
+    assert {m for m in range(1, 16) if screen_family(fs("Y", m, 1, 1)).admissible} == {2, 5, 10}
+    assert {m for m in range(0, 16) if screen_family(fs("B", m, 1, 1)).admissible} == {0, 5}
     verdict = screen_family(fs("F3", 2))
     assert not verdict.admissible and "-1/4" in verdict.reason
     assert screen_family(fs("Y", 3, 2, 1)).admissible

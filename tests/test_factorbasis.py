@@ -13,6 +13,7 @@ from indeq.factorbasis import (
     factor_cycle,
     factor_into_basis,
     factor_path,
+    factorize,
     multiset_to_json,
     product_of,
     real_cyclotomic,
@@ -148,6 +149,15 @@ def test_two_adic_split():
     for n in (0, -4):
         with pytest.raises(ValueError):
             two_adic_split(n)
+
+
+def test_number_theory_refuses_n_below_one():
+    assert (factorize(1), divisors(1), euler_phi(1)) == ((), [1], 1)
+    assert (factorize(12), divisors(12), euler_phi(12)) == (((2, 2), (3, 1)), [1, 2, 3, 4, 6, 12], 4)
+    for n in (0, -6):
+        for fn in (factorize, divisors, euler_phi):
+            with pytest.raises(ValueError, match="n >= 1"):
+                fn(n)
 
 
 def test_pairwise_coprimality():

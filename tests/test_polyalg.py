@@ -332,6 +332,17 @@ def test_isolation_and_refinement():
         isolate_real_roots(SturmChain.of(IntPoly((1, 2)) * IntPoly((1, 2))))
 
 
+def test_refine_root_refuses_an_empty_interval():
+    # x^2 - 1 on the reversed (2, 0]: refused as count_real_roots refuses it,
+    # not refined into an interval that holds no root
+    p = IntPoly((-1, 0, 1))
+    with pytest.raises(ValueError, match=r"^empty interval \(2, 0\]$"):
+        count_real_roots(SturmChain.of(p), 2, 0)
+    for lo, hi, text in ((2, 0, r"\(2, 0\]"), (1, 1, r"\(1, 1\]")):
+        with pytest.raises(ValueError, match=rf"^empty interval {text}$"):
+            refine_root(p, lo, hi, Fraction(1, 1000))
+
+
 # sha256 of the repr of every isolating interval and of its refinement to
 # width 1e-12, recorded while the chain was evaluated member by member by Horner
 ISOLATION_DIGEST = "3b3d71d4fc60e1bbff26df599163892b7ba6123efc0232e50f6f83bf81132866"

@@ -30,3 +30,13 @@ def test_crosscheck_refuses_sizes_above_the_class_cap_up_front():
     assert done.returncode == 2
     assert "--max-path 15 is above the class search's cap of 14 vertices" in done.stderr
     assert "P_3" not in done.stdout
+
+
+def test_crosscheck_confirms_small_sizes():
+    done = _script("exhaustive_crosscheck.py", "--max-path", "6", "--max-cycle", "5")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "P_3", "P_4", "P_5", "P_6", "cover search", "C_3", "C_4", "C_5"]
+    assert all(line.endswith(" ok") for line in lines), done.stdout
+    assert "all confirmations passed" in done.stderr
