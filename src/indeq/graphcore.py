@@ -39,6 +39,7 @@ floors and its drawing.  Vertex labels follow the drawing order
 
 from __future__ import annotations
 
+import binascii
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
@@ -85,9 +86,6 @@ class Graph:
 
     # -- queries --------------------------------------------------------
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def degrees(self) -> list[int]:
         return [m.bit_count() for m in self.adj]
 
@@ -95,14 +93,7 @@ class Graph:
         return bool(self.adj[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(self.n):
-            m = self.adj[u] >> (u + 1) << (u + 1)
-            while m:
-                v = (m & -m).bit_length() - 1
-                out.append((u, v))
-                m &= m - 1
-        return out
+        return [(u, v) for u in range(self.n) for v in _bits(self.adj[u] >> u + 1 << u + 1)]
 
     @property
     def edge_count(self) -> int:
@@ -131,15 +122,7 @@ class Graph:
         pos = [0] * self.n
         for i, v in enumerate(order):
             pos[v] = i
-        adj = []
-        for v in order:
-            m = self.adj[v] & keep
-            row = 0
-            while m:
-                low = m & -m
-                row |= 1 << pos[low.bit_length() - 1]
-                m ^= low
-            adj.append(row)
+        adj = [sum(1 << pos[u] for u in _bits(self.adj[v] & keep)) for v in order]
         return Graph(len(adj), adj)
 
     def subgraph_without(self, drop: Iterable[int]) -> "Graph":
@@ -187,10 +170,6 @@ class Graph:
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
         return Graph(self.n, [full & ~(self.adj[v] | 1 << v) for v in range(self.n)])
-
-    def disjoint_union(self, other: "Graph") -> "Graph":
-        adj = list(self.adj) + [m << self.n for m in other.adj]
-        return Graph(self.n + other.n, adj)
 
     # -- structure ----------------------------------------------------------
 
@@ -360,7 +339,8 @@ def spec(text_family: str, *params: int) -> FamilySpec:
     return FamilySpec(text_family, tuple(params))
 
 
-#: The most vertices build() draws; P_n's adjacency rows take about n^2/16 bytes.
+#: The most vertices build() draws and graph6_read() accepts in a header;
+#: P_n's adjacency rows take about n^2/16 bytes.
 MAX_BUILD_VERTICES = 10_000
 
 
@@ -380,12 +360,12 @@ def build(specs: SpecLike) -> Graph:
     n = sum(sum(s.params) + _vertex_offset(s.family) for s in specs)
     if n > MAX_BUILD_VERTICES:
         raise ValueError(f"{'+'.join(map(str, specs))} has {n} vertices, above the cap of {MAX_BUILD_VERTICES}")
-    g = Graph.empty(0)
+    adj: list[int] = []
     for s in specs:
         d = _Drawing()
         FAMILIES[s.family].draw(d, *s.params)
-        g = g.disjoint_union(Graph(len(d.adj), d.adj))
-    return g
+        adj += [m << len(adj) for m in d.adj]
+    return Graph(len(adj), adj)
 
 
 # -- path and cycle shapes --------------------------------------------------
@@ -443,10 +423,9 @@ def _canonize(g: Graph) -> None:
     # whose rows are the complement's rows flipped within their width
     flip = 2 * g.edge_count > n * (n - 1) // 2
     rows, order, autos = _canonical_order(g.complement() if flip else g)
-    stream = 0
-    for j, row in enumerate(rows, 1):
-        stream = stream << j | (row ^ ((1 << j) - 1) if flip else row)
-    object.__setattr__(g, "_canon", _graph6(n, stream))
+    if flip:
+        rows = [row ^ ((1 << j) - 1) for j, row in enumerate(rows, 1)]
+    object.__setattr__(g, "_canon", _graph6(n, rows))
     object.__setattr__(g, "_search", (tuple(order), autos))
 
 
@@ -560,37 +539,45 @@ def _canonical_order(g: Graph) -> tuple[list[int], list[int], tuple[tuple[int, .
 
 # -- graph6 (header-less) ----------------------------------------------------
 
-def _graph6(n: int, stream: int) -> bytes:
-    """graph6 bytes of an n-vertex graph whose upper triangle, column by
-    column (j = 1..n-1, rows 0..j-1), is the bit string ``stream`` read
-    from its top bit."""
-    if n <= 62:
-        head = [n + 63]
-    elif n <= 258047:
-        head = [126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
-    else:
-        head = [126, 126] + [((n >> s) & 63) + 63 for s in range(30, -1, -6)]
-    nbits = n * (n - 1) // 2
-    width = nbits + (-nbits % 6)
-    text = format(stream << (width - nbits), f"0{width}b") if nbits else ""
-    return bytes(head + [int(text[k:k + 6], 2) + 63 for k in range(0, width, 6)])
+# graph6 data bytes are the base64 digits of the same sextets, moved to 63..126
+_GRAPH6 = bytes(range(63, 127))
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_GRAPH6, _FROM_GRAPH6 = bytes.maketrans(_BASE64, _GRAPH6), bytes.maketrans(_GRAPH6, _BASE64)
+
+
+def _graph6(n: int, columns: Iterable[int]) -> bytes:
+    """graph6 bytes of an n-vertex graph from its upper triangle, column by
+    column: column j (j = 1..n-1) holds rows 0..j-1, row 0 in its top bit."""
+    # n in 1, 3 or 6 sextets, the longer forms after one or two "~"
+    size = 1 if n <= 62 else 3 if n <= 258047 else 6
+    head = b"~" * (size // 3) + bytes([(n >> s & 63) + 63 for s in range(6 * size - 6, -1, -6)])
+    # whole bytes leave once 4096 bits are pending, so that no shift copies
+    # more than those and one column
+    chunks, pending, width = [], 0, 0
+    for j, column in enumerate(columns, 1):
+        pending, width = pending << j | column, width + j
+        if width >= 4096:
+            chunks.append((pending >> width % 8).to_bytes(width // 8, "big"))
+            pending, width = pending & ((1 << width % 8) - 1), width % 8
+    chunks.append((pending << -width % 8).to_bytes((width + 7) // 8, "big"))
+    data = binascii.b2a_base64(b"".join(chunks), newline=False).translate(_TO_GRAPH6)
+    # the slice drops base64's "=" padding and any zero sextet past the data
+    return head + data[:(n * (n - 1) // 2 + 5) // 6]
 
 
 def graph6_write(g: Graph) -> str:
-    stream = 0
-    for j in range(1, g.n):
-        # column j lists rows 0..j-1, row 0 first: adj[j]'s low bits reversed
-        stream = stream << j | int(format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1], 2)
-    return _graph6(g.n, stream).decode("ascii")
+    # column j lists rows 0..j-1, row 0 first: adj[j]'s low bits reversed
+    columns = (int(format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1], 2) for j in range(1, g.n))
+    return _graph6(g.n, columns).decode("ascii")
 
 
 def graph6_read(text: str) -> Graph:
-    raw = text.strip().encode("ascii", errors="replace")
+    raw = text.strip().encode(errors="surrogatepass")
     if not raw:
         raise Graph6Error("empty graph6 string", 0)
-    for off, byte in enumerate(raw):
-        if not (63 <= byte <= 126):
-            raise Graph6Error(f"invalid graph6 byte 0x{byte:02x}", off)
+    bad = raw.translate(None, _GRAPH6)
+    if bad:
+        raise Graph6Error(f"invalid graph6 byte 0x{bad[0]:02x}", raw.index(bad[0]))
     if raw[0] != 126:
         n, pos = raw[0] - 63, 1
     else:
@@ -603,26 +590,26 @@ def graph6_read(text: str) -> Graph:
             n = n << 6 | (byte - 63)
         if n < low:
             raise Graph6Error("oversized length header for small n", 0)
+        if n > MAX_BUILD_VERTICES:
+            raise Graph6Error(f"graph6 header states {n} vertices, above the cap of {MAX_BUILD_VERTICES}", 0)
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(raw) - pos != need:
         raise Graph6Error(
             f"expected {need} data byte(s) for n={n}, got {len(raw) - pos}", pos
         )
+    if (raw[-1] - 63) & ((1 << -nbits % 6) - 1):
+        raise Graph6Error("nonzero padding bits", len(raw) - 1)
+    # split the data back into _graph6's columns, each from the bytes it
+    # spans; the top set bit of column j is row j - bit_length
+    packed = binascii.a2b_base64(raw[pos:].translate(_FROM_GRAPH6) + b"A" * (-need % 4))
     adj = [0] * n
-    # the bits run down column j (rows i = 0..j-1), then on to column j + 1
-    i, j = 0, 1
-    for k in range(need):
-        val = raw[pos + k] - 63
-        for b in range(5, -1, -1):
-            if j >= n:
-                if val >> b & 1:
-                    raise Graph6Error("nonzero padding bits", pos + k)
-                continue
-            if val >> b & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            i += 1
-            if i == j:
-                i, j = 0, j + 1
+    for j in range(1, n):
+        end = j * (j + 1) // 2
+        column = int.from_bytes(packed[end - j >> 3:end + 7 >> 3], "big") >> -end % 8 & (1 << j) - 1
+        while column:
+            top = column.bit_length()
+            column ^= 1 << top - 1
+            adj[j - top] |= 1 << j
+            adj[j] |= 1 << j - top
     return Graph(n, adj)

@@ -96,3 +96,25 @@ def test_no_module_uses_another_modules_private_names():
     found = {path.name: names for path in paths
              if (names := _private_imports(ast.parse(path.read_text())))}
     assert found == {}
+
+
+def test_readme_states_each_cap_as_the_code_does():
+    from indeq import classify, factorbasis, graphcore, indpoly, oracle
+
+    readme = " ".join((ROOT / "README.md").read_text().split())
+    caps = {
+        r"more than `MAX_BUILD_VERTICES` = ([\d,]+) vertices": graphcore.MAX_BUILD_VERTICES,
+        r"`MAX_FACTOR_INDEX` = ([\d,]+)": factorbasis.MAX_FACTOR_INDEX,
+        r"`MAX_SWEEP_SPECS` = ([\d,]+)": classify.MAX_SWEEP_SPECS,
+        r"`MAX_EVAL_MASKS` = ([\d,]+)": indpoly.MAX_EVAL_MASKS,
+        r"`MAX_CLASS_COMPONENTS` = ([\d,]+)": classify.MAX_CLASS_COMPONENTS,
+        r"class search's cap of (\d+) vertices": oracle.CLASS_MAX,
+        r"evaluator; capped at (\d+) vertices": oracle.CLASS_MAX,
+        r"the brute-force class search at (\d+) vertices": oracle.CLASS_MAX,
+        r"Enumeration is capped at (\d+) vertices unfiltered": oracle._UNFILTERED_MAX,
+        r"unfiltered / (\d+) with an edge filter": oracle._FILTERED_MAX,
+        r"brute-force set counting at (\d+) vertices": indpoly._BRUTE_FORCE_MAX,
+    }
+    for pattern, value in caps.items():
+        stated = {int(number.replace(",", "")) for number in re.findall(pattern, readme)}
+        assert stated == {value}, (pattern, stated, value)

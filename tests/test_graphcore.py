@@ -106,7 +106,7 @@ def test_build_examples():
     b = build(fs("B", 0, 1, 1))
     assert (b.n, b.triangle_count()) == (6, 1)
     # the two degree-3 vertices are adjacent and each carries a pendant
-    deg3 = [v for v in range(b.n) if b.degree(v) == 3]
+    deg3 = [v for v in range(b.n) if b.degrees()[v] == 3]
     assert len(deg3) == 2 and b.has_edge(*deg3)
     assert sorted(b.degrees()).count(1) == 2
 
@@ -142,7 +142,7 @@ def test_is_path_graph():
 def test_d_structure(n):
     g = build(fs("D", n))
     assert g.triangle_count() == 1
-    assert sum(1 for v in range(g.n) if g.degree(v) == 3) == 1
+    assert sum(1 for v in range(g.n) if g.degrees()[v] == 3) == 1
 
 
 def test_delete_vertex():
@@ -172,7 +172,7 @@ def test_delete_edge_and_open_neighborhoods():
     # spider leg deletion: edge from the center to its single-vertex leg
     m = 4
     y = build(fs("Y", m, 2, 1))
-    leaf = next(v for v in range(y.n) if y.has_edge(0, v) and y.degree(v) == 1)
+    leaf = next(v for v in range(y.n) if y.has_edge(0, v) and y.degrees()[v] == 1)
     minus_e, minus_n = y.delete_edge_and_open_neighborhoods(0, leaf)
     assert sorted(len(c) for c in minus_e.connected_components()) == [1, m + 3]
     assert sorted(len(c) for c in minus_n.connected_components()) == [1, m - 1]
@@ -459,3 +459,35 @@ def test_graph6_errors():
         graph6_read("~??A??")
     with pytest.raises(Graph6Error):
         graph6_read("")
+    # n=5 has 10 data bits: the last byte's two low bits are padding
+    with pytest.raises(Graph6Error, match=r"nonzero padding bits \(byte offset 2\)"):
+        graph6_read("D?@")
+    with pytest.raises(Graph6Error, match=r"invalid graph6 byte 0x7f \(byte offset 2\)"):
+        graph6_read("E?\x7f?")
+    with pytest.raises(Graph6Error, match=r"truncated 36-bit size header \(byte offset 4\)"):
+        graph6_read("~~??")
+    # a non-ASCII character is refused at its first UTF-8 byte, not read as "?"
+    with pytest.raises(Graph6Error, match=r"invalid graph6 byte 0xc3 \(byte offset 1\)"):
+        graph6_read("C\u00e9")
+
+
+@pytest.mark.parametrize("n,head", [(62, "}"), (63, "~??~")])
+def test_graph6_round_trip_at_both_header_forms(n, head):
+    rng = random.Random(n)
+    g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.3])
+    text = graph6_write(g)
+    assert text.startswith(head) and len(text) == len(head) + (n * (n - 1) // 2 + 5) // 6
+    assert graph6_read(text) == g
+
+
+def test_graph6_round_trip_at_the_vertex_cap_is_fast():
+    # a sparse graph at MAX_BUILD_VERTICES: its text holds 8.3 million data bytes
+    n = graphcore.MAX_BUILD_VERTICES
+    rng = random.Random(n)
+    g = Graph.from_edges(n, [(v, rng.randrange(v)) for v in range(1, n)])
+    start = time.perf_counter()
+    text = graph6_write(g)
+    mid = time.perf_counter()
+    assert graph6_read(text) == g
+    seconds = (mid - start, time.perf_counter() - mid)
+    assert max(seconds) < 3, seconds

@@ -22,7 +22,7 @@ def _generic_recursion(g: Graph) -> IntPoly:
     """Plain pivot recursion with no fast paths or memo (test-local oracle)."""
     if g.n == 0:
         return IntPoly.one()
-    pivot = max(range(g.n), key=lambda v: (g.degree(v), -v))
+    pivot = max(range(g.n), key=lambda v: (g.degrees()[v], -v))
     return _generic_recursion(g.delete_vertex(pivot)) + _generic_recursion(
         g.delete_closed_neighborhood(pivot)
     ).mul_xpow(1)

@@ -20,7 +20,7 @@ import pytest
 
 from indeq.classify import MAX_CLASS_COMPONENTS, MAX_SWEEP_SPECS, path_class
 from indeq.factorbasis import MAX_FACTOR_INDEX, basis_ftilde, real_cyclotomic
-from indeq.graphcore import MAX_BUILD_VERTICES, FamilySpec, Graph, build, graph6_write
+from indeq.graphcore import MAX_BUILD_VERTICES, FamilySpec, Graph, build, graph6_read, graph6_write
 from indeq.indpoly import MAX_EVAL_MASKS, path_polynomial
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -47,9 +47,9 @@ except ValueError as exc:
 """
 
 
-def _under_limit(child, *argv, timeout=120):
+def _under_limit(child, *argv, timeout=120, stdin=None):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", child, *argv], capture_output=True,
+    return subprocess.run([sys.executable, "-c", child, *argv], input=stdin, capture_output=True,
                           text=True, env=env, timeout=timeout)
 
 
@@ -99,6 +99,25 @@ def test_huge_spec_is_refused_before_building(spec, count):
     assert done.stdout == ""
     assert done.stderr == (
         f"error: {spec} has {count} vertices, above the cap of {MAX_BUILD_VERTICES}\n")
+
+
+def test_graph6_above_the_vertex_cap_is_refused_before_its_data():
+    # an edgeless graph on 12,000 vertices: "~" and an 18-bit size, then
+    # 12 million zero data bytes
+    n = MAX_BUILD_VERTICES + 2000
+    line = "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0)) + "?" * ((n * (n - 1) // 2 + 5) // 6)
+    message = f"graph6 header states {n} vertices, above the cap of {MAX_BUILD_VERTICES} (byte offset 0)"
+    done = _under_limit(CHILD, "poly", "-", stdin=line + "\n", timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == f"error: {message}\n"
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as refused:
+            graph6_read(line)
+        seconds.append(time.perf_counter() - start)
+        assert str(refused.value) == message
+    assert min(seconds) < 0.5, seconds
 
 
 def test_oversized_screen_sweep_is_refused():
