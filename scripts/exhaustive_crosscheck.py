@@ -8,9 +8,9 @@ every graph on the same vertex count edge by edge up to the edge count
 the polynomial forces, drops each graph whose independent-set counts can
 no longer reach the reference's (adding an edge never creates an
 independent set), and keeps the graphs of the last level whose counts
-equal the reference's; every count is made by the oracle's own
-brute-force counter (``indpoly.bruteforce_counts``), never by the
-classifier's evaluator.  The survivors must be exactly the classifier's
+equal the reference's; each child's counts come from its parent's, and
+every count is made by the oracle's own brute-force counter
+(``indpoly.bruteforce_counter``), never by the classifier's evaluator.  The survivors must be exactly the classifier's
 members (for odd paths, the path alone).  The only inputs to the search
 are the reference's counts, so the confirmation is independent of the
 classification argument.  The catalogue cover search is then compared
@@ -18,10 +18,10 @@ with the classifier for every even path size up to ``--max-path``.
 
 Usage: python scripts/exhaustive_crosscheck.py [--max-path 12] [--max-cycle 10]
 
-On a 2-vCPU host the defaults take about 3 s, of which P_11 takes about
-0.4 s, P_12 about 1.5 s and C_10 about 0.4 s.  The class search is capped
-at 14 vertices: ``--max-path 14`` adds P_13 (about 4 s) and P_14 (about
-12 s).  A larger ``--max-path`` or ``--max-cycle`` is refused before any
+On a 2-vCPU Intel Xeon host under Python 3.11.7 the defaults take about
+2 s, of which P_11 takes about 0.3 s, P_12 about 1 s and C_10 about 0.3 s.
+The class search is capped at 14 vertices: ``--max-path 14`` adds P_13
+(about 2 s) and P_14 (about 4 s).  A larger ``--max-path`` or ``--max-cycle`` is refused before any
 check runs.
 """
 

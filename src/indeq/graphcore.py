@@ -400,7 +400,8 @@ def automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
 
     Each is a vertex map, perm[v] being the image of v.  They generate the
     whole automorphism group: the search prunes a child only by the orbits
-    of automorphisms it has already met.
+    of automorphisms it has already met, and leaves a branch early only when
+    one just met maps an explored branch onto it; Graph.empty(n) stores n - 1.
     """
     if g._search is None:
         _canonize(g)
@@ -486,9 +487,10 @@ def _canonical_order(g: Graph) -> tuple[list[int], list[int], tuple[tuple[int, .
     best_key = best_order = None
     autos: list[tuple[int, ...]] = []
 
-    def search(cells: list[int], prefix: list[int], key: list[int]) -> None:
+    def search(cells: list[int], prefix: list[int], key: list[int]) -> int:
         # prefix: the leading singleton cells, key: their rows; both
-        # extend the parent's, since refinement keeps singletons in place
+        # extend the parent's, since refinement keeps singletons in place.
+        # Returns the target position to go on from, n when unchanged
         nonlocal best_key, best_order
         _refine(adj, cells)
         ti = len(prefix)
@@ -502,7 +504,7 @@ def _canonical_order(g: Graph) -> tuple[list[int], list[int], tuple[tuple[int, .
             prefix.append(u)
             ti += 1
         if best_key is not None and key > best_key[:len(key)]:
-            return
+            return n
         if ti == n:
             if best_key is None or key < best_key:
                 best_key, best_order = key, prefix
@@ -511,7 +513,10 @@ def _canonical_order(g: Graph) -> tuple[list[int], list[int], tuple[tuple[int, .
                 for u, w in zip(prefix, best_order):
                     perm[u] = w
                 autos.append(tuple(perm))
-            return
+                # it maps their common ancestor's explored branch onto this
+                # one, so go on from that ancestor (McKay's backjump, 1981)
+                return next(i for i, (u, w) in enumerate(zip(prefix, best_order)) if u != w)
+            return n
         # skip v when an earlier vertex of the target cell shares its orbit
         # under the stored automorphisms that fix the prefix (orb: v's orbit)
         target = cells[ti]
@@ -531,7 +536,10 @@ def _canonical_order(g: Graph) -> tuple[list[int], list[int], tuple[tuple[int, .
             if orb and min(orb[v]) < v:
                 continue
             bit = 1 << v
-            search(cells[:ti] + [bit, target ^ bit] + cells[ti + 1:], prefix[:], key[:])
+            back = search(cells[:ti] + [bit, target ^ bit] + cells[ti + 1:], prefix[:], key[:])
+            if back < ti:
+                return back
+        return n
 
     search(start, [], [])
     return best_key, best_order, tuple(autos)

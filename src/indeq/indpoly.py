@@ -20,6 +20,7 @@ module's independent ground truth.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable
 
 from .graphcore import Graph, mask_components
 from .polyalg import IntPoly
@@ -115,8 +116,14 @@ _BRUTE_FORCE_MAX = 40
 
 
 def bruteforce_counts(g: Graph) -> tuple[int, ...]:
-    """All independent-set counts by size, by a memoized deletion recursion
-    over free-vertex masks that skips or takes the lowest free vertex."""
+    """All independent-set counts by size."""
+    return bruteforce_counter(g)((1 << g.n) - 1)
+
+
+def bruteforce_counter(g: Graph) -> Callable[[int], tuple[int, ...]]:
+    """The independent-set counts by size of g's subgraph on a free-vertex
+    mask, as a function of the mask: a deletion recursion that skips or
+    takes the lowest free vertex, memoized across calls."""
     if g.n > _BRUTE_FORCE_MAX:
         raise ValueError(
             f"brute-force counting is capped at {_BRUTE_FORCE_MAX} vertices, got {g.n}"
@@ -138,4 +145,4 @@ def bruteforce_counts(g: Graph) -> tuple[int, ...]:
         memo[free] = result
         return result
 
-    return counts((1 << g.n) - 1)
+    return counts

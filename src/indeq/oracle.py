@@ -16,8 +16,8 @@ Three mechanisms cross-check the classifier from different directions:
     dropped before its canonical search once its independent-set counts
     can no longer reach the reference's (adding an edge never creates an
     independent set, so every spanning subgraph of a member survives),
-    and every count, the reference's included, is made by
-    indpoly.bruteforce_counts, not by the classifier's evaluator
+    and every count, each child's made from its parent's, is made by
+    indpoly's brute-force counter, not by the classifier's evaluator
   * catalogue_class_search: assemble class members as exact covers of
     the reference's basis-factor set by shortlist components, each
     factored from its own polynomial, using none of the final case analysis
@@ -44,11 +44,11 @@ from .classify import CATALOGUE, EquivClass
 from .factorbasis import factor_into_basis
 from .graphcore import FamilySpec, Graph, automorphisms, build, canonical_form, canonical_order
 from .graphcore import from_canonical_form, spec
-from .indpoly import bruteforce_counts, independence_polynomial
+from .indpoly import bruteforce_counter, bruteforce_counts, independence_polynomial
 
 _UNFILTERED_MAX = 10
 _FILTERED_MAX = 12
-#: The brute-force class search's cap on vertices; P_14 takes about 12 s on 2 vCPUs.
+#: The brute-force class search's cap on vertices; P_14 takes about 4 s on 2 vCPUs.
 CLASS_MAX = 14
 _WORKERS_ENV = "INDEQ_WORKERS"
 
@@ -156,8 +156,7 @@ def _from_canonical_parent(g: Graph, edge: tuple[int, int], top: list[tuple[int,
 
 
 def _expand_level(args) -> list[tuple]:
-    """Children of a chunk of (canonical form, adjacency, automorphisms)
-    parents (worker-safe), as (canonical form, adjacency, automorphisms).
+    """Children of a chunk of _levels rows (worker-safe), as such rows.
 
     A child G + uv is kept only from its canonical parent: when uv lies in
     the Aut(G + uv) orbit of the child's canonical last edge, an edge of
@@ -169,7 +168,8 @@ def _expand_level(args) -> list[tuple]:
     dropped before its canonical search.
 
     With a prune of (target counts, edges left after the child), a child
-    is dropped before its canonical search unless _within_reach keeps it.
+    is dropped before its canonical search unless _within_reach keeps its
+    counts, made from its parent's.
     Both filters keep every graph's canonical parent along with the graph:
     deleting an edge raises no degree, and the canonical parent of a
     spanning subgraph of a member is one too.
@@ -177,7 +177,8 @@ def _expand_level(args) -> list[tuple]:
     n, rows, max_degree, prune = args
     bounds = None if prune is None else _reach_bounds(n, *prune)
     out = []
-    for _, adj, autos in rows:
+    for _, adj, autos, counts in rows:
+        counter = None if bounds is None else bruteforce_counter(Graph(n, adj))
         degree = [row.bit_count() for row in adj]
         most = max(degree, default=0)
         for u, v in _orbit_leaders(n, adj, autos):
@@ -195,12 +196,21 @@ def _expand_level(args) -> list[tuple]:
             if (u, v) not in top:
                 continue
             child = Graph(n, child_adj)
-            if bounds is not None and not _within_reach(bruteforce_counts(child), bounds):
+            child_counts = None if counter is None else _counts_with_edge(counts, counter, n, adj, u, v)
+            if child_counts is not None and not _within_reach(child_counts, bounds):
                 continue
             key = canonical_form(child)
             if _from_canonical_parent(child, (u, v), top):
-                out.append((key, child.adj, automorphisms(child)))
+                out.append((key, child.adj, automorphisms(child), child_counts))
     return out
+
+
+def _counts_with_edge(counts, counter, n: int, adj, u: int, v: int) -> tuple[int, ...]:
+    """H + uv's independent-set counts from H's and H's bruteforce_counter:
+    i_k(H + uv) = i_k(H) - i_{k-2}(H - N[u] - N[v])."""
+    lost = (0, 0) + counter((1 << n) - 1 & ~(adj[u] | adj[v] | 1 << u | 1 << v))
+    out = tuple(c - x for c, x in itertools.zip_longest(counts, lost, fillvalue=0))
+    return out if out[-1] else out[:-1]  # one edge lowers the independence number by at most 1
 
 
 def _reach_bounds(n: int, target: tuple[int, ...], left: int) -> list[tuple[int, int]]:
@@ -233,16 +243,18 @@ def _levels(n: int, top: int, max_degree: Optional[int],
             target: Optional[tuple[int, ...]] = None) -> Iterator[list[tuple]]:
     """The graphs on n vertices grown edge by edge from the empty graph,
     one level per edge count 0..top: a (canonical form, adjacency,
-    automorphisms) entry per class, in no particular order.
+    automorphisms, counts) row per class, in no particular order.
 
-    With target counts, a child is kept only if it can still reach them
-    with the edges left up to top (_reach_bounds).  One process pool
+    With target counts, a row's counts are its independent-set counts, and
+    a child is kept only if they can still reach the target with the edges
+    left up to top (_reach_bounds); without, they are None.  One process pool
     serves every level; it opens at the first level worth splitting and
     closes when the generator finishes or is closed.
     """
     workers = _worker_count()
     empty = Graph.empty(n)
-    level = [(canonical_form(empty), empty.adj, automorphisms(empty))]
+    counts = None if target is None else bruteforce_counts(empty)
+    level = [(canonical_form(empty), empty.adj, automorphisms(empty), counts)]
     pool = None
     try:
         for edges in range(top + 1):
@@ -276,7 +288,7 @@ def enumerate_graphs(filt: EnumFilter) -> Iterator[Graph]:
             if filt.edge_count is None or edges == filt.edge_count:
                 # yield the canonical representative so the stream does not
                 # depend on which labeled copy each worker found first
-                for key, adj, _ in sorted(level):
+                for key, adj, _, _ in sorted(level):
                     if not filt.connected_only or Graph(n, adj).is_connected():
                         yield from_canonical_form(key)
 
@@ -351,7 +363,7 @@ def equivalence_class_bruteforce(reference: Graph) -> list[Graph]:
     assert i1 == reference.n
     for level in _levels(reference.n, comb(reference.n, 2) - i2, None, target):
         pass
-    keys = sorted(key for key, _, _ in level)
+    keys = sorted(row[0] for row in level)
     return [g for g in map(from_canonical_form, keys) if bruteforce_counts(g) == target]
 
 

@@ -263,46 +263,54 @@ def _closure_size(n, gens):
 
 
 def test_stored_automorphisms_generate_the_group():
+    # the backjump keeps the stored set small: at most n - 1 generators
     pool = [g for n in range(7) for g in enumerate_graphs(EnumFilter(n))]
     pool += [Graph.empty(8), build([fs("P", 2)] * 4), build(fs("C", 8)), build([fs("C", 4)] * 2)]
     for g in pool:
         assert _closure_size(g.n, automorphisms(g)) == automorphism_count(g), graph6_write(g)
+        assert len(automorphisms(g)) <= max(g.n - 1, 0), graph6_write(g)
+    assert len(automorphisms(Graph.empty(20))) == 19
 
 
 def test_symmetric_graphs_canonicalize_fast():
     # without orbit pruning the search walks most of their n! leaves
-    for g in (build([fs("P", 2)] * 8), Graph.empty(15)):
+    for g in (build([fs("P", 2)] * 8), Graph.empty(15), Graph.empty(20)):
         start = time.perf_counter()
         canonical_form(g)
         assert time.perf_counter() - start < 1, g.n
 
 
-# sha256 of one "form<TAB>repr(automorphisms)" line per graph: every graph on
-# 7 vertices, relabelled by a random.Random(7) permutation, then its
-# complement.  Re-recorded when the search began pruning by orbits, which
-# changed the automorphisms stored but not the forms.
-FORMS_AND_AUTOS_7 = "9afa4b8faa0a0527561a8a0cd8103f441e552885fe3643e139138a8fd0e89f67"
+# sha256 of one "form<TAB>repr(canonical_order)" and one
+# "form<TAB>repr(automorphisms)" line per graph: every graph on 7 vertices,
+# relabelled by a random.Random(7) permutation, then its complement.  The
+# automorphism digests here and below were re-recorded when the search began
+# pruning by orbits, and again when it began backjumping on each automorphism;
+# both changed the automorphisms stored but not the forms or the orders.
+FORMS_AND_ORDERS_7 = "8066ec46fb911a60f6da3a25adbd065b4e8740bc89d4d1cbd32517264d2084f4"
+FORMS_AND_AUTOS_7 = "2fc93b20968e32ecab2e8f2103e724d56ca705de6daff215f6c9bdfe88de0705"
 
 
 def test_canonical_forms_and_automorphisms_match_golden():
     rng = random.Random(7)
-    h = hashlib.sha256()
+    h, orders = hashlib.sha256(), hashlib.sha256()
     for g in enumerate_graphs(EnumFilter(7)):
         order = list(range(g.n))
         rng.shuffle(order)
         r = g.induced(order)
         for x in (r, r.complement()):
             h.update(canonical_form(x) + b"\t" + repr(automorphisms(x)).encode("ascii") + b"\n")
-    assert h.hexdigest() == FORMS_AND_AUTOS_7
+            orders.update(canonical_form(x) + b"\t" + repr(canonical_order(x)).encode("ascii") + b"\n")
+    assert (orders.hexdigest(), h.hexdigest()) == (FORMS_AND_ORDERS_7, FORMS_AND_AUTOS_7)
 
 
 # sha256 over graphs on up to 13 vertices: random.Random(13) graphs on 8-13
 # vertices and symmetric shapes, each relabelled by a seeded permutation,
-# then its complement.  FORMS_8_13 covers the canonical bytes alone,
-# FORMS_AND_AUTOS_8_13 adds one repr(automorphisms) per graph and was
-# re-recorded, like FORMS_AND_AUTOS_7, when the search began pruning by orbits.
+# then its complement.  FORMS_8_13 covers the canonical bytes alone;
+# FORMS_AND_ORDERS_8_13 and FORMS_AND_AUTOS_8_13 add one repr(canonical_order)
+# or repr(automorphisms) per graph, as for FORMS_AND_AUTOS_7.
 FORMS_8_13 = "340b26b9fee9e4f3dc7bb80a16ff3566fb86cbf5f51465ffd29b18b8f2a12c81"
-FORMS_AND_AUTOS_8_13 = "c9134debf49f98cecabfb5a8145f6f2e8831d36c91709bfac756967e231200a2"
+FORMS_AND_ORDERS_8_13 = "729b232fdb90fd1081f661f8f6ae8123d95d29d7e9d4bdc549c40cc95dcc6ede"
+FORMS_AND_AUTOS_8_13 = "32a4c779a7df7b05af16dbb0e2688fa49d78b6fefc205bf091f1ed0a0bb7c5ab"
 
 
 def test_canonical_forms_past_7_vertices_match_golden():
@@ -314,7 +322,7 @@ def test_canonical_forms_past_7_vertices_match_golden():
     pool += [build(fs("C", n)) for n in range(3, 14)]
     pool.append(Graph.from_edges(12, [(v, v + 1) for v in range(12) if v % 4 != 3]
                                  + [(v, v + 4) for v in range(8)]))
-    forms, with_autos = hashlib.sha256(), hashlib.sha256()
+    forms, with_autos, orders = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for g in pool:
         order = list(range(g.n))
         rng.shuffle(order)
@@ -322,15 +330,19 @@ def test_canonical_forms_past_7_vertices_match_golden():
         for x in (r, r.complement()):
             forms.update(canonical_form(x) + b"\n")
             with_autos.update(canonical_form(x) + b"\t" + repr(automorphisms(x)).encode("ascii") + b"\n")
-    assert (forms.hexdigest(), with_autos.hexdigest()) == (FORMS_8_13, FORMS_AND_AUTOS_8_13)
+            orders.update(canonical_form(x) + b"\t" + repr(canonical_order(x)).encode("ascii") + b"\n")
+    assert (forms.hexdigest(), orders.hexdigest(), with_autos.hexdigest()) == (
+        FORMS_8_13, FORMS_AND_ORDERS_8_13, FORMS_AND_AUTOS_8_13)
 
 
-# sha256 of one "form<TAB>repr(automorphisms)" line per graph on 14-200
-# vertices: long paths and cycles, spiders, repeated components, grids,
-# random.Random(200) trees and G(n, p) graphs, each relabelled by a seeded
-# permutation, then its complement.  Their refinement chains are long, so
-# this pins the partitions the search refines past FORMS_AND_AUTOS_8_13.
-FORMS_AND_AUTOS_LARGE = "d8cc08f205aba1c263463764d0f2f1ae3553bc5b3f02f99c8f44a72a81630832"
+# sha256 of one "form<TAB>repr(canonical_order)" and one
+# "form<TAB>repr(automorphisms)" line per graph on 14-200 vertices: long
+# paths and cycles, spiders, repeated components, grids, random.Random(200)
+# trees and G(n, p) graphs, each relabelled by a seeded permutation, then its
+# complement.  Their refinement chains are long, so this pins the partitions
+# the search refines past FORMS_AND_AUTOS_8_13.
+FORMS_AND_ORDERS_LARGE = "880b92b09e5224ac4c6952ca176aaa8233b8cb988231df62fe4ec754cf669732"
+FORMS_AND_AUTOS_LARGE = "33efec7df123ae748efe4996003990a2bacedc0940c63f32f84581a376b02995"
 
 
 def test_canonical_forms_of_large_graphs_match_golden():
@@ -344,14 +356,15 @@ def test_canonical_forms_of_large_graphs_match_golden():
     pool += [grid_graph(10, 10), grid_graph(4, 25)]
     pool += [Graph.from_edges(50, [(v, rng.randrange(v)) for v in range(1, 50)]) for _ in range(20)]
     pool += [gnp(40, 0.3), gnp(80, 0.1), gnp(30, 0.5)] + [gnp(20, 0.2) for _ in range(30)]
-    h = hashlib.sha256()
+    h, orders = hashlib.sha256(), hashlib.sha256()
     for g in pool:
         order = list(range(g.n))
         rng.shuffle(order)
         r = g.induced(order)
         for x in (r, r.complement()):
             h.update(canonical_form(x) + b"\t" + repr(automorphisms(x)).encode("ascii") + b"\n")
-    assert h.hexdigest() == FORMS_AND_AUTOS_LARGE
+            orders.update(canonical_form(x) + b"\t" + repr(canonical_order(x)).encode("ascii") + b"\n")
+    assert (orders.hexdigest(), h.hexdigest()) == (FORMS_AND_ORDERS_LARGE, FORMS_AND_AUTOS_LARGE)
 
 
 def _refine_reference(adj, cells):

@@ -17,9 +17,10 @@ from indeq import graphcore, oracle
 from indeq.graphcore import (
     Graph, automorphisms, build, canonical_form, graph6_read, graph6_write,
 )
-from indeq.indpoly import bruteforce_counts, independence_polynomial
+from indeq.indpoly import bruteforce_counter, bruteforce_counts, independence_polynomial
 from indeq.oracle import (
     EnumFilter,
+    _counts_with_edge,
     _from_canonical_parent,
     _levels,
     _orbit_leaders,
@@ -173,11 +174,11 @@ def test_each_level_holds_each_class_once(n):
     sizes = []
     with contextlib.closing(_levels(n, comb(n, 2), None)) as levels:
         for edges, level in enumerate(levels):
-            keys = [key for key, _, _ in level]
+            keys = [row[0] for row in level]
             assert len(set(keys)) == len(keys)
-            for key, adj, _ in level:
+            for key, adj, _, counts in level:
                 g = Graph(n, adj)
-                assert g.edge_count == edges and canonical_form(g) == key
+                assert g.edge_count == edges and canonical_form(g) == key and counts is None
             sizes.append(len(level))
     assert sum(sizes) == unlabeled_graph_count(n)
 
@@ -355,19 +356,37 @@ def test_pruned_class_equals_unpruned_with_workers():
 
 
 def test_class_search_prunes_before_canonicalizing():
-    counted = {"canonical_form": 0, "bruteforce_counts": 0}
+    # each child that reaches the prune makes one query on its parent's counter
+    counted = {"canonical_form": 0, "prune queries": 0}
 
-    def counting(fn):
-        def wrapper(g):
-            counted[fn.__name__] += 1
-            return fn(g)
-        return wrapper
+    def canonical(g):
+        counted["canonical_form"] += 1
+        return canonical_form(g)
 
-    with mock.patch.object(oracle, "canonical_form", counting(canonical_form)), \
-            mock.patch.object(oracle, "bruteforce_counts", counting(bruteforce_counts)), \
+    def counter_of(g):
+        counts = bruteforce_counter(g)
+
+        def query(mask):
+            counted["prune queries"] += 1
+            return counts(mask)
+        return query
+
+    with mock.patch.object(oracle, "canonical_form", canonical), \
+            mock.patch.object(oracle, "bruteforce_counter", counter_of), \
             mock.patch.dict(os.environ, {"INDEQ_WORKERS": "1"}):
         assert len(equivalence_class_bruteforce(build(fs("P", 8)))) == 3
-    assert 0 < counted["canonical_form"] < counted["bruteforce_counts"], counted
+    assert 0 < counted["canonical_form"] < counted["prune queries"], counted
+
+
+@given(random_graphs(max_vertices=10))
+@settings(max_examples=80, deadline=None)
+def test_child_counts_come_from_the_parent(g):
+    counts, counter = bruteforce_counts(g), bruteforce_counter(g)
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if not g.has_edge(u, v):
+                want = bruteforce_counts(_child(g, u, v))
+                assert _counts_with_edge(counts, counter, g.n, g.adj, u, v) == want, (u, v)
 
 
 @pytest.mark.parametrize("n", range(2, 61, 2))
