@@ -10,10 +10,11 @@ no longer reach the reference's (adding an edge never creates an
 independent set), and keeps the graphs of the last level whose counts
 equal the reference's; each child's counts come from its parent's, and
 every count is made by the oracle's own brute-force counter
-(``indpoly.bruteforce_counter``), never by the classifier's evaluator.  The survivors must be exactly the classifier's
-members (for odd paths, the path alone).  The only inputs to the search
-are the reference's counts, so the confirmation is independent of the
-classification argument.  The catalogue cover search is then compared
+(``indpoly.bruteforce_counter``), never by the classifier's evaluator.
+The survivors must be exactly the classifier's members (for odd paths,
+the path alone).  The only inputs to the search are the reference's
+counts, so the confirmation is independent of the classification
+argument.  The catalogue cover search is then compared
 with the classifier for every even path size up to ``--max-path``.
 
 Usage: python scripts/exhaustive_crosscheck.py [--max-path 12] [--max-cycle 10]
@@ -21,8 +22,8 @@ Usage: python scripts/exhaustive_crosscheck.py [--max-path 12] [--max-cycle 10]
 On a 2-vCPU Intel Xeon host under Python 3.11.7 the defaults take about
 2 s, of which P_11 takes about 0.3 s, P_12 about 1 s and C_10 about 0.3 s.
 The class search is capped at 14 vertices: ``--max-path 14`` adds P_13
-(about 2 s) and P_14 (about 4 s).  A larger ``--max-path`` or ``--max-cycle`` is refused before any
-check runs.
+(about 2 s) and P_14 (about 4 s).  A larger ``--max-path`` or
+``--max-cycle`` is refused before any check runs.
 """
 
 import argparse

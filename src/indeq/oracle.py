@@ -16,8 +16,9 @@ Three mechanisms cross-check the classifier from different directions:
     dropped before its canonical search once its independent-set counts
     can no longer reach the reference's (adding an edge never creates an
     independent set, so every spanning subgraph of a member survives),
-    and every count, each child's made from its parent's, is made by
-    indpoly's brute-force counter, not by the classifier's evaluator
+    and every count, the reference's included, is made by indpoly's
+    brute-force counter (a child's from its parent's), not by the
+    classifier's evaluator
   * catalogue_class_search: assemble class members as exact covers of
     the reference's basis-factor set by shortlist components, each
     factored from its own polynomial, using none of the final case analysis
