@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
 from .factorbasis import FactorMultiset, basis_f, basis_ftilde, two_adic_split
-from .graphcore import FAMILIES, FamilySpec, Graph, build, canonical_form, graph6_write, spec
+from .graphcore import FAMILIES, FamilySpec, Graph, build, canonical_form, spec
 from .indpoly import independence_polynomial
 from .polyalg import SturmChain, count_real_roots
 
@@ -228,26 +228,10 @@ class EquivClass:
     def canonical_forms(self) -> frozenset[bytes]:
         return frozenset(canonical_form(g) for g in self.graphs())
 
-    def member_lines(self, include_graph6: bool = False) -> Iterator[str]:
-        """Each member as its components joined by " + ", with the member's
-        graph6 code after a tab when include_graph6 is set."""
+    def member_lines(self) -> Iterator[str]:
+        """Each member as its components joined by " + "."""
         for member in self.members:
-            line = " + ".join(map(str, member))
-            if include_graph6:
-                line += "\t" + graph6_write(build(member))
-            yield line
-
-    def to_json(self, include_graph6: bool = False) -> dict:
-        payload = {
-            "reference": str(self.reference),
-            "members": [
-                [{"family": s.family, "params": list(s.params)} for s in member]
-                for member in self.members
-            ],
-        }
-        if include_graph6:
-            payload["graph6"] = [graph6_write(g) for g in self.graphs()]
-        return payload
+            yield " + ".join(map(str, member))
 
 
 #: The carriers of f_9 and of f_15, the kept shortlist rows that factor as

@@ -101,16 +101,12 @@ def _cmd_poly(args) -> int:
     else:
         results = [_graph_from_text(args.spec)]
     for g, label in results:
-        poly = indpoly.independence_polynomial(g)
+        coefficients = [str(c) for c in indpoly.independence_polynomial(g).coeffs]
         if args.json:
-            print(json.dumps({"input": label, "coefficients": poly.to_decimal_strings()}))
+            print(json.dumps({"input": label, "coefficients": coefficients}))
         else:
-            print(" ".join(poly.to_decimal_strings()) or "1")
+            print(" ".join(coefficients) or "1")
     return 0
-
-
-def _factor_names(factors) -> str:
-    return " ".join(f.name for f in factors)
 
 
 def _cmd_factor(args) -> int:
@@ -133,9 +129,12 @@ def _cmd_factor(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     if args.json:
-        print(json.dumps(factorbasis.multiset_to_json(factors)))
+        print(json.dumps([
+            {"kind": f.kind, "index": f.index, "coefficients": [str(c) for c in f.poly.coeffs]}
+            for f in factors
+        ]))
     else:
-        print(_factor_names(factors))
+        print(" ".join(f.name for f in factors))
     return 0
 
 
@@ -147,10 +146,23 @@ def _cmd_class(args) -> int:
         else:
             cls = classify.cycle_class(args.n)
     if args.json:
-        print(json.dumps(cls.to_json(include_graph6=args.graph6)))
+        payload = json.dumps({
+            "reference": str(cls.reference),
+            "members": [[{"family": s.family, "params": list(s.params)} for s in member]
+                        for member in cls.members],
+        })
+        if not args.graph6:
+            print(payload)
+            return 0
+        # the graph6 list is written one member at a time, so no more than
+        # one member graph is held at once
+        sys.stdout.write(payload[:-1] + ', "graph6": [')
+        for i, member in enumerate(cls.members):
+            sys.stdout.write((", " if i else "") + json.dumps(graph6_write(build(member))))
+        sys.stdout.write("]}\n")
         return 0
-    for line in cls.member_lines(include_graph6=args.graph6):
-        print(line)
+    for line, member in zip(cls.member_lines(), cls.members):
+        print(line + "\t" + graph6_write(build(member)) if args.graph6 else line)
     return 0
 
 

@@ -178,10 +178,6 @@ class BasisFactor:
     def name(self) -> str:
         return ("f~" if self.kind == "ftilde" else "f") + str(self.index)
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "index": self.index,
-                "coefficients": self.poly.to_decimal_strings()}
-
 
 def _factor_poly(n: int) -> IntPoly:
     """reverse_negate(psi_n(x - 2)) for n >= 3, straight from Phi_n.
@@ -325,7 +321,3 @@ def factor_into_basis(p: IntPoly, candidates: FactorMultiset | None = None) -> F
             remainder,
         )
     return tuple(sorted(found))
-
-
-def multiset_to_json(factors: FactorMultiset) -> list[dict]:
-    return [f.to_json() for f in factors]

@@ -209,9 +209,11 @@ class IntPoly:
     __rmul__ = __mul__
 
     def mul_xpow(self, k: int) -> "IntPoly":
-        """Multiply by x**k."""
-        if not self.coeffs or k == 0:
-            return self if self.coeffs else IntPoly.zero()
+        """Multiply by x**k, for k >= 0."""
+        if k <= 0 or not self.coeffs:
+            if k < 0:
+                raise ValueError(f"cannot multiply by x**{k}: the power is negative")
+            return self
         return IntPoly((0,) * k + self.coeffs)
 
     def try_divide(self, divisor: "IntPoly") -> "IntPoly | None":
@@ -321,11 +323,6 @@ class IntPoly:
             return Fraction(1)
         lead = abs(self.lead)
         return 1 + max(Fraction(abs(c), lead) for c in self.coeffs[:-1])
-
-    # -- serialization ----------------------------------------------------
-
-    def to_decimal_strings(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
 
 
 def _pseudo_divide(a: IntPoly, b: IntPoly) -> tuple[IntPoly, int, int, IntPoly]:

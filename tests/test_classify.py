@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import json
 import warnings
 from fractions import Fraction
 
@@ -17,6 +16,7 @@ from indeq.classify import (
     screen_family,
     sweep_family,
 )
+from indeq.cli import main
 from indeq.factorbasis import basis_f, basis_ftilde, product_of
 from indeq.graphcore import FAMILIES, FamilySpec, build, canonical_form
 from indeq.indpoly import independence_polynomial
@@ -227,20 +227,21 @@ def test_cycle_class_soundness(n):
     assert len(forms) == len(cls.members)
 
 
-# sha256 over the JSON of every path class P_2..P_2000 (both expand modes)
-# and every cycle class C_3..C_399, one line each: pins membership and order
+# sha256 over the `class ... --json` stdout of every path class P_2..P_2000
+# (both expand modes) and every cycle class C_3..C_399, one line each: pins
+# membership and order
 CLASS_DIGEST = "d558160a5d7cb681c430f19b4cf158b451ffdfb8911db831311ee7fc5201efa6"
 
 
-def test_class_lists_match_digest():
+def test_class_lists_match_digest(capsys):
     h = hashlib.sha256()
     for n in range(2, 2001, 2):
-        for expand in (True, False):
-            h.update(json.dumps(path_class(n, expand_d=expand).to_json()).encode() + b"\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EvenCycleClassNote)
-        for n in range(3, 400):
-            h.update(json.dumps(cycle_class(n).to_json()).encode() + b"\n")
+        for flags in ([], ["--no-expand-d"]):
+            assert main(["class", "path", str(n), "--json", *flags]) == 0
+            h.update(capsys.readouterr().out.encode())
+    for n in range(3, 400):
+        assert main(["class", "cycle", str(n), "--json"]) == 0
+        h.update(capsys.readouterr().out.encode())
     assert h.hexdigest() == CLASS_DIGEST
 
 
@@ -262,13 +263,3 @@ def test_equiv_class_stores_the_member_normal_form():
     )
     assert list(cls.member_lines()) == ["P:8", "P:2 + C:4", "P:2 + D:4", "P:3 + C:5"]
     assert cls == EquivClass(fs("P", 8), members)
-
-
-def test_equiv_class_json():
-    cls = path_class(4)
-    payload = cls.to_json(include_graph6=True)
-    text = json.dumps(payload)
-    back = json.loads(text)
-    assert back["reference"] == "P:4"
-    assert back["members"][0] == [{"family": "P", "params": [4]}]
-    assert len(back["graph6"]) == 2

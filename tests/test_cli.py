@@ -144,6 +144,22 @@ def test_class_commands(capsys):
     assert all("\t" in line for line in out.strip().splitlines())
 
 
+def test_equiv_class_json(capsys):
+    code, out, _ = run(capsys, "class", "path", "4", "--json", "--graph6")
+    back = json.loads(out)
+    assert code == 0 and back["reference"] == "P:4"
+    assert back["members"][0] == [{"family": "P", "params": [4]}]
+    assert len(back["graph6"]) == len(back["members"]) == 2
+
+
+def test_multiset_json(capsys):
+    code, out, _ = run(capsys, "factor", "path", "10", "--json")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload[0] == {"kind": "f", "index": 2, "coefficients": ["1", "2"]}
+    assert payload[-1]["kind"] == "ftilde"
+
+
 @pytest.mark.parametrize("argv", [["class", "cycle", "9", "--no-expand-d"],
                                   ["class", "path", "10", "--expand-d"]])
 def test_class_rejects_removed_expand_flags(capsys, argv):

@@ -14,7 +14,6 @@ from indeq.factorbasis import (
     factor_into_basis,
     factor_path,
     factorize,
-    multiset_to_json,
     product_of,
     real_cyclotomic,
     two_adic_split,
@@ -197,12 +196,6 @@ def test_factor_into_basis_handles_multiplicity():
     square = basis_f(3).poly * basis_f(3).poly * basis_f(2).poly
     got = factor_into_basis(square, (basis_f(2), basis_f(3)))
     assert [f.name for f in got] == ["f2", "f3", "f3"]
-
-
-def test_multiset_json():
-    payload = multiset_to_json(factor_path(10))
-    assert payload[0] == {"kind": "f", "index": 2, "coefficients": ["1", "2"]}
-    assert payload[-1]["kind"] == "ftilde"
 
 
 def _defining_pipeline(n):

@@ -41,6 +41,15 @@ def test_multiplication_example():
     assert p * IntPoly.one() == p
 
 
+def test_mul_xpow():
+    p = IntPoly((1, 2))
+    assert p.mul_xpow(0) == p and p.mul_xpow(2) == IntPoly((0, 0, 1, 2))
+    assert IntPoly.zero().mul_xpow(3) == IntPoly.zero()
+    for q in (p, IntPoly.zero()):
+        with pytest.raises(ValueError, match="negative"):
+            q.mul_xpow(-1)
+
+
 def test_try_divide():
     # dividend is the brute-force independence polynomial of the 9-cycle
     dividend = IntPoly(bruteforce_counts(build(fs("C", 9))))
@@ -658,10 +667,3 @@ def test_gcd_and_squarefree():
     sq = IntPoly((1, 3)) * IntPoly((1, 3)) * IntPoly((1, 2))
     assert not is_squarefree(sq)
     assert squarefree_part(SturmChain.of(sq)) == IntPoly((1, 3)) * IntPoly((1, 2))
-
-
-def test_json_serialization_round_trip():
-    p = IntPoly((1, -12345678901234567890, 7))
-    strings = p.to_decimal_strings()
-    assert strings == ["1", "-12345678901234567890", "7"]
-    assert IntPoly.zero().to_decimal_strings() == []
