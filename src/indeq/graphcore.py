@@ -175,7 +175,7 @@ class Graph:
 
     def connected_components(self) -> list[list[int]]:
         """Vertex lists of the connected components, each sorted, in order."""
-        return [_bits(comp) for comp in mask_components(self.adj, (1 << self.n) - 1)]
+        return [_bits(comp) for comp, *_ in mask_components(self.adj, (1 << self.n) - 1)]
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.connected_components()) == 1
@@ -187,21 +187,30 @@ class Graph:
         return total // 3
 
 
-def mask_components(adj: Sequence[int], mask: int) -> list[int]:
-    """Vertex masks of the connected components of the subgraph that the
-    adjacency rows ``adj`` induce on ``mask``, ordered by lowest vertex."""
+def mask_components(adj: Sequence[int], mask: int) -> list[tuple[int, int, int, int]]:
+    """The connected components of the subgraph that the adjacency rows
+    ``adj`` induce on ``mask``, ordered by lowest vertex, found by one
+    breadth-first sweep each: ``(component mask, in-mask degree sum,
+    largest in-mask degree, lowest vertex of that degree)``."""
     comps = []
     while mask:
         comp = frontier = mask & -mask
+        pivot = comp.bit_length() - 1
+        top = degree_sum = 0
         while frontier:
             grow = 0
             while frontier:
-                low = frontier & -frontier
-                grow |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = grow & mask & ~comp
+                v = (frontier & -frontier).bit_length() - 1
+                frontier &= frontier - 1
+                row = adj[v] & mask
+                grow |= row
+                d = row.bit_count()
+                degree_sum += d
+                if d > top or d == top and v < pivot:
+                    pivot, top = v, d
+            frontier = grow & ~comp
             comp |= frontier
-        comps.append(comp)
+        comps.append((comp, degree_sum, top, pivot))
         mask ^= comp
     return comps
 

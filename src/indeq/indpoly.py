@@ -2,11 +2,13 @@
 
 The evaluator is one recursion over vertex masks of the input's fixed
 adjacency rows.  A mask splits into connected components, whose
-polynomials multiply.  A component with in-mask degrees at most 2 is a
-path or a cycle (its degree sum tells which) and takes its closed form,
-i_k(P_n) = C(n-k+1, k) and i_k(C_n) = n/(n-k) * C(n-k, k), built by the
-exact ratio of consecutive coefficients; any other component pivots on a
-vertex v of largest in-mask degree:
+polynomials multiply; one sweep finds each component with its in-mask
+degrees, and the call that found it evaluates it.  A component with
+in-mask degrees at most 2 is a path or a cycle (its degree sum tells
+which) and takes its closed form, i_k(P_n) = C(n-k+1, k) and
+i_k(C_n) = n/(n-k) * C(n-k, k), built by the exact ratio of consecutive
+coefficients; any other component pivots on the lowest vertex v of
+largest in-mask degree:
 
     I(G, x) = I(G - v, x) + x * I(G - N[v], x)
 
@@ -68,39 +70,33 @@ def independence_polynomial(g: Graph) -> IntPoly:
     """Exact I(G, x); coefficient k counts the independent sets of size k.
 
     Raises ValueError when the pivot recursion outgrows Python's recursion
-    limit, as it does on a 2 x 600 ladder, or memoizes more than
+    limit, as it does on a 2 x 1000 ladder, or memoizes more than
     MAX_EVAL_MASKS masks, as it would on a 10 x 10 grid.
     """
     adj = g.adj
     memo = {0: _ONE}
+    too_many = (f"graph on {g.n} vertices needs more than {MAX_EVAL_MASKS} "
+                "memoized masks in the pivot recursion")
 
     def poly(mask: int) -> IntPoly:
         out = memo.get(mask)
         if out is not None:
             return out
         if len(memo) > MAX_EVAL_MASKS:
-            raise ValueError(f"graph on {g.n} vertices needs more than {MAX_EVAL_MASKS} "
-                             "memoized masks in the pivot recursion")
-        comps = mask_components(adj, mask)
-        if len(comps) > 1:
-            out = poly(comps[0])
-            for comp in comps[1:]:
-                out = out * poly(comp)
-        else:
-            pivot = top = degree_sum = 0
-            rest = mask
-            while rest:
-                v = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                d = (adj[v] & mask).bit_count()
-                degree_sum += d
-                if d > top:
-                    pivot, top = v, d
-            n = mask.bit_count()
-            if top <= 2:
-                out = cycle_polynomial(n) if degree_sum == 2 * n else path_polynomial(n)
-            else:
-                out = poly(mask ^ 1 << pivot) + poly(mask & ~(adj[pivot] | 1 << pivot)).mul_xpow(1)
+            raise ValueError(too_many)
+        out = None
+        for comp, degree_sum, top, pivot in mask_components(adj, mask):
+            part = memo.get(comp)
+            if part is None:
+                if len(memo) > MAX_EVAL_MASKS:
+                    raise ValueError(too_many)
+                n = comp.bit_count()
+                if top <= 2:
+                    part = cycle_polynomial(n) if degree_sum == 2 * n else path_polynomial(n)
+                else:
+                    part = poly(comp ^ 1 << pivot) + poly(comp & ~(adj[pivot] | 1 << pivot)).mul_xpow(1)
+                memo[comp] = part
+            out = part if out is None else out * part
         memo[mask] = out
         return out
 

@@ -24,6 +24,7 @@ from indeq.graphcore import (
     graph6_read,
     graph6_write,
     is_path_graph,
+    mask_components,
 )
 from indeq.oracle import EnumFilter, enumerate_graphs
 
@@ -209,6 +210,31 @@ def test_canonical_graph_round_trip():
     h = from_canonical_form(canonical_form(g))
     assert canonical_form(h) == canonical_form(g)
     assert isomorphic_bruteforce(g, h)
+
+
+@given(random_graphs(max_vertices=14), st.data())
+@settings(max_examples=150, deadline=None)
+def test_mask_components_recounted(g, data):
+    mask = data.draw(st.integers(min_value=0, max_value=(1 << g.n) - 1))
+    inside = [v for v in range(g.n) if mask >> v & 1]
+    # components by merging labels along the edges inside the mask
+    label = {v: v for v in inside}
+    degree = dict.fromkeys(inside, 0)
+    for u, v in g.edges():
+        if u in label and v in label:
+            degree[u] += 1
+            degree[v] += 1
+            old, new = label[u], label[v]
+            label = {w: new if lab == old else lab for w, lab in label.items()}
+    groups = {}
+    for w in inside:
+        groups.setdefault(label[w], []).append(w)
+    expected = []
+    for members in sorted(groups.values()):  # by lowest vertex
+        top = max(degree[w] for w in members)
+        expected.append((sum(1 << w for w in members), sum(degree[w] for w in members), top,
+                         min(w for w in members if degree[w] == top)))
+    assert mask_components(g.adj, mask) == expected
 
 
 @given(random_graphs(max_vertices=9), st.randoms(use_true_random=False))
