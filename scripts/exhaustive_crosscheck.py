@@ -19,11 +19,10 @@ with the classifier for every even path size up to ``--max-path``.
 
 Usage: python scripts/exhaustive_crosscheck.py [--max-path 12] [--max-cycle 10]
 
-On a 2-vCPU Intel Xeon host under Python 3.11.7 the defaults take about
-2 s, of which P_11 takes about 0.3 s, P_12 about 1 s and C_10 about 0.3 s.
 The class search is capped at 14 vertices: ``--max-path 14`` adds P_13
-(about 2 s) and P_14 (about 4 s).  A larger ``--max-path`` or
-``--max-cycle`` is refused before any check runs.
+and P_14, and README.md gives the times of the defaults and of P_12 to
+P_14.  A larger ``--max-path`` or ``--max-cycle`` is refused before any
+check runs.
 """
 
 import argparse

@@ -286,7 +286,7 @@ def default_candidates(p: IntPoly) -> FactorMultiset:
     """
     if p.degree < 1:
         return ()
-    return basis_through(2 * (p.coeffs[1] + 2) if len(p.coeffs) > 1 else 4)
+    return basis_through(2 * (p.coeffs[1] + 2))
 
 
 def factor_into_basis(p: IntPoly, candidates: FactorMultiset | None = None) -> FactorMultiset:

@@ -33,11 +33,9 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial, gcd
 from typing import Iterator, Optional
 
@@ -49,9 +47,8 @@ from .indpoly import bruteforce_counter, bruteforce_counts, independence_polynom
 
 _UNFILTERED_MAX = 10
 _FILTERED_MAX = 12
-#: The brute-force class search's cap on vertices; P_14 takes about 4 s on 2 vCPUs.
+#: The brute-force class search's cap on vertices (README gives P_12 .. P_14 timings).
 CLASS_MAX = 14
-_WORKERS_ENV = "INDEQ_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -156,8 +153,9 @@ def _from_canonical_parent(g: Graph, edge: tuple[int, int], top: list[tuple[int,
     return edge == last or edge in _edge_orbit(last, autos)
 
 
-def _expand_level(args) -> list[tuple]:
-    """Children of a chunk of _levels rows (worker-safe), as such rows.
+def _expand_level(n: int, rows: list[tuple], max_degree: Optional[int],
+                  prune: Optional[tuple]) -> list[tuple]:
+    """Children of a chunk of _levels rows on n vertices (worker-safe), as such rows.
 
     A child G + uv is kept only from its canonical parent: when uv lies in
     the Aut(G + uv) orbit of the child's canonical last edge, an edge of
@@ -175,7 +173,6 @@ def _expand_level(args) -> list[tuple]:
     deleting an edge raises no degree, and the canonical parent of a
     spanning subgraph of a member is one too.
     """
-    n, rows, max_degree, prune = args
     bounds = None if prune is None else _reach_bounds(n, *prune)
     out = []
     for _, adj, autos, counts in rows:
@@ -233,7 +230,7 @@ def _within_reach(counts: tuple[int, ...], bounds: list[tuple[int, int]]) -> boo
 
 def _worker_count() -> int:
     """INDEQ_WORKERS, clamped to [1, cpu count]; 1 when unset or not an integer."""
-    raw = os.environ.get(_WORKERS_ENV, "1")
+    raw = os.environ.get("INDEQ_WORKERS", "1")
     try:
         return max(1, min(int(raw), os.cpu_count() or 1))
     except ValueError:
@@ -263,14 +260,17 @@ def _levels(n: int, top: int, max_degree: Optional[int],
             if edges == top:
                 break
             prune = None if target is None else (target, top - edges - 1)
+            mapper, chunks = map, [level]
             if workers > 1 and len(level) >= 4 * workers:
                 if pool is None:
+                    # imported here, so callers that never split a level do not load them
+                    import multiprocessing
+                    from concurrent.futures import ProcessPoolExecutor
                     pool = ProcessPoolExecutor(
                         max_workers=workers, mp_context=multiprocessing.get_context("spawn"))
-                chunks = [(n, level[i::workers], max_degree, prune) for i in range(workers)]
-                level = [entry for chunk in pool.map(_expand_level, chunks) for entry in chunk]
-            else:
-                level = _expand_level((n, level, max_degree, prune))
+                mapper, chunks = pool.map, [level[i::workers] for i in range(workers)]
+            expand = partial(_expand_level, n, max_degree=max_degree, prune=prune)
+            level = [row for chunk in mapper(expand, chunks) for row in chunk]
     finally:
         if pool is not None:
             pool.shutdown()

@@ -761,11 +761,11 @@ def _refine_isolated(p: IntPoly, lo: Fraction, hi: Fraction, width: Fraction,
     return cell(i)
 
 
-def real_roots_approx(chain: SturmChain, width: Fraction = Fraction(1, 10**12)) -> list[float]:
+def real_roots_approx(chain: SturmChain) -> list[float]:
     """Float approximations of the distinct real roots of the chain's
-    polynomial, which must be squarefree (diagnostics only)."""
-    if width <= 0:
-        raise ValueError(f"refinement width must be positive, not {width}")
+    polynomial, which must be squarefree, each the midpoint of an interval
+    no wider than 10^-12 (diagnostics only)."""
+    width = Fraction(1, 10**12)
     p = chain.poly
     intervals = isolate_real_roots(chain)
     # above a simple root p has the sign it has at +infinity, flipped once

@@ -20,6 +20,9 @@ def test_workflow_runs_tier1_from_the_python_floor():
     assert runs.index("indeq verify all --bound full") > install + 1
     # the independent cross-check at its defaults, on the installed package
     assert runs.index("python scripts/exhaustive_crosscheck.py") > install
+    # and through a real spawn pool, which opens at P_10, from the guarded script
+    assert runs.index("INDEQ_WORKERS=2 python scripts/exhaustive_crosscheck.py"
+                      " --max-path 10 --max-cycle 8") > install
     # one short pass of every benchmark workload, failing unless each op's output checked out
     assert ("python3 perfbench/run.py --workload all --seed 1 --seconds 1"
             """ | tail -n 1 | grep -F '"correct": true'""") in runs

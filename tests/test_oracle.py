@@ -2,10 +2,12 @@ import contextlib
 import hashlib
 import os
 import random
+import subprocess
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from math import comb
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -228,7 +230,7 @@ def test_one_pool_per_enumeration():
 
     filt = EnumFilter(7, edge_count=8)  # four levels large enough to split
     base = [graph6_write(g) for g in enumerate_graphs(filt)]
-    with mock.patch.object(oracle, "ProcessPoolExecutor", Pool), \
+    with mock.patch("concurrent.futures.ProcessPoolExecutor", Pool), \
             mock.patch("os.cpu_count", return_value=2), \
             mock.patch.dict(os.environ, {"INDEQ_WORKERS": "2"}):
         assert [graph6_write(g) for g in enumerate_graphs(filt)] == base
@@ -255,13 +257,25 @@ def test_pool_stream_matches_golden(filt, digest):
             made.append(self)
 
     h = hashlib.sha256()
-    with mock.patch.object(oracle, "ProcessPoolExecutor", Pool), \
+    with mock.patch("concurrent.futures.ProcessPoolExecutor", Pool), \
             mock.patch("os.cpu_count", return_value=2), \
             mock.patch.dict(os.environ, {"INDEQ_WORKERS": "2"}):
         for g in enumerate_graphs(filt):
             h.update(graph6_write(g).encode("ascii") + b"\n")
     assert len(made) == 1
     assert h.hexdigest() == digest
+
+
+def test_importing_the_oracle_loads_no_process_machinery():
+    # the pool's modules are imported only when a level is split, so the
+    # CLI and every caller that never splits skip their import cost
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = ("import sys, indeq.cli, indeq.checks, indeq.oracle; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    run = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 def test_worker_count_is_clamped_to_cpu_count():

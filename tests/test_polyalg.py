@@ -579,18 +579,18 @@ linear_roots = st.builds(Fraction, st.one_of(st.integers(-12, 12), st.integers(-
                          st.sampled_from([1, 2, 8, 1024, 3, 7, 61]))
 
 
-@given(st.lists(linear_roots, min_size=1, max_size=7, unique=True),
-       st.sampled_from([1, -1, 3, -2]), st.sampled_from(WIDTHS))
-@example([Fraction(-1), Fraction(0), Fraction(1)], 1, WIDTHS[0])
-@example([Fraction(-1), Fraction(0), Fraction(1), Fraction(2)], -1, WIDTHS[0])
+@given(st.lists(linear_roots, min_size=1, max_size=7, unique=True), st.sampled_from([1, -1, 3, -2]))
+@example([Fraction(-1), Fraction(0), Fraction(1)], 1)
+@example([Fraction(-1), Fraction(0), Fraction(1), Fraction(2)], -1)
 @settings(max_examples=150, deadline=None)
-def test_real_roots_approx_equals_bisection_midpoints(roots, lead, width):
+def test_real_roots_approx_equals_bisection_midpoints(roots, lead):
     # real_roots_approx takes the sign above each root from the lead's sign
-    # and the number of roots above it; the examples put roots at isolation ends
+    # and the number of roots above it, and refines below 10^-12 (WIDTHS[0]);
+    # the examples put roots at isolation ends
     p = _with_roots(roots) * lead
     expected = [float((a + b) / 2) for a, b in
-                (_bisection_refine(p, lo, hi, width) for lo, hi in _bisection_isolate(p))]
-    assert real_roots_approx(SturmChain.of(p), width) == expected
+                (_bisection_refine(p, lo, hi, WIDTHS[0]) for lo, hi in _bisection_isolate(p))]
+    assert real_roots_approx(SturmChain.of(p)) == expected
 
 
 @given(st.lists(linear_roots, min_size=1, max_size=7, unique=True), st.sampled_from([1, -1, 3, -2]))
@@ -651,7 +651,7 @@ def test_refinement_evaluates_fewer_than_half_the_points_of_bisection(monkeypatc
     monkeypatch.setattr(IntPoly, "homogeneous_value",
                         lambda self, num, den: exact.append(num) or method(self, num, den))
     calls.clear()
-    approx = real_roots_approx(chain, width)
+    approx = real_roots_approx(chain)
     refined, certified = len(calls), len(exact)
     slow = [_bisection_refine(p, lo, hi, width) for lo, hi in intervals]
     bisected = len(calls) - refined
