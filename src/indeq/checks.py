@@ -131,10 +131,8 @@ def _check_degrees(b) -> tuple[bool, str]:
 def _check_coprime(b) -> tuple[bool, str]:
     top = b["coprime"]
     polys = [f.poly for f in factorbasis.basis_through(top)]
-    for i, p in enumerate(polys):
-        for q in polys[i + 1:]:
-            if polyalg.poly_gcd(p, q).degree != 0:
-                return False, "common factor found"
+    if any(polyalg.poly_gcd(p, q).degree != 0 for p, q in itertools.combinations(polys, 2)):
+        return False, "common factor found"
     for k in range(3, top + 1):
         fk = set(factorbasis.factor_cycle(k))
         for n in range(3, top + 1):

@@ -155,10 +155,13 @@ def _cmd_class(args) -> int:
             print(payload)
             return 0
         # the graph6 list is written one member at a time, so no more than
-        # one member graph is held at once
-        sys.stdout.write(payload[:-1] + ', "graph6": [')
-        for i, member in enumerate(cls.members):
-            sys.stdout.write((", " if i else "") + json.dumps(graph6_write(build(member))))
+        # one member graph is held at once; every member has the reference's
+        # vertex count, so the first, built before any output, refuses a
+        # class above the cap with stdout empty
+        codes = (json.dumps(graph6_write(build(member))) for member in cls.members)
+        sys.stdout.write(payload[:-1] + ', "graph6": [' + next(codes))
+        for code in codes:
+            sys.stdout.write(", " + code)
         sys.stdout.write("]}\n")
         return 0
     for line, member in zip(cls.member_lines(), cls.members):
@@ -223,13 +226,10 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.suite == "all":
-        names = [name for suite in checks.SUITES.values() for name in suite]
-    else:
-        names = checks.SUITES[args.suite]
+    suite = checks.CHECKS if args.suite == "all" else checks.SUITES[args.suite]
     failures = 0
-    for name in names:
-        ok, detail = checks.CHECKS[name](checks.BOUNDS[args.bound])
+    for name, check in suite.items():
+        ok, detail = check(checks.BOUNDS[args.bound])
         failures += not ok
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     return 1 if failures else 0

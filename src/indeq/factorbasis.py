@@ -238,10 +238,7 @@ MAX_FACTOR_INDEX = 20_000
 
 
 def product_of(factors: FactorMultiset) -> IntPoly:
-    out = IntPoly.one()
-    for f in factors:
-        out = out * f.poly
-    return out
+    return prod((f.poly for f in factors), start=IntPoly.one())
 
 
 def factor_cycle(n: int) -> FactorMultiset:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import comb, factorial, gcd
@@ -317,11 +318,8 @@ def unlabeled_graph_count(n: int) -> int:
     """
     total = 0
     for parts in _partitions(n):
-        mult: dict[int, int] = {}
-        for p in parts:
-            mult[p] = mult.get(p, 0) + 1
         perms = factorial(n)
-        for length, count in mult.items():
+        for length, count in Counter(parts).items():
             perms //= length**count * factorial(count)
         pair_cycles = sum(p // 2 for p in parts)
         pair_cycles += sum(gcd(a, b) for a, b in itertools.combinations(parts, 2))

@@ -33,11 +33,12 @@ immutable and safe to share between threads.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd, isqrt, lcm
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, Optional, Union
 
 #: Accepted exact scalar types for evaluation points.
 RationalLike = Union[int, Fraction]
@@ -390,28 +391,18 @@ def is_squarefree(p: IntPoly) -> bool:
 Endpoint = Optional[RationalLike]
 
 
-class SturmStep(NamedTuple):
-    """One remainder step of a Sturm chain: the exact identity
-
-        g·s[i+2] = q·s[i+1] − m·s[i],   m > 0, g > 0,
-
-    with q the pseudo-quotient (of degree deg s[i] − deg s[i+1], usually
-    1), m the pseudo-division multiplier, g the content divided out, and
-    k = deg s[i] − deg s[i+2].
-    """
-
-    q: IntPoly
-    m: int
-    g: int
-    k: int
-
-
 @dataclass(frozen=True)
 class SturmChain:
     """Signed remainder sequence of p and p', content-normalized.
 
-    ``steps[i]`` holds the identity that ties ``chain[i]``,
-    ``chain[i + 1]`` and ``chain[i + 2]``.  At x = num/den the values
+    ``steps[i]`` is the tuple (q, m, g, k) of the exact identity
+
+        g·s[i+2] = q·s[i+1] − m·s[i],   m > 0, g > 0,
+
+    that ties the members s[i], s[i+1] and s[i+2]: q the pseudo-quotient
+    (of degree deg s[i] − deg s[i+1], usually 1), m the pseudo-division
+    multiplier, g the content divided out, and k = deg s[i] − deg s[i+2],
+    the degree drop.  At x = num/den the values
     cleared of denominators, H = den^deg · s(x), then follow from those
     of the last two members, bottom up:
 
@@ -423,7 +414,7 @@ class SturmChain:
     """
 
     chain: tuple[IntPoly, ...]
-    steps: tuple[SturmStep, ...]
+    steps: tuple[tuple[IntPoly, int, int, int], ...]
 
     @classmethod
     def of(cls, p: IntPoly) -> "SturmChain":
@@ -438,7 +429,7 @@ class SturmChain:
                 q, m, g, r = _pseudo_divide(seq[-2], seq[-1])
                 if not r:
                     break
-                steps.append(SturmStep(q, m, g, seq[-2].degree - r.degree))
+                steps.append((q, m, g, seq[-2].degree - r.degree))
                 seq.append(r)
         return cls(tuple(seq), tuple(steps))
 
@@ -623,13 +614,8 @@ def _bisection_leaves(p: IntPoly, brackets: list[list[int]]) -> list[tuple[Fract
                         Fraction(num * (2 * i + 2 - (1 << l)), den << l)))
         elif hi - lo > 1:
             m_num, m_den = num * (2 * i + 1 - (1 << l)), den << l
-            split, stop = lo, hi  # the first root above M, by binary search
-            while split < stop:
-                j = (split + stop) // 2
-                if above_m(j, m_num, m_den):
-                    stop = j
-                else:
-                    split = j + 1
+            # the first root above M
+            split = bisect.bisect_left(range(hi), True, lo, hi, key=lambda j: above_m(j, m_num, m_den))
             stack.append((2 * i + 1, l + 1, split, hi))
             stack.append((2 * i, l + 1, lo, split))
     return out

@@ -18,6 +18,9 @@ def test_workflow_runs_tier1_from_the_python_floor():
     assert runs[install + 1] == "indeq verify all"
     # then at the full bounds, whose root and sweep checks build larger Sturm chains
     assert runs.index("indeq verify all --bound full") > install + 1
+    # the console script refuses a class above the vertex cap with exit 2 and empty stdout
+    assert ('code=0; out=$(indeq class cycle 20000 --json --graph6) || code=$?;'
+            ' test "$code" = 2 && test -z "$out"') in runs[install + 1:]
     # the independent cross-check at its defaults, on the installed package
     assert runs.index("python scripts/exhaustive_crosscheck.py") > install
     # and through a real spawn pool, which opens at P_10, from the guarded script

@@ -173,6 +173,16 @@ def test_class_without_d_twins_above_the_component_cap_is_refused(t, bound):
                            f"above the cap of {MAX_CLASS_COMPONENTS}\n")
 
 
+@pytest.mark.parametrize("kind,label", [("cycle", "C"), ("path", "P")])
+def test_class_graph6_json_above_the_vertex_cap_writes_nothing(kind, label):
+    # every member has the reference's vertex count, so the first member's
+    # graph6 is refused before the JSON prefix is written
+    done = _cli_under_limit("class", kind, "20000", "--json", "--graph6")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == (f"error: {label}:20000 has 20000 vertices, "
+                           f"above the cap of {MAX_BUILD_VERTICES}\n")
+
+
 def test_class_refusal_is_immediate():
     # t = 6000: the rows would hold 18 million cycle slots, a traced peak of
     # 156 MB; best of three runs, so that a busy host does not fail it
