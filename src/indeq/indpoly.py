@@ -12,11 +12,18 @@ largest in-mask degree:
 
     I(G, x) = I(G - v, x) + x * I(G - N[v], x)
 
-Results are memoized by mask within one call; on ladders and grids,
-where the pivots sweep across the graph, that turns the exponential
-pivot into a dynamic program over the pathwidth frontier.  The
-brute-force counter, a separate memoized deletion recursion, is the
-module's independent ground truth.
+Results are memoized by mask within one call.  Catalogue shapes finish
+within SWEEP_BUDGET sweeps.  A graph that passes it, such as a ladder or
+a grid, leaves the recursion with its memo kept, and each of its
+components not yet answered takes the frontier route: a greedy vertex
+order that keeps the frontier (the placed vertices with an unplaced
+neighbour) at most FRONTIER_WIDTH wide, then a transfer-matrix dynamic
+program along it (Calkin and Wilf, SIAM J. Discrete Math. 11, 1998),
+linear in the vertex count at fixed width.  A component whose order grows
+too wide, or whose tables pass MAX_FRONTIER_WORK, goes back to the
+recursion, capped by MAX_EVAL_MASKS as before.  The brute-force counter,
+a separate memoized deletion recursion, is the module's independent
+ground truth.
 """
 
 from __future__ import annotations
@@ -29,9 +36,21 @@ from .polyalg import IntPoly
 
 _ONE = IntPoly.one()
 
-#: The most vertex masks one evaluation memoizes; a 5 x 10 grid takes
-#: about 2,900, and a 10 x 10 grid is refused.
+#: The most vertex masks one evaluation memoizes.  Grids up to 12 x 12
+#: take the frontier route; a 13 x 13 grid, too wide for it, is refused.
 MAX_EVAL_MASKS = 1 << 18
+#: The component sweeps the pivot recursion makes before the frontier
+#: route is tried: no catalogue shape needs more than 19, whatever its
+#: arm lengths, because the closed forms absorb the arms.
+SWEEP_BUDGET = 24
+#: The widest frontier the frontier route's order may reach.  An n-row
+#: grid or ladder takes n, and a table holds at most 2^12 entries.
+FRONTIER_WIDTH = 12
+#: A cap, in bits, on the frontier route's work: a component whose order
+#: lets a table hold more than MAX_FRONTIER_WORK / n bits, n its vertex
+#: count, goes back to the recursion, so the route's n tables stay under
+#: the cap together.  A 2 x 1600 ladder and a 12 x 27 grid are inside it.
+MAX_FRONTIER_WORK = 1 << 37
 
 
 # Each closed form is built from i_0 = 1 by the ratio of consecutive
@@ -66,24 +85,34 @@ def cycle_polynomial(n: int) -> IntPoly:
     return IntPoly(coeffs)
 
 
+class _OverBudget(Exception):
+    """The pivot recursion passed SWEEP_BUDGET sweeps."""
+
+
 def independence_polynomial(g: Graph) -> IntPoly:
     """Exact I(G, x); coefficient k counts the independent sets of size k.
 
-    Raises ValueError when the pivot recursion outgrows Python's recursion
-    limit, as it does on a 2 x 1000 ladder, or memoizes more than
-    MAX_EVAL_MASKS masks, as it would on a 10 x 10 grid.
+    Raises ValueError when the pivot recursion, which every component the
+    frontier route does not answer goes back to, outgrows Python's
+    recursion limit or memoizes more than MAX_EVAL_MASKS masks, as it does
+    on a 13 x 13 grid.
     """
     adj = g.adj
     memo = {0: _ONE}
+    sweeps, limit = 0, SWEEP_BUDGET
     too_many = (f"graph on {g.n} vertices needs more than {MAX_EVAL_MASKS} "
                 "memoized masks in the pivot recursion")
 
     def poly(mask: int) -> IntPoly:
+        nonlocal sweeps
         out = memo.get(mask)
         if out is not None:
             return out
         if len(memo) > MAX_EVAL_MASKS:
             raise ValueError(too_many)
+        sweeps += 1
+        if sweeps > limit:
+            raise _OverBudget
         out = None
         for comp, degree_sum, top, pivot in mask_components(adj, mask):
             part = memo.get(comp)
@@ -100,10 +129,107 @@ def independence_polynomial(g: Graph) -> IntPoly:
         memo[mask] = out
         return out
 
+    everything = (1 << g.n) - 1
     try:
-        return poly((1 << g.n) - 1)
+        try:
+            return poly(everything)
+        except _OverBudget:
+            pass
+        # the memo keeps what the recursion finished; the rest of each
+        # component goes to the frontier route, or back to the recursion
+        limit = float("inf")
+        out = _ONE
+        for comp, _, top, _ in mask_components(adj, everything):
+            part = memo.get(comp)
+            if part is None and top > 2:
+                part = _frontier_polynomial(adj, comp)
+            out *= poly(comp) if part is None else part
+        return out
     except RecursionError:
         raise ValueError(f"graph on {g.n} vertices is too deep for the pivot recursion") from None
+
+
+# -- frontier route ---------------------------------------------------------
+
+def _frontier_polynomial(adj: list[int], comp: int) -> IntPoly | None:
+    """I(G, x) of the connected component comp by a dynamic program along
+    a greedy vertex order, or None when the order's frontier grows too wide
+    or its tables could pass MAX_FRONTIER_WORK.
+
+    The table maps each independent set of frontier vertices to the
+    polynomial of the independent sets of the placed vertices that meet the
+    frontier in it, packed into one integer with a slot of n // 8 + 1 bytes
+    per coefficient: i_k <= C(n, k) < 2^n, so no slot overflows.  Placing v adds
+    each entry to the table once with v left out and, shifted by one slot,
+    once more with v taken, where no neighbour of v is in its set."""
+    n = comp.bit_count()
+    slot = n // 8 + 1
+    steps = _frontier_order(adj, comp, MAX_FRONTIER_WORK // (n * 8 * slot))
+    if steps is None:
+        return None
+    shift = 8 * slot
+    table = {0: 1}
+    for v, front in steps:
+        row, bit = adj[v], 1 << v
+        out = {}
+        get = out.get
+        for chosen, packed in table.items():
+            key = chosen & front
+            out[key] = get(key, 0) + packed
+            if not chosen & row:
+                key = (chosen | bit) & front
+                out[key] = get(key, 0) + (packed << shift)
+        table = out
+    (packed,) = table.values()
+    data = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
+    return IntPoly(int.from_bytes(data[k:k + slot], "little") for k in range(0, len(data), slot))
+
+
+def _frontier_order(adj: list[int], comp: int, most_slots: int) -> list[tuple[int, int]] | None:
+    """A vertex order of the connected component comp as (vertex, frontier
+    after it) steps, or None as soon as a frontier passes FRONTIER_WIDTH
+    vertices or a table along the order could pass most_slots slots: after
+    j steps and with frontier F, a table holds at most 2^|F| entries of at
+    most j + 1 slots.
+
+    The frontier is the placed vertices that keep an unplaced neighbour.
+    The order starts at the lowest vertex of least degree, then places the
+    unplaced neighbour of the placed vertices that leaves the smallest
+    frontier; ties go to the one with more frontier neighbours, then to the
+    lowest."""
+    start, low, rest = 0, None, comp
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        d = (adj[v] & comp).bit_count()
+        if low is None or d < low:
+            start, low = v, d
+    rest, front, reach, steps = comp, 0, 1 << start, []
+    while rest:
+        best, candidates = None, reach
+        while candidates:
+            v = (candidates & -candidates).bit_length() - 1
+            candidates &= candidates - 1
+            others = rest ^ 1 << v
+            after = front | 1 << v if adj[v] & others else front
+            near = leaving = adj[v] & front
+            while leaving:
+                u = (leaving & -leaving).bit_length() - 1
+                leaving &= leaving - 1
+                if not adj[u] & others:
+                    after ^= 1 << u
+            key = (after.bit_count(), -near.bit_count(), v)
+            if best is None or key < best:
+                best = key
+                place, front_after = v, after
+        width = best[0]
+        if width > FRONTIER_WIDTH or (len(steps) + 2) << width > most_slots:
+            return None
+        steps.append((place, front_after))
+        rest ^= 1 << place
+        front = front_after
+        reach = (reach | adj[place]) & rest
+    return steps
 
 
 # -- brute force ------------------------------------------------------------

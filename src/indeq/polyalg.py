@@ -326,6 +326,32 @@ class IntPoly:
         return 1 + max(Fraction(abs(c), lead) for c in self.coeffs[:-1])
 
 
+def _pseudo_remainder(a: IntPoly, b: IntPoly) -> tuple[list[int], list[int]]:
+    """The elimination of pseudo-division of a by b: (r, leads), where r is
+    lb^steps·a minus a multiple of b, of degree below b's, lb is b's
+    leading coefficient, and leads[i] is the leading coefficient that the
+    step at degree i + deg b removed (0 where no step ran)."""
+    db = b.degree
+    if db < 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    lb = b.lead
+    rb = b.coeffs
+    r = list(a.coeffs)
+    leads = [0] * (len(r) - db)
+    while True:
+        while r and r[-1] == 0:
+            r.pop()
+        dr = len(r) - 1
+        if dr < db or not r:
+            return r, leads
+        lr = r[-1]
+        r = [lb * c for c in r]
+        off = dr - db
+        for i, d in enumerate(rb):
+            r[off + i] -= lr * d
+        leads[off] = lr
+
+
 def _pseudo_divide(a: IntPoly, b: IntPoly) -> tuple[IntPoly, int, int, IntPoly]:
     """Pseudo-division of a by b, normalized for Sturm chains: (q, m, g, r) with
 
@@ -335,25 +361,8 @@ def _pseudo_divide(a: IntPoly, b: IntPoly) -> tuple[IntPoly, int, int, IntPoly]:
     member that follows a and b in a Sturm chain.  Each elimination step
     multiplies by b's leading coefficient lb, so m = |lb|^steps.
     """
-    db = b.degree
-    if db < 0:
-        raise ZeroDivisionError("polynomial division by zero")
+    r, quot = _pseudo_remainder(a, b)
     lb = b.lead
-    rb = b.coeffs
-    r = list(a.coeffs)
-    quot = [0] * (len(r) - db)
-    while True:
-        while r and r[-1] == 0:
-            r.pop()
-        dr = len(r) - 1
-        if dr < db or not r:
-            break
-        lr = r[-1]
-        r = [lb * c for c in r]
-        off = dr - db
-        for i, d in enumerate(rb):
-            r[off + i] -= lr * d
-        quot[off] = lr
     # each step multiplied the terms found before it by lb, so the terms
     # take lb^0, lb^1, ... from the lowest up, and scale ends at lb^steps
     scale = 1
@@ -377,7 +386,7 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     a = a.primitive_part()
     b = b.primitive_part()
     while b:
-        a, b = b, _pseudo_divide(a, b)[3]
+        a, b = b, IntPoly(_pseudo_remainder(a, b)[0]).primitive_part()
     return -a if a.lead < 0 else a
 
 

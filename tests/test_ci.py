@@ -116,6 +116,9 @@ def test_readme_states_each_cap_as_the_code_does():
         r"`MAX_FACTOR_INDEX` = ([\d,]+)": factorbasis.MAX_FACTOR_INDEX,
         r"`MAX_SWEEP_SPECS` = ([\d,]+)": classify.MAX_SWEEP_SPECS,
         r"`MAX_EVAL_MASKS` = ([\d,]+)": indpoly.MAX_EVAL_MASKS,
+        r"`SWEEP_BUDGET` = ([\d,]+)": indpoly.SWEEP_BUDGET,
+        r"`FRONTIER_WIDTH` = ([\d,]+)": indpoly.FRONTIER_WIDTH,
+        r"`MAX_FRONTIER_WORK` = ([\d,]+)": indpoly.MAX_FRONTIER_WORK,
         r"`MAX_CLASS_COMPONENTS` = ([\d,]+)": classify.MAX_CLASS_COMPONENTS,
         r"class search's cap of (\d+) vertices": oracle.CLASS_MAX,
         r"evaluator; capped at (\d+) vertices": oracle.CLASS_MAX,

@@ -4,10 +4,14 @@ from math import comb
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from indeq import indpoly
 from indeq.cli import main
-from indeq.graphcore import FAMILIES, FamilySpec, Graph, build, graph6_write
+from indeq.graphcore import FAMILIES, FamilySpec, Graph, build, graph6_write, mask_components
 from indeq.indpoly import (
+    FRONTIER_WIDTH,
+    SWEEP_BUDGET,
     bruteforce_counts,
     cycle_polynomial,
     independence_polynomial,
@@ -263,11 +267,87 @@ def _grid_counts_by_transfer_matrix(rows, cols):
 
 @pytest.mark.parametrize(
     "rows,cols",
-    [(2, k) for k in range(1, 41)] + [(2, 600)] + [(5, k) for k in range(1, 11)] + [(6, 6)],
+    [(2, k) for k in range(1, 41)] + [(2, 600), (2, 1000)] + [(5, k) for k in range(1, 11)]
+    + [(6, 6), (9, 9), (10, 10)],
 )
 def test_grids_match_transfer_matrix(rows, cols):
     g = grid_graph(rows, cols)
     assert independence_polynomial(g).coeffs == _grid_counts_by_transfer_matrix(rows, cols)
+
+
+# OEIS A006506: the number of independent sets of the n x n grid, n = 1..10
+A006506 = [2, 7, 63, 1234, 55447, 5598861, 1280128950, 660647962955, 770548397261707,
+           2030049051145980050]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_square_grid_totals_match_oeis(n):
+    assert independence_polynomial(grid_graph(n, n)).eval_int(1) == A006506[n - 1]
+
+
+def _frontier_route(g: Graph) -> IntPoly:
+    """I(G, x) with every component, paths and cycles included, answered by
+    the frontier route, whatever the sweep budget and the frontier width."""
+    out = IntPoly.one()
+    for comp, *_ in mask_components(g.adj, (1 << g.n) - 1):
+        part = indpoly._frontier_polynomial(g.adj, comp)
+        assert part is not None
+        out *= part
+    return out
+
+
+@given(random_graphs(max_vertices=16), st.integers(min_value=0, max_value=4))
+@settings(max_examples=120, deadline=None)
+def test_frontier_route_matches_recursion_and_bruteforce(g, isolated):
+    g = Graph.from_edges(g.n + isolated, g.edges())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(indpoly, "FRONTIER_WIDTH", g.n)
+        by_frontier = _frontier_route(g)
+        patch.setattr(indpoly, "SWEEP_BUDGET", 1 << 30)
+        by_recursion = independence_polynomial(g)
+    assert by_frontier == by_recursion
+    assert by_frontier.coeffs == bruteforce_counts(g)
+
+
+@pytest.fixture
+def sweep_counter(monkeypatch):
+    """The masks the evaluator has swept so far, one per component sweep."""
+    calls = []
+
+    def counting(adj, mask):
+        calls.append(mask)
+        return mask_components(adj, mask)
+
+    monkeypatch.setattr(indpoly, "mask_components", counting)
+    return calls
+
+
+def test_catalogue_shapes_finish_within_the_sweep_budget(sweep_counter):
+    # so catalogue traffic never reaches the frontier route
+    worst = 0
+    for fam, (floors, _) in FAMILIES.items():
+        for params in itertools.product(*[range(f, 9) for f in floors]):
+            sweep_counter.clear()
+            independence_polynomial(build(FamilySpec(fam, params)))
+            worst = max(worst, len(sweep_counter))
+    assert 0 < worst <= SWEEP_BUDGET
+
+
+def test_grids_past_the_sweep_budget_take_the_frontier_route(sweep_counter):
+    # the recursion stops at the budget; one more sweep splits the graph
+    independence_polynomial(grid_graph(5, 8))
+    assert len(sweep_counter) == SWEEP_BUDGET + 1
+    sweep_counter.clear()
+    independence_polynomial(grid_graph(5, 3))
+    assert len(sweep_counter) <= SWEEP_BUDGET
+
+
+@pytest.mark.parametrize("cap", ["FRONTIER_WIDTH", "MAX_FRONTIER_WORK"])
+def test_component_past_a_frontier_cap_goes_back_to_the_recursion(monkeypatch, cap):
+    g = grid_graph(5, 8)
+    monkeypatch.setattr(indpoly, cap, 4 if cap == "FRONTIER_WIDTH" else 1 << 16)
+    assert indpoly._frontier_polynomial(g.adj, (1 << g.n) - 1) is None
+    assert independence_polynomial(g).coeffs == _grid_counts_by_transfer_matrix(5, 8)
 
 
 def test_long_closed_form_shapes_still_evaluate():
@@ -282,12 +362,22 @@ def test_long_closed_form_shapes_still_evaluate():
     assert spider.degree == 1801
 
 
+def test_ladder_past_the_recursion_limit_is_answered():
+    # the pivot recursion takes one frame per ladder column and overflows
+    # from a bare interpreter at 2 x 995; the frontier route has no frames
+    assert independence_polynomial(grid_graph(2, 995)).coeffs == _grid_counts_by_transfer_matrix(2, 995)
+
+
 def test_recursion_overflow_is_a_clear_error(capsys):
-    # one frame per ladder column: 2 x 994 is answered from a bare
-    # interpreter, 2 x 995 overflows there and so in any deeper caller
-    ladder = grid_graph(2, 995)
-    with pytest.raises(ValueError, match="1990 vertices"):
-        independence_polynomial(ladder)
-    assert main(["poly", graph6_write(ladder)]) == 2
+    # a 2 x 1500 ladder with a clique on FRONTIER_WIDTH + 2 vertices at one
+    # end: the clique's frontier is too wide for the frontier route, so the
+    # recursion takes the ladder one frame per column and overflows
+    ladder, clique = grid_graph(2, 1500), FRONTIER_WIDTH + 2
+    n = ladder.n + clique
+    edges = ladder.edges() + [(0, ladder.n)] + list(itertools.combinations(range(ladder.n, n), 2))
+    g = Graph.from_edges(n, edges)
+    with pytest.raises(ValueError, match=f"{n} vertices is too deep"):
+        independence_polynomial(g)
+    assert main(["poly", graph6_write(g)]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: ") and "1990 vertices" in captured.err
+    assert captured.out == "" and captured.err.startswith("error: ") and f"{n} vertices" in captured.err

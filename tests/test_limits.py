@@ -132,8 +132,11 @@ def test_oversized_screen_sweep_is_refused():
 
 def test_evaluator_past_its_mask_budget_is_refused():
     # a sparse random graph: its pivots leave few paths and cycles, so the
-    # memo would grow to millions of masks; the refusal took 4.0-4.8 s
-    # on a 2-vCPU Intel Xeon host under Python 3.11.7
+    # memo would grow to millions of masks, and its frontier passes
+    # FRONTIER_WIDTH, so the frontier route's order is aborted and the
+    # recursion resumes; the refusal took 3.5 s through the CLI, the
+    # aborted order 0.3 ms of it, on a 2-vCPU Intel Xeon host under
+    # Python 3.11.7
     rng = random.Random(1)
     g = Graph.from_edges(120, [e for e in itertools.combinations(range(120), 2) if rng.random() < 0.035])
     done = _under_limit(CHILD, "poly", graph6_write(g), timeout=20)
