@@ -122,9 +122,8 @@ def _cmd_factor(args) -> int:
             raise ValueError(f"max index {top} is above the cap of {cap}")
         g, _ = _graph_from_text(args.spec)
         poly = indpoly.independence_polynomial(g)
-        candidates = None if top is None else factorbasis.basis_through(top)
         try:
-            factors = factorbasis.factor_into_basis(poly, candidates)
+            factors = factorbasis.factor_into_basis(poly, top)
         except factorbasis.FactorizationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -176,14 +175,16 @@ def _cmd_roots(args) -> int:
     # the counts are of distinct roots, so they need a squarefree chain
     counted = chain if chain.squarefree else polyalg.SturmChain.of(polyalg.squarefree_part(chain))
     at_quarter = counted.poly.sign_at(QUARTER) == 0
+    below = polyalg.count_real_roots(counted, None, QUARTER) - int(at_quarter)
     payload = {
         "input": label,
         "degree": poly.degree,
         "squarefree": chain.squarefree,
         "distinct_real_roots": polyalg.count_real_roots(counted, None, None),
-        "real_roots_below_-1/4": polyalg.count_real_roots(counted, None, QUARTER) - int(at_quarter),
+        "real_roots_below_-1/4": below,
         "root_at_-1/4": at_quarter,
-        "all_roots_real_below_-1/4": chain.all_roots_real_below(QUARTER),
+        # counted is chain when squarefree, so this is chain.all_roots_real_below(QUARTER)
+        "all_roots_real_below_-1/4": chain.squarefree and not at_quarter and below == poly.degree,
         "approx_real_roots": polyalg.real_roots_approx(counted),
     }
     if args.json:
@@ -263,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fs = fsub.add_parser("spec")
     fs.add_argument("spec")
     fs.add_argument("--max-index", type=int,
-                    help="largest basis index to try (default: heuristic)")
+                    help="largest basis index to try (default: 2(i_1 + 2))")
     for q in (fp, fc, fs):
         q.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_factor)

@@ -19,6 +19,9 @@ multisets.  The factors are pairwise coprime, and:
   I(C_n, x)  =  product of f_{2^t * r} over r | m,        n = 2^t * m, m odd
   I(P_n, x)  =  product over the divisor pattern of n+2 (factor_path)
 
+factor_into_basis divides any polynomial by the factors of index up to
+max_index (default: 2(i_1 + 2)) whose degree, phi(N)/2, fits the cofactor.
+
 Construction is exact.  Phi_n is the Moebius product of 1 - x^d binomials
 as a power series cut at degree phi(n).  The 2*cos minimal polynomial psi_n
 (real_cyclotomic) solves Phi_n(x) = x^d * psi_n(x + 1/x), d = phi(n)/2,
@@ -274,38 +277,31 @@ def basis_through(top: int) -> FactorMultiset:
             + tuple(basis_ftilde(i) for i in range(3, top + 1, 2)))
 
 
-def default_candidates(p: IntPoly) -> FactorMultiset:
-    """Candidate basis factors for factoring a catalogue polynomial.
-
-    Indices up to 2*(i_1 + 2) cover every shortlist shape (the tadpole
-    and two-tailed triangle shapes reach index vertex_count + something
-    below that bound); callers can pass an explicit list instead.
-    """
-    if p.degree < 1:
-        return ()
-    return basis_through(2 * (p.coeffs[1] + 2))
-
-
-def factor_into_basis(p: IntPoly, candidates: FactorMultiset | None = None) -> FactorMultiset:
+def factor_into_basis(p: IntPoly, max_index: int | None = None) -> FactorMultiset:
     """Factor p over the basis by repeated exact division.
 
-    Candidates are tried in descending degree (kind 'f' first on ties);
-    the order cannot change the outcome because distinct basis factors
-    are coprime.  Raises FactorizationError carrying the remainder when
-    the leftover cofactor is not the constant 1.
+    The candidates are f_2 .. f_top and the odd f~_3 .. f~_top, top =
+    max_index or 2*(i_1 + 2), which covers every shortlist shape.  They are
+    tried in descending degree, phi(2n)/2 or phi(n)/2 (kind 'f' first on
+    ties), each built only once it fits the cofactor still undivided; the
+    order cannot change the outcome because distinct basis factors are
+    coprime.  Raises FactorizationError carrying the remainder when the
+    leftover cofactor is not the constant 1.
     """
     if not p:
         raise ValueError("cannot factor the zero polynomial")
-    if candidates is None:
-        candidates = default_candidates(p)
-    ordered = sorted(
-        (c for c in candidates if not c.is_unit),
-        key=lambda c: (-c.poly.degree, c.kind != "f", c.index),
+    if max_index is None:
+        max_index = 2 * (p.coeffs[1] + 2) if p.degree > 0 else 1
+    described = sorted(
+        [(euler_phi(2 * n) // 2, "f", n) for n in range(2, max_index + 1)]
+        + [(euler_phi(n) // 2, "ftilde", n) for n in range(3, max_index + 1, 2)],
+        key=lambda c: (-c[0], c[1], c[2]),
     )
     remainder = p
     found: list[BasisFactor] = []
-    for cand in ordered:
-        while remainder.degree >= cand.poly.degree:
+    for degree, kind, index in described:
+        while remainder.degree >= degree:
+            cand = (basis_f if kind == "f" else basis_ftilde)(index)
             quotient = remainder.try_divide(cand.poly)
             if quotient is None:
                 break

@@ -2,7 +2,10 @@ import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from indeq import factorbasis
 from indeq.factorbasis import (
     FactorizationError,
     basis_f,
@@ -194,8 +197,45 @@ def test_factor_into_basis_examples():
 
 def test_factor_into_basis_handles_multiplicity():
     square = basis_f(3).poly * basis_f(3).poly * basis_f(2).poly
-    got = factor_into_basis(square, (basis_f(2), basis_f(3)))
+    got = factor_into_basis(square, max_index=3)
     assert [f.name for f in got] == ["f2", "f3", "f3"]
+
+
+# f_i with i <= 40 and odd f~_i with i <= 39, each with multiplicity 1..3
+basis_multisets = st.dictionaries(
+    st.one_of(st.integers(2, 40).map(basis_f),
+              st.integers(1, 19).map(lambda k: basis_ftilde(2 * k + 1))),
+    st.integers(1, 3), max_size=5)
+
+
+@given(basis_multisets)
+@settings(max_examples=80, deadline=None)
+def test_factor_into_basis_round_trips_basis_products(multiplicities):
+    expected = tuple(sorted(f for f, m in multiplicities.items() for _ in range(m)))
+    p = product_of(expected)
+    assert factor_into_basis(p) == expected
+    if expected:
+        top = max(f.index for f in expected)
+        assert factor_into_basis(p, max_index=top) == expected
+        with pytest.raises(FactorizationError):
+            factor_into_basis(p, max_index=top - 1)
+
+
+def test_factor_into_basis_builds_only_factors_that_fit(monkeypatch):
+    p = path_polynomial(400)
+    built = []
+
+    def recording(n, real=factorbasis._factor_poly):
+        built.append(real(n))
+        return built[-1]
+
+    basis_f.cache_clear()
+    basis_ftilde.cache_clear()
+    monkeypatch.setattr(factorbasis, "_factor_poly", recording)
+    assert factor_into_basis(p) == factor_path(400)
+    assert max(g.degree for g in built) <= p.degree
+    # the default bound 2(i_1 + 2) = 804 names 803 f's and 401 f~'s
+    assert len(built) < 1204
 
 
 def _defining_pipeline(n):

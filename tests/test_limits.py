@@ -285,3 +285,11 @@ def test_factor_max_index_below_2_is_refused(n):
     done = _cli_under_limit("factor", "spec", "P:4", "--max-index", str(n))
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr == f"error: max index {n} is below 2\n"
+
+
+def test_factor_max_index_at_the_cap_builds_only_what_fits():
+    # I(P_2) = 1 + 2x: f_2 is the one candidate built; the other 29,997 up to the
+    # cap are described by their degrees and skipped
+    done = _under_limit(CHILD, "factor", "spec", "P:2", "--max-index", str(MAX_FACTOR_INDEX), timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "f2\n"
