@@ -18,6 +18,7 @@ import warnings
 
 from indeq.classify import (
     CATALOGUE,
+    ELIMINATION_FORMS,
     EvenCycleClassNote,
     cycle_class,
     elimination_value,
@@ -61,11 +62,8 @@ def main() -> int:
             print(f"  {entry.label:<28} kept (whole family)")
             continue
         verdict = screen_family(entry.spec)
-        try:
-            value = elimination_value(entry.spec)
-            value_text = f"I(-1/4) = {value}"
-        except ValueError:
-            value_text = ""
+        value_text = (f"I(-1/4) = {elimination_value(entry.spec)}"
+                      if entry.spec.family in ELIMINATION_FORMS else "")
         status = "eliminated: " + entry.reason if entry.eliminated else "kept"
         factors = " ".join(f.name for f in entry.basis_factors)
         print(f"  {entry.label:<12} = {factors:<14} roots-ok={verdict.admissible!s:<5} "

@@ -28,6 +28,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -46,33 +47,38 @@ class EvenCycleClassNote(UserWarning):
 
 # -- exact elimination values ---------------------------------------------------
 
-# Closed forms for I(spec, -1/4), one per family that admits one, as
-# functions of the family's parameters.  Derived by pushing the
-# vertex-deletion identity through the known values
+# Closed forms for I(spec, -1/4), one per family that admits one, each as
+# (numerator, c): I = numerator(*params) / 2^(sum(params) + c).  Derived by
+# pushing the vertex-deletion identity through the known values
 # I(P_k, -1/4) = (k+2)/2^(k+1) and I(C_k, -1/4) = I(D_k, -1/4) = 1/2^(k-1),
 # or by solving tau_m = (U m + V)/2^m against two base cases for the
 # families satisfying the two-term recurrence.
-ELIMINATION_FORMS: dict[str, Callable[..., Fraction]] = {
-    "Y": lambda a, b, c: Fraction(
-        (a + 2) * (b + 2) * (c + 2) - 2 * (a + 1) * (b + 1) * (c + 1), 2 ** (a + b + c + 3)),
-    "B": lambda a, b, c: Fraction(2 - b * c, 2 ** (a + b + c + 4)),
-    "A": lambda a, b: Fraction(4 - a * b, 2 ** (a + b + 4)),
-    "F3": lambda m: Fraction(0),
-    "F4": lambda m: Fraction(1 - m, 2 ** (m + 4)),
-    "F5": lambda a, b: Fraction(-b, 2 ** (a + b + 5)),
-    "F6": lambda a, b, c: Fraction(-c, 2 ** (a + b + c + 5)),
-    "F7": lambda m: Fraction(-1, 2 ** (m + 5)),
-    "F8": lambda a, b: Fraction(-1, 2 ** (a + b + 6)),
-    "F9": lambda a, b, c: Fraction(-1, 2 ** (a + b + c + 6)),
+ELIMINATION_FORMS: dict[str, tuple[Callable[..., int], int]] = {
+    "Y": (lambda a, b, c: (a + 2) * (b + 2) * (c + 2) - 2 * (a + 1) * (b + 1) * (c + 1), 3),
+    "B": (lambda a, b, c: 2 - b * c, 4),
+    "A": (lambda a, b: 4 - a * b, 4),
+    "F3": (lambda m: 0, 0),
+    "F4": (lambda m: 1 - m, 4),
+    "F5": (lambda a, b: -b, 5),
+    "F6": (lambda a, b, c: -c, 5),
+    "F7": (lambda m: -1, 5),
+    "F8": (lambda a, b: -1, 6),
+    "F9": (lambda a, b, c: -1, 6),
 }
 
 
 def elimination_value(spec: FamilySpec) -> Fraction:
     """I(spec, -1/4) by the closed form of its family (``ELIMINATION_FORMS``)."""
-    form = ELIMINATION_FORMS.get(spec.family)
-    if form is None:
+    if spec.family not in ELIMINATION_FORMS:
         raise ValueError(f"no elimination closed form for family {spec.family}")
-    return form(*spec.params)
+    numerator, c = ELIMINATION_FORMS[spec.family]
+    return Fraction(numerator(*spec.params), 2 ** (sum(spec.params) + c))
+
+
+def _exact_text(value: Fraction) -> str:
+    """str(value), spelled through Decimal, which has no int-to-str digit limit."""
+    text = str(Decimal(value.numerator))
+    return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
 
 
 @dataclass(frozen=True)
@@ -88,12 +94,8 @@ def screen_family(spec: FamilySpec) -> Verdict:
     graph is built: a polynomial with constant term 1 whose roots are all
     real and below -1/4 is positive at -1/4.
     """
-    try:
-        value = elimination_value(spec)
-    except ValueError:
-        value = None
-    if value is not None and value <= 0:
-        return Verdict(False, f"I(-1/4) = {value} <= 0 forces a root in [-1/4, 1)")
+    if spec.family in ELIMINATION_FORMS and (value := elimination_value(spec)) <= 0:
+        return Verdict(False, f"I(-1/4) = {_exact_text(value)} <= 0 forces a root in [-1/4, 1)")
     poly = independence_polynomial(build(spec))
     chain = SturmChain.of(poly)
     if chain.all_roots_real_below(QUARTER):

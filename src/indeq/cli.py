@@ -115,11 +115,11 @@ def _cmd_factor(args) -> int:
     elif args.kind == "cycle":
         factors = factorbasis.factor_cycle(args.n)
     else:
-        top, cap = args.max_index, factorbasis.MAX_FACTOR_INDEX
-        if top is not None and top < 2:
-            raise ValueError(f"max index {top} is below 2")
-        if top is not None and top > cap:
-            raise ValueError(f"max index {top} is above the cap of {cap}")
+        top = args.max_index
+        if top is not None:
+            if top < 2:
+                raise ValueError(f"max index {top} is below 2")
+            factorbasis.check_max_index(top)
         g, _ = _graph_from_text(args.spec)
         poly = indpoly.independence_polynomial(g)
         try:
@@ -153,14 +153,16 @@ def _cmd_class(args) -> int:
         if not args.graph6:
             print(payload)
             return 0
-        # the graph6 list is written one member at a time, so no more than
-        # one member graph is held at once; every member has the reference's
-        # vertex count, so the first, built before any output, refuses a
-        # class above the cap with stdout empty
-        codes = (json.dumps(graph6_write(build(member))) for member in cls.members)
-        sys.stdout.write(payload[:-1] + ', "graph6": [' + next(codes))
-        for code in codes:
-            sys.stdout.write(", " + code)
+        # the graph6 list is written member by member, each graph built before
+        # its separator: every member has the reference's vertex count, so the
+        # first refuses a class above the cap with stdout empty; no code is
+        # held while the next graph is built, nor copied onto its separator
+        separator = payload[:-1] + ', "graph6": ['
+        for member in cls.members:
+            g = build(member)
+            sys.stdout.write(separator)
+            sys.stdout.write(json.dumps(graph6_write(g)))
+            separator = ", "
         sys.stdout.write("]}\n")
         return 0
     for line, member in zip(cls.member_lines(), cls.members):

@@ -277,6 +277,12 @@ def basis_through(top: int) -> FactorMultiset:
             + tuple(basis_ftilde(i) for i in range(3, top + 1, 2)))
 
 
+def check_max_index(max_index: int) -> None:
+    """Refuse, with a ValueError, a max_index above MAX_FACTOR_INDEX."""
+    if max_index > MAX_FACTOR_INDEX:
+        raise ValueError(f"max index {max_index} is above the cap of {MAX_FACTOR_INDEX}")
+
+
 def factor_into_basis(p: IntPoly, max_index: int | None = None) -> FactorMultiset:
     """Factor p over the basis by repeated exact division.
 
@@ -287,11 +293,18 @@ def factor_into_basis(p: IntPoly, max_index: int | None = None) -> FactorMultise
     order cannot change the outcome because distinct basis factors are
     coprime.  Raises FactorizationError carrying the remainder when the
     leftover cofactor is not the constant 1.
+
+    An explicit max_index above MAX_FACTOR_INDEX is refused by
+    check_max_index before any candidate is described.  The default is not
+    capped: the polynomial of a graph under the vertex cap, i_1 <= 10,000,
+    keeps it at or below 20,004.
     """
     if not p:
         raise ValueError("cannot factor the zero polynomial")
     if max_index is None:
         max_index = 2 * (p.coeffs[1] + 2) if p.degree > 0 else 1
+    else:
+        check_max_index(max_index)
     described = sorted(
         [(euler_phi(2 * n) // 2, "f", n) for n in range(2, max_index + 1)]
         + [(euler_phi(n) // 2, "ftilde", n) for n in range(3, max_index + 1, 2)],

@@ -181,9 +181,7 @@ class IntPoly:
     __radd__ = __add__
 
     def __sub__(self, other: "IntPoly | int") -> "IntPoly":
-        if isinstance(other, int):
-            other = IntPoly((other,))
-        return IntPoly(a - b for a, b in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0))
+        return self + -other
 
     def __neg__(self) -> "IntPoly":
         return IntPoly(-c for c in self.coeffs)

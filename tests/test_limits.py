@@ -8,6 +8,7 @@ limit, so a missing guard fails the test instead of exhausting memory.
 
 import contextlib
 import itertools
+import json
 import math
 import os
 import random
@@ -15,15 +16,17 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 from indeq.classify import MAX_CLASS_COMPONENTS, MAX_SWEEP_SPECS, path_class
 from indeq.cli import main
-from indeq.factorbasis import MAX_FACTOR_INDEX, basis_ftilde, real_cyclotomic
+from indeq.factorbasis import MAX_FACTOR_INDEX, basis_ftilde, factor_into_basis, real_cyclotomic
 from indeq.graphcore import MAX_BUILD_VERTICES, FamilySpec, Graph, build, graph6_read, graph6_write
 from indeq.indpoly import MAX_EVAL_MASKS, path_polynomial
+from indeq.polyalg import IntPoly
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CHILD_LIMIT = 1 << 30  # bytes of address space for the child
@@ -130,6 +133,23 @@ def test_oversized_screen_sweep_is_refused():
                            f"above the cap of {MAX_SWEEP_SPECS}\n")
 
 
+@pytest.mark.parametrize("family,json_out,numerator,shift", [("F4", False, -14289, 4), ("F7", True, -1, 5)])
+def test_screen_reasons_print_past_the_int_str_digit_limit(family, json_out, numerator, shift):
+    # the last reason's denominator, 2^14294 or 2^14295, has more than the
+    # 4,300 digits int-to-str conversion allows by default
+    done = _cli_under_limit("screen", family, "--max", "14290", *["--json"] * json_out)
+    assert done.returncode == 0, done.stderr[-500:]
+    if json_out:
+        last = json.loads("{" + done.stdout.rpartition(", {")[2].rstrip()[:-1])
+        spec, reason = last["spec"], last["reason"]
+    else:
+        spec, _, reason = done.stdout[:-1].rpartition("\n")[2].split("\t")
+    denominator = Decimal(2 ** (14290 + shift))
+    assert len(str(denominator)) > 4300
+    assert spec == f"{family}:14290"
+    assert reason == f"I(-1/4) = {numerator}/{denominator} <= 0 forces a root in [-1/4, 1)"
+
+
 def test_evaluator_past_its_mask_budget_is_refused():
     # a sparse random graph: its pivots leave few paths and cycles, so the
     # memo would grow to millions of masks, and its frontier passes
@@ -220,6 +240,22 @@ def test_class_graph6_json_streams_its_members():
     assert peak < 1.5 * 2**20, peak
 
 
+def test_class_graph6_json_holds_one_code_at_a_time():
+    # the traced peak, most of it graph6_write's working set, is 4.9-5.1
+    # times one member's code here, against 5.9-6.1 when each code was held
+    # while the next member was built
+    code = json.dumps(graph6_write(build(FamilySpec("P", (1998,)))))
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            status = main(["class", "path", "1998", "--json", "--graph6"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert status == 0
+    assert peak < 5.5 * len(code), (peak, len(code))
+
+
 def test_class_refusal_with_d_twins_is_immediate():
     # t = 14,000 with D twins: a row's variant count is a 2^t-sized integer,
     # read off the chain's prefix or suffix products, never divided out
@@ -278,6 +314,17 @@ def test_factor_max_index_above_the_cap_is_refused(n):
     done = _cli_under_limit("factor", "spec", "P:2", "--max-index", str(n))
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr == f"error: max index {n} is above the cap of {MAX_FACTOR_INDEX}\n"
+
+
+def test_factor_into_basis_refuses_a_max_index_above_the_cap():
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as refused:
+            factor_into_basis(IntPoly((1, 2)), MAX_FACTOR_INDEX + 1)
+        seconds.append(time.perf_counter() - start)
+        assert str(refused.value) == f"max index {MAX_FACTOR_INDEX + 1} is above the cap of {MAX_FACTOR_INDEX}"
+    assert min(seconds) < 0.5, seconds
 
 
 @pytest.mark.parametrize("n", [0, 1, -5])
