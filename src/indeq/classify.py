@@ -112,9 +112,10 @@ def screen_family(spec: FamilySpec) -> Verdict:
 MAX_SWEEP_SPECS = 100_000
 
 
-def sweep_family(family: str, max_param: int) -> list[tuple[FamilySpec, Verdict]]:
-    """Screen every parameter tuple of a family with all parameters <= max_param;
-    a ValueError refuses more than MAX_SWEEP_SPECS tuples before any is made."""
+def sweep_family(family: str, max_param: int) -> Iterator[tuple[FamilySpec, Verdict]]:
+    """Screen every parameter tuple of a family with all parameters <= max_param,
+    lazily: each (spec, verdict) row is made as it is taken.  A ValueError
+    refuses more than MAX_SWEEP_SPECS tuples at the call, before any is made."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     floors = FAMILIES[family].floors
@@ -123,8 +124,8 @@ def sweep_family(family: str, max_param: int) -> list[tuple[FamilySpec, Verdict]
         raise ValueError(f"{family} up to {max_param} has {count} parameter tuples, "
                          f"above the cap of {MAX_SWEEP_SPECS}")
     ranges = [range(f, max_param + 1) for f in floors]
-    specs = [FamilySpec(family, params) for params in itertools.product(*ranges)]
-    return [(spec, screen_family(spec)) for spec in specs]
+    specs = (FamilySpec(family, params) for params in itertools.product(*ranges))
+    return ((spec, screen_family(spec)) for spec in specs)
 
 
 # -- the candidate catalogue (shortlist) ----------------------------------------

@@ -202,17 +202,20 @@ def _cmd_roots(args) -> int:
 def _cmd_screen(args) -> int:
     rows = classify.sweep_family(args.family, args.max)
     if args.json:
-        print(json.dumps([
-            {"spec": str(s), "admissible": v.admissible, "reason": v.reason}
-            for s, v in rows
-        ]))
+        # row by row, byte for byte what json.dumps gives for the whole list
+        print("[", end="")
+        for i, (s, v) in enumerate(rows):
+            row = {"spec": str(s), "admissible": v.admissible, "reason": v.reason}
+            print(", " * (i > 0) + json.dumps(row), end="")
+        print("]")
         return 0
-    admitted = 0
+    admitted = total = 0
     for s, verdict in rows:
         tag = "admissible" if verdict.admissible else "eliminated"
         admitted += verdict.admissible
+        total += 1
         print(f"{s}\t{tag}\t{verdict.reason}")
-    print(f"# {admitted} admissible of {len(rows)}", file=sys.stderr)
+    print(f"# {admitted} admissible of {total}", file=sys.stderr)
     return 0
 
 

@@ -568,18 +568,20 @@ def _graph6(n: int, columns: Iterable[int]) -> bytes:
     # n in 1, 3 or 6 sextets, the longer forms after one or two "~"
     size = 1 if n <= 62 else 3 if n <= 258047 else 6
     head = b"~" * (size // 3) + bytes([(n >> s & 63) + 63 for s in range(6 * size - 6, -1, -6)])
-    # whole bytes leave once 4096 bits are pending, so that no shift copies
-    # more than those and one column
-    chunks, pending, width = [], 0, 0
+    # whole 3-byte groups, four sextets each, leave encoded once 4096 bits
+    # are pending, so that no shift copies more than those and one column
+    pieces, pending, width = [head], 0, 0
     for j, column in enumerate(columns, 1):
         pending, width = pending << j | column, width + j
         if width >= 4096:
-            chunks.append((pending >> width % 8).to_bytes(width // 8, "big"))
-            pending, width = pending & ((1 << width % 8) - 1), width % 8
-    chunks.append((pending << -width % 8).to_bytes((width + 7) // 8, "big"))
-    data = binascii.b2a_base64(b"".join(chunks), newline=False).translate(_TO_GRAPH6)
-    # the slice drops base64's "=" padding and any zero sextet past the data
-    return head + data[:(n * (n - 1) // 2 + 5) // 6]
+            keep = width % 24
+            group = (pending >> keep).to_bytes((width - keep) // 8, "big")
+            pieces.append(binascii.b2a_base64(group, newline=False).translate(_TO_GRAPH6))
+            pending, width = pending & ((1 << keep) - 1), keep
+    last = (pending << -width % 8).to_bytes((width + 7) // 8, "big")
+    # the cut drops base64's "=" padding and any zero sextet past the data
+    pieces.append(binascii.b2a_base64(last, newline=False).translate(_TO_GRAPH6)[:(width + 5) // 6])
+    return b"".join(pieces)
 
 
 def graph6_write(g: Graph) -> str:

@@ -13,17 +13,16 @@ largest in-mask degree:
     I(G, x) = I(G - v, x) + x * I(G - N[v], x)
 
 Results are memoized by mask within one call.  Catalogue shapes finish
-within SWEEP_BUDGET sweeps.  A graph that passes it, such as a ladder or
-a grid, leaves the recursion with its memo kept, and each of its
-components not yet answered takes the frontier route: a greedy vertex
-order that keeps the frontier (the placed vertices with an unplaced
-neighbour) at most FRONTIER_WIDTH wide, then a transfer-matrix dynamic
-program along it (Calkin and Wilf, SIAM J. Discrete Math. 11, 1998),
-linear in the vertex count at fixed width.  A component whose order grows
-too wide, or whose tables pass MAX_FRONTIER_WORK, goes back to the
-recursion, capped by MAX_EVAL_MASKS as before.  The brute-force counter,
-a separate memoized deletion recursion, is the module's independent
-ground truth.
+within SWEEP_BUDGET sweeps.  A graph that passes it, such as a ladder or a
+grid, re-enters the recursion with its memo kept and no budget, and each
+top-level component not yet answered tries the frontier route first: a
+greedy vertex order that keeps the frontier (the placed vertices with an
+unplaced neighbour) at most FRONTIER_WIDTH wide, then a transfer-matrix
+dynamic program along it (Calkin and Wilf, SIAM J. Discrete Math. 11,
+1998), linear in the vertex count at fixed width.  A component whose order
+grows too wide, or whose tables pass MAX_FRONTIER_WORK, pivots, capped by
+MAX_EVAL_MASKS as before.  The brute-force counter, a separate memoized
+deletion recursion, is the module's independent ground truth.
 """
 
 from __future__ import annotations
@@ -103,7 +102,7 @@ def independence_polynomial(g: Graph) -> IntPoly:
     too_many = (f"graph on {g.n} vertices needs more than {MAX_EVAL_MASKS} "
                 "memoized masks in the pivot recursion")
 
-    def poly(mask: int) -> IntPoly:
+    def poly(mask: int, frontier: bool = False) -> IntPoly:
         nonlocal sweeps
         out = memo.get(mask)
         if out is not None:
@@ -123,7 +122,9 @@ def independence_polynomial(g: Graph) -> IntPoly:
                 if top <= 2:
                     part = cycle_polynomial(n) if degree_sum == 2 * n else path_polynomial(n)
                 else:
-                    part = poly(comp ^ 1 << pivot) + poly(comp & ~(adj[pivot] | 1 << pivot)).mul_xpow(1)
+                    part = _frontier_polynomial(adj, comp) if frontier else None
+                    if part is None:
+                        part = poly(comp ^ 1 << pivot) + poly(comp & ~(adj[pivot] | 1 << pivot)).mul_xpow(1)
                 memo[comp] = part
             out = part if out is None else out * part
         memo[mask] = out
@@ -134,17 +135,9 @@ def independence_polynomial(g: Graph) -> IntPoly:
         try:
             return poly(everything)
         except _OverBudget:
-            pass
-        # the memo keeps what the recursion finished; the rest of each
-        # component goes to the frontier route, or back to the recursion
-        limit = float("inf")
-        out = _ONE
-        for comp, _, top, _ in mask_components(adj, everything):
-            part = memo.get(comp)
-            if part is None and top > 2:
-                part = _frontier_polynomial(adj, comp)
-            out *= poly(comp) if part is None else part
-        return out
+            # re-enter with the memo kept and the frontier route allowed at the top
+            limit = float("inf")
+        return poly(everything, True)
     except RecursionError:
         raise ValueError(f"graph on {g.n} vertices is too deep for the pivot recursion") from None
 

@@ -25,6 +25,9 @@ def test_workflow_runs_tier1_from_the_python_floor():
     assert 'test "$(timeout 60 indeq factor spec P:2 --max-index 20000)" = f2' in runs[install + 1:]
     # and prints a screen's exact reasons past Python's int-to-str digit limit
     assert "timeout 60 indeq screen F4 --max 14290 > /dev/null" in runs[install + 1:]
+    # and streams a screen's JSON rows, which fail to fit 64 MB when held at once
+    assert ("(ulimit -v 65536; timeout 60 indeq screen F7 --max 14290 --json > /dev/null)"
+            in runs[install + 1:])
     # the independent cross-check at its defaults, on the installed package
     assert runs.index("python scripts/exhaustive_crosscheck.py") > install
     # and through a real spawn pool, which opens at P_10, from the guarded script

@@ -309,6 +309,43 @@ def test_frontier_route_matches_recursion_and_bruteforce(g, isolated):
     assert by_frontier.coeffs == bruteforce_counts(g)
 
 
+@st.composite
+def mixed_graphs(draw):
+    """A disjoint union, in a drawn order, of a random graph on at most 12
+    vertices, a 5 x k grid or 2 x k ladder, paths, cycles and isolated
+    vertices: 30 vertices at most."""
+    blocks = [draw(random_graphs(max_vertices=12))]
+    room = 30 - blocks[0].n
+    rows = draw(st.sampled_from((2, 5)))
+    blocks.append(grid_graph(rows, draw(st.integers(min_value=0, max_value=room // rows))))
+    room -= blocks[-1].n
+    for cycle, n in draw(st.lists(st.tuples(st.booleans(), st.integers(min_value=1, max_value=8)),
+                                  max_size=4)):
+        n = max(n, 3) if cycle else n
+        if n <= room:
+            edges = [(v, v + 1) for v in range(n - 1)] + [(0, n - 1)] * cycle
+            blocks.append(Graph.from_edges(n, edges))
+            room -= n
+    blocks.append(Graph.from_edges(draw(st.integers(min_value=0, max_value=min(room, 3))), []))
+    offset, edges = 0, []
+    for block in draw(st.permutations(blocks)):
+        edges += [(u + offset, v + offset) for u, v in block.edges()]
+        offset += block.n
+    return Graph.from_edges(offset, edges)
+
+
+@given(mixed_graphs(), st.integers(min_value=0, max_value=30), st.integers(min_value=1, max_value=12))
+@settings(max_examples=150, deadline=None)
+def test_fallback_matches_bruteforce_at_every_budget(g, budget, width):
+    # past the drawn budget, memoized, closed-form, frontier and pivoted
+    # components meet in one component loop; a narrow width makes the
+    # frontier route decline some components and answer others
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(indpoly, "SWEEP_BUDGET", budget)
+        patch.setattr(indpoly, "FRONTIER_WIDTH", width)
+        assert independence_polynomial(g).coeffs == bruteforce_counts(g)
+
+
 @pytest.fixture
 def sweep_counter(monkeypatch):
     """The masks the evaluator has swept so far, one per component sweep."""

@@ -7,6 +7,7 @@ limit, so a missing guard fails the test instead of exhausting memory.
 """
 
 import contextlib
+import io
 import itertools
 import json
 import math
@@ -150,6 +151,35 @@ def test_screen_reasons_print_past_the_int_str_digit_limit(family, json_out, num
     assert reason == f"I(-1/4) = {numerator}/{denominator} <= 0 forces a root in [-1/4, 1)"
 
 
+class _ByteCount(io.TextIOBase):
+    """A text sink that keeps only the number of bytes written to it."""
+
+    def __init__(self):
+        self.bytes = 0
+
+    def write(self, text):
+        self.bytes += len(text.encode())
+        return len(text)
+
+
+@pytest.mark.parametrize("argv", [("F7", "--max", "3000", "--json"), ("F4", "--max", "3000")],
+                         ids=["json", "text"])
+def test_screen_writes_each_row_as_it_is_screened(argv):
+    # a traced peak of 0.28 MB (JSON) and 0.12 MB (text) for 1.66 and
+    # 1.56 MB written, against 7.73 and 2.52 MB when the sweep's rows were
+    # all held before the first was written
+    sink = _ByteCount()
+    with contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            status = main(["screen", *argv])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert status == 0
+    assert peak < sink.bytes / 2, (peak, sink.bytes)
+
+
 def test_evaluator_past_its_mask_budget_is_refused():
     # a sparse random graph: its pivots leave few paths and cycles, so the
     # memo would grow to millions of masks, and its frontier passes
@@ -240,10 +270,25 @@ def test_class_graph6_json_streams_its_members():
     assert peak < 1.5 * 2**20, peak
 
 
+def test_graph6_write_encodes_chunk_by_chunk():
+    # each 3-byte group is encoded as it is flushed: a traced peak of 2.2
+    # times the text, against 3.8 when the whole bit string, its base64
+    # and their translation were held at once
+    g = build(FamilySpec("P", (1998,)))
+    tracemalloc.start()
+    try:
+        text = graph6_write(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(text), (peak, len(text))
+
+
 def test_class_graph6_json_holds_one_code_at_a_time():
-    # the traced peak, most of it graph6_write's working set, is 4.9-5.1
-    # times one member's code here, against 5.9-6.1 when each code was held
-    # while the next member was built
+    # the traced peak, most of it graph6_write's working set, is 3.2-3.3
+    # times one member's code, against 4.9 when graph6_write held its whole
+    # text at once and 5.9-6.1 when each code was held while the next member
+    # was built
     code = json.dumps(graph6_write(build(FamilySpec("P", (1998,)))))
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         tracemalloc.start()
