@@ -23,7 +23,7 @@ import os
 import sys
 import warnings
 from functools import cache
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import checks, classify, factorbasis, indpoly, oracle, polyalg
 from .classify import QUARTER
@@ -33,6 +33,7 @@ from .graphcore import (
     Graph,
     Graph6Error,
     build,
+    canonical_form,
     graph6_read,
     graph6_write,
 )
@@ -88,20 +89,32 @@ def _graph_from_text(text: str) -> tuple[Graph, str]:
             )
 
 
+def _write_json_list(head: str, items: Iterable, tail: str) -> None:
+    """Write head + json.dumps(list(items))[1:-1] + tail to stdout, byte for
+    byte, holding one item at a time: each is made after the previous one's
+    JSON is written and dropped once its own JSON is made.  head waits for
+    the first item, so an item that raises leaves stdout empty."""
+    separator = head
+    for item in items:
+        item = json.dumps(item)
+        sys.stdout.write(separator)
+        sys.stdout.write(item)
+        separator = ", "
+        del item
+    sys.stdout.write(tail if separator == ", " else head + tail)
+
+
 # -- subcommand implementations ---------------------------------------------
 
 
 def _cmd_poly(args) -> int:
     if args.spec == "-":
-        results = []
-        for line in sys.stdin:
-            line = line.strip()
-            if line:
-                results.append((graph6_read(line), line))
+        graphs = ((graph6_read(line), line) for line in map(str.strip, sys.stdin) if line)
     else:
-        results = [_graph_from_text(args.spec)]
-    for g, label in results:
+        graphs = [_graph_from_text(args.spec)]
+    for g, label in graphs:
         coefficients = [str(c) for c in indpoly.independence_polynomial(g).coeffs]
+        del g  # answered: dropped before the next line is read
         if args.json:
             print(json.dumps({"input": label, "coefficients": coefficients}))
         else:
@@ -153,17 +166,8 @@ def _cmd_class(args) -> int:
         if not args.graph6:
             print(payload)
             return 0
-        # the graph6 list is written member by member, each graph built before
-        # its separator: every member has the reference's vertex count, so the
-        # first refuses a class above the cap with stdout empty; no code is
-        # held while the next graph is built, nor copied onto its separator
-        separator = payload[:-1] + ', "graph6": ['
-        for member in cls.members:
-            g = build(member)
-            sys.stdout.write(separator)
-            sys.stdout.write(json.dumps(graph6_write(g)))
-            separator = ", "
-        sys.stdout.write("]}\n")
+        codes = (graph6_write(build(member)) for member in cls.members)
+        _write_json_list(payload[:-1] + ', "graph6": [', codes, "]}\n")
         return 0
     for line, member in zip(cls.member_lines(), cls.members):
         print(line + "\t" + graph6_write(build(member)) if args.graph6 else line)
@@ -202,12 +206,8 @@ def _cmd_roots(args) -> int:
 def _cmd_screen(args) -> int:
     rows = classify.sweep_family(args.family, args.max)
     if args.json:
-        # row by row, byte for byte what json.dumps gives for the whole list
-        print("[", end="")
-        for i, (s, v) in enumerate(rows):
-            row = {"spec": str(s), "admissible": v.admissible, "reason": v.reason}
-            print(", " * (i > 0) + json.dumps(row), end="")
-        print("]")
+        _write_json_list("[", ({"spec": str(s), "admissible": v.admissible, "reason": v.reason}
+                               for s, v in rows), "]\n")
         return 0
     admitted = total = 0
     for s, verdict in rows:
@@ -227,7 +227,7 @@ def _cmd_enumerate(args) -> int:
         connected_only=args.connected,
     )
     for g in oracle.enumerate_graphs(filt):
-        print(graph6_write(g))
+        print(canonical_form(g).decode())
     return 0
 
 

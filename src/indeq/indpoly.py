@@ -140,6 +140,11 @@ def independence_polynomial(g: Graph) -> IntPoly:
         return poly(everything, True)
     except RecursionError:
         raise ValueError(f"graph on {g.n} vertices is too deep for the pivot recursion") from None
+    finally:
+        # poly refers to itself through its closure cell; breaking that cycle
+        # frees the memo and adj when the call returns, not at the next
+        # cyclic collection
+        del poly
 
 
 # -- frontier route ---------------------------------------------------------

@@ -28,6 +28,10 @@ def test_workflow_runs_tier1_from_the_python_floor():
     # and streams a screen's JSON rows, which fail to fit 64 MB when held at once
     assert ("(ulimit -v 65536; timeout 60 indeq screen F7 --max 14290 --json > /dev/null)"
             in runs[install + 1:])
+    # and answers 200 stdin lines of P_2000, which fail to fit 64 MB when held at once
+    assert ("""python -c "from indeq.graphcore import FamilySpec, build, graph6_write;"""
+            """ print(*[graph6_write(build(FamilySpec('P', (2000,))))] * 200, sep=chr(10))" > p2000.g6"""
+            " && (ulimit -v 65536; timeout 60 indeq poly - < p2000.g6 > /dev/null)") in runs[install + 1:]
     # the independent cross-check at its defaults, on the installed package
     assert runs.index("python scripts/exhaustive_crosscheck.py") > install
     # and through a real spawn pool, which opens at P_10, from the guarded script

@@ -62,6 +62,14 @@ def test_poly_reads_graph6_from_stdin(capsys, monkeypatch):
     assert lines == ["1 5 5", "1 3"]
 
 
+def test_poly_stdin_answers_lines_before_a_malformed_one(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("DqK\n!!\nBw\n"))
+    code, out, err = run(capsys, "poly", "-")
+    assert (code, out, err) == (2, "1 5 5\n", "error: invalid graph6 byte 0x21 (byte offset 0)\n")
+
+
 def test_factor_commands(capsys):
     code, out, _ = run(capsys, "factor", "cycle", "6")
     assert code == 0 and out.strip() == "f2 f6"
@@ -201,6 +209,9 @@ def test_screen_command(capsys):
     payload = json.loads(out)
     admissible = {row["spec"] for row in payload if row["admissible"]}
     assert admissible == {"B:0,1,1", "B:5,1,1"}
+    # an empty sweep still prints the empty list
+    code, out, _ = run(capsys, "screen", "Y", "--max", "0", "--json")
+    assert (code, out) == (0, "[]\n")
     code, _, err = run(capsys, "screen", "Zf", "--max", "3")
     assert (code, err) == (2, "error: unknown family 'Zf'\n")
 
