@@ -450,6 +450,22 @@ def from_canonical_form(key: bytes) -> Graph:
     return g
 
 
+def complement_form(key: bytes) -> bytes:
+    """The graph6 bytes of the complement of the graph key encodes, same labeling.
+
+    For key = canonical_form(g) that is canonical_form(g.complement()) unless g
+    has exactly half the pairs: _canonize searches the sparser of the two, and
+    at the middle each graph its own (all 3 classes with 4 vertices, 3 edges differ).
+    """
+    size = 1 if key[:1] != b"~" else 3 if key[1:2] != b"~" else 6
+    head, n = size + size // 3, 0
+    for byte in key[head - size:head]:
+        n = n << 6 | byte - 63
+    # sextet s is byte s + 63, its complement byte 126 - s; padding bits stay zero
+    data, pad = key[head:].translate(_COMPLEMENT), -(n * (n - 1) // 2) % 6
+    return key[:head] + data[:-1] + bytes([63 + ((data[-1] - 63) >> pad << pad)]) if data else key
+
+
 def _refine(adj: Sequence[int], cells: list[int]) -> None:
     """Equitable refinement of an ordered partition, in place (stable, iso-invariant).
 
@@ -560,6 +576,7 @@ def _canonical_order(g: Graph) -> tuple[list[int], list[int], tuple[tuple[int, .
 _GRAPH6 = bytes(range(63, 127))
 _BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _TO_GRAPH6, _FROM_GRAPH6 = bytes.maketrans(_BASE64, _GRAPH6), bytes.maketrans(_GRAPH6, _BASE64)
+_COMPLEMENT = bytes.maketrans(_GRAPH6, _GRAPH6[::-1])
 
 
 def _graph6(n: int, columns: Iterable[int]) -> bytes:

@@ -8,7 +8,8 @@ Three mechanisms cross-check the classifier from different directions:
     a deterministic order: a parent gains one new edge per orbit of its
     automorphisms, and a child is kept only from its canonical parent,
     the child less its canonical last edge, so each class arises once
-    and no level needs deduplicating
+    and no level needs deduplicating; each level past half the pairs, so
+    never the middle one, is read off as the complement forms of its mirror
   * equivalence_class_bruteforce(reference): every graph sharing the
     reference's independence polynomial, with the reference as its only
     input, grown by the same level loop up to the vertex and edge counts
@@ -43,7 +44,7 @@ from typing import Iterator, Optional
 from .classify import CATALOGUE, EquivClass
 from .factorbasis import factor_into_basis
 from .graphcore import FamilySpec, Graph, automorphisms, build, canonical_form, canonical_order
-from .graphcore import from_canonical_form, spec
+from .graphcore import complement_form, from_canonical_form, spec
 from .indpoly import bruteforce_counter, bruteforce_counts, independence_polynomial
 
 _UNFILTERED_MAX = 10
@@ -277,27 +278,49 @@ def _levels(n: int, top: int, max_degree: Optional[int],
             pool.shutdown()
 
 
+def _keyed_levels(filt: EnumFilter) -> Iterator[tuple[int, list[bytes]]]:
+    """(edge count, sorted canonical forms) of each level the filter asks for,
+    by increasing edge count, under enumerate_graphs' complement rule; a level
+    kept for its complement is held as one joined bytes object."""
+    n, pairs = filt.vertex_count, comb(filt.vertex_count, 2)
+    wanted = range(pairs + 1) if filt.edge_count is None else (filt.edge_count,)
+    mirror, kept = filt.max_degree is None, []
+    top = max(min(e, pairs - e) if mirror else e for e in wanted)
+    with contextlib.closing(_levels(n, top, filt.max_degree)) as levels:
+        for edges, level in enumerate(levels):
+            if edges in wanted:
+                yield edges, sorted(row[0] for row in level)
+            if mirror and 2 * edges < pairs and pairs - edges in wanted:
+                kept.append((edges, b"".join(row[0] for row in level)))
+    width = len(canonical_form(Graph.empty(n)))
+    while kept:
+        edges, joined = kept.pop()
+        yield pairs - edges, sorted(complement_form(joined[i:i + width]) for i in range(0, len(joined), width))
+
+
 def enumerate_graphs(filt: EnumFilter) -> Iterator[Graph]:
     """One representative per isomorphism class matching the filter.
 
     Graphs are yielded by increasing edge count and, within an edge
     count, by canonical form, so the stream is byte-deterministic.
+    Complementing maps the classes with e edges one-to-one onto those
+    with M - e, M = C(n, 2): only the levels up to M/2 are grown (up to
+    M - E under an edge filter E > M/2), and each level above is read off
+    as the complement forms of its mirror.  The middle level is grown, as
+    complement_form need not be canonical there, and so is every level
+    under a degree filter, which complements do not preserve.
     """
-    n = filt.vertex_count
-    top = comb(n, 2) if filt.edge_count is None else filt.edge_count
-    with contextlib.closing(_levels(n, top, filt.max_degree)) as levels:
-        for edges, level in enumerate(levels):
-            if filt.edge_count is None or edges == filt.edge_count:
-                # yield the canonical representative so the stream does not
-                # depend on which labeled copy each worker found first
-                for key, adj, _, _ in sorted(level):
-                    if not filt.connected_only or Graph(n, adj).is_connected():
-                        yield from_canonical_form(key)
+    with contextlib.closing(_keyed_levels(filt)) as levels:
+        for _, keys in levels:
+            # canonical representatives, whatever labeled copy each worker found
+            for g in map(from_canonical_form, keys):
+                if not filt.connected_only or g.is_connected():
+                    yield g
 
 
 def count_isomorphism_classes(n: int) -> int:
     """Number of graphs on n unlabeled vertices, via enumeration."""
-    return sum(1 for _ in enumerate_graphs(EnumFilter(n)))
+    return sum(len(keys) for _, keys in _keyed_levels(EnumFilter(n)))
 
 
 def _partitions(n: int, least: int = 1) -> Iterator[tuple[int, ...]]:

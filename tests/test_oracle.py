@@ -24,6 +24,7 @@ from indeq.oracle import (
     EnumFilter,
     _counts_with_edge,
     _from_canonical_parent,
+    _keyed_levels,
     _levels,
     _orbit_leaders,
     _top_edges,
@@ -93,6 +94,10 @@ GOLDEN_STREAMS = [
     (EnumFilter(7), "9ae6c8b279f11a01a5d5f0fd2b9f44a4d1eed4eefd41cfd2b349d3b2ea50931e"),
     (EnumFilter(8, 7), "24c2e4e6297bb1f089f87c8ecf4695006b3b11567cbf78f5b43de7c449b90772"),
     (EnumFilter(9, 8), "cf7131a359437cecab27726de18969871fc8359c4ba2cd692e24d5ff67db7551"),
+    # recorded while every level was still grown: a degree filter, and a
+    # level read off as the complements of a sparser one
+    (EnumFilter(7, 15, 5), "f7df2e693a532ec8b7f46f4babb04c6e897cf7dbcf1c6c12cf481bba4f178731"),
+    (EnumFilter(9, 30), "ee5b5254f7c940ca9a599b1fe3ca62f53a8e62a90b6f018f3f2c7e60f9e7c03c"),
 ]
 
 
@@ -185,6 +190,35 @@ def test_each_level_holds_each_class_once(n):
     assert sum(sizes) == unlabeled_graph_count(n)
 
 
+def _grown_keys(n, top):
+    """The sorted canonical forms of every level 0..top, each level grown."""
+    with contextlib.closing(_levels(n, top, None)) as levels:
+        return [sorted(row[0] for row in level) for level in levels]
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_keyed_levels_equal_the_grown_levels(n):
+    assert list(_keyed_levels(EnumFilter(n))) == list(enumerate(_grown_keys(n, comb(n, 2))))
+
+
+def test_keyed_levels_past_half_equal_the_grown_levels_at_8_vertices():
+    pairs = comb(8, 2)
+    grown = _grown_keys(8, pairs - 1)
+    for edges in (pairs - 1, pairs - 3, pairs // 2 + 1):
+        assert list(_keyed_levels(EnumFilter(8, edge_count=edges))) == [(edges, grown[edges])]
+
+
+def test_a_dense_edge_filter_grows_only_its_mirror():
+    with mock.patch.object(oracle, "_expand_level", wraps=oracle._expand_level) as expand, \
+            mock.patch.dict(os.environ, {"INDEQ_WORKERS": "1"}):
+        assert len(list(enumerate_graphs(EnumFilter(9, edge_count=30)))) == 63
+        assert expand.call_count == 6  # levels 0..5 grow levels 1..6 = 36 - 30
+    dense = [canonical_form(Graph(12, g.adj)) for g in enumerate_graphs(EnumFilter(12, edge_count=63))]
+    sparse = list(enumerate_graphs(EnumFilter(12, edge_count=3)))
+    assert len(sparse) == 5
+    assert dense == sorted(canonical_form(g.complement()) for g in sparse)
+
+
 def test_enumerate_pairwise_nonisomorphic():
     reps = list(enumerate_graphs(EnumFilter(5)))
     for i, g in enumerate(reps):
@@ -244,8 +278,9 @@ def test_one_pool_per_enumeration():
 
 
 @pytest.mark.parametrize(
-    "filt,digest", [row for row in GOLDEN_STREAMS if row[0] in (EnumFilter(7), EnumFilter(9, 8))],
-    ids=["7-None", "9-8"],
+    "filt,digest",
+    [row for row in GOLDEN_STREAMS if row[0] in (EnumFilter(7), EnumFilter(9, 8), EnumFilter(9, 30))],
+    ids=["7-None", "9-8", "9-30"],
 )
 def test_pool_stream_matches_golden(filt, digest):
     # the workers' chunks are concatenated, not merged by canonical form
