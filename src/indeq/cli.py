@@ -118,7 +118,7 @@ def _cmd_poly(args) -> int:
         if args.json:
             print(json.dumps({"input": label, "coefficients": coefficients}))
         else:
-            print(" ".join(coefficients) or "1")
+            print(" ".join(coefficients))
     return 0
 
 
@@ -158,16 +158,14 @@ def _cmd_class(args) -> int:
         else:
             cls = classify.cycle_class(args.n)
     if args.json:
-        payload = json.dumps({
-            "reference": str(cls.reference),
-            "members": [[{"family": s.family, "params": list(s.params)} for s in member]
-                        for member in cls.members],
-        })
-        if not args.graph6:
-            print(payload)
-            return 0
-        codes = (graph6_write(build(member)) for member in cls.members)
-        _write_json_list(payload[:-1] + ', "graph6": [', codes, "]}\n")
+        if args.graph6:
+            build(cls.reference)  # every member has its vertex count: refused before any byte
+        _write_json_list(f'{{"reference": {json.dumps(str(cls.reference))}, "members": [',
+                         ([{"family": s.family, "params": list(s.params)} for s in member]
+                          for member in cls.members), "]")
+        if args.graph6:
+            _write_json_list(', "graph6": [', (graph6_write(build(m)) for m in cls.members), "]")
+        print("}")
         return 0
     for line, member in zip(cls.member_lines(), cls.members):
         print(line + "\t" + graph6_write(build(member)) if args.graph6 else line)

@@ -21,6 +21,9 @@ def test_workflow_runs_tier1_from_the_python_floor():
     # the console script refuses a class above the vertex cap with exit 2 and empty stdout
     assert ('code=0; out=$(indeq class cycle 20000 --json --graph6) || code=$?;'
             ' test "$code" = 2 && test -z "$out"') in runs[install + 1:]
+    # and streams the members of a class of 983,041 components, which fail to fit 256 MB as one dump
+    assert ("(ulimit -v 262144; timeout 60 indeq class path 131070 --json > /dev/null)"
+            in runs[install + 1:])
     # and factors a spec with --max-index at the index cap, building only what can divide
     assert 'test "$(timeout 60 indeq factor spec P:2 --max-index 20000)" = f2' in runs[install + 1:]
     # and prints a screen's exact reasons past Python's int-to-str digit limit

@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
+from indeq.classify import EvenCycleClassNote, cycle_class, path_class
 from indeq.cli import SpecSyntaxError, _build_parser, main, parse_spec_text
-from indeq.graphcore import FamilySpec
+from indeq.graphcore import FamilySpec, build, graph6_write
 
 from conftest import fs
 
@@ -45,6 +47,9 @@ def test_poly_command(capsys):
     # graph6 input: the canonical bytes of a path decode right back
     code, out, _ = run(capsys, "poly", "DqK")
     assert code == 0
+    # the empty graph: I = 1, its constant term, like every polynomial's
+    assert run(capsys, "poly", "?") == (0, "1\n", "")
+    assert run(capsys, "poly", "?", "--json") == (0, '{"input": "?", "coefficients": ["1"]}\n', "")
 
 
 def test_poly_rejects_garbage(capsys):
@@ -158,6 +163,28 @@ def test_equiv_class_json(capsys):
     assert code == 0 and back["reference"] == "P:4"
     assert back["members"][0] == [{"family": "P", "params": [4]}]
     assert len(back["graph6"]) == len(back["members"]) == 2
+
+
+CLASS_SWEEP = ([("path", n, expand_d) for expand_d in (True, False) for n in range(2, 121, 2)]
+               + [("cycle", n, True) for n in range(3, 61)])
+
+
+@pytest.mark.parametrize("graph6", [False, True], ids=["members", "graph6"])
+def test_class_json_is_the_dump_of_its_payload(capsys, graph6):
+    # members and codes are written one at a time, byte for byte the one
+    # json.dumps of the whole payload
+    for kind, n, expand_d in CLASS_SWEEP:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EvenCycleClassNote)
+            cls = path_class(n, expand_d) if kind == "path" else cycle_class(n)
+        payload = {"reference": str(cls.reference),
+                   "members": [[{"family": s.family, "params": list(s.params)} for s in member]
+                               for member in cls.members]}
+        if graph6:
+            payload["graph6"] = [graph6_write(build(member)) for member in cls.members]
+        argv = ["class", kind, str(n), *["--no-expand-d"] * (not expand_d), "--json",
+                *["--graph6"] * graph6]
+        assert run(capsys, *argv) == (0, json.dumps(payload) + "\n", ""), argv
 
 
 def test_multiset_json(capsys):
