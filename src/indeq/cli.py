@@ -43,8 +43,18 @@ class SpecSyntaxError(ValueError):
     """Spec text rejected; message carries the character position."""
 
 
+#: The most characters of refused spec text that an error message repeats.
+MAX_ECHO = 40
+
+
+def _echo(text: str) -> str:
+    """repr(text), cut to its first MAX_ECHO characters and '...'."""
+    return repr(text) if len(text) <= MAX_ECHO else f"{text[:MAX_ECHO]!r}..."
+
+
 def parse_spec_text(text: str) -> tuple[FamilySpec, ...]:
-    """Parse the family-spec micro-grammar, unions joined with '+'."""
+    """Parse the family-spec micro-grammar, unions joined with '+'; each
+    parameter is a run of ASCII digits, blanks around it allowed."""
     specs = []
     offset = 0
     for chunk in text.split("+"):
@@ -55,18 +65,20 @@ def parse_spec_text(text: str) -> tuple[FamilySpec, ...]:
         head, _, tail = part.partition(":")
         family = head.strip()
         if family not in FAMILIES:
-            raise SpecSyntaxError(f"unknown family {family!r} at position {pos}")
+            raise SpecSyntaxError(f"unknown family {_echo(family)} at position {pos}")
         params: tuple[int, ...] = ()
         if tail or FAMILIES[family].floors:
             if not tail:
                 raise SpecSyntaxError(
                     f"{family} needs {len(FAMILIES[family].floors)} parameter(s) at position {pos}"
                 )
-            items = tail.split(",")
+            items = [item.strip() for item in tail.split(",")]
+            if not all(item.isascii() and item.isdigit() for item in items):
+                raise SpecSyntaxError(f"non-integer parameter in {_echo(part)} at position {pos}")
             try:
-                params = tuple(int(item.strip()) for item in items)
-            except ValueError:
-                raise SpecSyntaxError(f"non-integer parameter in {part!r} at position {pos}")
+                params = tuple(map(int, items))
+            except ValueError:  # past Python's int-to-str digit limit
+                raise SpecSyntaxError(f"parameter too long in {_echo(part)} at position {pos}")
         try:
             specs.append(FamilySpec(family, params))
         except ValueError as exc:

@@ -33,16 +33,19 @@ classifier and the screening machinery work with:
 
 Whenever a spacing parameter is 0 the two anchor vertices it separates
 are adjacent.  ``FAMILIES`` states each family once: its parameter
-floors and its drawing.  Vertex labels follow the drawing order
-(triangle first, then spine, then branches) so fixtures are stable.
+floors and its moves.  Each parameter is the length of one run, an
+induced path, so adding 1 to a parameter adds one vertex to that path
+and changes nothing else.  D:2 alone is drawn as a stated alias for P:2;
+D's run premise starts at 3.  Vertex labels follow the order of the
+moves (triangle first, then spine, then branches) so fixtures are stable.
 """
 
 from __future__ import annotations
 
 import binascii
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 
 class Graph6Error(ValueError):
@@ -225,83 +228,51 @@ def _bits(mask: int) -> list[int]:
 
 # -- family specifications ------------------------------------------------
 
-class _Drawing:
-    """Adjacency rows under construction; each new vertex takes the next label."""
+class Run(NamedTuple):
+    """A path of ``params[param] + offset`` new vertices hung off the vertex
+    that move ``anchor`` made, or a fresh path for ``anchor=None``."""
 
-    def __init__(self):
-        self.adj: list[int] = []
-
-    def vertex(self, *nbrs: int) -> int:
-        """Add a vertex adjacent to ``nbrs``; return its label."""
-        v = len(self.adj)
-        row = 0
-        for u in nbrs:
-            self.adj[u] |= 1 << v
-            row |= 1 << u
-        self.adj.append(row)
-        return v
-
-    def path(self, anchor: int, count: int) -> int:
-        """Hang a path of ``count`` new vertices off ``anchor``; return its far end."""
-        for _ in range(count):
-            anchor = self.vertex(anchor)
-        return anchor
-
-    def ring(self, k: int) -> None:
-        """Add a cycle on ``k`` new vertices, consecutive labels adjacent."""
-        first = self.vertex()
-        self.vertex(self.path(first, k - 2), first)
-
-    def triangle(self, anchor: int) -> tuple[int, int]:
-        """Glue a triangle onto ``anchor``; return its two new corners."""
-        b = self.vertex(anchor)
-        return b, self.vertex(anchor, b)
+    anchor: int | None
+    param: int
+    offset: int
 
 
 class Family(NamedTuple):
-    """One catalogue family: the minimum of each parameter, and its drawing.
+    """One catalogue family: the minimum of each parameter, and its moves.
 
-    ``draw(d, *params)`` makes its moves on a fresh ``_Drawing`` from left
-    to right, so a row may name its first vertices by label: the first
-    triangle is 0, 1, 2, a ring starts at 0 and a spider's center is 0.
+    ``build`` makes the moves from left to right, each new vertex taking the
+    next label.  A tuple of earlier move indices adds one vertex adjacent to
+    the vertices those moves made; a ``Run`` made its path's far end, or its
+    anchor when empty.  A triangle is ``(), (0,), (0, 1)``; a ring is
+    ``(), (0,), Run(1, i, c), (2, 0)``.
     """
 
     floors: tuple[int, ...]
-    draw: Callable[..., object]
+    moves: tuple[Union[tuple[int, ...], Run], ...]
 
 
 #: The family catalogue in sort order; the module docstring describes each shape.
 FAMILIES: dict[str, Family] = {
-    "P": Family((0,), lambda d, n: n and d.path(d.vertex(), n - 1)),
-    "C": Family((3,), lambda d, n: d.ring(n)),
-    "D": Family((2,), lambda d, n: d.path(d.vertex(), 1) if n == 2
-                else (d.triangle(d.vertex()), d.path(2, n - 3))),
-    "Y": Family((1, 1, 1), lambda d, a, b, c: (
-        d.vertex(), d.path(0, a), d.path(0, b), d.path(0, c))),
-    "E": Family((1, 1), lambda d, a, b: (d.ring(a + 3), d.path(0, b))),
-    "A": Family((1, 1), lambda d, a, b: (
-        d.triangle(d.vertex()), d.path(1, a), d.path(2, b))),
-    "B": Family((0, 1, 1), lambda d, a, b, c: (
-        d.triangle(d.vertex()), (u := d.path(2, a + 1)), d.path(u, b), d.path(u, c))),
-    "F1": Family((0, 1), lambda d, a, b: (
-        d.triangle(d.vertex()), (u := d.path(2, a + 1)), d.vertex(d.path(u, b + 1), u))),
-    "F2": Family((1,), lambda d, m: (d.ring(m + 3), d.vertex(0, 1))),
-    "F3": Family((0,), lambda d, m: (
-        d.triangle(d.vertex()), d.triangle(d.path(2, m + 1)))),
-    "F4": Family((0,), lambda d, m: (d.vertex(*d.triangle(d.vertex())), d.path(3, m))),
-    "F5": Family((0, 1), lambda d, a, b: (
-        d.triangle(d.vertex()), d.path(d.triangle(d.path(2, a + 1))[0], b))),
-    "F6": Family((0, 0, 1), lambda d, a, b, c: (
-        d.triangle(d.vertex()), (u := d.path(2, a + 1)),
-        d.triangle(d.path(u, b + 1)), d.path(u, c))),
-    "F7": Family((0,), lambda d, m: (
-        d.vertex(*d.triangle(d.vertex())), d.triangle(d.path(3, m + 1)))),
-    "F8": Family((0, 0), lambda d, a, b: (
-        d.triangle(d.vertex()), d.triangle(d.path(d.triangle(d.path(2, a + 1))[0], b + 1)))),
-    "F9": Family((0, 0, 0), lambda d, a, b, c: (
-        d.triangle(d.vertex()), (w := d.path(2, a + 1)),
-        d.triangle(d.path(w, b + 1)), d.triangle(d.path(w, c + 1)))),
-    "K4e": Family((), lambda d: d.vertex(*d.triangle(d.vertex()))),
+    "P": Family((0,), (Run(None, 0, 0),)),
+    "C": Family((3,), ((), (0,), Run(1, 0, -3), (2, 0))),
+    "D": Family((2,), ((), (0,), (0, 1), Run(2, 0, -3))),
+    "Y": Family((1, 1, 1), ((), Run(0, 0, 0), Run(0, 1, 0), Run(0, 2, 0))),
+    "E": Family((1, 1), ((), (0,), Run(1, 0, 0), (2, 0), Run(0, 1, 0))),
+    "A": Family((1, 1), ((), (0,), (0, 1), Run(1, 0, 0), Run(2, 1, 0))),
+    "B": Family((0, 1, 1), ((), (0,), (0, 1), Run(2, 0, 1), Run(3, 1, 0), Run(3, 2, 0))),
+    "F1": Family((0, 1), ((), (0,), (0, 1), Run(2, 0, 1), Run(3, 1, 1), (4, 3))),
+    "F2": Family((1,), ((), (0,), Run(1, 0, 0), (2, 0), (0, 1))),
+    "F3": Family((0,), ((), (0,), (0, 1), Run(2, 0, 1), (3,), (3, 4))),
+    "F4": Family((0,), ((), (0,), (0, 1), (1, 2), Run(3, 0, 0))),
+    "F5": Family((0, 1), ((), (0,), (0, 1), Run(2, 0, 1), (3,), (3, 4), Run(4, 1, 0))),
+    "F6": Family((0, 0, 1), (
+        (), (0,), (0, 1), Run(2, 0, 1), Run(3, 1, 1), (4,), (4, 5), Run(3, 2, 0))),
+    "F7": Family((0,), ((), (0,), (0, 1), (1, 2), Run(3, 0, 1), (4,), (4, 5))),
+    "F8": Family((0, 0), (
+        (), (0,), (0, 1), Run(2, 0, 1), (3,), (3, 4), Run(4, 1, 1), (6,), (6, 7))),
+    "F9": Family((0, 0, 0), (
+        (), (0,), (0, 1), Run(2, 0, 1), Run(3, 1, 1), (4,), (4, 5), Run(3, 2, 1), (7,), (7, 8))),
+    "K4e": Family((), ((), (0,), (0, 1), (1, 2))),
 }
 
 #: Each family's place in the catalogue, the first field of FamilySpec.sort_key.
@@ -318,7 +289,7 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        object.__setattr__(self, "params", tuple(int(p) for p in self.params))
+        object.__setattr__(self, "params", tuple(map(operator.index, self.params)))
         floors = FAMILIES[self.family].floors
         if len(self.params) != len(floors):
             raise ValueError(
@@ -353,12 +324,13 @@ def spec(text_family: str, *params: int) -> FamilySpec:
 MAX_BUILD_VERTICES = 10_000
 
 
-@lru_cache(maxsize=None)
 def _vertex_offset(family: str) -> int:
-    """Vertices beyond the parameter sum: each unit of a parameter adds one."""
-    d = _Drawing()
-    FAMILIES[family].draw(d, *FAMILIES[family].floors)
-    return len(d.adj) - sum(FAMILIES[family].floors)
+    """Vertices beyond the parameter sum: one per vertex move, plus the run offsets."""
+    return sum(m.offset if isinstance(m, Run) else 1 for m in FAMILIES[family].moves)
+
+
+#: The one alias build draws: D:2 is P:2, not of D's triangle-and-run form.
+_D2 = FamilySpec("D", (2,))
 
 
 def build(specs: SpecLike) -> Graph:
@@ -371,9 +343,24 @@ def build(specs: SpecLike) -> Graph:
         raise ValueError(f"{'+'.join(map(str, specs))} has {n} vertices, above the cap of {MAX_BUILD_VERTICES}")
     adj: list[int] = []
     for s in specs:
-        d = _Drawing()
-        FAMILIES[s.family].draw(d, *s.params)
-        adj += [m << len(adj) for m in d.adj]
+        made: list[int | None] = []
+        for move in FAMILIES["P" if s == _D2 else s.family].moves:
+            if isinstance(move, Run):
+                v = None if move.anchor is None else made[move.anchor]
+                for w in range(len(adj), len(adj) + s.params[move.param] + move.offset):
+                    if v is None:
+                        adj.append(0)
+                    else:
+                        adj[v] |= 1 << w
+                        adj.append(1 << v)
+                    v = w
+            else:
+                v = len(adj)
+                adj.append(0)
+                for u in (made[i] for i in move):
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+            made.append(v)
     return Graph(len(adj), adj)
 
 

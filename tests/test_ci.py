@@ -18,7 +18,9 @@ def test_workflow_runs_tier1_from_the_python_floor():
     assert runs[install + 1] == "indeq verify all"
     # then at the full bounds, whose root and sweep checks build larger Sturm chains
     assert runs.index("indeq verify all --bound full") > install + 1
-    # the console script refuses a class above the vertex cap with exit 2 and empty stdout
+    # the console script refuses a spec parameter that is not ASCII digits
+    assert 'code=0; indeq poly P:1_0 > /dev/null 2>&1 || code=$?; test "$code" = 2' in runs[install + 1:]
+    # and refuses a class above the vertex cap with exit 2 and empty stdout
     assert ('code=0; out=$(indeq class cycle 20000 --json --graph6) || code=$?;'
             ' test "$code" = 2 && test -z "$out"') in runs[install + 1:]
     # and streams the members of a class of 983,041 components, which fail to fit 256 MB as one dump

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from indeq.classify import EvenCycleClassNote, cycle_class, path_class
-from indeq.cli import SpecSyntaxError, _build_parser, main, parse_spec_text
+from indeq.cli import MAX_ECHO, SpecSyntaxError, _build_parser, main, parse_spec_text
 from indeq.graphcore import FamilySpec, build, graph6_write
 
 from conftest import fs
@@ -37,6 +37,18 @@ def test_parse_spec_text():
         parse_spec_text("P:2 + C:two")
     with pytest.raises(SpecSyntaxError, match="must be >= 3"):
         parse_spec_text("C:1")
+    # blanks around a parameter are fine; anything but ASCII digits is not
+    assert parse_spec_text("P: 3") == (fs("P", 3),)
+    for text in ("P:1_0", "P:\u0661\u0662", "P:-0", "P:\u00b2", "Y:1, 2,"):
+        with pytest.raises(SpecSyntaxError, match="non-integer parameter"):
+            parse_spec_text(text)
+    # a refused component is echoed cut to MAX_ECHO characters
+    for text, refusal in (("P:" + "9" * 5000, "parameter too long in"),
+                          ("P:" + "x" * 5000, "non-integer parameter in"),
+                          ("Q" * 5000 + ":1", "unknown family")):
+        with pytest.raises(SpecSyntaxError) as err:
+            parse_spec_text(text)
+        assert str(err.value) == f"{refusal} {text[:MAX_ECHO]!r}... at position 0"
 
 
 def test_poly_command(capsys):
@@ -55,6 +67,10 @@ def test_poly_command(capsys):
 def test_poly_rejects_garbage(capsys):
     code, _, err = run(capsys, "poly", "Zz:1")
     assert code == 2 and "neither a family spec" in err
+    # a parameter is ASCII digits, and a refusal repeats a bounded part of its input
+    assert run(capsys, "poly", "P:1_0")[:2] == (2, "")
+    code, _, err = run(capsys, "poly", "P:" + "9" * 5000)
+    assert code == 2 and len(err) < 200
 
 
 def test_poly_reads_graph6_from_stdin(capsys, monkeypatch):

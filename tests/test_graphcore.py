@@ -100,6 +100,59 @@ def test_family_counts_match_drawings(fam):
         assert g.edge_count == ef(params), (fam, params)
 
 
+# For each family and parameter, the edge of build(params) from the vertex
+# its run hangs off to the run's first vertex, in the golden labels: its
+# subdivision lengthens that run.  (u, None) hangs a new leaf off u, for an
+# empty pendant run or P's far end; (None, None) adds a lone vertex to P:0
+RUN_EDGES = {
+    "P": lambda n: [(n - 1 if n else None, None)],
+    "C": lambda n: [(1, 2)],
+    "D": lambda n: [(2, 3 if n > 3 else None)],
+    "Y": lambda a, b, c: [(0, 1), (0, a + 1), (0, a + b + 1)],
+    "E": lambda a, b: [(1, 2), (0, a + 3)],
+    "A": lambda a, b: [(1, 3), (2, a + 3)],
+    "B": lambda a, b, c: [(2, 3), (a + 3, a + 4), (a + 3, a + b + 4)],
+    "F1": lambda a, b: [(2, 3), (a + 3, a + 4)],
+    "F2": lambda m: [(1, 2)],
+    "F3": lambda m: [(2, 3)],
+    "F4": lambda m: [(3, 4 if m else None)],
+    "F5": lambda a, b: [(2, 3), (a + 4, a + 6)],
+    "F6": lambda a, b, c: [(2, 3), (a + 3, a + 4), (a + 3, a + b + 7)],
+    "F7": lambda m: [(3, 4)],
+    "F8": lambda a, b: [(2, 3), (a + 4, a + 6)],
+    "F9": lambda a, b, c: [(2, 3), (a + 3, a + 4), (a + 3, a + b + 7)],
+    "K4e": lambda: [],
+}
+
+
+def lengthened(g, u, v):
+    """g plus one vertex w: edge uv becomes the path u-w-v, or w hangs off u."""
+    assert v is None or g.has_edge(u, v), (u, v)
+    w = g.n
+    edges = [e for e in g.edges() if set(e) != {u, v}]
+    edges += [(x, w) for x in (u, v) if x is not None]
+    return Graph.from_edges(w + 1, edges)
+
+
+def test_each_parameter_is_one_run():
+    for fam, (floors, moves) in FAMILIES.items():
+        runs = [m.param for m in moves if isinstance(m, graphcore.Run)]
+        assert sorted(runs) == list(range(len(floors))), fam
+
+
+@pytest.mark.parametrize("fam", sorted(RUN_EDGES))
+def test_adding_one_to_a_parameter_subdivides_its_run(fam):
+    """build(p + e_i) is build(p) with one more vertex on run i, for each p
+    from the floors to the floors + 3 (D from 3, past its P:2 alias)."""
+    floors = (3,) if fam == "D" else FAMILIES[fam].floors
+    for params in itertools.product(*[range(f, f + 4) for f in floors]):
+        g = build(FamilySpec(fam, params))
+        for i, (u, v) in enumerate(RUN_EDGES[fam](*params)):
+            grown = build(FamilySpec(fam, params[:i] + (params[i] + 1,) + params[i + 1:]))
+            assert canonical_form(grown) == canonical_form(lengthened(g, u, v)), (fam, params, i)
+    assert len(RUN_EDGES[fam](*floors)) == len(floors)
+
+
 def test_build_examples():
     c6 = build(fs("C", 6))
     assert (c6.n, c6.edge_count) == (6, 6)
@@ -122,6 +175,9 @@ def test_parameter_range_errors():
         FamilySpec("E", (1, 0))
     with pytest.raises(ValueError, match="unknown family"):
         FamilySpec("Q", (1,))
+    # a parameter must be an integer, not a float truncated to one
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        FamilySpec("P", (3.7,))
 
 
 def test_d_aliases_resolve():
