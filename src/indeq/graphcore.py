@@ -242,9 +242,9 @@ class Family(NamedTuple):
 
     ``build`` makes the moves from left to right, each new vertex taking the
     next label.  A tuple of earlier move indices adds one vertex adjacent to
-    the vertices those moves made; a ``Run`` made its path's far end, or its
-    anchor when empty.  A triangle is ``(), (0,), (0, 1)``; a ring is
-    ``(), (0,), Run(1, i, c), (2, 0)``.
+    the vertices those moves made.  A ``Run`` makes its path's far end, or
+    its anchor when the path is empty.  A triangle is ``(), (0,), (0, 1)``
+    and a ring is ``(), (0,), Run(1, i, c), (2, 0)``.
     """
 
     floors: tuple[int, ...]
