@@ -34,6 +34,7 @@ from .graphcore import (
     Graph6Error,
     build,
     canonical_form,
+    echo,
     graph6_read,
     graph6_write,
 )
@@ -41,15 +42,6 @@ from .graphcore import (
 
 class SpecSyntaxError(ValueError):
     """Spec text rejected; message carries the character position."""
-
-
-#: The most characters of refused spec text that an error message repeats.
-MAX_ECHO = 40
-
-
-def _echo(text: str) -> str:
-    """repr(text), cut to its first MAX_ECHO characters and '...'."""
-    return repr(text) if len(text) <= MAX_ECHO else f"{text[:MAX_ECHO]!r}..."
 
 
 def parse_spec_text(text: str) -> tuple[FamilySpec, ...]:
@@ -65,7 +57,7 @@ def parse_spec_text(text: str) -> tuple[FamilySpec, ...]:
         head, _, tail = part.partition(":")
         family = head.strip()
         if family not in FAMILIES:
-            raise SpecSyntaxError(f"unknown family {_echo(family)} at position {pos}")
+            raise SpecSyntaxError(f"unknown family {echo(family)} at position {pos}")
         params: tuple[int, ...] = ()
         if tail or FAMILIES[family].floors:
             if not tail:
@@ -74,11 +66,11 @@ def parse_spec_text(text: str) -> tuple[FamilySpec, ...]:
                 )
             items = [item.strip() for item in tail.split(",")]
             if not all(item.isascii() and item.isdigit() for item in items):
-                raise SpecSyntaxError(f"non-integer parameter in {_echo(part)} at position {pos}")
+                raise SpecSyntaxError(f"non-integer parameter in {echo(part)} at position {pos}")
             try:
                 params = tuple(map(int, items))
             except ValueError:  # past Python's int-to-str digit limit
-                raise SpecSyntaxError(f"parameter too long in {_echo(part)} at position {pos}")
+                raise SpecSyntaxError(f"parameter too long in {echo(part)} at position {pos}")
         try:
             specs.append(FamilySpec(family, params))
         except ValueError as exc:

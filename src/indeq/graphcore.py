@@ -323,6 +323,15 @@ def spec(text_family: str, *params: int) -> FamilySpec:
 #: P_n's adjacency rows take about n^2/16 bytes.
 MAX_BUILD_VERTICES = 10_000
 
+#: The most characters of refused text, and digits of a refused count,
+#: that an error message repeats.
+MAX_ECHO = 40
+
+
+def echo(text: str) -> str:
+    """repr(text), cut to its first MAX_ECHO characters and '...'."""
+    return repr(text) if len(text) <= MAX_ECHO else f"{text[:MAX_ECHO]!r}..."
+
 
 def _vertex_offset(family: str) -> int:
     """Vertices beyond the parameter sum: one per vertex move, plus the run offsets."""
@@ -340,7 +349,10 @@ def build(specs: SpecLike) -> Graph:
         specs = (specs,)
     n = sum(sum(s.params) + _vertex_offset(s.family) for s in specs)
     if n > MAX_BUILD_VERTICES:
-        raise ValueError(f"{'+'.join(map(str, specs))} has {n} vertices, above the cap of {MAX_BUILD_VERTICES}")
+        text = "+".join(map(str, specs))
+        text = text if len(text) <= MAX_ECHO else echo(text)
+        count = n if n < 10**MAX_ECHO else f"over 10^{MAX_ECHO}"
+        raise ValueError(f"{text} has {count} vertices, above the cap of {MAX_BUILD_VERTICES}")
     adj: list[int] = []
     for s in specs:
         made: list[int | None] = []

@@ -44,11 +44,13 @@ from typing import Iterator, Optional
 from .classify import CATALOGUE, EquivClass
 from .factorbasis import factor_into_basis
 from .graphcore import FamilySpec, Graph, automorphisms, build, canonical_form, canonical_order
-from .graphcore import complement_form, from_canonical_form, spec
+from .graphcore import MAX_ECHO, complement_form, from_canonical_form, spec
 from .indpoly import bruteforce_counter, bruteforce_counts, independence_polynomial
 
 _UNFILTERED_MAX = 10
 _FILTERED_MAX = 12
+#: The most vertices naive_bucket_count canonicalizes every labeled graph on.
+NAIVE_MAX = 6
 #: The brute-force class search's cap on vertices (README gives P_12 .. P_14 timings).
 CLASS_MAX = 14
 
@@ -72,11 +74,15 @@ class EnumFilter:
         if self.edge_count is not None and not (0 <= self.edge_count <= pairs):
             raise ValueError(f"edge count {self.edge_count} impossible on {n} vertices")
         if self.edge_count is None and n > _UNFILTERED_MAX:
-            raise ValueError(f"unfiltered enumeration is capped at {_UNFILTERED_MAX} vertices "
-                             f"(n={n} spans 2^{pairs} labeled graphs)")
+            raise ValueError(
+                f"unfiltered enumeration is capped at {_UNFILTERED_MAX} vertices{_span(n, pairs)}")
         if n > _FILTERED_MAX:
-            raise ValueError(f"enumeration is capped at {_FILTERED_MAX} vertices "
-                             f"(n={n} spans 2^{pairs} labeled graphs)")
+            raise ValueError(f"enumeration is capped at {_FILTERED_MAX} vertices{_span(n, pairs)}")
+
+
+def _span(n: int, pairs: int) -> str:
+    """The labeled graphs on n vertices, left unsaid past MAX_ECHO digits."""
+    return f" (n={n} spans 2^{pairs} labeled graphs)" if pairs < 10**MAX_ECHO else ""
 
 
 def _edge_orbit(pair: tuple[int, int], autos) -> set[tuple[int, int]]:
@@ -352,8 +358,8 @@ def unlabeled_graph_count(n: int) -> int:
 
 def naive_bucket_count(n: int) -> int:
     """Count classes by canonicalizing every labeled graph (small n only)."""
-    if n > 6:
-        raise ValueError("naive bucketing is capped at 6 vertices")
+    if n > NAIVE_MAX:
+        raise ValueError(f"naive bucketing is capped at {NAIVE_MAX} vertices")
     pairs = list(itertools.combinations(range(n), 2))
     seen = set()
     for bits in range(1 << len(pairs)):

@@ -18,6 +18,9 @@ def test_workflow_runs_tier1_from_the_python_floor():
     assert runs[install + 1] == "indeq verify all"
     # then at the full bounds, whose root and sweep checks build larger Sturm chains
     assert runs.index("indeq verify all --bound full") > install + 1
+    # the console script refuses a 4,300-digit vertex count by naming its cap
+    assert ("""code=0; indeq enumerate --vertices "$(python -c "print('9' * 4300)")" 2> err.txt || code=$?;"""
+            """ test "$code" = 2 && grep -q "capped at" err.txt""") in runs[install + 1:]
     # the console script refuses a spec parameter that is not ASCII digits
     assert 'code=0; indeq poly P:1_0 > /dev/null 2>&1 || code=$?; test "$code" = 2' in runs[install + 1:]
     # and refuses a class above the vertex cap with exit 2 and empty stdout

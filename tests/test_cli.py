@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from indeq import checks
 from indeq.classify import EvenCycleClassNote, cycle_class, path_class
-from indeq.cli import MAX_ECHO, SpecSyntaxError, _build_parser, main, parse_spec_text
-from indeq.graphcore import FamilySpec, build, graph6_write
+from indeq.cli import SpecSyntaxError, _build_parser, main, parse_spec_text
+from indeq.graphcore import FAMILIES, MAX_ECHO, Family, FamilySpec, Run, build, graph6_write
 
 from conftest import fs
 
@@ -283,6 +284,33 @@ def test_verify_command(capsys):
     lines = out.strip().splitlines()
     assert all(line.startswith("PASS ") for line in lines)
     assert len(lines) == 3
+
+
+def test_recurrence_check_fails_when_a_parameter_is_drawn_twice(monkeypatch):
+    # Y's third arm drawn from parameter 1 as well: parameter 1 then
+    # lengthens two paths at once, so no two-term recurrence holds along it
+    floors, moves = FAMILIES["Y"]
+    monkeypatch.setitem(FAMILIES, "Y", Family(floors, moves[:3] + (Run(0, 0, 0),)))
+    ok, detail = checks.CHECKS["recurrences"](checks.BOUNDS["small"])
+    assert not ok
+    assert detail == "two-term recurrence fails for Y parameter 1 at m=3"
+
+
+def test_recurrence_check_varies_every_parameter_of_every_family(monkeypatch):
+    seen = []
+    poly_of = checks._poly_of
+    monkeypatch.setattr(checks, "_poly_of", lambda *specs: seen.extend(specs) or poly_of(*specs))
+    bounds = checks.BOUNDS["small"]
+    assert checks.CHECKS["recurrences"](bounds)[0]
+    varied = set()
+    for name, (floors, _) in FAMILIES.items():
+        for i, floor in enumerate(floors):
+            at_floors = {s.params[i] for s in seen if s.family == name
+                         and s.params[:i] + s.params[i + 1:] == floors[:i] + floors[i + 1:]}
+            if at_floors == set(range(floor, bounds["recur"] + 1)):
+                varied.add((name, i))
+    assert varied == {(name, i) for name, family in FAMILIES.items() for i in range(len(family.floors))}
+    assert len(varied) == 29
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))

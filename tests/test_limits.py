@@ -107,6 +107,24 @@ def test_huge_spec_is_refused_before_building(spec, count):
         f"error: {spec} has {count} vertices, above the cap of {MAX_BUILD_VERTICES}\n")
 
 
+NINES = "9" * 4300
+HUGE_SPEC = f"{f'P:{NINES}'[:40]!r}... has over 10^40 vertices, above the cap of {MAX_BUILD_VERTICES}"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["enumerate", "--vertices", NINES], "unfiltered enumeration is capped at 10 vertices"),
+    (["poly", f"P:{NINES}+P:{NINES}"], HUGE_SPEC),
+    (["poly", f"P:{NINES}"], HUGE_SPEC),
+], ids=["enumerate", "poly-union", "poly"])
+def test_huge_counts_are_refused_naming_the_cap(argv, message):
+    # 4,300 nines parse, but C(n, 2) and the 4,301-digit vertex sum pass
+    # Python's int-to-str digit limit, and the spec text is 4,302 characters
+    done = _cli_under_limit(*argv)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == f"error: {message}\n"
+    assert len(done.stderr.encode()) < 200
+
+
 def test_graph6_above_the_vertex_cap_is_refused_before_its_data():
     # an edgeless graph on 12,000 vertices: "~" and an 18-bit size, then
     # 12 million zero data bytes
