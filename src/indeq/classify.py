@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
 from .factorbasis import FactorMultiset, basis_f, basis_ftilde, two_adic_split
-from .graphcore import FAMILIES, FamilySpec, Graph, build, canonical_form, spec
+from .graphcore import FAMILIES, FamilySpec, Graph, build, canonical_form, echo_number, spec
 from .indpoly import independence_polynomial
 from .polyalg import SturmChain, count_real_roots
 
@@ -121,8 +121,8 @@ def sweep_family(family: str, max_param: int) -> Iterator[tuple[FamilySpec, Verd
     floors = FAMILIES[family].floors
     count = math.prod(max(0, max_param + 1 - f) for f in floors)
     if count > MAX_SWEEP_SPECS:
-        raise ValueError(f"{family} up to {max_param} has {count} parameter tuples, "
-                         f"above the cap of {MAX_SWEEP_SPECS}")
+        raise ValueError(f"{family} up to {echo_number(max_param)} has {echo_number(count)} "
+                         f"parameter tuples, above the cap of {MAX_SWEEP_SPECS}")
     ranges = [range(f, max_param + 1) for f in floors]
     specs = (FamilySpec(family, params) for params in itertools.product(*ranges))
     return ((spec, screen_family(spec)) for spec in specs)
@@ -316,10 +316,10 @@ def path_class(n_vertices: int, expand_d: bool = True) -> EquivClass:
     """
     if n_vertices % 2 != 0:
         raise ValueError(
-            f"odd paths are independence unique; no class to enumerate for P_{n_vertices}"
+            f"odd paths are independence unique; no class to enumerate for P_{echo_number(n_vertices)}"
         )
     if n_vertices < 2:
-        raise ValueError(f"need at least 2 vertices, got {n_vertices}")
+        raise ValueError(f"need at least 2 vertices, got {echo_number(n_vertices)}")
     t, m = two_adic_split(n_vertices + 2)
 
     # the cycles C_(m 2^j), j0 <= j < t, built once; a row names a run of
@@ -348,7 +348,7 @@ def path_class(n_vertices: int, expand_d: bool = True) -> EquivClass:
 def cycle_class(n: int) -> EquivClass:
     """The independence equivalence class of the cycle C_n."""
     if n < 3:
-        raise ValueError(f"cycle length must be >= 3, got {n}")
+        raise ValueError(f"cycle length must be >= 3, got {echo_number(n)}")
     if n % 2 == 0:
         warnings.warn(
             "even-cycle classes follow the two-member case list (three members "

@@ -35,6 +35,7 @@ from .graphcore import (
     build,
     canonical_form,
     echo,
+    echo_number,
     graph6_read,
     graph6_write,
 )
@@ -135,7 +136,7 @@ def _cmd_factor(args) -> int:
         top = args.max_index
         if top is not None:
             if top < 2:
-                raise ValueError(f"max index {top} is below 2")
+                raise ValueError(f"max index {echo_number(top)} is below 2")
             factorbasis.check_max_index(top)
         g, _ = _graph_from_text(args.spec)
         poly = indpoly.independence_polynomial(g)
@@ -245,6 +246,15 @@ def _cmd_verify(args) -> int:
 
 # -- argument parsing -------------------------------------------------------------
 
+def _integer(text: str) -> int:
+    """int(text), for every integer option: a refused text is repeated as
+    argparse repeats it, cut by echo."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {echo(text)}") from None
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parsing leaves it unchanged."""
@@ -265,12 +275,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factor", help="basis factorization")
     fsub = p.add_subparsers(dest="kind", required=True)
     fp = fsub.add_parser("path")
-    fp.add_argument("n", type=int)
+    fp.add_argument("n", type=_integer)
     fc = fsub.add_parser("cycle")
-    fc.add_argument("n", type=int)
+    fc.add_argument("n", type=_integer)
     fs = fsub.add_parser("spec")
     fs.add_argument("spec")
-    fs.add_argument("--max-index", type=int,
+    fs.add_argument("--max-index", type=_integer,
                     help="largest basis index to try (default: 2(i_1 + 2))")
     for q in (fp, fc, fs):
         q.add_argument("--json", action="store_true")
@@ -279,9 +289,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("class", help="independence equivalence class members")
     csub = p.add_subparsers(dest="kind", required=True)
     cp = csub.add_parser("path")
-    cp.add_argument("n", type=int)
+    cp.add_argument("n", type=_integer)
     cc = csub.add_parser("cycle")
-    cc.add_argument("n", type=int)
+    cc.add_argument("n", type=_integer)
     for q in (cp, cc):
         q.add_argument("--json", action="store_true")
         q.add_argument("--graph6", action="store_true")
@@ -296,14 +306,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("screen", help="admissibility sweep of one family")
     p.add_argument("family")
-    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--max", type=_integer, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_screen)
 
     p = sub.add_parser("enumerate", help="stream non-isomorphic graphs as graph6")
-    p.add_argument("--vertices", type=int, required=True)
-    p.add_argument("--edges", type=int, default=None)
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--vertices", type=_integer, required=True)
+    p.add_argument("--edges", type=_integer, default=None)
+    p.add_argument("--max-degree", type=_integer, default=None)
     p.add_argument("--connected", action="store_true")
     p.set_defaults(func=_cmd_enumerate)
 

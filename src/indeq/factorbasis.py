@@ -48,6 +48,7 @@ from functools import lru_cache
 from itertools import chain, combinations
 from math import comb, prod
 
+from .graphcore import echo_number
 from .polyalg import IntPoly
 
 
@@ -247,9 +248,9 @@ def product_of(factors: FactorMultiset) -> IntPoly:
 def factor_cycle(n: int) -> FactorMultiset:
     """Factor multiset of I(C_n, x): f_{2^t r} for r | m, where n = 2^t m."""
     if n < 3:
-        raise ValueError(f"cycle length must be >= 3, got {n}")
+        raise ValueError(f"cycle length must be >= 3, got {echo_number(n)}")
     if n > MAX_FACTOR_INDEX:
-        raise ValueError(f"cycle length {n} is above the cap of {MAX_FACTOR_INDEX}")
+        raise ValueError(f"cycle length {echo_number(n)} is above the cap of {MAX_FACTOR_INDEX}")
     t, m = two_adic_split(n)
     factors = [basis_f(2**t * r) for r in divisors(m)]
     return tuple(sorted(f for f in factors if not f.is_unit))
@@ -258,9 +259,9 @@ def factor_cycle(n: int) -> FactorMultiset:
 def factor_path(n_vertices: int) -> FactorMultiset:
     """Factor multiset of I(P_n, x), driven by the divisors of n + 2."""
     if n_vertices < 0:
-        raise ValueError(f"path length must be >= 0, got {n_vertices}")
+        raise ValueError(f"path length must be >= 0, got {echo_number(n_vertices)}")
     if n_vertices > MAX_FACTOR_INDEX:
-        raise ValueError(f"path length {n_vertices} is above the cap of {MAX_FACTOR_INDEX}")
+        raise ValueError(f"path length {echo_number(n_vertices)} is above the cap of {MAX_FACTOR_INDEX}")
     n = n_vertices + 2
     if n % 2 == 1:
         factors = [basis_ftilde(r) for r in divisors(n)]
@@ -280,7 +281,7 @@ def basis_through(top: int) -> FactorMultiset:
 def check_max_index(max_index: int) -> None:
     """Refuse, with a ValueError, a max_index above MAX_FACTOR_INDEX."""
     if max_index > MAX_FACTOR_INDEX:
-        raise ValueError(f"max index {max_index} is above the cap of {MAX_FACTOR_INDEX}")
+        raise ValueError(f"max index {echo_number(max_index)} is above the cap of {MAX_FACTOR_INDEX}")
 
 
 def factor_into_basis(p: IntPoly, max_index: int | None = None) -> FactorMultiset:

@@ -333,6 +333,14 @@ def echo(text: str) -> str:
     return repr(text) if len(text) <= MAX_ECHO else f"{text[:MAX_ECHO]!r}..."
 
 
+def echo_number(n: int) -> str:
+    """str(n), or "over 10^MAX_ECHO" ("below -10^MAX_ECHO" when n is
+    negative) for a number of more than MAX_ECHO digits."""
+    if abs(n) < 10**MAX_ECHO:
+        return str(n)
+    return f"over 10^{MAX_ECHO}" if n > 0 else f"below -10^{MAX_ECHO}"
+
+
 def _vertex_offset(family: str) -> int:
     """Vertices beyond the parameter sum: one per vertex move, plus the run offsets."""
     return sum(m.offset if isinstance(m, Run) else 1 for m in FAMILIES[family].moves)
@@ -351,8 +359,7 @@ def build(specs: SpecLike) -> Graph:
     if n > MAX_BUILD_VERTICES:
         text = "+".join(map(str, specs))
         text = text if len(text) <= MAX_ECHO else echo(text)
-        count = n if n < 10**MAX_ECHO else f"over 10^{MAX_ECHO}"
-        raise ValueError(f"{text} has {count} vertices, above the cap of {MAX_BUILD_VERTICES}")
+        raise ValueError(f"{text} has {echo_number(n)} vertices, above the cap of {MAX_BUILD_VERTICES}")
     adj: list[int] = []
     for s in specs:
         made: list[int | None] = []

@@ -23,6 +23,17 @@ dynamic program along it (Calkin and Wilf, SIAM J. Discrete Math. 11,
 grows too wide, or whose tables pass MAX_FRONTIER_WORK, pivots, capped by
 MAX_EVAL_MASKS as before.  The brute-force counter, a separate memoized
 deletion recursion, is the module's independent ground truth.
+
+Both routes hold a polynomial of a top-level component C packed into one
+integer, a slot of |C| // 8 + 1 bytes per coefficient (Kronecker
+substitution): every value either route makes is I(H) for an induced
+subgraph H of C, and i_k(H) <= C(|C|, k) < 2^|C|, so no slot overflows
+and no coefficient is negative.  A product of packed polynomials is one
+integer product, a sum one integer sum, and x times one a shift by a
+slot.  The frontier route always packs.  The pivot recursion packs a
+component below PACKED_BELOW vertices and keeps IntPoly values for a
+larger one, whose wide slots would make its products slower than
+IntPoly's; each component is unpacked to an IntPoly once, at the top.
 """
 
 from __future__ import annotations
@@ -32,8 +43,6 @@ from typing import Callable
 
 from .graphcore import Graph, mask_components
 from .polyalg import IntPoly
-
-_ONE = IntPoly.one()
 
 #: The most vertex masks one evaluation memoizes.  Grids up to 12 x 12
 #: take the frontier route; a 13 x 13 grid, too wide for it, is refused.
@@ -50,6 +59,17 @@ FRONTIER_WIDTH = 12
 #: count, goes back to the recursion, so the route's n tables stay under
 #: the cap together.  A 2 x 1600 ladder and a 12 x 27 grid are inside it.
 MAX_FRONTIER_WORK = 1 << 37
+#: The pivot recursion packs the values of a top-level component below
+#: PACKED_BELOW vertices and keeps IntPoly values for a larger one.  The
+#: rule is 4 * polyalg's _KRONECKER_MIN_TERMS: IntPoly products take
+#: Kronecker substitution, with slots as wide as their coefficients need,
+#: once both factors have 64 coefficients, as paths do from 125 vertices,
+#: and two such parts fit in a component from about 250 vertices.  Packed
+#: against IntPoly values, in-process on a 2-vCPU Intel Xeon host under
+#: Python 3.11.7: Y:84,84,84 (253 vertices) 1.2 / 2.6 ms, A:126,126 (255)
+#: 1.3 / 1.2 ms, Y:124,124,124 3.1 / 5.9 ms but Y:126,126,126 3.6 / 2.0 ms,
+#: Y:126,126,60 (313) 2.2 / 1.8 ms and Y:330,330,330 32 / 13 ms.
+PACKED_BELOW = 256
 
 
 # Each closed form is built from i_0 = 1 by the ratio of consecutive
@@ -84,6 +104,22 @@ def cycle_polynomial(n: int) -> IntPoly:
     return IntPoly(coeffs)
 
 
+@lru_cache()
+def _closed_form(n: int, cycle: bool, slot: int) -> IntPoly | int:
+    """I(C_n, x) or I(P_n, x), packed into slot-byte slots, or the IntPoly
+    itself when slot is 0."""
+    p = cycle_polynomial(n) if cycle else path_polynomial(n)
+    if not slot:
+        return p
+    return int.from_bytes(b"".join(c.to_bytes(slot, "little") for c in p.coeffs), "little")
+
+
+def _unpacked(packed: int, slot: int) -> IntPoly:
+    """The IntPoly whose coefficients fill the slot-byte slots of packed."""
+    data = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
+    return IntPoly(int.from_bytes(data[k:k + slot], "little") for k in range(0, len(data), slot))
+
+
 class _OverBudget(Exception):
     """The pivot recursion passed SWEEP_BUDGET sweeps."""
 
@@ -97,16 +133,22 @@ def independence_polynomial(g: Graph) -> IntPoly:
     on a 13 x 13 grid.
     """
     adj = g.adj
-    memo = {0: _ONE}
+    memo: dict[int, IntPoly | int] = {}
     sweeps, limit = 0, SWEEP_BUDGET
     too_many = (f"graph on {g.n} vertices needs more than {MAX_EVAL_MASKS} "
                 "memoized masks in the pivot recursion")
 
-    def poly(mask: int, frontier: bool = False) -> IntPoly:
+    def poly(mask: int, slot: int | None = None, frontier: bool = False) -> IntPoly | int:
+        """I(G[mask], x) packed into slot-byte slots, or an IntPoly when
+        slot is 0.  At the top level, slot None, the result is an IntPoly,
+        and each component that is not a path or a cycle picks its own
+        slot, 0 from PACKED_BELOW vertices, and is unpacked when packed."""
         nonlocal sweeps
         out = memo.get(mask)
         if out is not None:
             return out
+        if not mask:  # the empty graph is P_0
+            return _closed_form(0, False, slot or 0)
         if len(memo) > MAX_EVAL_MASKS:
             raise ValueError(too_many)
         sweeps += 1
@@ -120,11 +162,18 @@ def independence_polynomial(g: Graph) -> IntPoly:
                     raise ValueError(too_many)
                 n = comp.bit_count()
                 if top <= 2:
-                    part = cycle_polynomial(n) if degree_sum == 2 * n else path_polynomial(n)
+                    part = _closed_form(n, degree_sum == 2 * n, slot or 0)
                 else:
-                    part = _frontier_polynomial(adj, comp) if frontier else None
+                    width = n // 8 + 1 if slot is None else slot
+                    part = _frontier_polynomial(adj, comp, width) if frontier else None
                     if part is None:
-                        part = poly(comp ^ 1 << pivot) + poly(comp & ~(adj[pivot] | 1 << pivot)).mul_xpow(1)
+                        if slot is None and n >= PACKED_BELOW:
+                            width = 0
+                        minus = poly(comp ^ 1 << pivot, width)
+                        rest = poly(comp & ~(adj[pivot] | 1 << pivot), width)
+                        part = minus + (rest << 8 * width if width else rest.mul_xpow(1))
+                    if slot is None and width:
+                        part = _unpacked(part, width)
                 memo[comp] = part
             out = part if out is None else out * part
         memo[mask] = out
@@ -137,7 +186,7 @@ def independence_polynomial(g: Graph) -> IntPoly:
         except _OverBudget:
             # re-enter with the memo kept and the frontier route allowed at the top
             limit = float("inf")
-        return poly(everything, True)
+        return poly(everything, None, True)
     except RecursionError:
         raise ValueError(f"graph on {g.n} vertices is too deep for the pivot recursion") from None
     finally:
@@ -149,19 +198,18 @@ def independence_polynomial(g: Graph) -> IntPoly:
 
 # -- frontier route ---------------------------------------------------------
 
-def _frontier_polynomial(adj: list[int], comp: int) -> IntPoly | None:
-    """I(G, x) of the connected component comp by a dynamic program along
-    a greedy vertex order, or None when the order's frontier grows too wide
-    or its tables could pass MAX_FRONTIER_WORK.
+def _frontier_polynomial(adj: list[int], comp: int, slot: int) -> int | None:
+    """I(G, x) of the connected component comp, packed into slot-byte
+    slots, by a dynamic program along a greedy vertex order, or None when
+    the order's frontier grows too wide or its tables could pass
+    MAX_FRONTIER_WORK.
 
     The table maps each independent set of frontier vertices to the
-    polynomial of the independent sets of the placed vertices that meet the
-    frontier in it, packed into one integer with a slot of n // 8 + 1 bytes
-    per coefficient: i_k <= C(n, k) < 2^n, so no slot overflows.  Placing v adds
-    each entry to the table once with v left out and, shifted by one slot,
-    once more with v taken, where no neighbour of v is in its set."""
+    packed polynomial of the independent sets of the placed vertices that
+    meet the frontier in it.  Placing v adds each entry to the table once
+    with v left out and, shifted by one slot, once more with v taken, where
+    no neighbour of v is in its set."""
     n = comp.bit_count()
-    slot = n // 8 + 1
     steps = _frontier_order(adj, comp, MAX_FRONTIER_WORK // (n * 8 * slot))
     if steps is None:
         return None
@@ -179,8 +227,7 @@ def _frontier_polynomial(adj: list[int], comp: int) -> IntPoly | None:
                 out[key] = get(key, 0) + (packed << shift)
         table = out
     (packed,) = table.values()
-    data = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
-    return IntPoly(int.from_bytes(data[k:k + slot], "little") for k in range(0, len(data), slot))
+    return packed
 
 
 def _frontier_order(adj: list[int], comp: int, most_slots: int) -> list[tuple[int, int]] | None:

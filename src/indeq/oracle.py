@@ -44,7 +44,7 @@ from typing import Iterator, Optional
 from .classify import CATALOGUE, EquivClass
 from .factorbasis import factor_into_basis
 from .graphcore import FamilySpec, Graph, automorphisms, build, canonical_form, canonical_order
-from .graphcore import MAX_ECHO, complement_form, from_canonical_form, spec
+from .graphcore import MAX_ECHO, complement_form, echo_number, from_canonical_form, spec
 from .indpoly import bruteforce_counter, bruteforce_counts, independence_polynomial
 
 _UNFILTERED_MAX = 10
@@ -69,10 +69,11 @@ class EnumFilter:
         if self.vertex_count < 0:
             raise ValueError("vertex count must be non-negative")
         if self.max_degree is not None and self.max_degree < 0:
-            raise ValueError(f"max degree must be non-negative, got {self.max_degree}")
+            raise ValueError(f"max degree must be non-negative, got {echo_number(self.max_degree)}")
         n, pairs = self.vertex_count, comb(self.vertex_count, 2)
         if self.edge_count is not None and not (0 <= self.edge_count <= pairs):
-            raise ValueError(f"edge count {self.edge_count} impossible on {n} vertices")
+            raise ValueError(
+                f"edge count {echo_number(self.edge_count)} impossible on {echo_number(n)} vertices")
         if self.edge_count is None and n > _UNFILTERED_MAX:
             raise ValueError(
                 f"unfiltered enumeration is capped at {_UNFILTERED_MAX} vertices{_span(n, pairs)}")

@@ -21,6 +21,9 @@ def test_workflow_runs_tier1_from_the_python_floor():
     # the console script refuses a 4,300-digit vertex count by naming its cap
     assert ("""code=0; indeq enumerate --vertices "$(python -c "print('9' * 4300)")" 2> err.txt || code=$?;"""
             """ test "$code" = 2 && grep -q "capped at" err.txt""") in runs[install + 1:]
+    # and refuses a 4,301-digit path index in under 200 bytes of stderr
+    assert ("""code=0; indeq factor path "$(python -c "print('9' * 4301)")" 2> err.txt || code=$?;"""
+            """ test "$code" = 2 && test "$(wc -c < err.txt)" -lt 200""") in runs[install + 1:]
     # the console script refuses a spec parameter that is not ASCII digits
     assert 'code=0; indeq poly P:1_0 > /dev/null 2>&1 || code=$?; test "$code" = 2' in runs[install + 1:]
     # and refuses a class above the vertex cap with exit 2 and empty stdout
@@ -140,6 +143,7 @@ def test_readme_states_each_cap_as_the_code_does():
         r"`SWEEP_BUDGET` = ([\d,]+)": indpoly.SWEEP_BUDGET,
         r"`FRONTIER_WIDTH` = ([\d,]+)": indpoly.FRONTIER_WIDTH,
         r"`MAX_FRONTIER_WORK` = ([\d,]+)": indpoly.MAX_FRONTIER_WORK,
+        r"`PACKED_BELOW` = ([\d,]+)": indpoly.PACKED_BELOW,
         r"`MAX_CLASS_COMPONENTS` = ([\d,]+)": classify.MAX_CLASS_COMPONENTS,
         r"class search's cap of (\d+) vertices": oracle.CLASS_MAX,
         r"evaluator; capped at (\d+) vertices": oracle.CLASS_MAX,

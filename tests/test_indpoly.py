@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indeq import indpoly
+from indeq import indpoly, polyalg
 from indeq.cli import main
 from indeq.graphcore import FAMILIES, FamilySpec, Graph, build, graph6_write, mask_components
 from indeq.indpoly import (
     FRONTIER_WIDTH,
+    PACKED_BELOW,
     SWEEP_BUDGET,
     bruteforce_counts,
     cycle_polynomial,
@@ -241,6 +242,87 @@ def test_evaluator_matches_bruteforce_on_random_graphs(g):
     assert independence_polynomial(g).coeffs == bruteforce_counts(g)
 
 
+@st.composite
+def connected_graphs(draw, max_vertices):
+    """A connected graph on 1 to max_vertices vertices: a random tree, each
+    vertex hung off an earlier one, plus any drawn set of further edges."""
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    tree = {(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)}
+    pairs = [e for e in itertools.combinations(range(n), 2) if e not in tree]
+    extra = draw(st.integers(min_value=0, max_value=len(pairs)))
+    return Graph.from_edges(n, sorted(tree) + draw(st.permutations(pairs))[:extra])
+
+
+@given(connected_graphs(max_vertices=13))
+@settings(max_examples=100, deadline=None)
+def test_packed_recursion_matches_bruteforce_and_generic_recursion(g):
+    # one component below PACKED_BELOW vertices: the pivot recursion packs it
+    assert independence_polynomial(g).coeffs == bruteforce_counts(g)
+    assert independence_polynomial(g) == _generic_recursion(g)
+
+
+def _complete_bipartite(a, b):
+    return Graph.from_edges(a + b, [(u, v) for u in range(a) for v in range(a, a + b)])
+
+
+@pytest.mark.parametrize("n", [n for k in (1, 2, 4, 16, 31) for n in (8 * k - 1, 8 * k, 8 * k + 1)])
+def test_packed_slots_hold_the_widest_coefficients(n):
+    # a slot is n // 8 + 1 bytes, n + 1 bits at n = 8k - 1; the middle
+    # coefficients of a star or a complete bipartite graph come nearest 2^n
+    assert n < PACKED_BELOW
+    for a in {1, 2, n // 2}:
+        b = n - a
+        # I(K_(a,b)) = (1 + x)^a + (1 + x)^b - 1
+        want = tuple(comb(a, k) + comb(b, k) - (k == 0) for k in range(max(a, b) + 1))
+        assert independence_polynomial(_complete_bipartite(a, b)).coeffs == want, (a, b)
+
+
+def _spider_closed_form(a, b, c):
+    """I(Y:a,b,c): the center out, three paths; or in, three paths one shorter."""
+    p = path_polynomial
+    return p(a) * p(b) * p(c) + (p(a - 1) * p(b - 1) * p(c - 1)).mul_xpow(1)
+
+
+def test_the_size_rule_is_four_times_the_kronecker_threshold():
+    assert PACKED_BELOW == 4 * polyalg._KRONECKER_MIN_TERMS
+
+
+@pytest.mark.parametrize("params,unpacks", [((85, 85, 84), 1), ((85, 85, 85), 0)])
+def test_components_on_either_side_of_the_size_rule(monkeypatch, params, unpacks):
+    # 255 vertices are packed and unpacked once, 256 keep IntPoly values
+    g = build(FamilySpec("Y", params))
+    assert g.n == PACKED_BELOW - unpacks
+    calls = []
+    unpacked = indpoly._unpacked
+    monkeypatch.setattr(indpoly, "_unpacked", lambda *args: calls.append(args) or unpacked(*args))
+    assert independence_polynomial(g) == _spider_closed_form(*params)
+    assert len(calls) == unpacks
+
+
+@pytest.mark.parametrize("cols", [PACKED_BELOW // 2 - 1, PACKED_BELOW // 2])
+def test_ladders_on_either_side_of_the_size_rule_match_transfer_matrix(monkeypatch, cols):
+    # with no sweep budget the pivot recursion answers the whole ladder
+    monkeypatch.setattr(indpoly, "SWEEP_BUDGET", 1 << 30)
+    assert independence_polynomial(grid_graph(2, cols)).coeffs == _grid_counts_by_transfer_matrix(2, cols)
+
+
+def test_union_of_packed_and_unpacked_components_is_the_product_of_its_parts():
+    # a star's pivot leaves the empty mask: the small star asks for it
+    # packed, the large one as an IntPoly, in one memo
+    parts = [_complete_bipartite(1, 5), build(fs("F9", 1, 1, 1)), build(fs("Y", 200, 200, 200)),
+             _complete_bipartite(1, PACKED_BELOW + 40)]
+    assert parts[1].n < PACKED_BELOW <= parts[2].n
+    offset, edges = 0, []
+    for part in parts:
+        edges += [(u + offset, v + offset) for u, v in part.edges()]
+        offset += part.n
+    whole = independence_polynomial(Graph.from_edges(offset, edges))
+    alone = [independence_polynomial(part) for part in parts]
+    assert whole == alone[0] * alone[1] * alone[2] * alone[3]
+    assert alone[2] == _spider_closed_form(200, 200, 200)
+    assert independence_polynomial(build([fs("F9", 1, 1, 1), fs("Y", 200, 200, 200)])) == alone[1] * alone[2]
+
+
 def _grid_counts_by_transfer_matrix(rows, cols):
     """Independent sets of the rows x cols grid by size, column by column
     over the independent column states (test-local oracle)."""
@@ -290,9 +372,10 @@ def _frontier_route(g: Graph) -> IntPoly:
     the frontier route, whatever the sweep budget and the frontier width."""
     out = IntPoly.one()
     for comp, *_ in mask_components(g.adj, (1 << g.n) - 1):
-        part = indpoly._frontier_polynomial(g.adj, comp)
+        slot = comp.bit_count() // 8 + 1
+        part = indpoly._frontier_polynomial(g.adj, comp, slot)
         assert part is not None
-        out *= part
+        out *= indpoly._unpacked(part, slot)
     return out
 
 
@@ -383,7 +466,7 @@ def test_grids_past_the_sweep_budget_take_the_frontier_route(sweep_counter):
 def test_component_past_a_frontier_cap_goes_back_to_the_recursion(monkeypatch, cap):
     g = grid_graph(5, 8)
     monkeypatch.setattr(indpoly, cap, 4 if cap == "FRONTIER_WIDTH" else 1 << 16)
-    assert indpoly._frontier_polynomial(g.adj, (1 << g.n) - 1) is None
+    assert indpoly._frontier_polynomial(g.adj, (1 << g.n) - 1, g.n // 8 + 1) is None
     assert independence_polynomial(g).coeffs == _grid_counts_by_transfer_matrix(5, 8)
 
 

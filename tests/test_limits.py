@@ -444,3 +444,83 @@ def test_factor_max_index_at_the_cap_builds_only_what_fits():
     done = _under_limit(CHILD, "factor", "spec", "P:2", "--max-index", str(MAX_FACTOR_INDEX), timeout=10)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "f2\n"
+
+
+# 4,299 digits: under the int-to-str digit limit, so each parses as an int
+LONG = "9" * 4299
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["factor", "path", LONG], f"path length over 10^40 is above the cap of {MAX_FACTOR_INDEX}"),
+    (["factor", "cycle", LONG], f"cycle length over 10^40 is above the cap of {MAX_FACTOR_INDEX}"),
+    (["factor", "path", "-" + LONG], "path length must be >= 0, got below -10^40"),
+    (["screen", "F4", "--max", LONG],
+     f"F4 up to over 10^40 has over 10^40 parameter tuples, above the cap of {MAX_SWEEP_SPECS}"),
+    (["factor", "spec", "P:2", "--max-index", LONG],
+     f"max index over 10^40 is above the cap of {MAX_FACTOR_INDEX}"),
+    (["factor", "spec", "P:2", "--max-index", "-" + LONG], "max index below -10^40 is below 2"),
+    (["enumerate", "--vertices", "5", "--edges", LONG], "edge count over 10^40 impossible on 5 vertices"),
+    (["class", "path", LONG], "odd paths are independence unique; no class to enumerate for P_over 10^40"),
+], ids=["factor-path", "factor-cycle", "factor-path-negative", "screen-max", "max-index",
+        "max-index-negative", "enumerate-edges", "class-odd-path"])
+def test_refusals_cut_numbers_past_max_echo_digits(capsys, argv, message):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+    assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["factor", "cycle", str(MAX_FACTOR_INDEX + 1)],
+     f"cycle length {MAX_FACTOR_INDEX + 1} is above the cap of {MAX_FACTOR_INDEX}"),
+    (["screen", "F4", "--max", "100001"],
+     f"F4 up to 100001 has 100002 parameter tuples, above the cap of {MAX_SWEEP_SPECS}"),
+    (["enumerate", "--vertices", "5", "--edges", "11"], "edge count 11 impossible on 5 vertices"),
+    (["class", "path", "7"], "odd paths are independence unique; no class to enumerate for P_7"),
+    (["class", "path", "9" * 40],
+     f"odd paths are independence unique; no class to enumerate for P_{'9' * 40}"),
+], ids=["factor-cycle", "screen-max", "enumerate-edges", "class-odd-path", "class-odd-path-40-digits"])
+def test_refusals_repeat_numbers_of_at_most_max_echo_digits(capsys, argv, message):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text,last_line", [
+    ("9" * 4301, f"invalid int value: '{'9' * 40}'..."),
+    ("abc", "invalid int value: 'abc'"),
+    ("1.5", "invalid int value: '1.5'"),
+], ids=["4301-digits", "abc", "1.5"])
+def test_integer_options_echo_a_refused_value_cut(capsys, text, last_line):
+    # past 4,300 digits int() refuses the text as argparse's own int type
+    # does, but the refusal repeats at most MAX_ECHO characters of it
+    with pytest.raises(SystemExit) as refused:
+        main(["enumerate", "--vertices", text])
+    assert refused.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1] == f"indeq enumerate: error: argument --vertices: {last_line}"
+    assert len(err.encode()) < 300
+
+
+def test_every_integer_option_parses_as_int_does():
+    from indeq import cli
+
+    def actions(parser):
+        for action in parser._actions:
+            yield action
+            for sub in (action.choices or {}).values() if isinstance(action.choices, dict) else ():
+                yield from actions(sub)
+
+    typed = {action.type for action in actions(cli._build_parser()) if action.type is not None}
+    assert typed == {cli._integer}
+    for text in ["0", "-5", " 12 ", "1_0", "٣", "+7"]:
+        assert cli._integer(text) == int(text)
+
+
+def test_echo_number_cuts_past_max_echo_digits():
+    from indeq.graphcore import MAX_ECHO, echo_number
+
+    assert echo_number(10**MAX_ECHO - 1) == "9" * MAX_ECHO
+    assert echo_number(-(10**MAX_ECHO - 1)) == "-" + "9" * MAX_ECHO
+    assert echo_number(10**MAX_ECHO) == f"over 10^{MAX_ECHO}"
+    assert echo_number(-(10**MAX_ECHO)) == f"below -10^{MAX_ECHO}"
