@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
 from .factorbasis import FactorMultiset, basis_f, basis_ftilde, two_adic_split
-from .graphcore import FAMILIES, FamilySpec, Graph, build, canonical_form, echo_number, spec
+from .graphcore import FAMILIES, MAX_ECHO, FamilySpec, Graph, build, canonical_form, echo_number, spec
 from .indpoly import independence_polynomial
 from .polyalg import SturmChain, count_real_roots
 
@@ -315,9 +315,8 @@ def path_class(n_vertices: int, expand_d: bool = True) -> EquivClass:
     its own class; D twins only when expand_d is set.
     """
     if n_vertices % 2 != 0:
-        raise ValueError(
-            f"odd paths are independence unique; no class to enumerate for P_{echo_number(n_vertices)}"
-        )
+        name = f"P_{n_vertices}" if abs(n_vertices) < 10**MAX_ECHO else f"P_n with n {echo_number(n_vertices)}"
+        raise ValueError(f"odd paths are independence unique; no class to enumerate for {name}")
     if n_vertices < 2:
         raise ValueError(f"need at least 2 vertices, got {echo_number(n_vertices)}")
     t, m = two_adic_split(n_vertices + 2)

@@ -30,10 +30,7 @@ substitution): every value either route makes is I(H) for an induced
 subgraph H of C, and i_k(H) <= C(|C|, k) < 2^|C|, so no slot overflows
 and no coefficient is negative.  A product of packed polynomials is one
 integer product, a sum one integer sum, and x times one a shift by a
-slot.  The frontier route always packs.  The pivot recursion packs a
-component below PACKED_BELOW vertices and keeps IntPoly values for a
-larger one, whose wide slots would make its products slower than
-IntPoly's; each component is unpacked to an IntPoly once, at the top.
+slot.  Each component is unpacked to an IntPoly once, at the top.
 """
 
 from __future__ import annotations
@@ -59,17 +56,6 @@ FRONTIER_WIDTH = 12
 #: count, goes back to the recursion, so the route's n tables stay under
 #: the cap together.  A 2 x 1600 ladder and a 12 x 27 grid are inside it.
 MAX_FRONTIER_WORK = 1 << 37
-#: The pivot recursion packs the values of a top-level component below
-#: PACKED_BELOW vertices and keeps IntPoly values for a larger one.  The
-#: rule is 4 * polyalg's _KRONECKER_MIN_TERMS: IntPoly products take
-#: Kronecker substitution, with slots as wide as their coefficients need,
-#: once both factors have 64 coefficients, as paths do from 125 vertices,
-#: and two such parts fit in a component from about 250 vertices.  Packed
-#: against IntPoly values, in-process on a 2-vCPU Intel Xeon host under
-#: Python 3.11.7: Y:84,84,84 (253 vertices) 1.2 / 2.6 ms, A:126,126 (255)
-#: 1.3 / 1.2 ms, Y:124,124,124 3.1 / 5.9 ms but Y:126,126,126 3.6 / 2.0 ms,
-#: Y:126,126,60 (313) 2.2 / 1.8 ms and Y:330,330,330 32 / 13 ms.
-PACKED_BELOW = 256
 
 
 # Each closed form is built from i_0 = 1 by the ratio of consecutive
@@ -106,8 +92,7 @@ def cycle_polynomial(n: int) -> IntPoly:
 
 @lru_cache()
 def _closed_form(n: int, cycle: bool, slot: int) -> IntPoly | int:
-    """I(C_n, x) or I(P_n, x), packed into slot-byte slots, or the IntPoly
-    itself when slot is 0."""
+    """I(C_n, x) or I(P_n, x) packed, or the IntPoly itself when slot is 0."""
     p = cycle_polynomial(n) if cycle else path_polynomial(n)
     if not slot:
         return p
@@ -138,17 +123,16 @@ def independence_polynomial(g: Graph) -> IntPoly:
     too_many = (f"graph on {g.n} vertices needs more than {MAX_EVAL_MASKS} "
                 "memoized masks in the pivot recursion")
 
-    def poly(mask: int, slot: int | None = None, frontier: bool = False) -> IntPoly | int:
-        """I(G[mask], x) packed into slot-byte slots, or an IntPoly when
-        slot is 0.  At the top level, slot None, the result is an IntPoly,
-        and each component that is not a path or a cycle picks its own
-        slot, 0 from PACKED_BELOW vertices, and is unpacked when packed."""
+    def poly(mask: int, slot: int = 0, frontier: bool = False) -> IntPoly | int:
+        """I(G[mask], x) packed into slot-byte slots.  At the top level,
+        slot 0, it is an IntPoly, and each component that is not a path
+        or a cycle is packed in slots of its own and unpacked once."""
         nonlocal sweeps
         out = memo.get(mask)
         if out is not None:
             return out
         if not mask:  # the empty graph is P_0
-            return _closed_form(0, False, slot or 0)
+            return _closed_form(0, False, slot)
         if len(memo) > MAX_EVAL_MASKS:
             raise ValueError(too_many)
         sweeps += 1
@@ -162,17 +146,14 @@ def independence_polynomial(g: Graph) -> IntPoly:
                     raise ValueError(too_many)
                 n = comp.bit_count()
                 if top <= 2:
-                    part = _closed_form(n, degree_sum == 2 * n, slot or 0)
+                    part = _closed_form(n, degree_sum == 2 * n, slot)
                 else:
-                    width = n // 8 + 1 if slot is None else slot
+                    width = slot or n // 8 + 1
                     part = _frontier_polynomial(adj, comp, width) if frontier else None
                     if part is None:
-                        if slot is None and n >= PACKED_BELOW:
-                            width = 0
-                        minus = poly(comp ^ 1 << pivot, width)
-                        rest = poly(comp & ~(adj[pivot] | 1 << pivot), width)
-                        part = minus + (rest << 8 * width if width else rest.mul_xpow(1))
-                    if slot is None and width:
+                        part = poly(comp ^ 1 << pivot, width) + (
+                            poly(comp & ~(adj[pivot] | 1 << pivot), width) << 8 * width)
+                    if not slot:
                         part = _unpacked(part, width)
                 memo[comp] = part
             out = part if out is None else out * part
@@ -186,7 +167,7 @@ def independence_polynomial(g: Graph) -> IntPoly:
         except _OverBudget:
             # re-enter with the memo kept and the frontier route allowed at the top
             limit = float("inf")
-        return poly(everything, None, True)
+        return poly(everything, 0, True)
     except RecursionError:
         raise ValueError(f"graph on {g.n} vertices is too deep for the pivot recursion") from None
     finally:
@@ -199,10 +180,9 @@ def independence_polynomial(g: Graph) -> IntPoly:
 # -- frontier route ---------------------------------------------------------
 
 def _frontier_polynomial(adj: list[int], comp: int, slot: int) -> int | None:
-    """I(G, x) of the connected component comp, packed into slot-byte
-    slots, by a dynamic program along a greedy vertex order, or None when
-    the order's frontier grows too wide or its tables could pass
-    MAX_FRONTIER_WORK.
+    """I(G, x) of the connected component comp, packed, by a dynamic
+    program along a greedy vertex order, or None when the order's frontier
+    grows too wide or its tables could pass MAX_FRONTIER_WORK.
 
     The table maps each independent set of frontier vertices to the
     packed polynomial of the independent sets of the placed vertices that

@@ -143,7 +143,6 @@ def test_readme_states_each_cap_as_the_code_does():
         r"`SWEEP_BUDGET` = ([\d,]+)": indpoly.SWEEP_BUDGET,
         r"`FRONTIER_WIDTH` = ([\d,]+)": indpoly.FRONTIER_WIDTH,
         r"`MAX_FRONTIER_WORK` = ([\d,]+)": indpoly.MAX_FRONTIER_WORK,
-        r"`PACKED_BELOW` = ([\d,]+)": indpoly.PACKED_BELOW,
         r"`MAX_CLASS_COMPONENTS` = ([\d,]+)": classify.MAX_CLASS_COMPONENTS,
         r"class search's cap of (\d+) vertices": oracle.CLASS_MAX,
         r"evaluator; capped at (\d+) vertices": oracle.CLASS_MAX,

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indeq import indpoly, polyalg
+from indeq import indpoly
 from indeq.cli import main
 from indeq.graphcore import FAMILIES, FamilySpec, Graph, build, graph6_write, mask_components
 from indeq.indpoly import (
     FRONTIER_WIDTH,
-    PACKED_BELOW,
     SWEEP_BUDGET,
     bruteforce_counts,
     cycle_polynomial,
@@ -256,7 +255,7 @@ def connected_graphs(draw, max_vertices):
 @given(connected_graphs(max_vertices=13))
 @settings(max_examples=100, deadline=None)
 def test_packed_recursion_matches_bruteforce_and_generic_recursion(g):
-    # one component below PACKED_BELOW vertices: the pivot recursion packs it
+    # one component: the pivot recursion packs its values
     assert independence_polynomial(g).coeffs == bruteforce_counts(g)
     assert independence_polynomial(g) == _generic_recursion(g)
 
@@ -269,7 +268,6 @@ def _complete_bipartite(a, b):
 def test_packed_slots_hold_the_widest_coefficients(n):
     # a slot is n // 8 + 1 bytes, n + 1 bits at n = 8k - 1; the middle
     # coefficients of a star or a complete bipartite graph come nearest 2^n
-    assert n < PACKED_BELOW
     for a in {1, 2, n // 2}:
         b = n - a
         # I(K_(a,b)) = (1 + x)^a + (1 + x)^b - 1
@@ -283,35 +281,30 @@ def _spider_closed_form(a, b, c):
     return p(a) * p(b) * p(c) + (p(a - 1) * p(b - 1) * p(c - 1)).mul_xpow(1)
 
 
-def test_the_size_rule_is_four_times_the_kronecker_threshold():
-    assert PACKED_BELOW == 4 * polyalg._KRONECKER_MIN_TERMS
-
-
-@pytest.mark.parametrize("params,unpacks", [((85, 85, 84), 1), ((85, 85, 85), 0)])
-def test_components_on_either_side_of_the_size_rule(monkeypatch, params, unpacks):
-    # 255 vertices are packed and unpacked once, 256 keep IntPoly values
+@pytest.mark.parametrize("params,slot", [((85, 85, 84), 32), ((85, 85, 85), 33), ((200, 200, 200), 76)])
+def test_spiders_are_packed_and_unpacked_once(monkeypatch, params, slot):
+    # 255 and 256 vertices take slots of 32 and 33 bytes, 601 of 76
     g = build(FamilySpec("Y", params))
-    assert g.n == PACKED_BELOW - unpacks
     calls = []
     unpacked = indpoly._unpacked
     monkeypatch.setattr(indpoly, "_unpacked", lambda *args: calls.append(args) or unpacked(*args))
     assert independence_polynomial(g) == _spider_closed_form(*params)
-    assert len(calls) == unpacks
+    assert [s for _, s in calls] == [slot]
 
 
-@pytest.mark.parametrize("cols", [PACKED_BELOW // 2 - 1, PACKED_BELOW // 2])
-def test_ladders_on_either_side_of_the_size_rule_match_transfer_matrix(monkeypatch, cols):
-    # with no sweep budget the pivot recursion answers the whole ladder
+@pytest.mark.parametrize("cols", [127, 128])
+def test_pivoted_ladders_match_transfer_matrix(monkeypatch, cols):
+    # with no sweep budget the pivot recursion answers the whole ladder,
+    # 254 vertices in slots of 32 bytes or 256 in slots of 33
     monkeypatch.setattr(indpoly, "SWEEP_BUDGET", 1 << 30)
     assert independence_polynomial(grid_graph(2, cols)).coeffs == _grid_counts_by_transfer_matrix(2, cols)
 
 
-def test_union_of_packed_and_unpacked_components_is_the_product_of_its_parts():
-    # a star's pivot leaves the empty mask: the small star asks for it
-    # packed, the large one as an IntPoly, in one memo
+def test_union_of_components_in_different_slots_is_the_product_of_its_parts():
+    # a star's pivot leaves the empty mask: the two stars ask for it in
+    # slots of 1 and 38 bytes, in one memo
     parts = [_complete_bipartite(1, 5), build(fs("F9", 1, 1, 1)), build(fs("Y", 200, 200, 200)),
-             _complete_bipartite(1, PACKED_BELOW + 40)]
-    assert parts[1].n < PACKED_BELOW <= parts[2].n
+             _complete_bipartite(1, 296)]
     offset, edges = 0, []
     for part in parts:
         edges += [(u + offset, v + offset) for u, v in part.edges()]

@@ -460,7 +460,7 @@ LONG = "9" * 4299
      f"max index over 10^40 is above the cap of {MAX_FACTOR_INDEX}"),
     (["factor", "spec", "P:2", "--max-index", "-" + LONG], "max index below -10^40 is below 2"),
     (["enumerate", "--vertices", "5", "--edges", LONG], "edge count over 10^40 impossible on 5 vertices"),
-    (["class", "path", LONG], "odd paths are independence unique; no class to enumerate for P_over 10^40"),
+    (["class", "path", LONG], "odd paths are independence unique; no class to enumerate for P_n with n over 10^40"),
 ], ids=["factor-path", "factor-cycle", "factor-path-negative", "screen-max", "max-index",
         "max-index-negative", "enumerate-edges", "class-odd-path"])
 def test_refusals_cut_numbers_past_max_echo_digits(capsys, argv, message):
