@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
 from .factorbasis import FactorMultiset, basis_f, basis_ftilde, two_adic_split
-from .graphcore import FAMILIES, MAX_ECHO, FamilySpec, Graph, build, canonical_form, echo_number, spec
+from .graphcore import FAMILIES, MAX_ECHO, FamilySpec, Graph, build, canonical_form, echo, echo_number, spec
 from .indpoly import independence_polynomial
 from .polyalg import SturmChain, count_real_roots
 
@@ -296,7 +296,9 @@ def _equiv_class(reference: FamilySpec, raw: Sequence[Sequence[FamilySpec | slic
                 count, width = count * len(v), width + max(map(len, v))
         bound += count * width
     if bound > MAX_CLASS_COMPONENTS:
-        raise ValueError(f"the class of {reference} has up to {bound} components, "
+        text = str(reference)
+        text = text if len(text) <= MAX_ECHO else echo(text)
+        raise ValueError(f"the class of {text} has up to {echo_number(bound)} components, "
                          f"above the cap of {MAX_CLASS_COMPONENTS}")
     options = ([v for p in parts for v in
                 (chain_variants[p] if isinstance(p, slice) else [_variants(p, expand_d)])]

@@ -190,18 +190,28 @@ class Graph:
         return total // 3
 
 
-def mask_components(adj: Sequence[int], mask: int) -> list[tuple[int, int, int, int]]:
+def mask_components(adj: Sequence[int], mask: int, runs: int = 0) -> list[tuple[int, int, int, int]]:
     """The connected components of the subgraph that the adjacency rows
     ``adj`` induce on ``mask``, ordered by lowest vertex, found by one
     breadth-first sweep each: ``(component mask, in-mask degree sum,
-    largest in-mask degree, lowest vertex of that degree)``."""
+    largest in-mask degree, lowest vertex of that degree)``.
+
+    Each set bit v of ``runs`` must mark an edge v-(v + 1) between two
+    vertices of degree at most 2.  The sweep takes each stretch a..b of
+    such edges inside the mask in one step: an inner vertex has exactly
+    its two stretch neighbours, so only the rows of a and b are read."""
     comps = []
+    runs &= mask & mask >> 1
+    chained = runs | runs << 1  # the vertices on a stretch
     while mask:
         comp = frontier = mask & -mask
         pivot = comp.bit_length() - 1
         top = degree_sum = 0
         while frontier:
-            grow = 0
+            grow = stretches = 0
+            if chained:
+                stretches = frontier & chained
+                frontier ^= stretches
             while frontier:
                 v = (frontier & -frontier).bit_length() - 1
                 frontier &= frontier - 1
@@ -209,6 +219,23 @@ def mask_components(adj: Sequence[int], mask: int) -> list[tuple[int, int, int, 
                 grow |= row
                 d = row.bit_count()
                 degree_sum += d
+                if d > top or d == top and v < pivot:
+                    pivot, top = v, d
+            while stretches:
+                v = (stretches & -stretches).bit_length() - 1
+                up = runs >> v
+                a = (~runs & (1 << v) - 1).bit_length()
+                b = v + (up ^ up + 1).bit_length() - 1
+                stretch = (2 << b) - (1 << a)
+                stretches &= ~stretch
+                comp |= stretch
+                row_a, row_b = adj[a] & mask, adj[b] & mask
+                grow |= row_a | row_b
+                da, db = row_a.bit_count(), row_b.bit_count()
+                degree_sum += da + db + 2 * (b - a - 1)
+                # the stretch's lowest vertex of its largest degree: a + 1 has
+                # degree 2 unless it is b, and a has degree 1 or 2
+                v, d = (a + 1, 2) if da < 2 and (b > a + 1 or db == 2) else (a, da)
                 if d > top or d == top and v < pivot:
                     pivot, top = v, d
             frontier = grow & ~comp

@@ -12,17 +12,19 @@ largest in-mask degree:
 
     I(G, x) = I(G - v, x) + x * I(G - N[v], x)
 
-Results are memoized by mask within one call.  Catalogue shapes finish
-within SWEEP_BUDGET sweeps.  A graph that passes it, such as a ladder or a
-grid, re-enters the recursion with its memo kept and no budget, and each
-top-level component not yet answered tries the frontier route first: a
-greedy vertex order that keeps the frontier (the placed vertices with an
-unplaced neighbour) at most FRONTIER_WIDTH wide, then a transfer-matrix
-dynamic program along it (Calkin and Wilf, SIAM J. Discrete Math. 11,
-1998), linear in the vertex count at fixed width.  A component whose order
-grows too wide, or whose tables pass MAX_FRONTIER_WORK, pivots, capped by
-MAX_EVAL_MASKS as before.  The brute-force counter, a separate memoized
-deletion recursion, is the module's independent ground truth.
+Results are memoized by mask within one call.  One degree pass marks the
+branch vertices, of degree 3 or more, and the run edges v-(v + 1) between
+vertices of degree at most 2, along which a sweep takes a whole stretch
+in one step.  A top-level component with b <= BRANCH_MAX branch vertices
+pivots, in at most 2^(b+1) - 1 sweeps since every pivot is one.  One with
+more, such as a grid, tries the frontier route first: a greedy vertex
+order that keeps the frontier (the placed vertices with an unplaced
+neighbour) at most FRONTIER_WIDTH wide, then a transfer-matrix dynamic
+program along it (Calkin and Wilf, SIAM J. Discrete Math. 11, 1998),
+linear in the vertex count at fixed width.  A component whose order grows
+too wide, or whose tables pass MAX_FRONTIER_WORK, pivots, capped by
+MAX_EVAL_MASKS.  The brute-force counter, a separate memoized deletion
+recursion, is the module's independent ground truth.
 
 Both routes hold a polynomial of a top-level component C packed into one
 integer, a slot of |C| // 8 + 1 bytes per coefficient (Kronecker
@@ -44,10 +46,9 @@ from .polyalg import IntPoly
 #: The most vertex masks one evaluation memoizes.  Grids up to 12 x 12
 #: take the frontier route; a 13 x 13 grid, too wide for it, is refused.
 MAX_EVAL_MASKS = 1 << 18
-#: The component sweeps the pivot recursion makes before the frontier
-#: route is tried: no catalogue shape needs more than 19, whatever its
-#: arm lengths, because the closed forms absorb the arms.
-SWEEP_BUDGET = 24
+#: The most branch vertices a top-level component may have and pivot at
+#: once; no catalogue shape has more than 4, whatever its arm lengths.
+BRANCH_MAX = 4
 #: The widest frontier the frontier route's order may reach.  An n-row
 #: grid or ladder takes n, and a table holds at most 2^12 entries.
 FRONTIER_WIDTH = 12
@@ -105,8 +106,9 @@ def _unpacked(packed: int, slot: int) -> IntPoly:
     return IntPoly(int.from_bytes(data[k:k + slot], "little") for k in range(0, len(data), slot))
 
 
-class _OverBudget(Exception):
-    """The pivot recursion passed SWEEP_BUDGET sweeps."""
+# a degree pass's codes as binary digits: code 1 marks a vertex of degree
+# at most 2, and code 2 one that is also adjacent to the next vertex
+_LOW, _RUN = bytes.maketrans(b"\0\1\2", b"011"), bytes.maketrans(b"\0\1\2", b"001")
 
 
 def independence_polynomial(g: Graph) -> IntPoly:
@@ -119,15 +121,20 @@ def independence_polynomial(g: Graph) -> IntPoly:
     """
     adj = g.adj
     memo: dict[int, IntPoly | int] = {}
-    sweeps, limit = 0, SWEEP_BUDGET
+    codes = bytearray(g.n)
+    for v, row in enumerate(adj):
+        if row.bit_count() <= 2:
+            codes[v] = 1 + (row >> v + 1 & 1)
+    codes.reverse()  # the highest vertex is the first digit
+    low = int(b"0" + codes.translate(_LOW), 2)
+    branch, runs = (1 << g.n) - 1 ^ low, int(b"0" + codes.translate(_RUN), 2) & low >> 1
     too_many = (f"graph on {g.n} vertices needs more than {MAX_EVAL_MASKS} "
                 "memoized masks in the pivot recursion")
 
-    def poly(mask: int, slot: int = 0, frontier: bool = False) -> IntPoly | int:
+    def poly(mask: int, slot: int = 0) -> IntPoly | int:
         """I(G[mask], x) packed into slot-byte slots.  At the top level,
         slot 0, it is an IntPoly, and each component that is not a path
         or a cycle is packed in slots of its own and unpacked once."""
-        nonlocal sweeps
         out = memo.get(mask)
         if out is not None:
             return out
@@ -135,11 +142,8 @@ def independence_polynomial(g: Graph) -> IntPoly:
             return _closed_form(0, False, slot)
         if len(memo) > MAX_EVAL_MASKS:
             raise ValueError(too_many)
-        sweeps += 1
-        if sweeps > limit:
-            raise _OverBudget
         out = None
-        for comp, degree_sum, top, pivot in mask_components(adj, mask):
+        for comp, degree_sum, top, pivot in mask_components(adj, mask, runs):
             part = memo.get(comp)
             if part is None:
                 if len(memo) > MAX_EVAL_MASKS:
@@ -149,7 +153,8 @@ def independence_polynomial(g: Graph) -> IntPoly:
                     part = _closed_form(n, degree_sum == 2 * n, slot)
                 else:
                     width = slot or n // 8 + 1
-                    part = _frontier_polynomial(adj, comp, width) if frontier else None
+                    part = (_frontier_polynomial(adj, comp, width)
+                            if not slot and (comp & branch).bit_count() > BRANCH_MAX else None)
                     if part is None:
                         part = poly(comp ^ 1 << pivot, width) + (
                             poly(comp & ~(adj[pivot] | 1 << pivot), width) << 8 * width)
@@ -160,14 +165,8 @@ def independence_polynomial(g: Graph) -> IntPoly:
         memo[mask] = out
         return out
 
-    everything = (1 << g.n) - 1
     try:
-        try:
-            return poly(everything)
-        except _OverBudget:
-            # re-enter with the memo kept and the frontier route allowed at the top
-            limit = float("inf")
-        return poly(everything, 0, True)
+        return poly((1 << g.n) - 1)
     except RecursionError:
         raise ValueError(f"graph on {g.n} vertices is too deep for the pivot recursion") from None
     finally:

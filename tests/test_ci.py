@@ -24,6 +24,9 @@ def test_workflow_runs_tier1_from_the_python_floor():
     # and refuses a 4,301-digit path index in under 200 bytes of stderr
     assert ("""code=0; indeq factor path "$(python -c "print('9' * 4301)")" 2> err.txt || code=$?;"""
             """ test "$code" = 2 && test "$(wc -c < err.txt)" -lt 200""") in runs[install + 1:]
+    # and refuses a class of about 2^1449 components, its reference of 437 digits, in under 200 bytes
+    assert ('''code=0; indeq class path "$(python -c 'print(2**1449-2)')" 2> err.txt || code=$?;'''
+            ''' test "$code" = 2 && test "$(wc -c < err.txt)" -lt 200''') in runs[install + 1:]
     # the console script refuses a spec parameter that is not ASCII digits
     assert 'code=0; indeq poly P:1_0 > /dev/null 2>&1 || code=$?; test "$code" = 2' in runs[install + 1:]
     # and refuses a class above the vertex cap with exit 2 and empty stdout
@@ -140,7 +143,7 @@ def test_readme_states_each_cap_as_the_code_does():
         r"`MAX_FACTOR_INDEX` = ([\d,]+)": factorbasis.MAX_FACTOR_INDEX,
         r"`MAX_SWEEP_SPECS` = ([\d,]+)": classify.MAX_SWEEP_SPECS,
         r"`MAX_EVAL_MASKS` = ([\d,]+)": indpoly.MAX_EVAL_MASKS,
-        r"`SWEEP_BUDGET` = ([\d,]+)": indpoly.SWEEP_BUDGET,
+        r"`BRANCH_MAX` = ([\d,]+)": indpoly.BRANCH_MAX,
         r"`FRONTIER_WIDTH` = ([\d,]+)": indpoly.FRONTIER_WIDTH,
         r"`MAX_FRONTIER_WORK` = ([\d,]+)": indpoly.MAX_FRONTIER_WORK,
         r"`MAX_CLASS_COMPONENTS` = ([\d,]+)": classify.MAX_CLASS_COMPONENTS,

@@ -269,10 +269,38 @@ def test_canonical_graph_round_trip():
     assert isomorphic_bruteforce(g, h)
 
 
-@given(random_graphs(max_vertices=14), st.data())
-@settings(max_examples=150, deadline=None)
+@st.composite
+def graphs_with_runs(draw):
+    """A catalogue shape with its labels turned and maybe reflected, v to
+    +-v + k mod n, which keeps most of its runs, or a path with a few
+    random chords."""
+    if draw(st.booleans()):
+        fam = draw(st.sampled_from(sorted(FAMILIES)))
+        params = tuple(draw(st.integers(min_value=f, max_value=f + 6)) for f in FAMILIES[fam].floors)
+        g = build(FamilySpec(fam, params))
+        k, sign = draw(st.integers(min_value=0, max_value=g.n)), draw(st.sampled_from((1, -1)))
+        return Graph.from_edges(g.n, [((sign * u + k) % g.n, (sign * v + k) % g.n) for u, v in g.edges()])
+    n = draw(st.integers(min_value=1, max_value=30))
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4))
+    edges = {(v, v + 1) for v in range(n - 1)} | {(min(e), max(e)) for e in chords if e[0] != e[1]}
+    return Graph.from_edges(n, sorted(edges))
+
+
+def _runs(g: Graph) -> int:
+    """Each v whose edge to v + 1 joins two vertices of degree at most 2."""
+    degrees = g.degrees()
+    return sum(1 << v for v in range(g.n - 1)
+               if g.has_edge(v, v + 1) and max(degrees[v], degrees[v + 1]) <= 2)
+
+
+@given(st.one_of(random_graphs(max_vertices=14), graphs_with_runs()), st.data())
+@settings(max_examples=300, deadline=None)
 def test_mask_components_recounted(g, data):
-    mask = data.draw(st.integers(min_value=0, max_value=(1 << g.n) - 1))
+    full = (1 << g.n) - 1
+    # any mask, or all vertices but a few, which leaves long runs
+    drop = data.draw(st.lists(st.integers(min_value=0, max_value=max(g.n - 1, 0)), max_size=3))
+    mask = data.draw(st.one_of(st.integers(min_value=0, max_value=full),
+                               st.just(full & ~sum(1 << v for v in set(drop)))))
     inside = [v for v in range(g.n) if mask >> v & 1]
     # components by merging labels along the edges inside the mask
     label = {v: v for v in inside}
@@ -292,6 +320,20 @@ def test_mask_components_recounted(g, data):
         expected.append((sum(1 << w for w in members), sum(degree[w] for w in members), top,
                          min(w for w in members if degree[w] == top)))
     assert mask_components(g.adj, mask) == expected
+    # the run edges, all or any of them, give the same tuples a stretch at a time
+    runs = _runs(g)
+    assert mask_components(g.adj, mask, runs) == expected
+    assert mask_components(g.adj, mask, runs & data.draw(st.integers(min_value=0, max_value=full))) == expected
+
+
+def test_mask_components_take_a_run_cut_at_both_ends_and_in_the_middle():
+    # a 12-cycle whose vertex 0 also holds a pendant vertex 12: its run is 1..11
+    g = Graph.from_edges(13, [(v, v + 1) for v in range(11)] + [(0, 11), (0, 12)])
+    runs = _runs(g)
+    assert runs == 0b11111111110
+    mask = (1 << 13) - 1 ^ (1 << 1 | 1 << 6 | 1 << 11)
+    expected = [(1 | 1 << 12, 2, 1, 0), (0b111100, 6, 2, 3), (0b11110000000, 6, 2, 8)]
+    assert mask_components(g.adj, mask, runs) == expected == mask_components(g.adj, mask)
 
 
 @given(random_graphs(max_vertices=9), st.randoms(use_true_random=False))

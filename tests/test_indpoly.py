@@ -10,8 +10,8 @@ from indeq import indpoly
 from indeq.cli import main
 from indeq.graphcore import FAMILIES, FamilySpec, Graph, build, graph6_write, mask_components
 from indeq.indpoly import (
+    BRANCH_MAX,
     FRONTIER_WIDTH,
-    SWEEP_BUDGET,
     bruteforce_counts,
     cycle_polynomial,
     independence_polynomial,
@@ -294,9 +294,9 @@ def test_spiders_are_packed_and_unpacked_once(monkeypatch, params, slot):
 
 @pytest.mark.parametrize("cols", [127, 128])
 def test_pivoted_ladders_match_transfer_matrix(monkeypatch, cols):
-    # with no sweep budget the pivot recursion answers the whole ladder,
-    # 254 vertices in slots of 32 bytes or 256 in slots of 33
-    monkeypatch.setattr(indpoly, "SWEEP_BUDGET", 1 << 30)
+    # with no cap on branch vertices the pivot recursion answers the whole
+    # ladder, 254 vertices in slots of 32 bytes or 256 in slots of 33
+    monkeypatch.setattr(indpoly, "BRANCH_MAX", 1 << 30)
     assert independence_polynomial(grid_graph(2, cols)).coeffs == _grid_counts_by_transfer_matrix(2, cols)
 
 
@@ -362,7 +362,7 @@ def test_square_grid_totals_match_oeis(n):
 
 def _frontier_route(g: Graph) -> IntPoly:
     """I(G, x) with every component, paths and cycles included, answered by
-    the frontier route, whatever the sweep budget and the frontier width."""
+    the frontier route, whatever BRANCH_MAX and the frontier width."""
     out = IntPoly.one()
     for comp, *_ in mask_components(g.adj, (1 << g.n) - 1):
         slot = comp.bit_count() // 8 + 1
@@ -379,7 +379,7 @@ def test_frontier_route_matches_recursion_and_bruteforce(g, isolated):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(indpoly, "FRONTIER_WIDTH", g.n)
         by_frontier = _frontier_route(g)
-        patch.setattr(indpoly, "SWEEP_BUDGET", 1 << 30)
+        patch.setattr(indpoly, "BRANCH_MAX", 1 << 30)
         by_recursion = independence_polynomial(g)
     assert by_frontier == by_recursion
     assert by_frontier.coeffs == bruteforce_counts(g)
@@ -412,12 +412,12 @@ def mixed_graphs(draw):
 
 @given(mixed_graphs(), st.integers(min_value=0, max_value=30), st.integers(min_value=1, max_value=12))
 @settings(max_examples=150, deadline=None)
-def test_fallback_matches_bruteforce_at_every_budget(g, budget, width):
-    # past the drawn budget, memoized, closed-form, frontier and pivoted
+def test_fallback_matches_bruteforce_at_every_budget(g, branch_max, width):
+    # under the drawn BRANCH_MAX, memoized, closed-form, frontier and pivoted
     # components meet in one component loop; a narrow width makes the
     # frontier route decline some components and answer others
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(indpoly, "SWEEP_BUDGET", budget)
+        patch.setattr(indpoly, "BRANCH_MAX", branch_max)
         patch.setattr(indpoly, "FRONTIER_WIDTH", width)
         assert independence_polynomial(g).coeffs == bruteforce_counts(g)
 
@@ -427,32 +427,55 @@ def sweep_counter(monkeypatch):
     """The masks the evaluator has swept so far, one per component sweep."""
     calls = []
 
-    def counting(adj, mask):
+    def counting(adj, mask, runs=0):
         calls.append(mask)
-        return mask_components(adj, mask)
+        return mask_components(adj, mask, runs)
 
     monkeypatch.setattr(indpoly, "mask_components", counting)
     return calls
 
 
-def test_catalogue_shapes_finish_within_the_sweep_budget(sweep_counter):
-    # so catalogue traffic never reaches the frontier route
+@pytest.fixture
+def frontier_calls(monkeypatch):
+    """The components the frontier route has been asked for so far."""
+    calls = []
+    route = indpoly._frontier_polynomial
+    monkeypatch.setattr(indpoly, "_frontier_polynomial",
+                        lambda adj, comp, slot: calls.append(comp) or route(adj, comp, slot))
+    return calls
+
+
+def _branch_counts(g: Graph) -> list[int]:
+    """The vertices of degree 3 or more in each component of g."""
+    degrees = g.degrees()
+    return [sum(degrees[v] >= 3 for v in comp) for comp in g.connected_components()]
+
+
+def test_catalogue_shapes_pivot_within_their_branch_bound(sweep_counter, frontier_calls):
+    # so catalogue traffic never reaches the frontier route, and every pivot
+    # is a branch vertex: b of them cost at most 2^(b+1) - 1 sweeps
     worst = 0
     for fam, (floors, _) in FAMILIES.items():
         for params in itertools.product(*[range(f, 9) for f in floors]):
+            g = build(FamilySpec(fam, params))
+            (branches,) = _branch_counts(g) or [0]
+            assert branches <= BRANCH_MAX, (fam, params)
             sweep_counter.clear()
-            independence_polynomial(build(FamilySpec(fam, params)))
+            independence_polynomial(g)
+            assert len(sweep_counter) <= 2 ** (branches + 1) - 1, (fam, params)
             worst = max(worst, len(sweep_counter))
-    assert 0 < worst <= SWEEP_BUDGET
+    assert worst > 1 and frontier_calls == []
 
 
-def test_grids_past_the_sweep_budget_take_the_frontier_route(sweep_counter):
-    # the recursion stops at the budget; one more sweep splits the graph
-    independence_polynomial(grid_graph(5, 8))
-    assert len(sweep_counter) == SWEEP_BUDGET + 1
+def test_grids_past_branch_max_take_the_frontier_route_after_one_sweep(sweep_counter, frontier_calls):
+    g = grid_graph(5, 8)
+    independence_polynomial(g)
+    assert len(sweep_counter) == 1 and frontier_calls == [(1 << g.n) - 1]
+    # a 2 x 4 ladder has BRANCH_MAX branch vertices, its middle columns, and pivots
     sweep_counter.clear()
-    independence_polynomial(grid_graph(5, 3))
-    assert len(sweep_counter) <= SWEEP_BUDGET
+    assert _branch_counts(grid_graph(2, 4)) == [BRANCH_MAX]
+    assert independence_polynomial(grid_graph(2, 4)).coeffs == _grid_counts_by_transfer_matrix(2, 4)
+    assert 1 < len(sweep_counter) <= 2 ** (BRANCH_MAX + 1) - 1 and len(frontier_calls) == 1
 
 
 @pytest.mark.parametrize("cap", ["FRONTIER_WIDTH", "MAX_FRONTIER_WORK"])

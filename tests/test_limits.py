@@ -263,7 +263,8 @@ def test_class_without_d_twins_above_the_component_cap_is_refused(t, bound):
     n = 2**t - 2
     done = _under_limit(CHILD, "class", "path", str(n), "--no-expand-d", timeout=6)
     assert done.returncode == 2 and done.stdout == ""
-    assert done.stderr == (f"error: the class of P:{n} has up to {bound} components, "
+    # the reference's 400-odd digits are cut to MAX_ECHO characters
+    assert done.stderr == (f"error: the class of {f'P:{n}'[:40]!r}... has up to {bound} components, "
                            f"above the cap of {MAX_CLASS_COMPONENTS}\n")
 
 
@@ -366,7 +367,7 @@ def test_class_refusal_with_d_twins_is_immediate():
     seconds = []
     for _ in range(3):
         start = time.perf_counter()
-        with pytest.raises(ValueError, match=r"has up to \d+ components, above the cap"):
+        with pytest.raises(ValueError, match=r"has up to over 10\^40 components, above the cap"):
             path_class(2**14000 - 2)
         seconds.append(time.perf_counter() - start)
     assert min(seconds) < 0.5, seconds
@@ -461,8 +462,11 @@ LONG = "9" * 4299
     (["factor", "spec", "P:2", "--max-index", "-" + LONG], "max index below -10^40 is below 2"),
     (["enumerate", "--vertices", "5", "--edges", LONG], "edge count over 10^40 impossible on 5 vertices"),
     (["class", "path", LONG], "odd paths are independence unique; no class to enumerate for P_n with n over 10^40"),
+    # n + 2 = 2^1449: 437 digits, and the D twins give about 2^1449 components
+    (["class", "path", str(2**1449 - 2)], f"the class of {f'P:{2**1449 - 2}'[:40]!r}... has up to over 10^40"
+                                          f" components, above the cap of {MAX_CLASS_COMPONENTS}"),
 ], ids=["factor-path", "factor-cycle", "factor-path-negative", "screen-max", "max-index",
-        "max-index-negative", "enumerate-edges", "class-odd-path"])
+        "max-index-negative", "enumerate-edges", "class-odd-path", "class-cap"])
 def test_refusals_cut_numbers_past_max_echo_digits(capsys, argv, message):
     assert main(argv) == 2
     out, err = capsys.readouterr()
@@ -479,7 +483,10 @@ def test_refusals_cut_numbers_past_max_echo_digits(capsys, argv, message):
     (["class", "path", "7"], "odd paths are independence unique; no class to enumerate for P_7"),
     (["class", "path", "9" * 40],
      f"odd paths are independence unique; no class to enumerate for P_{'9' * 40}"),
-], ids=["factor-cycle", "screen-max", "enumerate-edges", "class-odd-path", "class-odd-path-40-digits"])
+    (["class", "path", "262142"],
+     f"the class of P:262142 has up to 2097153 components, above the cap of {MAX_CLASS_COMPONENTS}"),
+], ids=["factor-cycle", "screen-max", "enumerate-edges", "class-odd-path", "class-odd-path-40-digits",
+        "class-cap"])
 def test_refusals_repeat_numbers_of_at_most_max_echo_digits(capsys, argv, message):
     assert main(argv) == 2
     out, err = capsys.readouterr()
