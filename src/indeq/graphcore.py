@@ -443,7 +443,12 @@ def automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
     Each is a vertex map, perm[v] being the image of v.  They generate the
     whole automorphism group: the search prunes a child only by the orbits
     of automorphisms it has already met, and leaves a branch early only when
-    one just met maps an explored branch onto it; Graph.empty(n) stores n - 1.
+    one just met maps an explored branch onto it.  A node whose remaining
+    cells are uniform blocks (cliques or independent sets, joined to each
+    other all or nothing) is not searched below: its one leaf is read off,
+    and when that leaf is a new best the transpositions of adjacent vertices
+    within each block, which its subtree would have met, are stored instead;
+    Graph.empty(n) stores n - 1.
     """
     if g._search is None:
         _canonize(g)
@@ -526,6 +531,21 @@ def _refine(adj: Sequence[int], cells: list[int]) -> None:
             return
 
 
+def _uniform_blocks(adj: Sequence[int], cells: list[int]) -> bool:
+    """Whether the cells of an equitable partition that have more than one
+    vertex are each a clique or an independent set and are pairwise joined
+    completely or not at all.  Equitable, so one vertex per cell decides."""
+    big = [c for c in cells if c & (c - 1)]
+    for i, c in enumerate(big):
+        bit = c & -c
+        av = adj[bit.bit_length() - 1] | bit
+        for d in big[i:]:
+            m = av & d
+            if m != d and m != bit & d:
+                return False
+    return True
+
+
 def _canonical_order(g: Graph) -> tuple[list[int], list[int], tuple[tuple[int, ...], ...]]:
     """The adjacency rows of g's canonical ordering, the ordering itself
     (the vertex at each position), and the automorphisms found.
@@ -553,19 +573,39 @@ def _canonical_order(g: Graph) -> tuple[list[int], list[int], tuple[tuple[int, .
         _refine(adj, cells)
         ti = len(prefix)
         while ti < n and cells[ti] & (cells[ti] - 1) == 0:
-            u = cells[ti].bit_length() - 1
+            ti += 1
+        # when the cells from ti on are uniform blocks, every leaf below
+        # lists them each in some order and has one key; the automorphisms
+        # that fix the prefix permute within them.  Take the leaf that lists
+        # each in ascending order as this node's only leaf
+        end = len(cells) if ti < n and _uniform_blocks(adj, cells[ti:]) else ti
+        for u in [u for c in cells[len(prefix):end] for u in _bits(c)]:
             if prefix:
                 au, row = adj[u], 0
                 for w in prefix:
                     row = row << 1 | (au >> w & 1)
                 key.append(row)
             prefix.append(u)
-            ti += 1
         if best_key is not None and key > best_key[:len(key)]:
             return n
-        if ti == n:
+        if len(prefix) == n:
             if best_key is None or key < best_key:
                 best_key, best_order = key, prefix
+                if end > ti:
+                    # store what searching the blocks would have: the swap of
+                    # positions i, i + 1 of a block, deepest first, unless an
+                    # automorphism stored earlier fixes positions < i and
+                    # moves i (then i and i + 1 already share an orbit)
+                    firsts = {next(i for i, u in enumerate(prefix) if a[u] != u) for a in autos}
+                    pairs = []
+                    for c in cells[ti:end]:
+                        pairs += range(ti, ti + c.bit_count() - 1)
+                        ti += c.bit_count()
+                    for i in reversed(pairs):
+                        if i not in firsts:
+                            perm = list(range(n))
+                            perm[prefix[i]], perm[prefix[i + 1]] = prefix[i + 1], prefix[i]
+                            autos.append(tuple(perm))
             elif key == best_key:
                 perm = [0] * n
                 for u, w in zip(prefix, best_order):

@@ -388,18 +388,74 @@ def _closure_size(n, gens):
 
 
 def test_stored_automorphisms_generate_the_group():
-    # the backjump keeps the stored set small: at most n - 1 generators
-    pool = [g for n in range(7) for g in enumerate_graphs(EnumFilter(n))]
+    # the backjump keeps the stored set small: at most n - 1 generators.
+    # enumerate_graphs yields canonical labelings, so the pool also holds
+    # each graph relabelled by a random.Random(6) permutation and that
+    # relabelling's complement, whose searches take other branches
+    pool = [g for n in range(8) for g in enumerate_graphs(EnumFilter(n))]
     pool += [Graph.empty(8), build([fs("P", 2)] * 4), build(fs("C", 8)), build([fs("C", 4)] * 2)]
+    rng = random.Random(6)
+    for g in pool[:]:
+        order = list(range(g.n))
+        rng.shuffle(order)
+        r = g.induced(order)
+        pool += [r, r.complement()]
+    # a search that stored every block transposition regardless of the
+    # automorphisms already met would store 7 generators here
+    pool.append(graph6_read("FXvuo"))
     for g in pool:
         assert _closure_size(g.n, automorphisms(g)) == automorphism_count(g), graph6_write(g)
         assert len(automorphisms(g)) <= max(g.n - 1, 0), graph6_write(g)
     assert len(automorphisms(Graph.empty(20))) == 19
 
 
+@st.composite
+def block_graphs(draw):
+    """Disjoint cliques, independent sets and complete bipartite graphs,
+    then a few extra vertices each joined to some earlier vertices, the
+    whole relabelled: their searches meet uniform blocks at the root and,
+    once an extra vertex is fixed, below it."""
+    edges, n = [], 0
+    for kind, a, b in draw(st.lists(st.tuples(st.sampled_from("KIB"), st.integers(1, 4), st.integers(1, 3)),
+                                    min_size=1, max_size=4)):
+        if kind == "K":
+            edges += itertools.combinations(range(n, n + a), 2)
+        elif kind == "B":
+            edges += [(u, w) for u in range(n, n + a) for w in range(n + a, n + a + b)]
+            a += b
+        n += a
+    for x in range(n, n + draw(st.integers(0, 3))):
+        edges += [(u, x) for u in draw(st.sets(st.integers(0, x - 1), max_size=x))]
+        n += 1
+    order = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, edges).induced(order)
+
+
+@given(st.one_of(random_graphs(max_vertices=10), block_graphs()))
+@settings(max_examples=200, deadline=None)
+def test_uniform_blocks_change_no_search_result(g):
+    # the same search without the shortcut walks each block's subtree
+    # leaf by leaf; rows, order and stored automorphisms must not change
+    for x in (g, g.complement()):
+        with mock.patch.object(graphcore, "_uniform_blocks", return_value=False):
+            walked = graphcore._canonical_order(x)
+        assert graphcore._canonical_order(x) == walked, graph6_write(x)
+
+
+def test_uniform_blocks_end_the_search_at_the_root():
+    # the empty graph, K_5,7 (whose complement K_5 + K_7 is searched) and
+    # K_6: one refinement each, and each block's adjacent transpositions
+    k57 = Graph.from_edges(12, [(u, w) for u in range(5) for w in range(5, 12)])
+    k6 = Graph.from_edges(6, itertools.combinations(range(6), 2))
+    for g, gens in ((Graph.empty(200), 199), (k57, 10), (k6, 5)):
+        with mock.patch.object(graphcore, "_refine", wraps=graphcore._refine) as refine:
+            assert len(automorphisms(g)) == gens
+        assert refine.call_count == 1, g.n
+
+
 def test_symmetric_graphs_canonicalize_fast():
     # without orbit pruning the search walks most of their n! leaves
-    for g in (build([fs("P", 2)] * 8), Graph.empty(15), Graph.empty(20)):
+    for g in (build([fs("P", 2)] * 8), Graph.empty(15), Graph.empty(20), Graph.empty(200)):
         start = time.perf_counter()
         canonical_form(g)
         assert time.perf_counter() - start < 1, g.n
