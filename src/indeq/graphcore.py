@@ -190,11 +190,11 @@ class Graph:
         return total // 3
 
 
-def mask_components(adj: Sequence[int], mask: int, runs: int = 0) -> list[tuple[int, int, int, int]]:
+def mask_components(adj: Sequence[int], mask: int, runs: int = 0) -> list[tuple[int, int, int]]:
     """The connected components of the subgraph that the adjacency rows
     ``adj`` induce on ``mask``, ordered by lowest vertex, found by one
     breadth-first sweep each: ``(component mask, in-mask degree sum,
-    largest in-mask degree, lowest vertex of that degree)``.
+    largest in-mask degree)``.
 
     Each set bit v of ``runs`` must mark an edge v-(v + 1) between two
     vertices of degree at most 2.  The sweep takes each stretch a..b of
@@ -205,7 +205,6 @@ def mask_components(adj: Sequence[int], mask: int, runs: int = 0) -> list[tuple[
     chained = runs | runs << 1  # the vertices on a stretch
     while mask:
         comp = frontier = mask & -mask
-        pivot = comp.bit_length() - 1
         top = degree_sum = 0
         while frontier:
             grow = stretches = 0
@@ -219,8 +218,8 @@ def mask_components(adj: Sequence[int], mask: int, runs: int = 0) -> list[tuple[
                 grow |= row
                 d = row.bit_count()
                 degree_sum += d
-                if d > top or d == top and v < pivot:
-                    pivot, top = v, d
+                if d > top:
+                    top = d
             while stretches:
                 v = (stretches & -stretches).bit_length() - 1
                 up = runs >> v
@@ -233,14 +232,11 @@ def mask_components(adj: Sequence[int], mask: int, runs: int = 0) -> list[tuple[
                 grow |= row_a | row_b
                 da, db = row_a.bit_count(), row_b.bit_count()
                 degree_sum += da + db + 2 * (b - a - 1)
-                # the stretch's lowest vertex of its largest degree: a + 1 has
-                # degree 2 unless it is b, and a has degree 1 or 2
-                v, d = (a + 1, 2) if da < 2 and (b > a + 1 or db == 2) else (a, da)
-                if d > top or d == top and v < pivot:
-                    pivot, top = v, d
+                # an inner vertex has degree 2
+                top = max(top, da, db, 2 if b > a + 1 else 0)
             frontier = grow & ~comp
             comp |= frontier
-        comps.append((comp, degree_sum, top, pivot))
+        comps.append((comp, degree_sum, top))
         mask ^= comp
     return comps
 

@@ -50,7 +50,7 @@ RationalLike = Union[int, Fraction]
 #: bit operations, schoolbook bits_a * bits_b plus one interpreter step,
 #: worth about _PAIR_COST_BITS2 (measured crossovers, CPython 3.11, 2
 #: vCPUs).  Kronecker wins from 16-32 balanced terms.  The evaluator's
-#: pivot recursion holds each component's values packed in one integer,
+#: dynamic program holds each component's values packed in one integer,
 #: so of its products only the fold of the components' polynomials comes
 #: here.  A factor with narrow coefficients pays for slots as wide as the
 #: other's: packed, I(P_126) times I(P_4000) takes 2.7 times as long as

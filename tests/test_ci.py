@@ -46,6 +46,11 @@ def test_workflow_runs_tier1_from_the_python_floor():
     assert ("""python -c "from indeq.graphcore import FamilySpec, build, graph6_write;"""
             """ print(*[graph6_write(build(FamilySpec('P', (2000,))))] * 200, sep=chr(10))" > p2000.g6"""
             " && (ulimit -v 65536; timeout 60 indeq poly - < p2000.g6 > /dev/null)") in runs[install + 1:]
+    # and answers a 13 x 13 grid, whose table a 12-vertex frontier cap refused, in 256 MB
+    assert ("""python -c "from indeq.graphcore import Graph, graph6_write;"""
+            """ print(graph6_write(Graph.from_edges(169, [(v, v + 1) for v in range(169) if v % 13 < 12]"""
+            """ + [(v, v + 13) for v in range(156)])))" > grid13.g6"""
+            " && (ulimit -v 262144; timeout 60 indeq poly - < grid13.g6 > /dev/null)") in runs[install + 1:]
     # and enumerates 63 of 66 edges on 12 vertices as the complements of 3; grown, it runs past the timeout
     assert 'test "$(timeout 60 indeq enumerate --vertices 12 --edges 63 | wc -l)" = 5' in runs[install + 1:]
     # and lists all 12,346 graphs on 8 vertices, each through the full canonical search
@@ -144,10 +149,7 @@ def test_readme_states_each_cap_as_the_code_does():
         r"more than `MAX_BUILD_VERTICES` = ([\d,]+) vertices": graphcore.MAX_BUILD_VERTICES,
         r"`MAX_FACTOR_INDEX` = ([\d,]+)": factorbasis.MAX_FACTOR_INDEX,
         r"`MAX_SWEEP_SPECS` = ([\d,]+)": classify.MAX_SWEEP_SPECS,
-        r"`MAX_EVAL_MASKS` = ([\d,]+)": indpoly.MAX_EVAL_MASKS,
-        r"`BRANCH_MAX` = ([\d,]+)": indpoly.BRANCH_MAX,
-        r"`FRONTIER_WIDTH` = ([\d,]+)": indpoly.FRONTIER_WIDTH,
-        r"`MAX_FRONTIER_WORK` = ([\d,]+)": indpoly.MAX_FRONTIER_WORK,
+        r"`MAX_EVAL_WORK` = ([\d,]+)": indpoly.MAX_EVAL_WORK,
         r"`MAX_CLASS_COMPONENTS` = ([\d,]+)": classify.MAX_CLASS_COMPONENTS,
         r"class search's cap of (\d+) vertices": oracle.CLASS_MAX,
         r"evaluator; capped at (\d+) vertices": oracle.CLASS_MAX,

@@ -316,9 +316,8 @@ def test_mask_components_recounted(g, data):
         groups.setdefault(label[w], []).append(w)
     expected = []
     for members in sorted(groups.values()):  # by lowest vertex
-        top = max(degree[w] for w in members)
-        expected.append((sum(1 << w for w in members), sum(degree[w] for w in members), top,
-                         min(w for w in members if degree[w] == top)))
+        expected.append((sum(1 << w for w in members), sum(degree[w] for w in members),
+                         max(degree[w] for w in members)))
     assert mask_components(g.adj, mask) == expected
     # the run edges, all or any of them, give the same tuples a stretch at a time
     runs = _runs(g)
@@ -332,7 +331,7 @@ def test_mask_components_take_a_run_cut_at_both_ends_and_in_the_middle():
     runs = _runs(g)
     assert runs == 0b11111111110
     mask = (1 << 13) - 1 ^ (1 << 1 | 1 << 6 | 1 << 11)
-    expected = [(1 | 1 << 12, 2, 1, 0), (0b111100, 6, 2, 3), (0b11110000000, 6, 2, 8)]
+    expected = [(1 | 1 << 12, 2, 1), (0b111100, 6, 2), (0b11110000000, 6, 2)]
     assert mask_components(g.adj, mask, runs) == expected == mask_components(g.adj, mask)
 
 

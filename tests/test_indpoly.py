@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from math import comb
 
 import pytest
@@ -10,8 +11,6 @@ from indeq import indpoly
 from indeq.cli import main
 from indeq.graphcore import FAMILIES, FamilySpec, Graph, build, graph6_write, mask_components
 from indeq.indpoly import (
-    BRANCH_MAX,
-    FRONTIER_WIDTH,
     bruteforce_counts,
     cycle_polynomial,
     independence_polynomial,
@@ -255,7 +254,7 @@ def connected_graphs(draw, max_vertices):
 @given(connected_graphs(max_vertices=13))
 @settings(max_examples=100, deadline=None)
 def test_packed_recursion_matches_bruteforce_and_generic_recursion(g):
-    # one component: the pivot recursion packs its values
+    # one component: the dynamic program packs its values
     assert independence_polynomial(g).coeffs == bruteforce_counts(g)
     assert independence_polynomial(g) == _generic_recursion(g)
 
@@ -293,16 +292,15 @@ def test_spiders_are_packed_and_unpacked_once(monkeypatch, params, slot):
 
 
 @pytest.mark.parametrize("cols", [127, 128])
-def test_pivoted_ladders_match_transfer_matrix(monkeypatch, cols):
-    # with no cap on branch vertices the pivot recursion answers the whole
-    # ladder, 254 vertices in slots of 32 bytes or 256 in slots of 33
-    monkeypatch.setattr(indpoly, "BRANCH_MAX", 1 << 30)
+def test_pivoted_ladders_match_transfer_matrix(cols):
+    # the ladder is one component, 254 vertices in slots of 32 bytes or 256
+    # in slots of 33
     assert independence_polynomial(grid_graph(2, cols)).coeffs == _grid_counts_by_transfer_matrix(2, cols)
 
 
 def test_union_of_components_in_different_slots_is_the_product_of_its_parts():
-    # a star's pivot leaves the empty mask: the two stars ask for it in
-    # slots of 1 and 38 bytes, in one memo
+    # each component is packed in slots of its own, 1 to 76 bytes, and
+    # unpacked before the product
     parts = [_complete_bipartite(1, 5), build(fs("F9", 1, 1, 1)), build(fs("Y", 200, 200, 200)),
              _complete_bipartite(1, 296)]
     offset, edges = 0, []
@@ -360,29 +358,43 @@ def test_square_grid_totals_match_oeis(n):
     assert independence_polynomial(grid_graph(n, n)).eval_int(1) == A006506[n - 1]
 
 
-def _frontier_route(g: Graph) -> IntPoly:
-    """I(G, x) with every component, paths and cycles included, answered by
-    the frontier route, whatever BRANCH_MAX and the frontier width."""
-    out = IntPoly.one()
-    for comp, *_ in mask_components(g.adj, (1 << g.n) - 1):
-        slot = comp.bit_count() // 8 + 1
-        part = indpoly._frontier_polynomial(g.adj, comp, slot)
-        assert part is not None
-        out *= indpoly._unpacked(part, slot)
-    return out
+@st.composite
+def graphs_with_long_runs(draw):
+    """A random graph on at most 8 vertices with pendant paths, runs with
+    both ends on one vertex, one-vertex runs between two vertices, and each
+    edge subdivided by 0 to 6 new vertices: each run is cut short, or left
+    out, where it would pass 40 vertices in all."""
+    base = draw(random_graphs(max_vertices=8))
+    n, edges = base.n, []
+
+    def run(u, v, length):
+        # a path of length new vertices from u to v, or hung off u alone
+        nonlocal n
+        length = min(length, 40 - n)
+        if length < (2 if u == v else 1 if v is None else 0):
+            return
+        path = [u] + list(range(n, n + length)) + ([v] if v is not None else [])
+        n += length
+        edges.extend(zip(path, path[1:]))
+
+    if base.n:
+        vertex = st.integers(min_value=0, max_value=base.n - 1)
+        for u, length in draw(st.lists(st.tuples(vertex, st.integers(min_value=1, max_value=6)), max_size=3)):
+            run(u, None, length)
+        for u, length in draw(st.lists(st.tuples(vertex, st.integers(min_value=2, max_value=6)), max_size=2)):
+            run(u, u, length)
+        for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=3)):
+            if u != v:
+                run(u, v, 1)
+    for u, v in base.edges():
+        run(u, v, draw(st.integers(min_value=0, max_value=6)))
+    return Graph.from_edges(n, edges)
 
 
-@given(random_graphs(max_vertices=16), st.integers(min_value=0, max_value=4))
-@settings(max_examples=120, deadline=None)
-def test_frontier_route_matches_recursion_and_bruteforce(g, isolated):
-    g = Graph.from_edges(g.n + isolated, g.edges())
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(indpoly, "FRONTIER_WIDTH", g.n)
-        by_frontier = _frontier_route(g)
-        patch.setattr(indpoly, "BRANCH_MAX", 1 << 30)
-        by_recursion = independence_polynomial(g)
-    assert by_frontier == by_recursion
-    assert by_frontier.coeffs == bruteforce_counts(g)
+@given(graphs_with_long_runs())
+@settings(max_examples=150, deadline=None)
+def test_graphs_with_long_runs_match_bruteforce(g):
+    assert independence_polynomial(g).coeffs == bruteforce_counts(g)
 
 
 @st.composite
@@ -410,16 +422,20 @@ def mixed_graphs(draw):
     return Graph.from_edges(offset, edges)
 
 
-@given(mixed_graphs(), st.integers(min_value=0, max_value=30), st.integers(min_value=1, max_value=12))
+@given(mixed_graphs(), st.integers(min_value=0, max_value=1 << 22))
 @settings(max_examples=150, deadline=None)
-def test_fallback_matches_bruteforce_at_every_budget(g, branch_max, width):
-    # under the drawn BRANCH_MAX, memoized, closed-form, frontier and pivoted
-    # components meet in one component loop; a narrow width makes the
-    # frontier route decline some components and answer others
+def test_fallback_matches_bruteforce_at_every_budget(g, budget):
+    # under the drawn MAX_EVAL_WORK, closed-form and dynamic-program
+    # components meet in one component loop: the graph is either answered
+    # exactly or refused naming the cap, never answered wrongly
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(indpoly, "BRANCH_MAX", branch_max)
-        patch.setattr(indpoly, "FRONTIER_WIDTH", width)
-        assert independence_polynomial(g).coeffs == bruteforce_counts(g)
+        patch.setattr(indpoly, "MAX_EVAL_WORK", budget)
+        try:
+            counts = independence_polynomial(g).coeffs
+        except ValueError as exc:
+            assert f"MAX_EVAL_WORK = {budget} bytes" in str(exc)
+        else:
+            assert counts == bruteforce_counts(g)
 
 
 @pytest.fixture
@@ -435,55 +451,54 @@ def sweep_counter(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def frontier_calls(monkeypatch):
-    """The components the frontier route has been asked for so far."""
-    calls = []
-    route = indpoly._frontier_polynomial
-    monkeypatch.setattr(indpoly, "_frontier_polynomial",
-                        lambda adj, comp, slot: calls.append(comp) or route(adj, comp, slot))
-    return calls
+def _assert_swept_once_and_runs_once(sweep_counter, graphs):
+    # no recursion: one sweep finds the components, and one more finds the
+    # runs of each component that is not a path or a cycle, whatever its
+    # number of branch vertices
+    for g in graphs:
+        sweep_counter.clear()
+        independence_polynomial(g)
+        degrees = g.degrees()
+        branching = sum(max(degrees[v] for v in comp) >= 3 for comp in g.connected_components())
+        assert len(sweep_counter) == 1 + branching, g
 
 
-def _branch_counts(g: Graph) -> list[int]:
-    """The vertices of degree 3 or more in each component of g."""
-    degrees = g.degrees()
-    return [sum(degrees[v] >= 3 for v in comp) for comp in g.connected_components()]
+def test_each_component_is_swept_once_and_its_runs_once(sweep_counter):
+    shapes = [FamilySpec(fam, params) for fam, (floors, _) in FAMILIES.items()
+              for params in itertools.product(*[range(f, 9) for f in floors])]
+    _assert_swept_once_and_runs_once(sweep_counter, [build(spec) for spec in shapes])
 
 
-def test_catalogue_shapes_pivot_within_their_branch_bound(sweep_counter, frontier_calls):
-    # so catalogue traffic never reaches the frontier route, and every pivot
-    # is a branch vertex: b of them cost at most 2^(b+1) - 1 sweeps
-    worst = 0
-    for fam, (floors, _) in FAMILIES.items():
-        for params in itertools.product(*[range(f, 9) for f in floors]):
-            g = build(FamilySpec(fam, params))
-            (branches,) = _branch_counts(g) or [0]
-            assert branches <= BRANCH_MAX, (fam, params)
-            sweep_counter.clear()
-            independence_polynomial(g)
-            assert len(sweep_counter) <= 2 ** (branches + 1) - 1, (fam, params)
-            worst = max(worst, len(sweep_counter))
-    assert worst > 1 and frontier_calls == []
-
-
-def test_grids_past_branch_max_take_the_frontier_route_after_one_sweep(sweep_counter, frontier_calls):
-    g = grid_graph(5, 8)
-    independence_polynomial(g)
-    assert len(sweep_counter) == 1 and frontier_calls == [(1 << g.n) - 1]
-    # a 2 x 4 ladder has BRANCH_MAX branch vertices, its middle columns, and pivots
-    sweep_counter.clear()
-    assert _branch_counts(grid_graph(2, 4)) == [BRANCH_MAX]
+def test_grids_are_swept_once_and_their_runs_once(sweep_counter):
+    # the 2 x 4 ladder has four branch vertices, its middle columns, and the
+    # 5 x 8 grid 28; each is one component sweep and one run sweep
+    grids = [grid_graph(5, 8), grid_graph(2, 4), build(SMALL_GRID)]
+    _assert_swept_once_and_runs_once(sweep_counter, grids)
     assert independence_polynomial(grid_graph(2, 4)).coeffs == _grid_counts_by_transfer_matrix(2, 4)
-    assert 1 < len(sweep_counter) <= 2 ** (BRANCH_MAX + 1) - 1 and len(frontier_calls) == 1
 
 
-@pytest.mark.parametrize("cap", ["FRONTIER_WIDTH", "MAX_FRONTIER_WORK"])
-def test_component_past_a_frontier_cap_goes_back_to_the_recursion(monkeypatch, cap):
+def test_component_past_the_work_cap_is_refused(monkeypatch, capsys):
+    # a cap of 0 refuses every component with a branch vertex, before its
+    # first step, and leaves paths and cycles to their closed forms
+    monkeypatch.setattr(indpoly, "MAX_EVAL_WORK", 0)
+    assert independence_polynomial(build([fs("P", 9), fs("C", 7)])) == path_polynomial(9) * cycle_polynomial(7)
     g = grid_graph(5, 8)
-    monkeypatch.setattr(indpoly, cap, 4 if cap == "FRONTIER_WIDTH" else 1 << 16)
-    assert indpoly._frontier_polynomial(g.adj, (1 << g.n) - 1, g.n // 8 + 1) is None
-    assert independence_polynomial(g).coeffs == _grid_counts_by_transfer_matrix(5, 8)
+    with pytest.raises(ValueError, match=r"^a component on 40 vertices needs more than MAX_EVAL_WORK = 0 bytes"):
+        independence_polynomial(g)
+    assert main(["poly", graph6_write(g)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and "MAX_EVAL_WORK" in captured.err
+
+
+def test_components_with_wide_frontiers_are_answered():
+    # the table is keyed by the vertices the chosen set blocks, not by the
+    # chosen set: K_{40,40} has 2^40 independent sets on one side, yet its
+    # keys are few, and the 5 x 8 grid's frontier is five cells wide
+    a = b = 40
+    g = Graph.from_edges(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+    # (1 + x)^a + (1 + x)^b - 1: a set lies within one side, and the empty set on both
+    assert independence_polynomial(g) == IntPoly([comb(a, k) + comb(b, k) - (k == 0) for k in range(a + 1)])
+    assert independence_polynomial(grid_graph(5, 8)).coeffs == _grid_counts_by_transfer_matrix(5, 8)
 
 
 def test_long_closed_form_shapes_still_evaluate():
@@ -499,21 +514,70 @@ def test_long_closed_form_shapes_still_evaluate():
 
 
 def test_ladder_past_the_recursion_limit_is_answered():
-    # the pivot recursion takes one frame per ladder column and overflows
-    # from a bare interpreter at 2 x 995; the frontier route has no frames
+    # a recursion over the ladder's columns would overflow from a bare
+    # interpreter at about 2 x 995; the dynamic program takes no frames
     assert independence_polynomial(grid_graph(2, 995)).coeffs == _grid_counts_by_transfer_matrix(2, 995)
 
 
-def test_recursion_overflow_is_a_clear_error(capsys):
-    # a 2 x 1500 ladder with a clique on FRONTIER_WIDTH + 2 vertices at one
-    # end: the clique's frontier is too wide for the frontier route, so the
-    # recursion takes the ladder one frame per column and overflows
-    ladder, clique = grid_graph(2, 1500), FRONTIER_WIDTH + 2
+def test_ladder_with_a_clique_at_one_end_is_answered():
+    # a 2 x 1500 ladder whose vertex 0 joins a 14-clique, refused as too
+    # deep by a recursion over the ladder: deleting that edge uv,
+    # I(G) = I(G - uv) - x^2 I(G - N[u] - N[v]), where G - uv is the
+    # ladder beside the clique and the clique is gone from G - N[u] - N[v]
+    ladder, clique = grid_graph(2, 1500), 14
     n = ladder.n + clique
     edges = ladder.edges() + [(0, ladder.n)] + list(itertools.combinations(range(ladder.n, n), 2))
-    g = Graph.from_edges(n, edges)
-    with pytest.raises(ValueError, match=f"{n} vertices is too deep"):
-        independence_polynomial(g)
-    assert main(["poly", graph6_write(g)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: ") and f"{n} vertices" in captured.err
+    got = independence_polynomial(Graph.from_edges(n, edges))
+    whole = IntPoly(_grid_counts_by_transfer_matrix(2, 1500))
+    assert got == whole * IntPoly((1, clique)) - independence_polynomial(
+        ladder.delete_closed_neighborhood(0)).mul_xpow(2)
+
+
+def _grid_value_by_profile(rows, cols, x):
+    """I(G, x) of the rows x cols grid at the integer x, cell by cell in
+    column order over the choices of the last rows cells, without
+    polynomials (test-local oracle, fast at 13 rows)."""
+    table, full = {0: 1}, (1 << rows) - 1
+    for _ in range(cols):
+        for r in range(rows):
+            out = {}
+            for profile, count in table.items():
+                # bit 0 is the cell above, bit rows - 1 the cell to the left
+                key = profile << 1 & full
+                out[key] = out.get(key, 0) + count
+                if not profile >> rows - 1 & 1 and not (r and profile & 1):
+                    out[key | 1] = out.get(key | 1, 0) + count * x
+            table = out
+    return sum(table.values())
+
+
+def test_profile_oracle_matches_transfer_matrix():
+    for rows, cols in [(1, 1), (1, 5), (2, 7), (3, 4), (5, 6), (6, 3)]:
+        counts = _grid_counts_by_transfer_matrix(rows, cols)
+        for x in (1, 2, -1):
+            assert _grid_value_by_profile(rows, cols, x) == sum(c * x**k for k, c in enumerate(counts))
+
+
+@pytest.mark.parametrize("rows,cols", [(13, 13), (12, 50), (6, 300)])
+def test_grids_past_a_12_vertex_frontier_match_the_profile_oracle(rows, cols):
+    p = independence_polynomial(grid_graph(rows, cols))
+    assert [p.eval_int(x) for x in (1, 2)] == [_grid_value_by_profile(rows, cols, x) for x in (1, 2)]
+
+
+def test_long_pendant_path_on_a_grid_is_answered_fast():
+    # a 2,000-vertex path hung off vertex 9 of a 5 x 8 grid: the run
+    # enters as one closed form, whatever the greedy order's start; split
+    # on the hub u, I(G) = I(P_m) I(H - u) + x I(P_(m-1)) I(H - N[u])
+    grid, m, u = grid_graph(5, 8), 2000, 9
+    edges = grid.edges() + [(u, grid.n)] + [(v, v + 1) for v in range(grid.n, grid.n + m - 1)]
+    g = Graph.from_edges(grid.n + m, edges)
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        got = independence_polynomial(g)
+        seconds.append(time.perf_counter() - start)
+    assert got == path_polynomial(m) * independence_polynomial(grid.delete_vertex(u)) + (
+        path_polynomial(m - 1) * independence_polynomial(grid.delete_closed_neighborhood(u))
+    ).mul_xpow(1)
+    # 0.12 s on a 2-vCPU Intel Xeon host under Python 3.11.7; best of three
+    assert min(seconds) <= 0.3, seconds

@@ -26,7 +26,7 @@ from indeq.classify import MAX_CLASS_COMPONENTS, MAX_SWEEP_SPECS, path_class
 from indeq.cli import main
 from indeq.factorbasis import MAX_FACTOR_INDEX, basis_ftilde, factor_into_basis, real_cyclotomic
 from indeq.graphcore import MAX_BUILD_VERTICES, FamilySpec, Graph, build, graph6_read, graph6_write
-from indeq.indpoly import MAX_EVAL_MASKS, path_polynomial
+from indeq.indpoly import MAX_EVAL_WORK, path_polynomial
 from indeq.polyalg import IntPoly
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -41,6 +41,15 @@ resource.setrlimit(resource.RLIMIT_AS, ({CHILD_LIMIT}, {CHILD_LIMIT}))
 CHILD = LIMIT + """
 from indeq.cli import main
 sys.exit(main(sys.argv[1:]))
+"""
+# runs the CLI on argv and then writes its own seconds as a last stderr line
+TIMED_CHILD = LIMIT + """
+import time
+from indeq.cli import main
+start = time.perf_counter()
+status = main(sys.argv[1:])
+print(f"{time.perf_counter() - start:.3f}", file=sys.stderr)
+sys.exit(status)
 """
 CLASS_CHILD = LIMIT + """
 from indeq.cli import parse_spec_text
@@ -221,19 +230,69 @@ def test_poly_stdin_holds_one_line_at_a_time():
     assert peaks[1] < 1.2 * peaks[0], peaks
 
 
+def _grid_edges(rows, cols):
+    """The edges of the rows x cols grid, numbered column by column."""
+    return ([(v, v + 1) for v in range(rows * cols) if v % rows < rows - 1]
+            + [(v, v + rows) for v in range(rows * (cols - 1))])
+
+
+def _refused_past_the_work_cap(g, vertices):
+    """Seconds the CLI took to refuse g on stdin under the child limit, its
+    component on the given number of vertices past the work cap."""
+    done = _under_limit(TIMED_CHILD, "poly", "-", timeout=60, stdin=graph6_write(g) + "\n")
+    *lines, seconds = done.stderr.splitlines()
+    assert done.returncode == 2 and done.stdout == ""
+    assert lines == [f"error: a component on {vertices} vertices needs more than MAX_EVAL_WORK = "
+                     f"{MAX_EVAL_WORK} bytes of evaluator work"]
+    return float(seconds)
+
+
 def test_evaluator_past_its_mask_budget_is_refused():
-    # a sparse random graph: its pivots leave few paths and cycles, so the
-    # memo would grow to millions of masks, and its frontier passes
-    # FRONTIER_WIDTH, so the frontier route's order is aborted and the
-    # recursion resumes; the refusal took 3.5 s through the CLI, the
-    # aborted order 0.3 ms of it, on a 2-vCPU Intel Xeon host under
-    # Python 3.11.7
+    # a sparse random graph on 120 vertices whose greedy order's table
+    # grows past 10^5 entries: refused once the table carried through the
+    # steps left would pass the cap, in 0.2 s and 58 MB in-process on a
+    # 2-vCPU Intel Xeon host under Python 3.11.7
     rng = random.Random(1)
     g = Graph.from_edges(120, [e for e in itertools.combinations(range(120), 2) if rng.random() < 0.035])
-    done = _under_limit(CHILD, "poly", graph6_write(g), timeout=20)
-    assert done.returncode == 2 and done.stdout == ""
-    assert done.stderr == (f"error: graph on 120 vertices needs more than {MAX_EVAL_MASKS} "
-                           "memoized masks in the pivot recursion\n")
+    assert _refused_past_the_work_cap(g, 118) <= 1
+
+
+def _rungs(paths, length, every):
+    """Parallel paths, numbered path by path, with a rung between
+    neighbouring paths at every every-th column."""
+    edges = [(p * length + c, p * length + c + 1) for p in range(paths) for c in range(length - 1)]
+    edges += [(p * length + c, (p + 1) * length + c) for p in range(paths - 1) for c in range(0, length, every)]
+    return Graph.from_edges(paths * length, edges)
+
+
+@pytest.mark.parametrize("label", ["grid 14 x 70", "ladder 2 x 5000", "12 paths of 80 with rungs"])
+def test_evaluator_past_its_work_cap_is_refused_fast(label):
+    # refused before the step that would pass the cap, so in well under a
+    # second: in-process 13 / 91 / 15 ms on a 2-vCPU Intel Xeon host under
+    # Python 3.11.7, where without the cap the grid took 20 s and the
+    # ladder ran past a minute
+    g = {"grid 14 x 70": lambda: Graph.from_edges(980, _grid_edges(14, 70)),
+         "ladder 2 x 5000": lambda: Graph.from_edges(10000, _grid_edges(2, 5000)),
+         "12 paths of 80 with rungs": lambda: _rungs(12, 80, 5)}[label]()
+    assert _refused_past_the_work_cap(g, g.n) <= 1
+
+
+def test_ladder_answers_without_a_deep_stack():
+    # the 2 x 1650 ladder, which a recursion over its columns refused as
+    # too deep, is answered with a recursion limit of 100 frames; its
+    # coefficients add up to the ladder's count of independent sets
+    child = LIMIT + """
+sys.setrecursionlimit(100)
+from indeq.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+    done = _under_limit(child, "poly", "-", stdin=graph6_write(Graph.from_edges(3300, _grid_edges(2, 1650))) + "\n")
+    assert done.returncode == 0, done.stderr
+    # a column is empty, or holds its top or its bottom vertex
+    empty, one = 1, 2
+    for _ in range(1649):
+        empty, one = empty + one, 2 * empty + one
+    assert sum(map(int, done.stdout.split())) == empty + one
 
 
 def test_the_cap_itself_builds():
