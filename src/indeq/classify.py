@@ -27,10 +27,9 @@ import itertools
 import math
 import operator
 import warnings
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .factorbasis import FactorMultiset, basis_f, basis_ftilde, two_adic_split
 from .graphcore import FAMILIES, MAX_ECHO, FamilySpec, Graph, build, canonical_form, echo, echo_number, spec
@@ -81,8 +80,7 @@ def _exact_text(value: Fraction) -> str:
     return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     admissible: bool
     reason: str
 
@@ -115,9 +113,12 @@ MAX_SWEEP_SPECS = 100_000
 def sweep_family(family: str, max_param: int) -> Iterator[tuple[FamilySpec, Verdict]]:
     """Screen every parameter tuple of a family with all parameters <= max_param,
     lazily: each (spec, verdict) row is made as it is taken.  A ValueError
-    refuses more than MAX_SWEEP_SPECS tuples at the call, before any is made."""
+    refuses a negative max_param, or more than MAX_SWEEP_SPECS tuples, at the
+    call, before any is made."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    if max_param < 0:
+        raise ValueError(f"max parameter must be non-negative, got {echo_number(max_param)}")
     floors = FAMILIES[family].floors
     count = math.prod(max(0, max_param + 1 - f) for f in floors)
     if count > MAX_SWEEP_SPECS:
@@ -130,8 +131,7 @@ def sweep_family(family: str, max_param: int) -> Iterator[tuple[FamilySpec, Verd
 
 # -- the candidate catalogue (shortlist) ----------------------------------------
 
-@dataclass(frozen=True)
-class CatalogueEntry:
+class CatalogueEntry(NamedTuple):
     """One shortlist row: a shape that survives the root screens.
 
     ``spec`` is None for parametric rows (whole families kept for every
@@ -205,7 +205,6 @@ CATALOGUE: tuple[CatalogueEntry, ...] = (
 Member = tuple[FamilySpec, ...]
 
 
-@dataclass(frozen=True)
 class EquivClass:
     """All graphs sharing the reference's independence polynomial.
 
@@ -213,14 +212,31 @@ class EquivClass:
     each is stored once, components by sort_key, members by size then components.
     """
 
-    reference: FamilySpec
-    members: tuple[Member, ...]
+    __slots__ = ("reference", "members")
 
-    def __post_init__(self):
+    def __init__(self, reference: FamilySpec, members: Iterable[Iterable[FamilySpec]]):
         by_key = operator.attrgetter("sort_key")
-        unique = {tuple(sorted(member, key=by_key)) for member in self.members}
+        unique = {tuple(sorted(member, key=by_key)) for member in members}
         ordered = sorted(unique, key=lambda m: (len(m), tuple(map(by_key, m))))
+        object.__setattr__(self, "reference", reference)
         object.__setattr__(self, "members", tuple(ordered))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("EquivClass is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not EquivClass:
+            return NotImplemented
+        return self.reference == other.reference and self.members == other.members
+
+    def __hash__(self) -> int:
+        return hash((self.reference, self.members))
+
+    def __repr__(self) -> str:
+        return f"EquivClass(reference={self.reference!r}, members={self.members!r})"
+
+    def __reduce__(self):
+        return EquivClass, (self.reference, self.members)
 
     def __len__(self) -> int:
         return len(self.members)

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import binascii
 import operator
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, Union
 
 
@@ -302,27 +301,40 @@ FAMILIES: dict[str, Family] = {
 _FAMILY_RANK = {name: rank for rank, name in enumerate(FAMILIES)}
 
 
-@dataclass(frozen=True)
 class FamilySpec:
     """Symbolic descriptor of one parametric graph, e.g. Y:3,2,1."""
 
-    family: str
-    params: tuple[int, ...] = ()
+    __slots__ = ("family", "params")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        object.__setattr__(self, "params", tuple(map(operator.index, self.params)))
-        floors = FAMILIES[self.family].floors
-        if len(self.params) != len(floors):
-            raise ValueError(
-                f"{self.family} takes {len(floors)} parameter(s), got {len(self.params)}"
-            )
-        for slot, (p, floor) in enumerate(zip(self.params, floors)):
+    def __init__(self, family: str, params: Iterable[int] = ()):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        params = tuple(map(operator.index, params))
+        floors = FAMILIES[family].floors
+        if len(params) != len(floors):
+            raise ValueError(f"{family} takes {len(floors)} parameter(s), got {len(params)}")
+        for slot, (p, floor) in enumerate(zip(params, floors)):
             if p < floor:
-                raise ValueError(
-                    f"{self.family} parameter {slot + 1} must be >= {floor}, got {p}"
-                )
+                raise ValueError(f"{family} parameter {slot + 1} must be >= {floor}, got {p}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "params", params)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FamilySpec is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not FamilySpec:
+            return NotImplemented
+        return self.family == other.family and self.params == other.params
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.params))
+
+    def __repr__(self) -> str:
+        return f"FamilySpec(family={self.family!r}, params={self.params!r})"
+
+    def __reduce__(self):
+        return FamilySpec, (self.family, self.params)
 
     def __str__(self) -> str:
         if not self.params:

@@ -36,10 +36,9 @@ import contextlib
 import itertools
 import os
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import comb, factorial, gcd
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .classify import CATALOGUE, EquivClass
 from .factorbasis import factor_into_basis
@@ -55,30 +54,35 @@ NAIVE_MAX = 6
 CLASS_MAX = 14
 
 
-@dataclass(frozen=True)
-class EnumFilter:
+class _EnumFilterFields(NamedTuple):
+    vertex_count: int
+    edge_count: Optional[int]
+    max_degree: Optional[int]
+    connected_only: bool
+
+
+class EnumFilter(_EnumFilterFields):
     """What to enumerate: vertex count plus optional structural filters; a
     ValueError refuses an impossible filter or a vertex count above the caps."""
 
-    vertex_count: int
-    edge_count: Optional[int] = None
-    max_degree: Optional[int] = None
-    connected_only: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.vertex_count < 0:
+    def __new__(cls, vertex_count: int, edge_count: Optional[int] = None,
+                max_degree: Optional[int] = None, connected_only: bool = False):
+        if vertex_count < 0:
             raise ValueError("vertex count must be non-negative")
-        if self.max_degree is not None and self.max_degree < 0:
-            raise ValueError(f"max degree must be non-negative, got {echo_number(self.max_degree)}")
-        n, pairs = self.vertex_count, comb(self.vertex_count, 2)
-        if self.edge_count is not None and not (0 <= self.edge_count <= pairs):
+        if max_degree is not None and max_degree < 0:
+            raise ValueError(f"max degree must be non-negative, got {echo_number(max_degree)}")
+        n, pairs = vertex_count, comb(vertex_count, 2)
+        if edge_count is not None and not (0 <= edge_count <= pairs):
             raise ValueError(
-                f"edge count {echo_number(self.edge_count)} impossible on {echo_number(n)} vertices")
-        if self.edge_count is None and n > _UNFILTERED_MAX:
+                f"edge count {echo_number(edge_count)} impossible on {echo_number(n)} vertices")
+        if edge_count is None and n > _UNFILTERED_MAX:
             raise ValueError(
                 f"unfiltered enumeration is capped at {_UNFILTERED_MAX} vertices{_span(n, pairs)}")
         if n > _FILTERED_MAX:
             raise ValueError(f"enumeration is capped at {_FILTERED_MAX} vertices{_span(n, pairs)}")
+        return super().__new__(cls, vertex_count, edge_count, max_degree, connected_only)
 
 
 def _span(n: int, pairs: int) -> str:

@@ -35,10 +35,9 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd, isqrt, lcm
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 #: Accepted exact scalar types for evaluation points.
 RationalLike = Union[int, Fraction]
@@ -399,8 +398,7 @@ def is_squarefree(p: IntPoly) -> bool:
 Endpoint = Optional[RationalLike]
 
 
-@dataclass(frozen=True)
-class SturmChain:
+class SturmChain(NamedTuple):
     """Signed remainder sequence of p and p', content-normalized.
 
     ``steps[i]`` is the tuple (q, m, g, k) of the exact identity

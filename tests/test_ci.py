@@ -16,6 +16,10 @@ def test_workflow_runs_tier1_from_the_python_floor():
     install = runs.index('python -m pip install ".[test]"')
     # the installed package and its console script, not src on PYTHONPATH
     assert runs[install + 1] == "indeq verify all"
+    # importing the installed CLI loads neither dataclasses nor inspect, which cost start-up time
+    assert ("""python -c "import sys; before = set(sys.modules); import indeq.cli;"""
+            ''' sys.exit(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)) or 0)"'''
+            in runs[install + 1:])
     # then at the full bounds, whose root and sweep checks build larger Sturm chains
     assert runs.index("indeq verify all --bound full") > install + 1
     # the console script refuses a 4,300-digit vertex count by naming its cap

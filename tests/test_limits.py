@@ -161,6 +161,18 @@ def test_oversized_screen_sweep_is_refused():
                            f"above the cap of {MAX_SWEEP_SPECS}\n")
 
 
+def test_negative_sweep_bound_is_refused_before_any_spec(monkeypatch):
+    from indeq import classify
+
+    def no_spec(*args):
+        raise AssertionError("a spec was built")
+
+    monkeypatch.setattr(classify, "FamilySpec", no_spec)
+    for family in ("P", "K4e", "Y"):
+        with pytest.raises(ValueError, match="^max parameter must be non-negative, got -1$"):
+            classify.sweep_family(family, -1)
+
+
 @pytest.mark.parametrize("family,json_out,numerator,shift", [("F4", False, -14289, 4), ("F7", True, -1, 5)])
 def test_screen_reasons_print_past_the_int_str_digit_limit(family, json_out, numerator, shift):
     # the last reason's denominator, 2^14294 or 2^14295, has more than the
@@ -516,6 +528,7 @@ LONG = "9" * 4299
     (["factor", "path", "-" + LONG], "path length must be >= 0, got below -10^40"),
     (["screen", "F4", "--max", LONG],
      f"F4 up to over 10^40 has over 10^40 parameter tuples, above the cap of {MAX_SWEEP_SPECS}"),
+    (["screen", "F4", "--max", "-" + LONG], "max parameter must be non-negative, got below -10^40"),
     (["factor", "spec", "P:2", "--max-index", LONG],
      f"max index over 10^40 is above the cap of {MAX_FACTOR_INDEX}"),
     (["factor", "spec", "P:2", "--max-index", "-" + LONG], "max index below -10^40 is below 2"),
@@ -524,8 +537,8 @@ LONG = "9" * 4299
     # n + 2 = 2^1449: 437 digits, and the D twins give about 2^1449 components
     (["class", "path", str(2**1449 - 2)], f"the class of {f'P:{2**1449 - 2}'[:40]!r}... has up to over 10^40"
                                           f" components, above the cap of {MAX_CLASS_COMPONENTS}"),
-], ids=["factor-path", "factor-cycle", "factor-path-negative", "screen-max", "max-index",
-        "max-index-negative", "enumerate-edges", "class-odd-path", "class-cap"])
+], ids=["factor-path", "factor-cycle", "factor-path-negative", "screen-max", "screen-max-negative",
+        "max-index", "max-index-negative", "enumerate-edges", "class-odd-path", "class-cap"])
 def test_refusals_cut_numbers_past_max_echo_digits(capsys, argv, message):
     assert main(argv) == 2
     out, err = capsys.readouterr()
@@ -538,14 +551,16 @@ def test_refusals_cut_numbers_past_max_echo_digits(capsys, argv, message):
      f"cycle length {MAX_FACTOR_INDEX + 1} is above the cap of {MAX_FACTOR_INDEX}"),
     (["screen", "F4", "--max", "100001"],
      f"F4 up to 100001 has 100002 parameter tuples, above the cap of {MAX_SWEEP_SPECS}"),
+    (["screen", "P", "--max", "-1"], "max parameter must be non-negative, got -1"),
+    (["screen", "K4e", "--max", "-1", "--json"], "max parameter must be non-negative, got -1"),
     (["enumerate", "--vertices", "5", "--edges", "11"], "edge count 11 impossible on 5 vertices"),
     (["class", "path", "7"], "odd paths are independence unique; no class to enumerate for P_7"),
     (["class", "path", "9" * 40],
      f"odd paths are independence unique; no class to enumerate for P_{'9' * 40}"),
     (["class", "path", "262142"],
      f"the class of P:262142 has up to 2097153 components, above the cap of {MAX_CLASS_COMPONENTS}"),
-], ids=["factor-cycle", "screen-max", "enumerate-edges", "class-odd-path", "class-odd-path-40-digits",
-        "class-cap"])
+], ids=["factor-cycle", "screen-max", "screen-max-negative", "screen-max-negative-no-params",
+        "enumerate-edges", "class-odd-path", "class-odd-path-40-digits", "class-cap"])
 def test_refusals_repeat_numbers_of_at_most_max_echo_digits(capsys, argv, message):
     assert main(argv) == 2
     out, err = capsys.readouterr()
