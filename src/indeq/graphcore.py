@@ -70,6 +70,10 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        # the canonical search's results are not carried; a copy searches again
+        return Graph, (self.n, self.adj)
+
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         adj = [0] * n
@@ -441,44 +445,54 @@ def canonical_form(g: Graph) -> bytes:
     decode back to a representative of the class.
     """
     if g._canon is None:
-        _canonize(g)
+        canonize(g)
     return g._canon
 
 
 def automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """The automorphisms of g that its canonical search met.
+    """The automorphisms of g that its canonical search was given
+    (canonize's known, first) plus those it met.
 
     Each is a vertex map, perm[v] being the image of v.  They generate the
     whole automorphism group: the search prunes a child only by the orbits
-    of automorphisms it has already met, and leaves a branch early only when
-    one just met maps an explored branch onto it.  A node whose remaining
-    cells are uniform blocks (cliques or independent sets, joined to each
-    other all or nothing) is not searched below: its one leaf is read off,
-    and when that leaf is a new best the transpositions of adjacent vertices
-    within each block, which its subtree would have met, are stored instead;
-    Graph.empty(n) stores n - 1.
+    of automorphisms it was given or has already met, and leaves a branch
+    early only when one just met maps an explored branch onto it.  A node
+    whose remaining cells are uniform blocks (cliques or independent sets,
+    joined to each other all or nothing) is not searched below: its one
+    leaf is read off, and when that leaf is a new best the transpositions
+    of adjacent vertices within each block, which its subtree would have
+    met, are stored instead; Graph.empty(n) stores n - 1.
     """
     if g._search is None:
-        _canonize(g)
+        canonize(g)
     return g._search[1]
 
 
 def canonical_order(g: Graph) -> tuple[int, ...]:
     """The vertex at each position of g's canonical labeling."""
     if g._search is None:
-        _canonize(g)
+        canonize(g)
     return g._search[0]
 
 
-def _canonize(g: Graph) -> None:
-    """Store g's canonical form, the automorphisms its search found and
-    its canonical order (the vertex at each canonical position)."""
+def canonize(g: Graph, known: Iterable[tuple[int, ...]] = ()) -> None:
+    """Run g's canonical search and store its results: g's canonical form,
+    its canonical order (the vertex at each canonical position) and the
+    automorphisms the search was given and found.
+
+    known: automorphisms of g already known, as vertex maps.  The search
+    starts with them as if it had met them, so orbit pruning skips the
+    branches it would only revisit to find them again.  The leaves skipped
+    are images of leaves explored, so the form and the order do not
+    change.  Anything in known that is not an automorphism of g makes the
+    search wrong.
+    """
     n = g.n
     # dense graphs canonicalize faster through the complement; the
     # ordering and automorphisms found there hold for the original,
     # whose rows are the complement's rows flipped within their width
     flip = 2 * g.edge_count > n * (n - 1) // 2
-    rows, order, autos = _canonical_order(g.complement() if flip else g)
+    rows, order, autos = _canonical_order(g.complement() if flip else g, known)
     if flip:
         rows = [row ^ ((1 << j) - 1) for j, row in enumerate(rows, 1)]
     object.__setattr__(g, "_canon", _graph6(n, rows))
@@ -500,7 +514,7 @@ def complement_form(key: bytes) -> bytes:
     """The graph6 bytes of the complement of the graph key encodes, same labeling.
 
     For key = canonical_form(g) that is canonical_form(g.complement()) unless g
-    has exactly half the pairs: _canonize searches the sparser of the two, and
+    has exactly half the pairs: canonize searches the sparser of the two, and
     at the middle each graph its own (all 3 classes with 4 vertices, 3 edges differ).
     """
     size = 1 if key[:1] != b"~" else 3 if key[1:2] != b"~" else 6
@@ -554,9 +568,11 @@ def _uniform_blocks(adj: Sequence[int], cells: list[int]) -> bool:
     return True
 
 
-def _canonical_order(g: Graph) -> tuple[list[int], list[int], tuple[tuple[int, ...], ...]]:
+def _canonical_order(g: Graph, known: Iterable[tuple[int, ...]] = ()
+                     ) -> tuple[list[int], list[int], tuple[tuple[int, ...], ...]]:
     """The adjacency rows of g's canonical ordering, the ordering itself
-    (the vertex at each position), and the automorphisms found.
+    (the vertex at each position), and the automorphisms known (first)
+    and found.
 
     Row k (k = 1..n-1) holds the adjacency of the k-th vertex to the
     vertices before it, the first of them in its top bit.  A smaller row
@@ -571,7 +587,7 @@ def _canonical_order(g: Graph) -> tuple[list[int], list[int], tuple[tuple[int, .
     start = [by_degree[d] for d in sorted(by_degree, reverse=True)]
 
     best_key = best_order = None
-    autos: list[tuple[int, ...]] = []
+    autos: list[tuple[int, ...]] = list(map(tuple, known))
 
     def search(cells: list[int], prefix: list[int], key: list[int]) -> int:
         # prefix: the leading singleton cells, key: their rows; both
@@ -602,9 +618,10 @@ def _canonical_order(g: Graph) -> tuple[list[int], list[int], tuple[tuple[int, .
                 if end > ti:
                     # store what searching the blocks would have: the swap of
                     # positions i, i + 1 of a block, deepest first, unless an
-                    # automorphism stored earlier fixes positions < i and
-                    # moves i (then i and i + 1 already share an orbit)
-                    firsts = {next(i for i, u in enumerate(prefix) if a[u] != u) for a in autos}
+                    # automorphism given or stored earlier fixes positions < i
+                    # and moves i (then i and i + 1 already share an orbit; a
+                    # given identity moves none)
+                    firsts = {next((i for i, u in enumerate(prefix) if a[u] != u), n) for a in autos}
                     pairs = []
                     for c in cells[ti:end]:
                         pairs += range(ti, ti + c.bit_count() - 1)

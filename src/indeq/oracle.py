@@ -42,7 +42,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .classify import CATALOGUE, EquivClass
 from .factorbasis import factor_into_basis
-from .graphcore import FamilySpec, Graph, automorphisms, build, canonical_form, canonical_order
+from .graphcore import FamilySpec, Graph, automorphisms, build, canonical_form, canonical_order, canonize
 from .graphcore import MAX_ECHO, complement_form, echo_number, from_canonical_form, spec
 from .indpoly import bruteforce_counter, bruteforce_counts, independence_polynomial
 
@@ -177,7 +177,9 @@ def _expand_level(n: int, rows: list[tuple], max_degree: Optional[int],
     from exactly one parent and one orbit leader, so no two children are
     isomorphic (McKay, "Isomorph-free exhaustive generation", 1998).  A
     child whose edge uv has a smaller invariant than another edge is
-    dropped before its canonical search.
+    dropped before its canonical search.  That search starts from the
+    parent's stored automorphisms that map {u, v} to itself, which are
+    automorphisms of the child too, so it need not find them again.
 
     With a prune of (target counts, edges left after the child), a child
     is dropped before its canonical search unless _within_reach keeps its
@@ -210,6 +212,7 @@ def _expand_level(n: int, rows: list[tuple], max_degree: Optional[int],
             child_counts = None if counter is None else _counts_with_edge(counts, counter, n, adj, u, v)
             if child_counts is not None and not _within_reach(child_counts, bounds):
                 continue
+            canonize(child, [a for a in autos if a[u] == u and a[v] == v or a[u] == v and a[v] == u])
             key = canonical_form(child)
             if _from_canonical_parent(child, (u, v), top):
                 out.append((key, child.adj, automorphisms(child), child_counts))

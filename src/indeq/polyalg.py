@@ -116,6 +116,9 @@ class IntPoly:
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("IntPoly is immutable")
 
+    def __reduce__(self):
+        return IntPoly, (self.coeffs,)
+
     # -- constructors -------------------------------------------------
 
     @classmethod

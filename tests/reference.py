@@ -1,11 +1,13 @@
 """Reference routes the tests check the library against.
 
 They find isomorphisms by backtracking vertex assignment and share no
-code with the canonical search, and multiply polynomials by the
-schoolbook double loop.
+code with the canonical search, order permutation groups through sympy,
+and multiply polynomials by the schoolbook double loop.
 """
 
 from typing import Iterator, Sequence
+
+import pytest
 
 from indeq.graphcore import Graph
 
@@ -51,6 +53,20 @@ def isomorphic_bruteforce(g: Graph, h: Graph) -> bool:
 def automorphism_count(g: Graph) -> int:
     """The order of g's automorphism group, by counting its vertex maps."""
     return sum(1 for _ in isomorphisms(g, g))
+
+
+def is_automorphism(g: Graph, perm: Sequence[int]) -> bool:
+    """Whether the vertex map takes g's edges exactly onto g's edges."""
+    edges = set(g.edges())
+    return {tuple(sorted((perm[u], perm[v]))) for u, v in edges} == edges
+
+
+def group_order(n: int, gens) -> int:
+    """The order of the group the vertex maps on n vertices generate, by
+    sympy's Schreier-Sims, which shares no code with the canonical search."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    perms = [combinatorics.Permutation(list(a)) for a in gens]
+    return combinatorics.PermutationGroup([combinatorics.Permutation(list(range(n)))] + perms).order()
 
 
 def poly_product(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:

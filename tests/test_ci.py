@@ -59,6 +59,9 @@ def test_workflow_runs_tier1_from_the_python_floor():
     assert 'test "$(timeout 60 indeq enumerate --vertices 12 --edges 63 | wc -l)" = 5' in runs[install + 1:]
     # and lists all 12,346 graphs on 8 vertices, each through the full canonical search
     assert 'test "$(timeout 60 indeq enumerate --vertices 8 | wc -l)" = 12346' in runs[install + 1:]
+    # in the same bytes as recorded, whatever automorphisms each canonical search starts from
+    assert ('timeout 60 indeq enumerate --vertices 8 | sha256sum | grep -q "^bee25ad2a2950520"'
+            in runs[install + 1:])
     # the independent cross-check at its defaults, on the installed package
     assert runs.index("python scripts/exhaustive_crosscheck.py") > install
     # and through a real spawn pool, which opens at P_10, from the guarded script

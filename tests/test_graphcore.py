@@ -20,6 +20,7 @@ from indeq.graphcore import (
     build,
     canonical_form,
     canonical_order,
+    canonize,
     complement_form,
     from_canonical_form,
     graph6_read,
@@ -30,7 +31,7 @@ from indeq.graphcore import (
 from indeq.oracle import EnumFilter, enumerate_graphs
 
 from conftest import fs, grid_graph, random_graphs
-from reference import automorphism_count, isomorphic_bruteforce
+from reference import automorphism_count, group_order, is_automorphism, isomorphic_bruteforce
 
 
 # closed-form vertex/edge counts read off the family drawings
@@ -355,10 +356,9 @@ def test_canonical_graph_is_a_fixed_point(g):
 @given(random_graphs(max_vertices=10))
 @settings(max_examples=80, deadline=None)
 def test_stored_automorphisms_preserve_edges(g):
-    edges = set(g.edges())
     for perm in automorphisms(g):
         assert sorted(perm) == list(range(g.n))
-        assert {tuple(sorted((perm[u], perm[v]))) for u, v in edges} == edges
+        assert is_automorphism(g, perm)
 
 
 @given(random_graphs(max_vertices=10))
@@ -439,6 +439,37 @@ def test_uniform_blocks_change_no_search_result(g):
         with mock.patch.object(graphcore, "_uniform_blocks", return_value=False):
             walked = graphcore._canonical_order(x)
         assert graphcore._canonical_order(x) == walked, graph6_write(x)
+
+
+def _assert_known_change_nothing(g, known):
+    plain, seeded = Graph(g.n, g.adj), Graph(g.n, g.adj)
+    canonize(seeded, known)
+    assert canonical_form(seeded) == canonical_form(plain), graph6_write(g)
+    assert canonical_order(seeded) == canonical_order(plain), graph6_write(g)
+    autos = automorphisms(seeded)
+    assert list(autos[:len(known)]) == list(known)
+    assert group_order(g.n, autos) == group_order(g.n, automorphisms(plain)), graph6_write(g)
+
+
+@given(random_graphs(max_vertices=10), st.data())
+@settings(max_examples=150, deadline=None)
+def test_known_automorphisms_change_no_search_result(g, data):
+    # a search given automorphisms prunes by them from the start; its form,
+    # order and generated group must be the unseeded search's.  They are
+    # drawn two ways: some of those the unseeded search stores, or the
+    # identity, and a parent's stored ones that map a non-edge {u, v} to
+    # itself, which are automorphisms of the child parent + uv
+    for parent in (g, g.complement()):
+        gens = automorphisms(parent)
+        some = st.lists(st.sampled_from(gens + (tuple(range(parent.n)),)), min_size=1, unique=True)
+        _assert_known_change_nothing(parent, data.draw(some))
+        non_edges = [e for e in itertools.combinations(range(parent.n), 2) if not parent.has_edge(*e)]
+        if non_edges:
+            u, v = data.draw(st.sampled_from(non_edges))
+            child = Graph.from_edges(parent.n, parent.edges() + [(u, v)])
+            known = [a for a in gens if {a[u], a[v]} == {u, v}]
+            assert all(is_automorphism(child, a) for a in known), graph6_write(parent)
+            _assert_known_change_nothing(child, known)
 
 
 def test_uniform_blocks_end_the_search_at_the_root():

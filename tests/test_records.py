@@ -1,6 +1,7 @@
 """The library's seven records: constructors, equality, hashing,
-immutability, repr text, ordering and refusals, plus a start-up guard that
-importing the CLI pulls in neither `dataclasses` nor `inspect`."""
+immutability, repr text, ordering and refusals, pickle and copy round
+trips (of IntPoly and Graph too), plus a start-up guard that importing
+the CLI pulls in neither `dataclasses` nor `inspect`."""
 
 import copy
 import functools
@@ -15,7 +16,7 @@ import pytest
 
 from indeq.classify import CATALOGUE, CatalogueEntry, EquivClass, Verdict, path_class
 from indeq.factorbasis import BasisFactor, basis_f, basis_ftilde
-from indeq.graphcore import FamilySpec
+from indeq.graphcore import FamilySpec, Graph
 from indeq.oracle import EnumFilter
 from indeq.polyalg import IntPoly, SturmChain
 
@@ -190,16 +191,11 @@ def test_records_print_as_their_fields():
 
 @pytest.mark.parametrize("record", [
     Y321, EnumFilter(6, 3), Verdict(False, "no"), CATALOGUE[5], path_class(6),
+    basis_f(7), CHAIN, IntPoly([1, 2]), Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)]),
 ], ids=lambda obj: type(obj).__name__)
 def test_records_pickle_and_copy(record):
     for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
         assert twin == record and type(twin) is type(record) and repr(twin) == repr(record)
-
-
-def test_records_holding_polynomials_copy_shallowly():
-    for record in (basis_f(7), CHAIN):
-        twin = copy.copy(record)
-        assert twin == record and repr(twin) == repr(record)
 
 
 def test_importing_the_cli_pulls_in_neither_dataclasses_nor_inspect():
