@@ -181,7 +181,7 @@ class Graph:
 
     def connected_components(self) -> list[list[int]]:
         """Vertex lists of the connected components, each sorted, in order."""
-        return [_bits(comp) for comp, *_ in mask_components(self.adj, (1 << self.n) - 1)]
+        return [_bits(comp) for comp in mask_components(self.adj, (1 << self.n) - 1)]
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.connected_components()) == 1
@@ -193,11 +193,10 @@ class Graph:
         return total // 3
 
 
-def mask_components(adj: Sequence[int], mask: int, runs: int = 0) -> list[tuple[int, int, int]]:
-    """The connected components of the subgraph that the adjacency rows
-    ``adj`` induce on ``mask``, ordered by lowest vertex, found by one
-    breadth-first sweep each: ``(component mask, in-mask degree sum,
-    largest in-mask degree)``.
+def mask_components(adj: Sequence[int], mask: int, runs: int = 0) -> list[int]:
+    """The masks of the connected components of the subgraph that the
+    adjacency rows ``adj`` induce on ``mask``, ordered by lowest vertex,
+    found by one breadth-first sweep each.
 
     Each set bit v of ``runs`` must mark an edge v-(v + 1) between two
     vertices of degree at most 2.  The sweep takes each stretch a..b of
@@ -208,7 +207,6 @@ def mask_components(adj: Sequence[int], mask: int, runs: int = 0) -> list[tuple[
     chained = runs | runs << 1  # the vertices on a stretch
     while mask:
         comp = frontier = mask & -mask
-        top = degree_sum = 0
         while frontier:
             grow = stretches = 0
             if chained:
@@ -217,12 +215,7 @@ def mask_components(adj: Sequence[int], mask: int, runs: int = 0) -> list[tuple[
             while frontier:
                 v = (frontier & -frontier).bit_length() - 1
                 frontier &= frontier - 1
-                row = adj[v] & mask
-                grow |= row
-                d = row.bit_count()
-                degree_sum += d
-                if d > top:
-                    top = d
+                grow |= adj[v]
             while stretches:
                 v = (stretches & -stretches).bit_length() - 1
                 up = runs >> v
@@ -231,15 +224,10 @@ def mask_components(adj: Sequence[int], mask: int, runs: int = 0) -> list[tuple[
                 stretch = (2 << b) - (1 << a)
                 stretches &= ~stretch
                 comp |= stretch
-                row_a, row_b = adj[a] & mask, adj[b] & mask
-                grow |= row_a | row_b
-                da, db = row_a.bit_count(), row_b.bit_count()
-                degree_sum += da + db + 2 * (b - a - 1)
-                # an inner vertex has degree 2
-                top = max(top, da, db, 2 if b > a + 1 else 0)
-            frontier = grow & ~comp
+                grow |= adj[a] | adj[b]
+            frontier = grow & mask & ~comp
             comp |= frontier
-        comps.append((comp, degree_sum, top))
+        comps.append(comp)
         mask ^= comp
     return comps
 

@@ -1,13 +1,14 @@
 """Independence polynomials: exact evaluator plus a brute-force counter.
 
-The evaluator splits the graph into connected components, whose
-polynomials multiply, in one sweep over the input's fixed adjacency rows.
-A component of largest degree at most 2 is a path or a cycle (its degree
-sum tells which) and takes its closed form, i_k(P_n) = C(n-k+1, k) and
+The evaluator reads each vertex's degree once, then splits the graph into
+connected components, whose polynomials multiply, in one sweep over the
+input's fixed adjacency rows.  A component without branch vertices, of
+degree 3 or more, is a path if it has a vertex of degree at most 1 and a
+cycle if not, and takes its closed form, i_k(P_n) = C(n-k+1, k) and
 i_k(C_n) = n/(n-k) * C(n-k, k), built by the exact ratio of consecutive
-coefficients.  Any other component C has branch vertices B, of degree 3 or
-more, and runs, the components of C - B: induced paths whose ends alone
-have neighbours in B, their one or two attachments.  So
+coefficients.  Any other component C has branch vertices B and runs, the
+components of C - B: induced paths whose ends alone have neighbours in B,
+their one or two attachments.  So
 
     I(C, x) = sum over independent S in B of x^|S| prod_r I(P_(m_r - a_r(S)), x)
 
@@ -30,12 +31,13 @@ Python 3.11.7 a 13 x 13 grid takes 0.07 s in-process and a 2 x 1650 ladder
 The brute-force counter, a separate memoized deletion recursion, is the
 module's independent ground truth.
 
-Values are packed into one integer, a slot of |C| // 8 + 1 bytes per
-coefficient (Kronecker substitution): each counts, by size, some of the
-independent sets of C, and i_k(C) <= C(|C|, k) < 2^|C|, so no slot
-overflows.  A sum of packed polynomials is one integer sum, a product one
-integer product, and x times one a shift by a slot; each component is
-unpacked to an IntPoly once.
+Values are packed into one integer by polyalg's codec, a slot of
+|C| // 8 + 1 bytes per coefficient (Kronecker substitution): each counts,
+by size, some of the independent sets of C, and i_k(C) <= C(|C|, k) <
+2^|C| <= 2^(8 * slot - 1), so each fits a slot's signed range.  A sum of
+packed polynomials is one integer sum, a product one integer product, and
+x times one a shift by a slot; each component is unpacked to an IntPoly
+once.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .graphcore import Graph, mask_components
-from .polyalg import IntPoly
+from .polyalg import IntPoly, pack, unpack
 
 # Each closed form is built from i_0 = 1 by the ratio of consecutive
 # coefficients: one multiply by a small integer and one exact division per
@@ -79,18 +81,9 @@ def cycle_polynomial(n: int) -> IntPoly:
 
 
 @lru_cache()
-def _closed_form(n: int, cycle: bool, slot: int) -> IntPoly | int:
-    """I(C_n, x) or I(P_n, x) packed, or the IntPoly itself when slot is 0."""
-    p = cycle_polynomial(n) if cycle else path_polynomial(n)
-    if not slot:
-        return p
-    return int.from_bytes(b"".join(c.to_bytes(slot, "little") for c in p.coeffs), "little")
-
-
-def _unpacked(packed: int, slot: int) -> IntPoly:
-    """The IntPoly whose coefficients fill the slot-byte slots of packed."""
-    data = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
-    return IntPoly(int.from_bytes(data[k:k + slot], "little") for k in range(0, len(data), slot))
+def _packed_path(m: int, slot: int) -> int:
+    """I(P_m, x) packed in slot-byte slots."""
+    return pack(path_polynomial(m).coeffs, slot)
 
 
 #: The most work one component's dynamic program may take, in bytes of
@@ -100,9 +93,11 @@ def _unpacked(packed: int, slot: int) -> IntPoly:
 MAX_EVAL_WORK = 1 << 34
 _ENTRY_WORK = 2048  # per entry and step: what a dictionary update costs beside a value's bytes
 
-# a degree pass's codes as binary digits: code 1 marks a vertex of degree
-# at most 2, and code 2 one that is also adjacent to the next vertex
-_LOW, _RUN = bytes.maketrans(b"\0\1\2", b"011"), bytes.maketrans(b"\0\1\2", b"001")
+# a degree pass's codes as binary digits: a vertex of degree 2 takes code
+# 1 and one of degree at most 1 code 3, each one more when it is adjacent
+# to the next vertex
+_CODE = (3, 3, 1)
+_LOW, _RUN, _END = (bytes.maketrans(b"\0\1\2\3\4", digits) for digits in (b"01111", b"00101", b"00011"))
 
 
 def independence_polynomial(g: Graph) -> IntPoly:
@@ -112,19 +107,21 @@ def independence_polynomial(g: Graph) -> IntPoly:
     adj = g.adj
     codes = bytearray(g.n)
     for v, row in enumerate(adj):
-        if row.bit_count() <= 2:
-            codes[v] = 1 + (row >> v + 1 & 1)
+        d = row.bit_count()
+        if d <= 2:
+            codes[v] = _CODE[d] + (row >> v + 1 & 1)
     codes.reverse()  # the highest vertex is the first digit
-    low = int(b"0" + codes.translate(_LOW), 2)
+    low, ends = int(b"0" + codes.translate(_LOW), 2), int(b"0" + codes.translate(_END), 2)
     branch, runs = (1 << g.n) - 1 ^ low, int(b"0" + codes.translate(_RUN), 2) & low >> 1
     out = None
-    for comp, degree_sum, top in mask_components(adj, (1 << g.n) - 1, runs):
-        n = comp.bit_count()
-        if top <= 2:  # a path or a cycle
-            part = _closed_form(n, degree_sum == 2 * n, 0)
-        else:
-            slot = n // 8 + 1
-            part = _unpacked(_branch_polynomial(adj, comp, comp & branch, runs, slot), slot)
+    for comp in mask_components(adj, (1 << g.n) - 1, runs):
+        if comp & branch:
+            slot = comp.bit_count() // 8 + 1
+            packed = _branch_polynomial(adj, comp, comp & branch, runs, slot)
+            # as many slots as the value fills; |C| + 1 would unpack empty ones
+            part = IntPoly(unpack(packed, slot, -(-packed.bit_length() // (8 * slot))))
+        else:  # a path, which has an end, or a cycle
+            part = (path_polynomial if comp & ends else cycle_polynomial)(comp.bit_count())
         out = part if out is None else out * part
     return path_polynomial(0) if out is None else out
 
@@ -141,7 +138,7 @@ def _branch_polynomial(adj: list[int], comp: int, branch: int, runs: int, slot: 
     # each run, an induced path, touches branch at its ends alone, at one or
     # two vertices, its attachments, which the skeleton joins
     attached, rest = [], comp ^ branch
-    for run, _, _ in mask_components(adj, rest, runs) if rest else ():
+    for run in mask_components(adj, rest, runs):
         ends = run & touch
         att = (adj[(ends & -ends).bit_length() - 1] | adj[ends.bit_length() - 1]) & branch
         a, b = (att & -att).bit_length() - 1, att.bit_length() - 1
@@ -206,7 +203,7 @@ def _branch_polynomial(adj: list[int], comp: int, branch: int, runs: int, slot: 
                 if f is None:
                     f = 1
                     for run, _, m in done:
-                        f *= _closed_form(m - (seen & run).bit_count(), False, slot)
+                        f *= _packed_path(m - (seen & run).bit_count(), slot)
                     factors[seen] = f
                 key = blocked & left
                 out[key] = get(key, 0) + packed * f

@@ -4,8 +4,9 @@ Polynomials are dense ascending coefficient vectors over Python's
 arbitrary-precision integers; the empty vector is the zero polynomial.
 Exact scalars are ``fractions.Fraction``.  Long polynomials multiply by
 Kronecker substitution, big-integer products of their coefficients
-packed into fixed-width slots; short ones by the schoolbook loop.  One
-rational point num/den is evaluated cleared of denominators,
+packed into fixed-width slots by ``pack`` and ``unpack``, the one slot
+codec, which the evaluator also uses; short ones by the schoolbook
+loop.  One rational point num/den is evaluated cleared of denominators,
 den^d·p(num/den), by ``homogeneous_value``; root refinement, whose
 probes k/2^e share one denominator, scales a copy of p once per root and
 runs Horner.
@@ -48,18 +49,18 @@ RationalLike = Union[int, Fraction]
 #: of coefficients, a packed product costs about slot**2 / _KRONECKER_PAYS
 #: bit operations, schoolbook bits_a * bits_b plus one interpreter step,
 #: worth about _PAIR_COST_BITS2 (measured crossovers, CPython 3.11, 2
-#: vCPUs).  Kronecker wins from 16-32 balanced terms.  The evaluator's
-#: dynamic program holds each component's values packed in one integer,
-#: so of its products only the fold of the components' polynomials comes
-#: here.  A factor with narrow coefficients pays for slots as wide as the
-#: other's: packed, I(P_126) times I(P_4000) takes 2.7 times as long as
-#: schoolbook.
+#: vCPUs).  Kronecker wins from 16-32 balanced terms.  The evaluator,
+#: the codec's second user, holds each component's values packed in one
+#: integer, so of its products only the fold of the components'
+#: polynomials comes here.  A factor with narrow coefficients pays for
+#: slots as wide as the other's: packed, I(P_126) times I(P_4000) takes
+#: 2.7 times as long as schoolbook.
 _KRONECKER_MIN_TERMS = 64
 _KRONECKER_PAYS = 8
 _PAIR_COST_BITS2 = 1 << 14
 
 
-def _pack(coeffs: tuple[int, ...], width: int) -> int:
+def pack(coeffs: tuple[int, ...], width: int) -> int:
     """sum c_i * 256**(width * i): the positive and the negative
     coefficients packed separately into width-byte slots of one integer each."""
     zero = bytes(width)
@@ -68,7 +69,7 @@ def _pack(coeffs: tuple[int, ...], width: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _unpack(value: int, width: int, n: int) -> list[int]:
+def unpack(value: int, width: int, n: int) -> list[int]:
     """The n signed width-byte slots of value, each of which must lie
     strictly between -(256**width)/2 and (256**width)/2."""
     # adding half a slot to every slot leaves each one holding c + half, in
@@ -89,7 +90,7 @@ def _kronecker_product(a: tuple[int, ...], b: tuple[int, ...], width: int) -> li
     s = 4 * width
 
     def at_plus_minus(c: tuple[int, ...]) -> tuple[int, int]:
-        even, odd = _pack(c[0::2], width), _pack(c[1::2], width) << s
+        even, odd = pack(c[0::2], width), pack(c[1::2], width) << s
         return even + odd, even - odd
 
     a_plus, a_minus = at_plus_minus(a)
@@ -97,8 +98,8 @@ def _kronecker_product(a: tuple[int, ...], b: tuple[int, ...], width: int) -> li
     plus, minus = a_plus * b_plus, a_minus * b_minus
     n = len(a) + len(b) - 1
     out = [0] * n
-    out[0::2] = _unpack((plus + minus) >> 1, width, (n + 1) // 2)
-    out[1::2] = _unpack((plus - minus) >> (s + 1), width, n // 2)
+    out[0::2] = unpack((plus + minus) >> 1, width, (n + 1) // 2)
+    out[1::2] = unpack((plus - minus) >> (s + 1), width, n // 2)
     return out
 
 

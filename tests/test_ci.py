@@ -62,6 +62,9 @@ def test_workflow_runs_tier1_from_the_python_floor():
     # in the same bytes as recorded, whatever automorphisms each canonical search starts from
     assert ('timeout 60 indeq enumerate --vertices 8 | sha256sum | grep -q "^bee25ad2a2950520"'
             in runs[install + 1:])
+    # and their polynomials in the bytes the brute-force counter also gives, whatever the evaluator's route
+    assert ('test "$(timeout 60 indeq enumerate --vertices 8 | indeq poly - | sha256sum | cut -c1-16)"'
+            ' = c099fb8980a72f0a') in runs[install + 1:]
     # the independent cross-check at its defaults, on the installed package
     assert runs.index("python scripts/exhaustive_crosscheck.py") > install
     # and through a real spawn pool, which opens at P_10, from the guarded script

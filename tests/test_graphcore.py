@@ -305,22 +305,16 @@ def test_mask_components_recounted(g, data):
     inside = [v for v in range(g.n) if mask >> v & 1]
     # components by merging labels along the edges inside the mask
     label = {v: v for v in inside}
-    degree = dict.fromkeys(inside, 0)
     for u, v in g.edges():
         if u in label and v in label:
-            degree[u] += 1
-            degree[v] += 1
             old, new = label[u], label[v]
             label = {w: new if lab == old else lab for w, lab in label.items()}
     groups = {}
     for w in inside:
         groups.setdefault(label[w], []).append(w)
-    expected = []
-    for members in sorted(groups.values()):  # by lowest vertex
-        expected.append((sum(1 << w for w in members), sum(degree[w] for w in members),
-                         max(degree[w] for w in members)))
+    expected = [sum(1 << w for w in members) for members in sorted(groups.values())]  # by lowest vertex
     assert mask_components(g.adj, mask) == expected
-    # the run edges, all or any of them, give the same tuples a stretch at a time
+    # the run edges, all or any of them, give the same masks a stretch at a time
     runs = _runs(g)
     assert mask_components(g.adj, mask, runs) == expected
     assert mask_components(g.adj, mask, runs & data.draw(st.integers(min_value=0, max_value=full))) == expected
@@ -332,7 +326,7 @@ def test_mask_components_take_a_run_cut_at_both_ends_and_in_the_middle():
     runs = _runs(g)
     assert runs == 0b11111111110
     mask = (1 << 13) - 1 ^ (1 << 1 | 1 << 6 | 1 << 11)
-    expected = [(1 | 1 << 12, 2, 1), (0b111100, 6, 2), (0b11110000000, 6, 2)]
+    expected = [1 | 1 << 12, 0b111100, 0b11110000000]
     assert mask_components(g.adj, mask, runs) == expected == mask_components(g.adj, mask)
 
 

@@ -263,6 +263,36 @@ def _complete_bipartite(a, b):
     return Graph.from_edges(a + b, [(u, v) for u in range(a) for v in range(a, a + b)])
 
 
+@st.composite
+def relabelled_paths_and_cycles(draw):
+    """A disjoint union of paths and cycles of up to 400 vertices, with
+    isolated vertices, P_2 and C_3 among the parts drawn, under a random
+    labelling, so that no run bit marks their edges; and its parts."""
+    long = st.tuples(st.just("P"), st.integers(1, 400)) | st.tuples(st.just("C"), st.integers(3, 400))
+    parts = draw(st.lists(long | st.sampled_from([("P", 1), ("P", 2), ("C", 3)]), min_size=1, max_size=6))
+    label = list(range(sum(m for _, m in parts)))
+    draw(st.randoms(use_true_random=False)).shuffle(label)
+    edges, start = [], 0
+    for kind, m in parts:
+        edges += [(label[start + i], label[start + i + 1]) for i in range(m - 1)]
+        if kind == "C":
+            edges.append((label[start + m - 1], label[start]))
+        start += m
+    return Graph.from_edges(len(label), edges), parts
+
+
+@given(relabelled_paths_and_cycles())
+@settings(max_examples=80, deadline=None)
+def test_relabelled_paths_and_cycles_take_their_closed_forms(case):
+    # a component without branch vertices is a path if it has an end, a
+    # cycle if not, well past the brute-force cap
+    g, parts = case
+    want = IntPoly.one()
+    for kind, m in parts:
+        want *= path_polynomial(m) if kind == "P" else cycle_polynomial(m)
+    assert independence_polynomial(g) == want
+
+
 @pytest.mark.parametrize("n", [n for k in (1, 2, 4, 16, 31) for n in (8 * k - 1, 8 * k, 8 * k + 1)])
 def test_packed_slots_hold_the_widest_coefficients(n):
     # a slot is n // 8 + 1 bytes, n + 1 bits at n = 8k - 1; the middle
@@ -285,10 +315,10 @@ def test_spiders_are_packed_and_unpacked_once(monkeypatch, params, slot):
     # 255 and 256 vertices take slots of 32 and 33 bytes, 601 of 76
     g = build(FamilySpec("Y", params))
     calls = []
-    unpacked = indpoly._unpacked
-    monkeypatch.setattr(indpoly, "_unpacked", lambda *args: calls.append(args) or unpacked(*args))
+    unpacked = indpoly.unpack
+    monkeypatch.setattr(indpoly, "unpack", lambda *args: calls.append(args) or unpacked(*args))
     assert independence_polynomial(g) == _spider_closed_form(*params)
-    assert [s for _, s in calls] == [slot]
+    assert [s for _, s, _ in calls] == [slot]
 
 
 @pytest.mark.parametrize("cols", [127, 128])
@@ -502,7 +532,8 @@ def test_components_with_wide_frontiers_are_answered():
 
 
 def test_long_closed_form_shapes_still_evaluate():
-    # one pivot at the degree-3 vertex leaves only paths
+    # the dynamic program's one step places the degree-3 vertex; the
+    # triangle's far edge and the tail enter as closed forms of paths
     assert independence_polynomial(build(fs("D", 1200))) == cycle_polynomial(1200)
     spider = independence_polynomial(build(fs("Y", 1200, 1200, 1200)))
     fib = [0, 1]

@@ -132,6 +132,31 @@ def test_kronecker_slots_hold_extreme_coefficients():
         assert (q * q).coeffs == poly_product(q.coeffs, q.coeffs), bits
 
 
+def _assert_codec_round_trip(coeffs, width):
+    packed = polyalg.pack(tuple(coeffs), width)
+    assert packed == sum(c * 256 ** (width * i) for i, c in enumerate(coeffs))
+    assert polyalg.unpack(packed, width, len(coeffs)) == coeffs
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_codec_round_trips_signed_slots_at_every_width(data):
+    # magnitudes up to a slot's signed bound, the extremes drawn often
+    width = data.draw(st.integers(1, 80))
+    top = 2 ** (8 * width - 1) - 1
+    coeff = st.integers(-top, top) | st.sampled_from([top, -top, 0])
+    _assert_codec_round_trip(data.draw(st.lists(coeff, max_size=12)), width)
+
+
+@given(st.sampled_from([8 * k + d for k in range(41) for d in (-1, 0, 1) if 8 * k + d >= 0]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_codec_holds_the_evaluator_counts_in_its_slots(n, data):
+    # the evaluator packs counts below 2^n, n the component's vertices, in
+    # slots of n // 8 + 1 bytes; n = 8k - 1 leaves the narrowest margin
+    coeff = st.integers(0, 2 ** n - 1) | st.just(2 ** n - 1)
+    _assert_codec_round_trip(data.draw(st.lists(coeff, max_size=12)), n // 8 + 1)
+
+
 @given(polys, polys)
 @settings(max_examples=80, deadline=None)
 def test_divide_undoes_multiply(a, b):
