@@ -6,23 +6,28 @@ of the verification registry (``indeq.checks``), one size per call, and
 prints each result with its time.  For a path or cycle the oracle grows
 every graph on the same vertex count edge by edge up to the edge count
 the polynomial forces, drops each graph whose independent-set counts can
-no longer reach the reference's (adding an edge never creates an
-independent set), and keeps the graphs of the last level whose counts
-equal the reference's; each child's counts come from its parent's, and
-every count is made by the oracle's own brute-force counter
-(``indpoly.bruteforce_counter``), never by the classifier's evaluator.
-The survivors must be exactly the classifier's members (for odd paths,
-the path alone).  The only inputs to the search are the reference's
-counts, so the confirmation is independent of the classification
-argument.  The catalogue cover search is then compared
+no longer reach the reference's, and keeps the graphs of the last level
+whose counts equal the reference's.  Adding an edge never creates an
+independent set, and the independent 3-sets that adding xy removes,
+n - |N[x] | N[y]|, never grow in number in a supergraph, so a child is
+dropped before its augmentation test once the edges left, each removing
+at most the largest such loss over its parent's non-edges, cannot bring
+its 3-sets down to the reference's; every member's canonical ancestors
+are spanning subgraphs of it and pass both tests.  Each child's counts
+come from its parent's, and every count is made by the oracle's own
+brute-force counter (``indpoly.bruteforce_counter``), never by the
+classifier's evaluator.  The survivors must be exactly the classifier's
+members (for odd paths, the path alone).  The only inputs to the search
+are the reference's counts, so the confirmation is independent of the
+classification argument.  The catalogue cover search is then compared
 with the classifier for every even path size up to ``--max-path``.
 
 Usage: python scripts/exhaustive_crosscheck.py [--max-path 12] [--max-cycle 10]
 
 The class search is capped at 14 vertices: ``--max-path 14`` adds P_13
-and P_14, and README.md gives the times of the defaults and of P_12 to
-P_14.  A larger ``--max-path`` or ``--max-cycle`` is refused before any
-check runs.
+and P_14, ``--max-cycle 14`` adds C_11 to C_14, and README.md gives the
+times of the defaults, of P_12 to P_14 and of C_12.  A larger
+``--max-path`` or ``--max-cycle`` is refused before any check runs.
 """
 
 import argparse

@@ -14,12 +14,16 @@ Three mechanisms cross-check the classifier from different directions:
     reference's independence polynomial, with the reference as its only
     input, grown by the same level loop up to the vertex and edge counts
     forced by the polynomial's first two coefficients; a child is
-    dropped before its canonical search once its independent-set counts
-    can no longer reach the reference's (adding an edge never creates an
-    independent set, so every spanning subgraph of a member survives),
-    and every count, the reference's included, is made by indpoly's
-    brute-force counter (a child's from its parent's), not by the
-    classifier's evaluator
+    dropped before its augmentation test once the edges left cannot
+    remove its surplus of independent 3-sets (an edge xy removes
+    n - |N[x] | N[y]| of them, a loss that never grows in a supergraph,
+    so the edges left remove at most the largest losses over the parent's
+    non-edges), and before its canonical search once its independent-set
+    counts can no longer reach the reference's (adding an edge never
+    creates an independent set); every spanning subgraph of a member
+    survives both, and every count, the reference's included, is made
+    by indpoly's brute-force counter (a child's from its parent's), not
+    by the classifier's evaluator
   * catalogue_class_search: assemble class members as exact covers of
     the reference's basis-factor set by shortlist components, each
     factored from its own polynomial, using none of the final case analysis
@@ -104,9 +108,10 @@ def _edge_orbit(pair: tuple[int, int], autos) -> set[tuple[int, int]]:
     return orbit
 
 
-def _orbit_leaders(n: int, adj: tuple[int, ...], autos) -> list[tuple[int, int]]:
-    """The non-edges (u, v), u < v, that are least in their orbit under
-    the group the automorphisms generate.
+def _orbit_leaders(pairs: list[tuple[int, int]], autos) -> list[tuple[int, int]]:
+    """The pairs (u, v) of an ascending list of non-edges, a union of whole
+    orbits, that are least in their orbit under the group the automorphisms
+    generate.
 
     Adding any edge of an orbit gives isomorphic children, so one per
     orbit loses no class.  The stored automorphisms generate the whole
@@ -114,11 +119,10 @@ def _orbit_leaders(n: int, adj: tuple[int, ...], autos) -> list[tuple[int, int]]
     """
     leaders = []
     seen = set()
-    for u in range(n):
-        for v in range(u + 1, n):
-            if not adj[u] >> v & 1 and (u, v) not in seen:
-                leaders.append((u, v))
-                seen |= _edge_orbit((u, v), autos)
+    for pair in pairs:
+        if pair not in seen:
+            leaders.append(pair)
+            seen |= _edge_orbit(pair, autos)
     return leaders
 
 
@@ -182,26 +186,33 @@ def _expand_level(n: int, rows: list[tuple], max_degree: Optional[int],
     automorphisms of the child too, so it need not find them again.
 
     With a prune of (target counts, edges left after the child), a child
-    is dropped before its canonical search unless _within_reach keeps its
-    counts, made from its parent's.
-    Both filters keep every graph's canonical parent along with the graph:
-    deleting an edge raises no degree, and the canonical parent of a
-    spanning subgraph of a member is one too.
+    is dropped before its orbit walk unless the edges left can still
+    remove its surplus of independent 3-sets (_may_shed_3_sets), and
+    before its canonical search unless _within_reach keeps its counts,
+    made from its parent's.  The 3-set test and the degree filters are
+    isomorphism invariants, so they keep or drop whole orbits of the
+    parent's non-edges and leave the orbit leaders as they were; a child
+    they drop costs no orbit walk, top-edge pass, counter query or
+    canonical search.
+    Every filter keeps every graph's canonical parent along with the
+    graph: deleting an edge raises no degree, and the canonical parent of
+    a spanning subgraph of a member is one too, so each canonical
+    ancestor of a member is its parent plus one non-edge, and the member
+    is that plus `left` more of the parent's non-edges.
     """
     bounds = None if prune is None else _reach_bounds(n, *prune)
+    cap = n if max_degree is None else max_degree
     out = []
     for _, adj, autos, counts in rows:
         counter = None if bounds is None else bruteforce_counter(Graph(n, adj))
         degree = [row.bit_count() for row in adj]
         most = max(degree, default=0)
-        for u, v in _orbit_leaders(n, adj, autos):
-            high = max(degree[u], degree[v])
-            # degrees are invariant, so the filter keeps or drops whole orbits
-            if max_degree is not None and high >= max_degree:
-                continue
-            # a top edge of the child meets a vertex of its maximum degree
-            if high + 1 < most:
-                continue
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if not adj[u] >> v & 1]
+        if prune is not None:
+            pairs = _may_shed_3_sets(n, adj, counts, pairs, *prune)
+        # under the degree cap; a top edge of the child meets a vertex of its maximum degree
+        pairs = [(u, v) for u, v in pairs if most - 1 <= max(degree[u], degree[v]) < cap]
+        for u, v in _orbit_leaders(pairs, autos):
             child_adj = list(adj)
             child_adj[u] |= 1 << v
             child_adj[v] |= 1 << u
@@ -217,6 +228,23 @@ def _expand_level(n: int, rows: list[tuple], max_degree: Optional[int],
             if _from_canonical_parent(child, (u, v), top):
                 out.append((key, child.adj, automorphisms(child), child_counts))
     return out
+
+
+def _may_shed_3_sets(n: int, adj, counts, pairs: list[tuple[int, int]],
+                     target: tuple[int, ...], left: int) -> list[tuple[int, int]]:
+    """The non-edges uv, of H's ascending list, whose child H + uv can still
+    bring its independent 3-sets down to the target's with `left` more edges.
+
+    Adding xy removes the L(x, y) = n - |N[x] | N[y]| independent 3-sets
+    {x, y, z}.  Neighbourhoods only grow, so L never grows in a supergraph,
+    and the `left` later edges remove at most the `left` largest L over H's
+    non-edges.
+    """
+    closed = [row | 1 << v for v, row in enumerate(adj)]
+    loss = [n - (closed[u] | closed[v]).bit_count() for u, v in pairs]
+    room = sum(sorted(loss, reverse=True)[:left])
+    excess = (counts[3] if len(counts) > 3 else 0) - (target[3] if len(target) > 3 else 0) - room
+    return [pair for pair, lost in zip(pairs, loss) if lost >= excess]
 
 
 def _counts_with_edge(counts, counter, n: int, adj, u: int, v: int) -> tuple[int, ...]:
@@ -383,9 +411,10 @@ def equivalence_class_bruteforce(reference: Graph) -> list[Graph]:
     The graphs on the reference's vertex count are grown edge by edge up
     to the edge count read off the polynomial's second coefficient,
     dropping each child whose independent-set counts can no longer reach
-    the reference's (_reach_bounds); the last level keeps the graphs
-    whose counts equal them.  Every count, the reference's included, is
-    made by indpoly.bruteforce_counts, not by the classifier's evaluator.
+    the reference's (_may_shed_3_sets, _reach_bounds); the last level
+    keeps the graphs whose counts equal them.  Every count, the
+    reference's included, is made by indpoly.bruteforce_counts, not by
+    the classifier's evaluator.
     References above CLASS_MAX vertices are refused before any work.
     """
     if reference.n > CLASS_MAX:

@@ -65,8 +65,10 @@ def test_workflow_runs_tier1_from_the_python_floor():
     # and their polynomials in the bytes the brute-force counter also gives, whatever the evaluator's route
     assert ('test "$(timeout 60 indeq enumerate --vertices 8 | indeq poly - | sha256sum | cut -c1-16)"'
             ' = c099fb8980a72f0a') in runs[install + 1:]
-    # the independent cross-check at its defaults, on the installed package
-    assert runs.index("python scripts/exhaustive_crosscheck.py") > install
+    # the independent cross-check through the class search's cap, which covers its defaults,
+    # on the installed package
+    assert runs.index("timeout 120 python scripts/exhaustive_crosscheck.py"
+                      " --max-path 14 --max-cycle 14") > install
     # and through a real spawn pool, which opens at P_10, from the guarded script
     assert runs.index("INDEQ_WORKERS=2 python scripts/exhaustive_crosscheck.py"
                       " --max-path 10 --max-cycle 8") > install

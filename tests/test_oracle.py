@@ -14,6 +14,7 @@ import pytest
 
 from indeq.classify import CATALOGUE, EvenCycleClassNote, cycle_class, path_class
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indeq import graphcore, oracle
 from indeq.graphcore import (
@@ -27,6 +28,7 @@ from indeq.oracle import (
     _from_canonical_parent,
     _keyed_levels,
     _levels,
+    _may_shed_3_sets,
     _orbit_leaders,
     _top_edges,
     _worker_count,
@@ -128,23 +130,26 @@ def _child(g, u, v):
     return Graph(g.n, adj)
 
 
+def _non_edges(g):
+    return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+
+
 @given(random_graphs(max_vertices=8))
 @settings(max_examples=60, deadline=None)
 def test_orbit_leaders_reach_every_child(g):
-    leaders = _orbit_leaders(g.n, g.adj, automorphisms(g))
+    leaders = _orbit_leaders(_non_edges(g), automorphisms(g))
     assert leaders == sorted(set(leaders))
     assert all(not g.has_edge(u, v) for u, v in leaders)
     reached = {canonical_form(_child(g, u, v)) for u, v in leaders}
-    non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
-    assert {canonical_form(_child(g, u, v)) for u, v in non_edges} == reached
+    assert {canonical_form(_child(g, u, v)) for u, v in _non_edges(g)} == reached
 
 
 def test_orbit_leaders_prune_symmetric_parents():
     for n in range(2, 9):
         g = Graph.empty(n)
-        assert _orbit_leaders(n, g.adj, automorphisms(g)) == [(0, 1)]
+        assert _orbit_leaders(_non_edges(g), automorphisms(g)) == [(0, 1)]
     c6 = build(fs("C", 6))
-    assert _orbit_leaders(6, c6.adj, automorphisms(c6)) == [(0, 2), (0, 3)]
+    assert _orbit_leaders(_non_edges(c6), automorphisms(c6)) == [(0, 2), (0, 3)]
 
 
 def _accepted_edges(g):
@@ -219,14 +224,15 @@ def _refinements(monkeypatch, search, *args):
 
 
 def test_seeded_child_searches_stay_within_their_refinements(monkeypatch):
-    # seeded with their parents' automorphisms that fix the new edge, the
-    # children's searches refine 899, 1,816 and 966 times here; unseeded,
-    # the same searches refine 1,291, 2,477 and 1,095 times
+    # the children's searches refine 712, 1,143 and 966 times here, each
+    # seeded with its parent's automorphisms that fix the new edge; the two
+    # class searches' counts also rest on the 3-set bound's pruning, which
+    # enumeration, having no target, does not do
     p10, calls = _refinements(monkeypatch, equivalence_class_bruteforce, build(fs("P", 10)))
-    assert calls <= 899
+    assert calls <= 712
     assert {canonical_form(g) for g in p10} == path_class(10).canonical_forms()
     c10, calls = _refinements(monkeypatch, equivalence_class_bruteforce, build(fs("C", 10)))
-    assert calls <= 1816
+    assert calls <= 1143
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EvenCycleClassNote)
         assert {canonical_form(g) for g in c10} == cycle_class(10).canonical_forms()
@@ -450,7 +456,8 @@ def test_pruned_class_equals_unpruned_with_workers():
 
 
 def test_class_search_prunes_before_canonicalizing():
-    # each child that reaches the prune makes one query on its parent's counter
+    # a child dropped by its degrees, its 3-set loss or the top-edge test
+    # makes no counter query; each other child makes one on its parent's counter
     counted = {"canonical_form": 0, "prune queries": 0}
 
     def canonical(g):
@@ -470,6 +477,32 @@ def test_class_search_prunes_before_canonicalizing():
             mock.patch.dict(os.environ, {"INDEQ_WORKERS": "1"}):
         assert len(equivalence_class_bruteforce(build(fs("P", 8)))) == 3
     assert 0 < counted["canonical_form"] < counted["prune queries"], counted
+
+
+def _i3(g):
+    counts = bruteforce_counts(g)
+    return counts[3] if len(counts) > 3 else 0
+
+
+@given(random_graphs(max_vertices=10), st.data())
+@settings(max_examples=100, deadline=None)
+def test_later_edges_shed_at_most_the_largest_3_set_losses(g, data):
+    # L(x, y), the independent 3-sets that adding xy to g removes, never
+    # grows in a supergraph, so m later edges remove at most the m largest L
+    non_edges = _non_edges(g)
+    loss = sorted((_i3(g) - _i3(_child(g, *e)) for e in non_edges), reverse=True)
+    order = data.draw(st.permutations(non_edges))
+    added = order[:data.draw(st.integers(min_value=0, max_value=len(order)))]
+    m = Graph.from_edges(g.n, g.edges() + added)
+    assert _i3(g) - _i3(m) <= sum(loss[:len(added)])
+    if added:
+        # the class search keeps exactly the children g + uv whose excess
+        # over m fits in the other edges' room, m's ancestor g + added[0] among them
+        room = sum(loss[:len(added) - 1])
+        kept = _may_shed_3_sets(g.n, g.adj, bruteforce_counts(g), non_edges,
+                                bruteforce_counts(m), len(added) - 1)
+        assert kept == [e for e in non_edges if _i3(_child(g, *e)) - _i3(m) <= room]
+        assert added[0] in kept
 
 
 @given(random_graphs(max_vertices=10))
