@@ -3,7 +3,7 @@
 The API is the modules; import each one on its own
 (``from indeq.polyalg import IntPoly``):
 
-- ``graphcore``: graphs, the family specs and their builder, canonical forms, graph6 I/O
+- ``graphcore``: the records' base, graphs, the family specs and their builder, canonical forms, graph6 I/O
 - ``polyalg``: exact integer polynomials, Sturm chains, real-root counting and isolation
 - ``indpoly``: the independence polynomial evaluator and its brute-force twin
 - ``factorbasis``: cyclotomic polynomials and the f_n / f~_n basis factorization

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .factorbasis import FactorMultiset, basis_f, basis_ftilde, two_adic_split
-from .graphcore import FAMILIES, MAX_ECHO, FamilySpec, Graph, build, canonical_form, echo, echo_number, spec
+from .graphcore import FAMILIES, MAX_ECHO, FamilySpec, Graph, Record, build, canonical_form, echo, echo_number, spec
 from .indpoly import independence_polynomial
 from .polyalg import SturmChain, count_real_roots
 
@@ -205,14 +205,14 @@ CATALOGUE: tuple[CatalogueEntry, ...] = (
 Member = tuple[FamilySpec, ...]
 
 
-class EquivClass:
+class EquivClass(Record):
     """All graphs sharing the reference's independence polynomial.
 
     Members may come as any iterable of component iterables, consumed once;
     each is stored once, components by sort_key, members by size then components.
     """
 
-    __slots__ = ("reference", "members")
+    __slots__ = _fields = ("reference", "members")
 
     def __init__(self, reference: FamilySpec, members: Iterable[Iterable[FamilySpec]]):
         by_key = operator.attrgetter("sort_key")
@@ -220,23 +220,6 @@ class EquivClass:
         ordered = sorted(unique, key=lambda m: (len(m), tuple(map(by_key, m))))
         object.__setattr__(self, "reference", reference)
         object.__setattr__(self, "members", tuple(ordered))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EquivClass is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not EquivClass:
-            return NotImplemented
-        return self.reference == other.reference and self.members == other.members
-
-    def __hash__(self) -> int:
-        return hash((self.reference, self.members))
-
-    def __repr__(self) -> str:
-        return f"EquivClass(reference={self.reference!r}, members={self.members!r})"
-
-    def __reduce__(self):
-        return EquivClass, (self.reference, self.members)
 
     def __len__(self) -> int:
         return len(self.members)

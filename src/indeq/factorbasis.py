@@ -43,11 +43,12 @@ for the solve and as many again for the Taylor shift.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache, total_ordering
 from itertools import chain, combinations
 from math import comb, prod
 
-from .graphcore import echo_number
+from .graphcore import Record, echo_number
 from .polyalg import IntPoly
 
 
@@ -165,39 +166,23 @@ def real_cyclotomic(n: int) -> IntPoly:
 # -- the basis itself ----------------------------------------------------------
 
 @total_ordering
-class BasisFactor:
+class BasisFactor(Record):
     """One irreducible basis polynomial: kind 'f' or 'ftilde' plus its index,
     ordered by (kind, index), so every f_n precedes every f~_n; poly takes
     no part in ==, < or hash."""
 
-    __slots__ = ("kind", "index", "poly")
+    __slots__ = _fields = ("kind", "index", "poly")
+    _key = operator.attrgetter("kind", "index")
 
     def __init__(self, kind: str, index: int, poly: IntPoly):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "poly", poly)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BasisFactor is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not BasisFactor:
-            return NotImplemented
-        return self.kind == other.kind and self.index == other.index
-
     def __lt__(self, other) -> bool:
         if other.__class__ is not BasisFactor:
             return NotImplemented
-        return (self.kind, self.index) < (other.kind, other.index)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.index))
-
-    def __repr__(self) -> str:
-        return f"BasisFactor(kind={self.kind!r}, index={self.index!r}, poly={self.poly!r})"
-
-    def __reduce__(self):
-        return BasisFactor, (self.kind, self.index, self.poly)
+        return self._key(self) < self._key(other)
 
     @property
     def is_unit(self) -> bool:

@@ -55,24 +55,63 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
-class Graph:
+class Record:
+    """Base of the immutable ``__slots__`` records.
+
+    ``_fields`` names a record's constructor arguments in order: what
+    pickling and copying carry and what ``repr`` prints.  ``==`` and
+    ``hash`` compare records of one class by ``_key(record)``, a getter
+    built once per class over the fields (one field's value bare) unless
+    the class sets its own; a class with its own ``__eq__`` keeps this
+    hash.  Setting or deleting any attribute raises AttributeError, so
+    ``__init__`` sets the slots through ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_key" not in vars(cls):
+            cls._key = operator.attrgetter(*cls._fields)
+        if "__eq__" in vars(cls) and vars(cls)["__hash__"] is None:  # as Python unsets it
+            cls.__hash__ = Record.__hash__
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+
+
+class Graph(Record):
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    # _search: (canonical order, automorphisms found) of the canonical search
+    # _search: (canonical order, automorphisms found) of the canonical search;
+    # like _canon it is not a field, so a copy searches again
     __slots__ = ("n", "adj", "_canon", "_search")
+    _fields = ("n", "adj")
 
     def __init__(self, n: int, adj: Sequence[int]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(self, "_canon", None)
         object.__setattr__(self, "_search", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
-
-    def __reduce__(self):
-        # the canonical search's results are not carried; a copy searches again
-        return Graph, (self.n, self.adj)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -104,14 +143,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.adj) // 2
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n == other.n and self.adj == other.adj
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edges()})"
@@ -293,10 +324,10 @@ FAMILIES: dict[str, Family] = {
 _FAMILY_RANK = {name: rank for rank, name in enumerate(FAMILIES)}
 
 
-class FamilySpec:
+class FamilySpec(Record):
     """Symbolic descriptor of one parametric graph, e.g. Y:3,2,1."""
 
-    __slots__ = ("family", "params")
+    __slots__ = _fields = ("family", "params")
 
     def __init__(self, family: str, params: Iterable[int] = ()):
         if family not in FAMILIES:
@@ -310,23 +341,6 @@ class FamilySpec:
                 raise ValueError(f"{family} parameter {slot + 1} must be >= {floor}, got {p}")
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "params", params)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FamilySpec is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not FamilySpec:
-            return NotImplemented
-        return self.family == other.family and self.params == other.params
-
-    def __hash__(self) -> int:
-        return hash((self.family, self.params))
-
-    def __repr__(self) -> str:
-        return f"FamilySpec(family={self.family!r}, params={self.params!r})"
-
-    def __reduce__(self):
-        return FamilySpec, (self.family, self.params)
 
     def __str__(self) -> str:
         if not self.params:

@@ -23,7 +23,10 @@ where its frontier has 2^62 independent sets.  Placing v keeps each entry
 with v left out and, where v is unblocked, adds it blocked by v's row and
 shifted by one slot; once a run's attachments are all placed, each entry
 is multiplied by the closed form of what its blocked ends leave of the
-run.  Nothing recurses or memoizes, and one cap, MAX_EVAL_WORK, bounds
+run.  A dominant run, of more than 64 vertices and more than half of its
+component, enters at the order's last vertex instead, its ends carried
+in the keys until then, so no earlier step handles values of its size.
+Nothing recurses or memoizes, and one cap, MAX_EVAL_WORK, bounds
 the program's work before each step.  On a 2-vCPU Intel Xeon host under
 Python 3.11.7 a 13 x 13 grid takes 0.07 s in-process and a 2 x 1650 ladder
 2.0 s, while a 14 x 70 grid and a 2 x 5000 ladder are refused in 0.01 and
@@ -148,9 +151,10 @@ def _branch_polynomial(adj: list[int], comp: int, branch: int, runs: int, slot: 
     # one or two vertices are as narrow in any order as in the greedy one
     order = list(skeleton) if len(skeleton) < 3 else _frontier_order(skeleton, branch)
     step_of = {v: i for i, v in enumerate(order)}
-    completes = {}  # v: the runs whose last attachment is v
+    completes, size = {}, comp.bit_count()  # v: the runs entering at v, a dominant one last
     for a, b, run, ends, m in attached:
-        completes.setdefault(a if step_of[a] > step_of[b] else b, []).append((run, ends, m))
+        v = order[-1] if m > 64 and 2 * m > size else a if step_of[a] > step_of[b] else b
+        completes.setdefault(v, []).append((run, ends, m))
     # a step's work per entry, in bytes: the slots its values span (one more
     # than the vertices placed or multiplied in so far) plus _ENTRY_WORK, and
     # for runs completed, each value's bytes once per 8 bytes of their forms

@@ -40,6 +40,8 @@ from fractions import Fraction
 from math import gcd as int_gcd, isqrt, lcm
 from typing import Iterable, NamedTuple, Optional, Union
 
+from .graphcore import Record
+
 #: Accepted exact scalar types for evaluation points.
 RationalLike = Union[int, Fraction]
 
@@ -103,22 +105,16 @@ def _kronecker_product(a: tuple[int, ...], b: tuple[int, ...], width: int) -> li
     return out
 
 
-class IntPoly:
+class IntPoly(Record):
     """Dense polynomial over the integers, coefficients ascending by degree."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):  # immutability guard
-        raise AttributeError("IntPoly is immutable")
-
-    def __reduce__(self):
-        return IntPoly, (self.coeffs,)
 
     # -- constructors -------------------------------------------------
 
@@ -152,9 +148,6 @@ class IntPoly:
         if isinstance(other, int):
             return self.coeffs == ((other,) if other else ())
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         return f"IntPoly('{self}')"

@@ -55,6 +55,11 @@ def test_workflow_runs_tier1_from_the_python_floor():
             """ print(graph6_write(Graph.from_edges(169, [(v, v + 1) for v in range(169) if v % 13 < 12]"""
             """ + [(v, v + 13) for v in range(156)])))" > grid13.g6"""
             " && (ulimit -v 262144; timeout 60 indeq poly - < grid13.g6 > /dev/null)") in runs[install + 1:]
+    # and answers a 2,000-vertex path hung off a 5 x 8 grid in the bytes recorded before the run entered last
+    assert ("""python -c "from indeq.graphcore import Graph, graph6_write;"""
+            """ print(graph6_write(Graph.from_edges(2040, [(v, v + 1) for v in range(40) if v % 5 < 4]"""
+            """ + [(v, v + 5) for v in range(35)] + [(9, 40)] + [(v, v + 1) for v in range(40, 2039)])))"""
+            '" | timeout 20 indeq poly - | sha256sum | grep -q "^b10bee7e21346781"') in runs[install + 1:]
     # and enumerates 63 of 66 edges on 12 vertices as the complements of 3; grown, it runs past the timeout
     assert 'test "$(timeout 60 indeq enumerate --vertices 12 --edges 63 | wc -l)" = 5' in runs[install + 1:]
     # and lists all 12,346 graphs on 8 vertices, each through the full canonical search

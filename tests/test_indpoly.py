@@ -427,6 +427,22 @@ def test_graphs_with_long_runs_match_bruteforce(g):
     assert independence_polynomial(g).coeffs == bruteforce_counts(g)
 
 
+@given(connected_graphs(max_vertices=10), st.data())
+@settings(max_examples=80, deadline=None)
+def test_one_long_run_hung_off_a_small_graph_splits_on_its_attachment(h, data):
+    # a run of m vertices hung off u at either of its ends, m on both
+    # sides of the 64 past which a run holding most of its component
+    # enters last; split on u, I(G) = I(P_m) I(H - u) + x I(P_(m-1)) I(H - N[u])
+    u = data.draw(st.integers(min_value=0, max_value=h.n - 1))
+    m = data.draw(st.integers(min_value=1, max_value=64) | st.integers(min_value=65, max_value=2000))
+    end = data.draw(st.sampled_from((h.n, h.n + m - 1)))
+    g = Graph.from_edges(h.n + m, h.edges() + [(u, end)] + [(v, v + 1) for v in range(h.n, h.n + m - 1)])
+    without_u = IntPoly(bruteforce_counts(h.delete_vertex(u)))
+    without_closed = IntPoly(bruteforce_counts(h.delete_closed_neighborhood(u)))
+    assert independence_polynomial(g) == (
+        path_polynomial(m) * without_u + (path_polynomial(m - 1) * without_closed).mul_xpow(1))
+
+
 @st.composite
 def mixed_graphs(draw):
     """A disjoint union, in a drawn order, of a random graph on at most 12
@@ -596,9 +612,10 @@ def test_grids_past_a_12_vertex_frontier_match_the_profile_oracle(rows, cols):
 
 
 def test_long_pendant_path_on_a_grid_is_answered_fast():
-    # a 2,000-vertex path hung off vertex 9 of a 5 x 8 grid: the run
-    # enters as one closed form, whatever the greedy order's start; split
-    # on the hub u, I(G) = I(P_m) I(H - u) + x I(P_(m-1)) I(H - N[u])
+    # a 2,000-vertex path hung off vertex 9 of a 5 x 8 grid: the run, most
+    # of its component, enters as one closed form at the order's last vertex,
+    # whatever the order's start; split on the hub u,
+    # I(G) = I(P_m) I(H - u) + x I(P_(m-1)) I(H - N[u])
     grid, m, u = grid_graph(5, 8), 2000, 9
     edges = grid.edges() + [(u, grid.n)] + [(v, v + 1) for v in range(grid.n, grid.n + m - 1)]
     g = Graph.from_edges(grid.n + m, edges)
@@ -610,6 +627,6 @@ def test_long_pendant_path_on_a_grid_is_answered_fast():
     assert got == path_polynomial(m) * independence_polynomial(grid.delete_vertex(u)) + (
         path_polynomial(m - 1) * independence_polynomial(grid.delete_closed_neighborhood(u))
     ).mul_xpow(1)
-    # best of three: 0.17-0.19 s on a quiet 2-vCPU Intel Xeon host under
-    # Python 3.11.7, up to 0.27 s on the same host under a heavier shared load
+    # best of three: 0.090-0.092 s on a 2-vCPU Intel Xeon host under Python
+    # 3.11.7, where entering the run at its attachment took 0.21-0.22 s
     assert min(seconds) <= 0.3, seconds

@@ -173,6 +173,20 @@ def test_records_refuse_assignment(record, field):
     assert getattr(record, field) == before
 
 
+@pytest.mark.parametrize("record,field", [
+    (Y321, "family"), (Y321, "params"), (EnumFilter(5), "vertex_count"),
+    (Verdict(True, "ok"), "reason"), (CATALOGUE[0], "label"),
+    (EquivClass(P2, [[P2]]), "members"), (basis_f(5), "poly"), (CHAIN, "chain"),
+    (IntPoly([1, 2]), "coeffs"), (Graph.empty(2), "adj"),
+], ids=lambda obj: type(obj).__name__ if not isinstance(obj, str) else obj)
+def test_records_refuse_deletion(record, field):
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert getattr(record, field) == before
+    assert hash(record) == hash(copy.copy(record))
+
+
 def test_records_print_as_their_fields():
     assert repr(Y321) == "FamilySpec(family='Y', params=(3, 2, 1))"
     assert repr(FamilySpec("K4e")) == "FamilySpec(family='K4e', params=())"
