@@ -29,7 +29,7 @@ import operator
 import warnings
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .factorbasis import FactorMultiset, basis_f, basis_ftilde, two_adic_split
 from .graphcore import FAMILIES, MAX_ECHO, FamilySpec, Graph, Record, build, canonical_form, echo, echo_number, spec
@@ -80,9 +80,8 @@ def _exact_text(value: Fraction) -> str:
     return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
 
 
-class Verdict(NamedTuple):
-    admissible: bool
-    reason: str
+class Verdict(Record):
+    __slots__ = _fields = ("admissible", "reason")
 
 
 def screen_family(spec: FamilySpec) -> Verdict:
@@ -131,7 +130,7 @@ def sweep_family(family: str, max_param: int) -> Iterator[tuple[FamilySpec, Verd
 
 # -- the candidate catalogue (shortlist) ----------------------------------------
 
-class CatalogueEntry(NamedTuple):
+class CatalogueEntry(Record):
     """One shortlist row: a shape that survives the root screens.
 
     ``spec`` is None for parametric rows (whole families kept for every
@@ -140,13 +139,8 @@ class CatalogueEntry(NamedTuple):
     factorization that doomed them plus the reason.
     """
 
-    label: str
-    triangle_count: int
-    degree3_count: int
-    spec: Optional[FamilySpec] = None
-    factors: Optional[tuple[tuple[str, int], ...]] = None
-    eliminated: bool = False
-    reason: str = ""
+    __slots__ = _fields = ("label", "triangle_count", "degree3_count", "spec", "factors", "eliminated", "reason")
+    _defaults = {"spec": None, "factors": None, "eliminated": False, "reason": ""}
 
     @property
     def basis_factors(self) -> FactorMultiset:
@@ -236,18 +230,18 @@ class EquivClass(Record):
             yield " + ".join(map(str, member))
 
 
-#: The carriers of f_9 and of f_15, the kept shortlist rows that factor as
-#: that one factor: beside C_3 (and C_5 for f_15) they stand in for C_9 and
-#: C_15, so also in the path classes with m = 9, 15.
-_F9_CARRIERS, _F15_CARRIERS = (
-    tuple(e.spec for e in CATALOGUE if not e.eliminated and e.factors == (("f", m),))
-    for m in (9, 15))
+def _carriers(*factors: tuple[str, int]) -> tuple[FamilySpec, ...]:
+    """The kept shortlist shapes that factor as exactly these basis factors."""
+    return tuple(e.spec for e in CATALOGUE if not e.eliminated and e.factors == factors)
 
-#: The members of the class of C_n besides C_n and its twin D_n.
+
+#: The members of the class of C_n besides C_n and its twin D_n: for n = 6,
+#: 9 and 15, each carrier of f_n beside P_2, C_3 or C_3 + C_5, so these
+#: stand in for C_n also in the path classes with m = 3, 9, 15.
 _SPORADIC_CYCLE_MEMBERS: dict[int, tuple[Member, ...]] = {
-    6: ((spec("P", 2), spec("K4e")),),
-    9: tuple((spec("C", 3), c) for c in _F9_CARRIERS),
-    15: tuple((spec("C", 3), spec("C", 5), c) for c in _F15_CARRIERS),
+    6: tuple((spec("P", 2), c) for c in _carriers(("f", 6))),
+    9: tuple((spec("C", 3), c) for c in _carriers(("f", 9))),
+    15: tuple((spec("C", 3), spec("C", 5), c) for c in _carriers(("f", 15))),
 }
 
 #: The most components, summed over its members, a class may list.
@@ -334,14 +328,15 @@ def path_class(n_vertices: int, expand_d: bool = True) -> EquivClass:
     raw = [[spec("P", n_vertices)]] + [
         [spec("P", (m << tp) - 2), cycles(tp, t)] for tp in range(j0, t)]
     if m == 3:
-        # the rows that hold C_6 gain its P_2 + K4e member through _variants
+        # the rows that hold C_6 gain its sporadic members through _variants
         raw += [[cycles(0, z), spec("Y", (3 << z) - 3, 2, 1), cycles(z + 1, t)]
                 for z in range(1, t)]
         if t >= 2:
-            raw += [[spec(f, 1, 1), spec("P", 2), spec("C", 3), cycles(2, t)] for f in "EA"]
+            raw += [[c, spec("P", 2), spec("C", 3), cycles(2, t)] for c in _carriers(("f", 6), ("ftilde", 3))]
         if t >= 3:
-            raw.append([spec("Y", 4, 2, 2), spec("C", 3), spec("C", 4), spec("C", 6), cycles(3, t)])
-            raw.append([spec("Y", 4, 2, 2), spec("C", 3), spec("P", 6), spec("K4e"), cycles(3, t)])
+            for y in _carriers(("f", 12), ("ftilde", 3)):
+                raw.append([y, spec("C", 3), spec("C", 4), spec("C", 6), cycles(3, t)])
+                raw += [[y, spec("C", 3), spec("P", 6), k, cycles(3, t)] for k in _carriers(("f", 6))]
     return _equiv_class(spec("P", n_vertices), raw, expand_d, chain)
 
 

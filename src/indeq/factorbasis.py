@@ -174,11 +174,6 @@ class BasisFactor(Record):
     __slots__ = _fields = ("kind", "index", "poly")
     _key = operator.attrgetter("kind", "index")
 
-    def __init__(self, kind: str, index: int, poly: IntPoly):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "poly", poly)
-
     def __lt__(self, other) -> bool:
         if other.__class__ is not BasisFactor:
             return NotImplemented

@@ -63,12 +63,23 @@ class Record:
     ``hash`` compare records of one class by ``_key(record)``, a getter
     built once per class over the fields (one field's value bare) unless
     the class sets its own; a class with its own ``__eq__`` keeps this
-    hash.  Setting or deleting any attribute raises AttributeError, so
-    ``__init__`` sets the slots through ``object.__setattr__``.
+    hash.  ``__init__`` binds arguments, then keywords, to ``_fields``, and
+    ``_defaults`` fills the rest; setting or deleting any attribute raises
+    AttributeError, so one that normalizes uses ``object.__setattr__``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        bound = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        if len(args) > len(fields) or kwargs.keys() - fields[len(args):] or len(bound) < len(fields):
+            raise TypeError(f"{type(self).__name__}() takes each of {fields} once, "
+                            f"got {len(args)} positional and {sorted(kwargs)} by keyword")
+        for name in fields:
+            object.__setattr__(self, name, bound[name])
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -677,6 +688,7 @@ _GRAPH6 = bytes(range(63, 127))
 _BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _TO_GRAPH6, _FROM_GRAPH6 = bytes.maketrans(_BASE64, _GRAPH6), bytes.maketrans(_GRAPH6, _BASE64)
 _COMPLEMENT = bytes.maketrans(_GRAPH6, _GRAPH6[::-1])
+_REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def _graph6(n: int, columns: Iterable[int]) -> bytes:
@@ -702,8 +714,10 @@ def _graph6(n: int, columns: Iterable[int]) -> bytes:
 
 
 def graph6_write(g: Graph) -> str:
-    # column j lists rows 0..j-1, row 0 first: adj[j]'s low bits reversed
-    columns = (int(format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1], 2) for j in range(1, g.n))
+    # column j lists rows 0..j-1, row 0 first: adj[j]'s low j bits reversed,
+    # a byte at a time, then shifted down past the last byte's spare bits
+    columns = (int.from_bytes((g.adj[j] & (1 << j) - 1).to_bytes(j + 7 >> 3, "little").translate(_REVERSED_BITS),
+                              "big") >> -j % 8 for j in range(1, g.n))
     return _graph6(g.n, columns).decode("ascii")
 
 

@@ -42,12 +42,12 @@ import os
 from collections import Counter
 from functools import lru_cache, partial
 from math import comb, factorial, gcd
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 from .classify import CATALOGUE, EquivClass
 from .factorbasis import factor_into_basis
 from .graphcore import FamilySpec, Graph, automorphisms, build, canonical_form, canonical_order, canonize
-from .graphcore import MAX_ECHO, complement_form, echo_number, from_canonical_form, spec
+from .graphcore import MAX_ECHO, Record, complement_form, echo_number, from_canonical_form, spec
 from .indpoly import bruteforce_counter, bruteforce_counts, independence_polynomial
 
 _UNFILTERED_MAX = 10
@@ -58,21 +58,14 @@ NAIVE_MAX = 6
 CLASS_MAX = 14
 
 
-class _EnumFilterFields(NamedTuple):
-    vertex_count: int
-    edge_count: Optional[int]
-    max_degree: Optional[int]
-    connected_only: bool
-
-
-class EnumFilter(_EnumFilterFields):
+class EnumFilter(Record):
     """What to enumerate: vertex count plus optional structural filters; a
     ValueError refuses an impossible filter or a vertex count above the caps."""
 
-    __slots__ = ()
+    __slots__ = _fields = ("vertex_count", "edge_count", "max_degree", "connected_only")
 
-    def __new__(cls, vertex_count: int, edge_count: Optional[int] = None,
-                max_degree: Optional[int] = None, connected_only: bool = False):
+    def __init__(self, vertex_count: int, edge_count: Optional[int] = None,
+                 max_degree: Optional[int] = None, connected_only: bool = False):
         if vertex_count < 0:
             raise ValueError("vertex count must be non-negative")
         if max_degree is not None and max_degree < 0:
@@ -86,7 +79,7 @@ class EnumFilter(_EnumFilterFields):
                 f"unfiltered enumeration is capped at {_UNFILTERED_MAX} vertices{_span(n, pairs)}")
         if n > _FILTERED_MAX:
             raise ValueError(f"enumeration is capped at {_FILTERED_MAX} vertices{_span(n, pairs)}")
-        return super().__new__(cls, vertex_count, edge_count, max_degree, connected_only)
+        super().__init__(vertex_count, edge_count, max_degree, connected_only)
 
 
 def _span(n: int, pairs: int) -> str:

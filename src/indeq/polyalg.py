@@ -38,7 +38,7 @@ import bisect
 import itertools
 from fractions import Fraction
 from math import gcd as int_gcd, isqrt, lcm
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .graphcore import Record
 
@@ -395,7 +395,7 @@ def is_squarefree(p: IntPoly) -> bool:
 Endpoint = Optional[RationalLike]
 
 
-class SturmChain(NamedTuple):
+class SturmChain(Record):
     """Signed remainder sequence of p and p', content-normalized.
 
     ``steps[i]`` is the tuple (q, m, g, k) of the exact identity
@@ -416,8 +416,7 @@ class SturmChain(NamedTuple):
     sign is the exact one.
     """
 
-    chain: tuple[IntPoly, ...]
-    steps: tuple[tuple[IntPoly, int, int, int], ...]
+    __slots__ = _fields = ("chain", "steps")
 
     @classmethod
     def of(cls, p: IntPoly) -> "SturmChain":

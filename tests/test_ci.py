@@ -60,6 +60,9 @@ def test_workflow_runs_tier1_from_the_python_floor():
             """ print(graph6_write(Graph.from_edges(2040, [(v, v + 1) for v in range(40) if v % 5 < 4]"""
             """ + [(v, v + 5) for v in range(35)] + [(9, 40)] + [(v, v + 1) for v in range(40, 2039)])))"""
             '" | timeout 20 indeq poly - | sha256sum | grep -q "^b10bee7e21346781"') in runs[install + 1:]
+    # and writes the 31 members of the class of P_9998, 9,998 vertices each, as graph6 JSON in the recorded bytes
+    assert ('timeout 30 indeq class path 9998 --json --graph6 | sha256sum | grep -q "^88c43aecd227818d"'
+            in runs[install + 1:])
     # and enumerates 63 of 66 edges on 12 vertices as the complements of 3; grown, it runs past the timeout
     assert 'test "$(timeout 60 indeq enumerate --vertices 12 --edges 63 | wc -l)" = 5' in runs[install + 1:]
     # and lists all 12,346 graphs on 8 vertices, each through the full canonical search

@@ -677,6 +677,25 @@ def test_graph6_round_trip(g):
     assert back.n == g.n and back.adj == g.adj
 
 
+def test_graph6_codec_matches_networkx():
+    nx = pytest.importorskip("networkx")
+
+    @given(st.integers(min_value=0, max_value=300), st.sampled_from([0.02, 0.1, 0.5, 0.9, 0.98]),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def check(n, density, seed):
+        rng = random.Random(seed)
+        g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < density])
+        other = nx.empty_graph(n)
+        other.add_edges_from(g.edges())
+        theirs = nx.to_graph6_bytes(other, header=False).decode("ascii").rstrip("\n")
+        assert graph6_write(g) == theirs
+        assert graph6_read(theirs) == g
+        assert sorted(tuple(sorted(e)) for e in nx.from_graph6_bytes(theirs.encode()).edges()) == g.edges()
+
+    check()
+
+
 def test_graph6_round_trip_is_linear():
     k = Graph(1200, [((1 << 1200) - 1) & ~(1 << v) for v in range(1200)])
     start = time.perf_counter()

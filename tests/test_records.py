@@ -1,7 +1,8 @@
-"""The library's seven records: constructors, equality, hashing,
-immutability, repr text, ordering and refusals, pickle and copy round
-trips (of IntPoly and Graph too), plus a start-up guard that importing
-the CLI pulls in neither `dataclasses` nor `inspect`."""
+"""The library's seven records: constructors and their argument binding,
+equality (never with a plain tuple), hashing, immutability, repr text,
+ordering and refusals, pickle and copy round trips (of IntPoly and Graph
+too), plus a start-up guard that importing the CLI pulls in neither
+`dataclasses` nor `inspect`."""
 
 import copy
 import functools
@@ -25,6 +26,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 Y321 = FamilySpec("Y", (3, 2, 1))
 P2, C4 = FamilySpec("P", (2,)), FamilySpec("C", (4,))
 CHAIN = SturmChain.of(IntPoly([1, 3, 1]))
+
+# one of each record, then IntPoly and Graph
+RECORDS = [Y321, EnumFilter(6, 3), Verdict(False, "no"), CATALOGUE[5], path_class(6), basis_f(7), CHAIN]
+ALL_RECORDS = RECORDS + [IntPoly([1, 2]), Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])]
 
 
 # pairs of distinct objects that must compare and hash equal
@@ -203,13 +208,57 @@ def test_records_print_as_their_fields():
     assert repr(SturmChain.of(IntPoly([0, 1]))) == "SturmChain(chain=(IntPoly('x'), IntPoly('1')), steps=())"
 
 
-@pytest.mark.parametrize("record", [
-    Y321, EnumFilter(6, 3), Verdict(False, "no"), CATALOGUE[5], path_class(6),
-    basis_f(7), CHAIN, IntPoly([1, 2]), Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)]),
-], ids=lambda obj: type(obj).__name__)
+@pytest.mark.parametrize("record", ALL_RECORDS, ids=lambda obj: type(obj).__name__)
 def test_records_pickle_and_copy(record):
     for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
         assert twin == record and type(twin) is type(record) and repr(twin) == repr(record)
+
+
+@pytest.mark.parametrize("record", ALL_RECORDS, ids=lambda obj: type(obj).__name__)
+def test_records_are_not_tuples(record):
+    fields = tuple(getattr(record, name) for name in record._fields)
+    assert record != fields and fields != record and not record == fields
+    assert not isinstance(record, tuple)
+    # a NamedTuple's _replace and _make skip the constructor's checks:
+    # EnumFilter(5)._replace(vertex_count=40) would ask for an enumeration past the caps
+    for name in ("_replace", "_make", "_asdict"):
+        with pytest.raises(AttributeError):
+            getattr(record, name)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda obj: type(obj).__name__)
+def test_records_refuse_a_missing_unknown_surplus_or_repeated_argument(record):
+    cls, fields = type(record), record._fields
+    args = tuple(getattr(record, name) for name in fields)
+    assert cls(*args) == record and cls(**dict(zip(fields, args))) == record
+    with pytest.raises(TypeError):
+        cls()
+    with pytest.raises(TypeError):
+        cls(**dict(zip(fields[1:], args[1:])))  # the first field left out
+    with pytest.raises(TypeError):
+        cls(*args, not_a_field=1)
+    with pytest.raises(TypeError):
+        cls(*args, args[-1])
+    with pytest.raises(TypeError):
+        cls(*args, **{fields[0]: args[0]})
+
+
+def test_record_binder_names_the_fields_in_its_refusal():
+    with pytest.raises(TypeError) as refused:
+        Verdict(True, admissible=False)
+    assert str(refused.value) == ("Verdict() takes each of ('admissible', 'reason') once, "
+                                  "got 1 positional and ['admissible'] by keyword")
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_a_pickled_enum_filter_comes_back_through_its_validation(protocol):
+    data = pickle.dumps(EnumFilter(5, 7), protocol)
+    assert pickle.loads(data) == EnumFilter(5, 7)
+    # the edge count 7 spelled as 11, which no 5-vertex graph has
+    seven, eleven = (b"I7\n", b"I11\n") if protocol == 0 else (b"K\x07", b"K\x0b")
+    assert data.count(seven) == 1
+    with pytest.raises(ValueError, match="edge count 11 impossible on 5 vertices"):
+        pickle.loads(data.replace(seven, eleven))
 
 
 def test_importing_the_cli_pulls_in_neither_dataclasses_nor_inspect():
