@@ -111,18 +111,16 @@ def _check_factorizations(b) -> tuple[bool, str]:
 
 def _check_degrees(b) -> tuple[bool, str]:
     top = b["degree"]
-    for n in range(2, top + 1):
-        if factorbasis.basis_f(n).poly.degree != factorbasis.euler_phi(2 * n) // 2:
-            return False, f"deg f{n} wrong"
-        if n % 2 == 1 and n >= 3:
-            if factorbasis.basis_ftilde(n).poly.degree != factorbasis.euler_phi(n) // 2:
-                return False, f"deg f~{n} wrong"
+    for order in factorbasis.orders(top):
+        factor = factorbasis.basis(order)
+        if factor.poly.degree != factorbasis.euler_phi(order) // 2:
+            return False, f"deg {factor.name} wrong"
     return True, f"basis degrees match phi-formulas up to {top}"
 
 
 def _check_coprime(b) -> tuple[bool, str]:
     top = b["coprime"]
-    polys = [f.poly for f in factorbasis.basis_through(top)]
+    polys = [factorbasis.basis(order).poly for order in factorbasis.orders(top)]
     if any(polyalg.poly_gcd(p, q).degree != 0 for p, q in itertools.combinations(polys, 2)):
         return False, "common factor found"
     for k in range(3, top + 1):
@@ -142,11 +140,9 @@ def _check_basis_roots(b) -> tuple[bool, str]:
             return False, f"path polynomial roots escape at n={n}"
         if n >= 3 and not polyalg.all_roots_real_below(indpoly.cycle_polynomial(n), QUARTER):
             return False, f"cycle polynomial roots escape at n={n}"
-        if n >= 2 and not polyalg.all_roots_real_below(factorbasis.basis_f(n).poly, QUARTER):
-            return False, f"f{n} roots escape"
-        if n >= 3 and n % 2 == 1 and not polyalg.all_roots_real_below(
-                factorbasis.basis_ftilde(n).poly, QUARTER):
-            return False, f"f~{n} roots escape"
+    for factor in map(factorbasis.basis, factorbasis.orders(top)):
+        if not polyalg.all_roots_real_below(factor.poly, QUARTER):
+            return False, f"{factor.name} roots escape"
     return True, f"all path/cycle/basis roots real and below -1/4 up to {top}"
 
 

@@ -14,10 +14,12 @@ transform p -> sum_t b_t (-x)^(d-t).  Two families result:
                    2*cos(2*pi/n)
 
 Index 1 is the unit for both families and never appears in factor
-multisets.  The factors are pairwise coprime, and:
+multisets.  Indexed by the order N of its roots -1/(2 + 2*cos(2*pi*k/N)),
+gcd(k, N) = 1, the basis is one family g_N = basis(N), of degree phi(N)/2:
+g_2n = f_n and g_n = f~_n (n odd).  The factors are pairwise coprime, and:
 
-  I(C_n, x)  =  product of f_{2^t * r} over r | m,        n = 2^t * m, m odd
-  I(P_n, x)  =  product over the divisor pattern of n+2 (factor_path)
+  I(P_n, x)  =  product of g_N over N | n + 2,         N > 2
+  I(C_n, x)  =  product of g_N over N | 2n, N not | n, N > 2
 
 factor_into_basis divides any polynomial by the factors of index up to
 max_index (default: 2(i_1 + 2)) whose degree, phi(N)/2, fits the cofactor.
@@ -237,6 +239,17 @@ def basis_ftilde(n: int) -> BasisFactor:
     return BasisFactor("ftilde", n, _factor_poly(n))
 
 
+def basis(order: int) -> BasisFactor:
+    """g_N, the minimal polynomial of -1/(2 + 2*cos(2*pi/N)) for N = order:
+    f_{N/2} for even N, f~_N for odd N; N = 1 and 2 give the unit."""
+    return basis_ftilde(order) if order % 2 else basis_f(order // 2)
+
+
+def orders(top: int) -> list[int]:
+    """The orders of f_2 .. f_top, then of the odd-index f~_3 .. f~_top."""
+    return [*range(4, 2 * top + 1, 2), *range(3, top + 1, 2)]
+
+
 FactorMultiset = tuple[BasisFactor, ...]
 
 #: The largest n factor_path and factor_cycle accept.  Basis factors have
@@ -251,36 +264,21 @@ def product_of(factors: FactorMultiset) -> IntPoly:
 
 
 def factor_cycle(n: int) -> FactorMultiset:
-    """Factor multiset of I(C_n, x): f_{2^t r} for r | m, where n = 2^t m."""
+    """Factor multiset of I(C_n, x): g_N over the orders N > 2 of 2n that do not divide n."""
     if n < 3:
         raise ValueError(f"cycle length must be >= 3, got {echo_number(n)}")
     if n > MAX_FACTOR_INDEX:
         raise ValueError(f"cycle length {echo_number(n)} is above the cap of {MAX_FACTOR_INDEX}")
-    t, m = two_adic_split(n)
-    factors = [basis_f(2**t * r) for r in divisors(m)]
-    return tuple(sorted(f for f in factors if not f.is_unit))
+    return tuple(sorted(basis(N) for N in divisors(2 * n) if n % N and N > 2))
 
 
 def factor_path(n_vertices: int) -> FactorMultiset:
-    """Factor multiset of I(P_n, x), driven by the divisors of n + 2."""
+    """Factor multiset of I(P_n, x): g_N over the orders N > 2 dividing n + 2."""
     if n_vertices < 0:
         raise ValueError(f"path length must be >= 0, got {echo_number(n_vertices)}")
     if n_vertices > MAX_FACTOR_INDEX:
         raise ValueError(f"path length {echo_number(n_vertices)} is above the cap of {MAX_FACTOR_INDEX}")
-    n = n_vertices + 2
-    if n % 2 == 1:
-        factors = [basis_ftilde(r) for r in divisors(n)]
-    else:
-        t, m = two_adic_split(n)
-        factors = [basis_f(r) for r in divisors(2 ** (t - 1) * m)]
-        factors += [basis_ftilde(s) for s in divisors(m)]
-    return tuple(sorted(f for f in factors if not f.is_unit))
-
-
-def basis_through(top: int) -> FactorMultiset:
-    """f_2 .. f_top, then the odd-index f~_3 .. f~_top."""
-    return (tuple(basis_f(i) for i in range(2, top + 1))
-            + tuple(basis_ftilde(i) for i in range(3, top + 1, 2)))
+    return tuple(sorted(basis(N) for N in divisors(n_vertices + 2) if N > 2))
 
 
 def check_max_index(max_index: int) -> None:
@@ -292,13 +290,13 @@ def check_max_index(max_index: int) -> None:
 def factor_into_basis(p: IntPoly, max_index: int | None = None) -> FactorMultiset:
     """Factor p over the basis by repeated exact division.
 
-    The candidates are f_2 .. f_top and the odd f~_3 .. f~_top, top =
-    max_index or 2*(i_1 + 2), which covers every shortlist shape.  They are
-    tried in descending degree, phi(2n)/2 or phi(n)/2 (kind 'f' first on
-    ties), each built only once it fits the cofactor still undivided; the
-    order cannot change the outcome because distinct basis factors are
-    coprime.  Raises FactorizationError carrying the remainder when the
-    leftover cofactor is not the constant 1.
+    The candidates are g_N over orders(top), f_2 .. f_top and the odd
+    f~_3 .. f~_top, top = max_index or 2*(i_1 + 2), which covers every
+    shortlist shape.  They are tried in descending degree, phi(N)/2 (f,
+    even N, first on ties, then by N), each built only once it fits the
+    cofactor still undivided; the order cannot change the outcome because
+    distinct basis factors are coprime.  Raises FactorizationError
+    carrying the remainder when the leftover cofactor is not the constant 1.
 
     An explicit max_index above MAX_FACTOR_INDEX is refused by
     check_max_index before any candidate is described.  The default is not
@@ -311,16 +309,12 @@ def factor_into_basis(p: IntPoly, max_index: int | None = None) -> FactorMultise
         max_index = 2 * (p.coeffs[1] + 2) if p.degree > 0 else 1
     else:
         check_max_index(max_index)
-    described = sorted(
-        [(euler_phi(2 * n) // 2, "f", n) for n in range(2, max_index + 1)]
-        + [(euler_phi(n) // 2, "ftilde", n) for n in range(3, max_index + 1, 2)],
-        key=lambda c: (-c[0], c[1], c[2]),
-    )
+    described = sorted((-(euler_phi(N) // 2), N % 2, N) for N in orders(max_index))
     remainder = p
     found: list[BasisFactor] = []
-    for degree, kind, index in described:
-        while remainder.degree >= degree:
-            cand = (basis_f if kind == "f" else basis_ftilde)(index)
+    for neg_degree, _, order in described:
+        while remainder.degree >= -neg_degree:
+            cand = basis(order)
             quotient = remainder.try_divide(cand.poly)
             if quotient is None:
                 break

@@ -2,7 +2,8 @@
 
 They find isomorphisms by backtracking vertex assignment and share no
 code with the canonical search, order permutation groups through sympy,
-and multiply polynomials by the schoolbook double loop.
+multiply polynomials by the schoolbook double loop, and name the basis
+factors of paths and cycles by the parity split of their index.
 """
 
 from typing import Iterator, Sequence
@@ -79,3 +80,33 @@ def poly_product(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def _two_adic(n: int) -> tuple[int, int]:
+    """n = 2^t * m with m odd, by repeated halving; returns (t, m)."""
+    t = 0
+    while n % 2 == 0:
+        n, t = n // 2, t + 1
+    return t, n
+
+
+def _divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def path_factor_names(n_vertices: int) -> list[tuple[str, int]]:
+    """The (kind, index) of each basis factor of I(P_n), sorted, by the
+    parity split of n + 2 = 2^t * m, m odd: f~_s for s | m, s > 1, and
+    for even n + 2 also f_r for r | 2^(t-1) * m, r > 1."""
+    t, m = _two_adic(n_vertices + 2)
+    names = [("ftilde", s) for s in _divisors(m) if s > 1]
+    if t:
+        names += [("f", r) for r in _divisors(2 ** (t - 1) * m) if r > 1]
+    return sorted(names)
+
+
+def cycle_factor_names(n: int) -> list[tuple[str, int]]:
+    """The (kind, index) of each basis factor of I(C_n), sorted: f_{2^t * r}
+    for r | m, 2^t * r > 1, where n = 2^t * m, m odd."""
+    t, m = _two_adic(n)
+    return sorted(("f", 2**t * r) for r in _divisors(m) if 2**t * r > 1)

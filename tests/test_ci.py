@@ -41,6 +41,10 @@ def test_workflow_runs_tier1_from_the_python_floor():
             in runs[install + 1:])
     # and factors a spec with --max-index at the index cap, building only what can divide
     assert 'test "$(timeout 60 indeq factor spec P:2 --max-index 20000)" = f2' in runs[install + 1:]
+    # and prints the factorizations of paths and cycles with odd and even n + 2 and n in the recorded bytes
+    assert ("""timeout 60 bash -c 'indeq factor path 4093 --json; indeq factor path 9998 --json;"""
+            """ indeq factor cycle 9999 --json; indeq factor cycle 10000 --json'"""
+            ' | sha256sum | grep -q "^f61ae2f23c3c4366"') in runs[install + 1:]
     # and prints a screen's exact reasons past Python's int-to-str digit limit
     assert "timeout 60 indeq screen F4 --max 14290 > /dev/null" in runs[install + 1:]
     # and streams a screen's JSON rows, which fail to fit 64 MB when held at once

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from indeq import factorbasis
 from indeq.factorbasis import (
     FactorizationError,
+    basis,
     basis_f,
     basis_ftilde,
     cyclotomic,
@@ -17,6 +18,7 @@ from indeq.factorbasis import (
     factor_into_basis,
     factor_path,
     factorize,
+    orders,
     product_of,
     real_cyclotomic,
     two_adic_split,
@@ -26,6 +28,7 @@ from indeq.indpoly import cycle_polynomial, independence_polynomial, path_polyno
 from indeq.polyalg import IntPoly, all_roots_real_below, poly_gcd
 
 from conftest import QUARTER, fs
+from reference import cycle_factor_names, path_factor_names
 
 
 def test_cyclotomic_examples():
@@ -99,6 +102,39 @@ def test_units():
     assert basis_ftilde(1).is_unit
     with pytest.raises(ValueError, match="odd"):
         basis_ftilde(4)
+
+
+def test_basis_is_indexed_by_the_order_of_its_roots():
+    for order in range(1, 401):
+        want = basis_f(order // 2) if order % 2 == 0 else basis_ftilde(order)
+        got = basis(order)
+        assert (got.kind, got.index, got.poly) == (want.kind, want.index, want.poly), order
+        if order >= 3:
+            assert got.poly.degree == euler_phi(order) // 2, order
+    assert basis(1).is_unit and basis(2).is_unit
+    for order in (0, -1, -2, -7):
+        with pytest.raises(ValueError, match="index must be >= 1"):
+            basis(order)
+
+
+@pytest.mark.parametrize("top", [1, 2, 3, 4, 17, 60, 200])
+def test_orders_name_f_then_the_odd_ftilde(top):
+    want = ([basis_f(i) for i in range(2, top + 1)]
+            + [basis_ftilde(i) for i in range(3, top + 1, 2)])
+    assert [basis(order) for order in orders(top)] == want
+
+
+def test_factor_path_and_cycle_match_the_parity_split():
+    for n in range(0, 601):
+        assert [(f.kind, f.index) for f in factor_path(n)] == path_factor_names(n), n
+    for n in range(3, 601):
+        assert [(f.kind, f.index) for f in factor_cycle(n)] == cycle_factor_names(n), n
+
+
+def test_even_path_splits_into_a_path_and_a_cycle():
+    # I(P_{2n-2}) = I(P_{n-2}) * I(C_n), as factor multisets
+    for n in range(3, 301):
+        assert tuple(sorted(factor_cycle(n) + factor_path(n - 2))) == factor_path(2 * n - 2), n
 
 
 def test_factor_cycle_examples():
