@@ -25,7 +25,7 @@ from indeq.classify import (
     path_class,
     screen_family,
 )
-from indeq.factorbasis import basis_f, basis_ftilde, factor_cycle, factor_path
+from indeq.factorbasis import basis, factor_cycle, factor_into_basis, factor_path, orders
 from indeq.graphcore import build, spec
 from indeq.indpoly import independence_polynomial
 
@@ -43,10 +43,8 @@ def main() -> int:
     args = parser.parse_args()
 
     section("Basis factors")
-    for n in range(2, 13):
-        print(f"  f{n:<3} = {basis_f(n).poly}")
-    for n in range(3, 12, 2):
-        print(f"  f~{n:<2} = {basis_ftilde(n).poly}")
+    for f in map(basis, orders(12)):
+        print(f"  {f.name:<4} = {f.poly}")
 
     section("Path and cycle factorizations")
     for n in range(3, 13):
@@ -65,7 +63,7 @@ def main() -> int:
         value_text = (f"I(-1/4) = {elimination_value(entry.spec)}"
                       if entry.spec.family in ELIMINATION_FORMS else "")
         status = "eliminated: " + entry.reason if entry.eliminated else "kept"
-        factors = " ".join(f.name for f in entry.basis_factors)
+        factors = " ".join(f.name for f in factor_into_basis(independence_polynomial(build(entry.spec))))
         print(f"  {entry.label:<12} = {factors:<14} roots-ok={verdict.admissible!s:<5} "
               f"{value_text:<18} {status}")
 

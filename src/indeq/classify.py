@@ -31,7 +31,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .factorbasis import FactorMultiset, basis_f, basis_ftilde, two_adic_split
+from .factorbasis import two_adic_split
 from .graphcore import FAMILIES, MAX_ECHO, FamilySpec, Graph, Record, build, canonical_form, echo, echo_number, spec
 from .indpoly import independence_polynomial
 from .polyalg import SturmChain, count_real_roots
@@ -134,18 +134,14 @@ class CatalogueEntry(Record):
     """One shortlist row: a shape that survives the root screens.
 
     ``spec`` is None for parametric rows (whole families kept for every
-    parameter).  ``factors`` is the basis factorization as (kind, index)
-    pairs when the row is concrete.  Eliminated rows keep the
+    parameter).  ``factors`` is the basis factorization of a concrete row,
+    as the names BasisFactor.name prints ("f12", "f~3") in the order
+    factor_into_basis returns them.  Eliminated rows keep the
     factorization that doomed them plus the reason.
     """
 
     __slots__ = _fields = ("label", "triangle_count", "degree3_count", "spec", "factors", "eliminated", "reason")
     _defaults = {"spec": None, "factors": None, "eliminated": False, "reason": ""}
-
-    @property
-    def basis_factors(self) -> FactorMultiset:
-        """The concrete row's factorization as BasisFactors, in ``factors`` order."""
-        return tuple(basis_f(i) if kind == "f" else basis_ftilde(i) for kind, i in self.factors)
 
 
 def _row(spec, tri, deg3, factors, eliminated=False, reason=""):
@@ -159,38 +155,38 @@ def _obstruction(name: str) -> str:
 CATALOGUE: tuple[CatalogueEntry, ...] = (
     CatalogueEntry("P:k (k>=1)", 0, 0),
     CatalogueEntry("C:k (k>=4) / D:k", 0, 0),
-    _row(spec("C", 3), 1, 0, (("f", 3),)),
+    _row(spec("C", 3), 1, 0, ("f3",)),
     CatalogueEntry("D:k (k>=4)", 1, 1),
     CatalogueEntry("Y:z,2,1 (z>=1)", 0, 1),
-    _row(spec("Y", 10, 1, 1), 0, 1, (("f", 4), ("f", 9), ("ftilde", 5)),
+    _row(spec("Y", 10, 1, 1), 0, 1, ("f4", "f9", "f~5"),
          True, _obstruction("f36")),
-    _row(spec("Y", 9, 3, 1), 0, 1, (("f", 21), ("ftilde", 5)),
+    _row(spec("Y", 9, 3, 1), 0, 1, ("f21", "f~5"),
          True, _obstruction("f105")),
-    _row(spec("Y", 7, 3, 1), 0, 1, (("f", 15), ("ftilde", 7)),
+    _row(spec("Y", 7, 3, 1), 0, 1, ("f15", "f~7"),
          True, _obstruction("f105")),
-    _row(spec("Y", 5, 4, 1), 0, 1, (("f", 3), ("f", 15), ("ftilde", 3)),
+    _row(spec("Y", 5, 4, 1), 0, 1, ("f3", "f15", "f~3"),
          True, _obstruction("f~15")),
-    _row(spec("Y", 5, 1, 1), 0, 1, (("f", 6), ("ftilde", 3), ("ftilde", 5)),
+    _row(spec("Y", 5, 1, 1), 0, 1, ("f6", "f~3", "f~5"),
          True, _obstruction("f~15")),
-    _row(spec("Y", 4, 3, 1), 0, 1, (("f", 9), ("ftilde", 5)),
+    _row(spec("Y", 4, 3, 1), 0, 1, ("f9", "f~5"),
          True, _obstruction("f~45")),
-    _row(spec("Y", 4, 2, 2), 0, 1, (("f", 12), ("ftilde", 3))),
-    _row(spec("Y", 3, 3, 2), 0, 1, (("f", 2), ("f", 15)),
+    _row(spec("Y", 4, 2, 2), 0, 1, ("f12", "f~3")),
+    _row(spec("Y", 3, 3, 2), 0, 1, ("f2", "f15"),
          True, _obstruction("f30")),
-    _row(spec("Y", 3, 2, 2), 0, 1, (("f", 2), ("f", 9)),
+    _row(spec("Y", 3, 2, 2), 0, 1, ("f2", "f9"),
          True, _obstruction("f18")),
-    _row(spec("B", 5, 1, 1), 1, 2, (("f", 4), ("f", 15)),
+    _row(spec("B", 5, 1, 1), 1, 2, ("f4", "f15"),
          True, _obstruction("f60")),
-    _row(spec("B", 0, 1, 1), 1, 2, (("f", 9),)),
-    _row(spec("E", 2, 1), 0, 1, (("f", 9),)),
-    _row(spec("E", 1, 2), 0, 1, (("f", 9),)),
-    _row(spec("A", 2, 1), 1, 2, (("f", 9),)),
-    _row(spec("E", 3, 1), 0, 1, (("f", 15),)),
-    _row(spec("E", 1, 3), 0, 1, (("f", 15),)),
-    _row(spec("A", 3, 1), 1, 2, (("f", 15),)),
-    _row(spec("E", 1, 1), 0, 1, (("f", 6), ("ftilde", 3))),
-    _row(spec("A", 1, 1), 1, 2, (("f", 6), ("ftilde", 3))),
-    _row(spec("K4e"), 2, 2, (("f", 6),)),
+    _row(spec("B", 0, 1, 1), 1, 2, ("f9",)),
+    _row(spec("E", 2, 1), 0, 1, ("f9",)),
+    _row(spec("E", 1, 2), 0, 1, ("f9",)),
+    _row(spec("A", 2, 1), 1, 2, ("f9",)),
+    _row(spec("E", 3, 1), 0, 1, ("f15",)),
+    _row(spec("E", 1, 3), 0, 1, ("f15",)),
+    _row(spec("A", 3, 1), 1, 2, ("f15",)),
+    _row(spec("E", 1, 1), 0, 1, ("f6", "f~3")),
+    _row(spec("A", 1, 1), 1, 2, ("f6", "f~3")),
+    _row(spec("K4e"), 2, 2, ("f6",)),
 )
 
 
@@ -230,8 +226,8 @@ class EquivClass(Record):
             yield " + ".join(map(str, member))
 
 
-def _carriers(*factors: tuple[str, int]) -> tuple[FamilySpec, ...]:
-    """The kept shortlist shapes that factor as exactly these basis factors."""
+def _carriers(*factors: str) -> tuple[FamilySpec, ...]:
+    """The kept shortlist shapes that factor as exactly these named basis factors."""
     return tuple(e.spec for e in CATALOGUE if not e.eliminated and e.factors == factors)
 
 
@@ -239,9 +235,9 @@ def _carriers(*factors: tuple[str, int]) -> tuple[FamilySpec, ...]:
 #: 9 and 15, each carrier of f_n beside P_2, C_3 or C_3 + C_5, so these
 #: stand in for C_n also in the path classes with m = 3, 9, 15.
 _SPORADIC_CYCLE_MEMBERS: dict[int, tuple[Member, ...]] = {
-    6: tuple((spec("P", 2), c) for c in _carriers(("f", 6))),
-    9: tuple((spec("C", 3), c) for c in _carriers(("f", 9))),
-    15: tuple((spec("C", 3), spec("C", 5), c) for c in _carriers(("f", 15))),
+    6: tuple((spec("P", 2), c) for c in _carriers("f6")),
+    9: tuple((spec("C", 3), c) for c in _carriers("f9")),
+    15: tuple((spec("C", 3), spec("C", 5), c) for c in _carriers("f15")),
 }
 
 #: The most components, summed over its members, a class may list.
@@ -332,11 +328,11 @@ def path_class(n_vertices: int, expand_d: bool = True) -> EquivClass:
         raw += [[cycles(0, z), spec("Y", (3 << z) - 3, 2, 1), cycles(z + 1, t)]
                 for z in range(1, t)]
         if t >= 2:
-            raw += [[c, spec("P", 2), spec("C", 3), cycles(2, t)] for c in _carriers(("f", 6), ("ftilde", 3))]
+            raw += [[c, spec("P", 2), spec("C", 3), cycles(2, t)] for c in _carriers("f6", "f~3")]
         if t >= 3:
-            for y in _carriers(("f", 12), ("ftilde", 3)):
+            for y in _carriers("f12", "f~3"):
                 raw.append([y, spec("C", 3), spec("C", 4), spec("C", 6), cycles(3, t)])
-                raw += [[y, spec("C", 3), spec("P", 6), k, cycles(3, t)] for k in _carriers(("f", 6))]
+                raw += [[y, spec("C", 3), spec("P", 6), k, cycles(3, t)] for k in _carriers("f6")]
     return _equiv_class(spec("P", n_vertices), raw, expand_d, chain)
 
 

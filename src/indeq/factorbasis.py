@@ -1,28 +1,24 @@
 """The irreducible factor basis of path and cycle independence polynomials.
 
 Every root of a path or cycle independence polynomial has the form
--1/(2 + 2*cos(k*pi/n)).  The minimal polynomial of such a number is
-obtained from the minimal polynomial of the matching 2*cos value by
-translating two units left and then applying the reverse-negate
-transform p -> sum_t b_t (-x)^(d-t).  Two families result:
+-1/(2 + 2*cos(2*pi*k/N)), gcd(k, N) = 1.  Its minimal polynomial is
+g_N = basis(N), of degree phi(N)/2, obtained from the minimal polynomial
+of 2*cos(2*pi/N) by translating two units left and then applying the
+reverse-negate transform p -> sum_t b_t (-x)^(d-t).  The paper, after
+Beaton, Brown and Cameron, spells g_N two ways, as BasisFactor.name does:
 
-  basis_f(n)       minimal polynomial of -1/(2 + 2*cos(pi/n)),
-                   degree phi(2n)/2, from the minimal polynomial of
-                   2*cos(pi/n)
-  basis_ftilde(n)  (odd n) minimal polynomial of -1/(2 + 2*cos(2*pi/n)),
-                   degree phi(n)/2, from the minimal polynomial of
-                   2*cos(2*pi/n)
+  f_n   = g_2n = basis_f(n)       minimal polynomial of -1/(2 + 2*cos(pi/n))
+  f~_n  = g_n  = basis_ftilde(n)  for odd n
 
-Index 1 is the unit for both families and never appears in factor
-multisets.  Indexed by the order N of its roots -1/(2 + 2*cos(2*pi*k/N)),
-gcd(k, N) = 1, the basis is one family g_N = basis(N), of degree phi(N)/2:
-g_2n = f_n and g_n = f~_n (n odd).  The factors are pairwise coprime, and:
+g_1 = g_2 = f_1 = f~_1 is the unit and never appears in factor multisets.
+The factors are pairwise coprime, and:
 
   I(P_n, x)  =  product of g_N over N | n + 2,         N > 2
   I(C_n, x)  =  product of g_N over N | 2n, N not | n, N > 2
 
 factor_into_basis divides any polynomial by the factors of index up to
-max_index (default: 2(i_1 + 2)) whose degree, phi(N)/2, fits the cofactor.
+max_index (default: 2(i_1 + 2)) and order up to 8 d^2, d its degree,
+whose degree, phi(N)/2, fits the cofactor.
 
 Construction is exact.  Phi_n is the Moebius product of 1 - x^d binomials
 as a power series cut at degree phi(n).  The 2*cos minimal polynomial psi_n
@@ -182,10 +178,6 @@ class BasisFactor(Record):
         return self._key(self) < self._key(other)
 
     @property
-    def is_unit(self) -> bool:
-        return self.index == 1
-
-    @property
     def name(self) -> str:
         return ("f~" if self.kind == "ftilde" else "f") + str(self.index)
 
@@ -292,16 +284,17 @@ def factor_into_basis(p: IntPoly, max_index: int | None = None) -> FactorMultise
 
     The candidates are g_N over orders(top), f_2 .. f_top and the odd
     f~_3 .. f~_top, top = max_index or 2*(i_1 + 2), which covers every
-    shortlist shape.  They are tried in descending degree, phi(N)/2 (f,
+    shortlist shape.  For p of degree d, top is cut to 8*d^2, so at most
+    12*d^2 candidates are described: phi(N) >= sqrt(N/2), so no g_N of
+    larger order fits.  They are tried in descending degree, phi(N)/2 (f,
     even N, first on ties, then by N), each built only once it fits the
     cofactor still undivided; the order cannot change the outcome because
     distinct basis factors are coprime.  Raises FactorizationError
     carrying the remainder when the leftover cofactor is not the constant 1.
 
     An explicit max_index above MAX_FACTOR_INDEX is refused by
-    check_max_index before any candidate is described.  The default is not
-    capped: the polynomial of a graph under the vertex cap, i_1 <= 10,000,
-    keeps it at or below 20,004.
+    check_max_index before any candidate is described; the default is not,
+    as the degree cut bounds what it describes.
     """
     if not p:
         raise ValueError("cannot factor the zero polynomial")
@@ -309,7 +302,7 @@ def factor_into_basis(p: IntPoly, max_index: int | None = None) -> FactorMultise
         max_index = 2 * (p.coeffs[1] + 2) if p.degree > 0 else 1
     else:
         check_max_index(max_index)
-    described = sorted((-(euler_phi(N) // 2), N % 2, N) for N in orders(max_index))
+    described = sorted((-(euler_phi(N) // 2), N % 2, N) for N in orders(min(max_index, 8 * p.degree**2)))
     remainder = p
     found: list[BasisFactor] = []
     for neg_degree, _, order in described:

@@ -239,7 +239,9 @@ class IntPoly(Record):
             return None
         return IntPoly(out)
 
-    # -- the transforms used to build basis polynomials -----------------
+    # -- transforms: shift and reverse_negate state the basis polynomials by
+    #    their definition, the tests' route independent of factorbasis;
+    #    derivative and primitive_part feed gcds and Sturm chains ---------
 
     def shift(self, c: int) -> "IntPoly":
         """Return p(x + c) by Horner composition with (x + c)."""

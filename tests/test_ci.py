@@ -20,8 +20,8 @@ def test_workflow_runs_tier1_from_the_python_floor():
     assert ("""python -c "import sys; before = set(sys.modules); import indeq.cli;"""
             ''' sys.exit(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)) or 0)"'''
             in runs[install + 1:])
-    # then at the full bounds, whose root and sweep checks build larger Sturm chains
-    assert runs.index("indeq verify all --bound full") > install + 1
+    # then at the full bounds, whose root and sweep checks build larger Sturm chains, byte for byte as recorded
+    assert runs.index('test "$(indeq verify all --bound full | sha256sum | cut -c1-16)" = f383c6dffb7ca9c6') > install + 1
     # the console script refuses a 4,300-digit vertex count by naming its cap
     assert ("""code=0; indeq enumerate --vertices "$(python -c "print('9' * 4300)")" 2> err.txt || code=$?;"""
             """ test "$code" = 2 && grep -q "capped at" err.txt""") in runs[install + 1:]

@@ -98,8 +98,8 @@ def test_basis_examples():
 
 
 def test_units():
-    assert basis_f(1).is_unit and basis_f(1).poly == 1
-    assert basis_ftilde(1).is_unit
+    assert basis_f(1).poly == 1
+    assert basis_ftilde(1).poly == 1
     with pytest.raises(ValueError, match="odd"):
         basis_ftilde(4)
 
@@ -111,7 +111,7 @@ def test_basis_is_indexed_by_the_order_of_its_roots():
         assert (got.kind, got.index, got.poly) == (want.kind, want.index, want.poly), order
         if order >= 3:
             assert got.poly.degree == euler_phi(order) // 2, order
-    assert basis(1).is_unit and basis(2).is_unit
+    assert basis(1).poly == 1 and basis(2).poly == 1
     for order in (0, -1, -2, -7):
         with pytest.raises(ValueError, match="index must be >= 1"):
             basis(order)
@@ -272,6 +272,24 @@ def test_factor_into_basis_builds_only_factors_that_fit(monkeypatch):
     assert max(g.degree for g in built) <= p.degree
     # the default bound 2(i_1 + 2) = 804 names 803 f's and 401 f~'s
     assert len(built) < 1204
+
+
+def test_factor_into_basis_describes_candidates_by_degree_not_by_i1(monkeypatch):
+    p = IntPoly((1, 10**5, 1))
+    with pytest.raises(FactorizationError):
+        factor_into_basis(p)  # builds the factors that fit, so only descriptions are counted below
+    calls = []
+
+    def counting(n, real=factorbasis.euler_phi):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(factorbasis, "euler_phi", counting)
+    with pytest.raises(FactorizationError):
+        factor_into_basis(p)
+    # degree 2 admits orders up to 8 * 2^2 = 32: f_2 .. f_32 and f~_3 .. f~_31,
+    # where the default bound 2(i_1 + 2) would describe 300,004
+    assert len(calls) <= 46
 
 
 def _defining_pipeline(n):
