@@ -31,7 +31,6 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .factorbasis import two_adic_split
 from .graphcore import FAMILIES, MAX_ECHO, FamilySpec, Graph, Record, build, canonical_form, echo, echo_number, spec
 from .indpoly import independence_polynomial
 from .polyalg import SturmChain, count_real_roots
@@ -310,7 +309,8 @@ def path_class(n_vertices: int, expand_d: bool = True) -> EquivClass:
         raise ValueError(f"odd paths are independence unique; no class to enumerate for {name}")
     if n_vertices < 2:
         raise ValueError(f"need at least 2 vertices, got {echo_number(n_vertices)}")
-    t, m = two_adic_split(n_vertices + 2)
+    t = ((n_vertices + 2) & -(n_vertices + 2)).bit_length() - 1
+    m = (n_vertices + 2) >> t
 
     # the cycles C_(m 2^j), j0 <= j < t, built once; a row names a run of
     # them by one slice, so that counting its components is O(1)

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import binascii
 import operator
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 
 class Graph6Error(ValueError):
@@ -284,17 +284,15 @@ def _bits(mask: int) -> list[int]:
 
 # -- family specifications ------------------------------------------------
 
-class Run(NamedTuple):
+class Run(Record):
     """A path of ``params[param] + offset`` new vertices hung off the vertex
     that move ``anchor`` made, or a fresh path for ``anchor=None``."""
 
-    anchor: int | None
-    param: int
-    offset: int
+    __slots__ = _fields = ("anchor", "param", "offset")
 
 
-class Family(NamedTuple):
-    """One catalogue family: the minimum of each parameter, and its moves.
+class Family(Record):
+    """One catalogue family: ``floors``, each parameter's minimum, and ``moves``.
 
     ``build`` makes the moves from left to right, each new vertex taking the
     next label.  A tuple of earlier move indices adds one vertex adjacent to
@@ -303,8 +301,7 @@ class Family(NamedTuple):
     and a ring is ``(), (0,), Run(1, i, c), (2, 0)``.
     """
 
-    floors: tuple[int, ...]
-    moves: tuple[Union[tuple[int, ...], Run], ...]
+    __slots__ = _fields = ("floors", "moves")
 
 
 #: The family catalogue in sort order; the module docstring describes each shape.

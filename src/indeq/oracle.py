@@ -51,6 +51,8 @@ from .graphcore import MAX_ECHO, Record, complement_form, echo_number, from_cano
 from .indpoly import bruteforce_counter, bruteforce_counts, independence_polynomial
 
 _UNFILTERED_MAX = 10
+#: C(45, 22): the widest level --vertices 10 grows, in labeled graphs (a class has at most n! labelings).
+_WIDEST = comb(comb(_UNFILTERED_MAX, 2), comb(_UNFILTERED_MAX, 2) // 2)
 _FILTERED_MAX = 12
 #: The most vertices naive_bucket_count canonicalizes every labeled graph on.
 NAIVE_MAX = 6
@@ -59,8 +61,9 @@ CLASS_MAX = 14
 
 
 class EnumFilter(Record):
-    """What to enumerate: vertex count plus optional structural filters; a
-    ValueError refuses an impossible filter or a vertex count above the caps."""
+    """What to enumerate: vertex count plus optional structural filters; a ValueError
+    refuses an impossible filter, a vertex count above the caps, or (with no degree
+    filter) an edge count e whose grown levels hold at least C(M, e)/n! > C(45, 22)/10! classes."""
 
     __slots__ = _fields = ("vertex_count", "edge_count", "max_degree", "connected_only")
 
@@ -79,6 +82,11 @@ class EnumFilter(Record):
                 f"unfiltered enumeration is capped at {_UNFILTERED_MAX} vertices{_span(n, pairs)}")
         if n > _FILTERED_MAX:
             raise ValueError(f"enumeration is capped at {_FILTERED_MAX} vertices{_span(n, pairs)}")
+        top = pairs // 2 if edge_count is None else min(edge_count, pairs - edge_count)
+        if max_degree is None and comb(pairs, top) * factorial(_UNFILTERED_MAX) > _WIDEST * factorial(n):
+            raise ValueError(f"edge count {edge_count} on {n} vertices grows a level of at least "
+                             f"{comb(pairs, top) // factorial(n):,} classes, above the edge-filter cap of "
+                             f"{_WIDEST // factorial(_UNFILTERED_MAX):,}")
         super().__init__(vertex_count, edge_count, max_degree, connected_only)
 
 

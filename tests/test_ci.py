@@ -20,6 +20,9 @@ def test_workflow_runs_tier1_from_the_python_floor():
     assert ("""python -c "import sys; before = set(sys.modules); import indeq.cli;"""
             ''' sys.exit(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)) or 0)"'''
             in runs[install + 1:])
+    # importing the classifier leaves out the factor basis, which checks its shortlist and the oracle's covers
+    assert ("""python -c "import sys; import indeq.classify; sys.exit('indeq.factorbasis' in sys.modules)\""""
+            in runs[install + 1:])
     # then at the full bounds, whose root and sweep checks build larger Sturm chains, byte for byte as recorded
     assert runs.index('test "$(indeq verify all --bound full | sha256sum | cut -c1-16)" = f383c6dffb7ca9c6') > install + 1
     # the console script refuses a 4,300-digit vertex count by naming its cap
@@ -69,6 +72,9 @@ def test_workflow_runs_tier1_from_the_python_floor():
             in runs[install + 1:])
     # and enumerates 63 of 66 edges on 12 vertices as the complements of 3; grown, it runs past the timeout
     assert 'test "$(timeout 60 indeq enumerate --vertices 12 --edges 63 | wc -l)" = 5' in runs[install + 1:]
+    # and refuses 33 of 66 edges on 12 vertices, whose grown levels hold billions of classes, in under 200 bytes
+    assert ("""code=0; timeout 10 indeq enumerate --vertices 12 --edges 33 2> err.txt || code=$?;"""
+            """ test "$code" = 2 && test "$(wc -c < err.txt)" -lt 200""") in runs[install + 1:]
     # and lists all 12,346 graphs on 8 vertices, each through the full canonical search
     assert 'test "$(timeout 60 indeq enumerate --vertices 8 | wc -l)" = 12346' in runs[install + 1:]
     # in the same bytes as recorded, whatever automorphisms each canonical search starts from

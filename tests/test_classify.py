@@ -1,7 +1,11 @@
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,18 @@ from indeq.graphcore import FAMILIES, FamilySpec, build, canonical_form
 from indeq.indpoly import independence_polynomial
 
 from conftest import QUARTER, fs
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_importing_the_classifier_leaves_the_factor_basis_out():
+    # the factor basis checks the shortlist's factor names and the oracle's
+    # covers, so the classifier shares no code path with it
+    child = "import sys; import indeq.classify; print('indeq.factorbasis' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
 
 
 def test_degree_stats_examples():

@@ -289,8 +289,8 @@ def test_verify_command(capsys):
 def test_recurrence_check_fails_when_a_parameter_is_drawn_twice(monkeypatch):
     # Y's third arm drawn from parameter 1 as well: parameter 1 then
     # lengthens two paths at once, so no two-term recurrence holds along it
-    floors, moves = FAMILIES["Y"]
-    monkeypatch.setitem(FAMILIES, "Y", Family(floors, moves[:3] + (Run(0, 0, 0),)))
+    y = FAMILIES["Y"]
+    monkeypatch.setitem(FAMILIES, "Y", Family(y.floors, y.moves[:3] + (Run(0, 0, 0),)))
     ok, detail = checks.CHECKS["recurrences"](checks.BOUNDS["small"])
     assert not ok
     assert detail == "two-term recurrence fails for Y parameter 1 at m=3"
@@ -303,7 +303,8 @@ def test_recurrence_check_varies_every_parameter_of_every_family(monkeypatch):
     bounds = checks.BOUNDS["small"]
     assert checks.CHECKS["recurrences"](bounds)[0]
     varied = set()
-    for name, (floors, _) in FAMILIES.items():
+    for name, family in FAMILIES.items():
+        floors = family.floors
         for i, floor in enumerate(floors):
             at_floors = {s.params[i] for s in seen if s.family == name
                          and s.params[:i] + s.params[i + 1:] == floors[:i] + floors[i + 1:]}

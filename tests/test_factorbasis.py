@@ -21,7 +21,6 @@ from indeq.factorbasis import (
     orders,
     product_of,
     real_cyclotomic,
-    two_adic_split,
 )
 from indeq.graphcore import build
 from indeq.indpoly import cycle_polynomial, independence_polynomial, path_polynomial
@@ -177,16 +176,6 @@ def test_basis_is_irreducible_by_sympy():
     for factor, degree in cases:
         _, factors = sympy.factor_list(sympy.Poly(factor.poly.coeffs[::-1], x))
         assert [(f.degree(), m) for f, m in factors] == [(degree, 1)], factor.name
-
-
-def test_two_adic_split():
-    assert two_adic_split(1) == (0, 1)
-    for k in range(12):
-        for m in (1, 3, 5, 45, 2**61 - 1):
-            assert two_adic_split(2**k * m) == (k, m)
-    for n in (0, -4):
-        with pytest.raises(ValueError):
-            two_adic_split(n)
 
 
 def test_number_theory_refuses_n_below_one():

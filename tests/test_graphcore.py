@@ -136,9 +136,9 @@ def lengthened(g, u, v):
 
 
 def test_each_parameter_is_one_run():
-    for fam, (floors, moves) in FAMILIES.items():
-        runs = [m.param for m in moves if isinstance(m, graphcore.Run)]
-        assert sorted(runs) == list(range(len(floors))), fam
+    for fam, family in FAMILIES.items():
+        runs = [m.param for m in family.moves if isinstance(m, graphcore.Run)]
+        assert sorted(runs) == list(range(len(family.floors))), fam
 
 
 @pytest.mark.parametrize("fam", sorted(RUN_EDGES))

@@ -57,7 +57,8 @@ SMALL_GRID = [
 
 
 def _catalogue_grid(max_vertices, top=8, three_param_top=4):
-    for fam, (floors, _) in FAMILIES.items():
+    for fam, family in FAMILIES.items():
+        floors = family.floors
         if fam == "P":
             floors = (1,)
         cap = three_param_top if len(floors) == 3 else top
@@ -510,8 +511,8 @@ def _assert_swept_once_and_runs_once(sweep_counter, graphs):
 
 
 def test_each_component_is_swept_once_and_its_runs_once(sweep_counter):
-    shapes = [FamilySpec(fam, params) for fam, (floors, _) in FAMILIES.items()
-              for params in itertools.product(*[range(f, 9) for f in floors])]
+    shapes = [FamilySpec(fam, params) for fam, family in FAMILIES.items()
+              for params in itertools.product(*[range(f, 9) for f in family.floors])]
     _assert_swept_once_and_runs_once(sweep_counter, [build(spec) for spec in shapes])
 
 

@@ -134,6 +134,20 @@ def test_huge_counts_are_refused_naming_the_cap(argv, message):
     assert len(done.stderr.encode()) < 200
 
 
+@pytest.mark.parametrize("vertices,edges,least", [("12", "33", "15,071,825,300"), ("11", "27", "95,807,912")])
+def test_an_edge_filter_past_the_level_cap_is_refused_at_once(vertices, edges, least):
+    # grown, the levels up to 33 of 66 edges hold over 16 billion classes and
+    # those up to 27 of 55 over 100 million: the child's address-space limit
+    # turns a missing cap into a failure, not an exhausted host
+    done = _under_limit(TIMED_CHILD, "enumerate", "--vertices", vertices, "--edges", edges, timeout=60)
+    *lines, seconds = done.stderr.splitlines()
+    assert done.returncode == 2 and done.stdout == ""
+    assert lines == [f"error: edge count {edges} on {vertices} vertices grows a level of at least {least}"
+                     " classes, above the edge-filter cap of 1,134,456"]
+    assert len(lines[0].encode()) < 199
+    assert float(seconds) < 0.5, seconds
+
+
 def test_graph6_above_the_vertex_cap_is_refused_before_its_data():
     # an edgeless graph on 12,000 vertices: "~" and an 18-bit size, then
     # 12 million zero data bytes

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from math import comb
@@ -284,6 +285,32 @@ def test_enumerate_bounds():
         next(enumerate_graphs(EnumFilter(13, edge_count=3)))
     with pytest.raises(ValueError, match="impossible"):
         EnumFilter(4, edge_count=7)
+
+
+@pytest.mark.parametrize("n,edges", [(12, 33), (11, 27), (12, 16), (11, 17), (12, 50), (11, 38)])
+def test_an_edge_filter_whose_levels_cannot_fit_is_refused_at_once(n, edges):
+    # grown, 33 of 66 edges passes a level of 16 billion classes and 27 of 55
+    # one of 100 million; 16 and 50 of 66, 17 and 38 of 55 are the first refused
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="above the edge-filter cap of 1,134,456"):
+            EnumFilter(n, edge_count=edges)
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 0.5, seconds
+
+
+def test_the_edge_filter_cap_admits_what_fits():
+    # C(M, e)/n! classes at least in the widest level, against C(45, 22)/10!:
+    # every edge filter on 10 or fewer vertices, 12 vertices with e <= 15 or
+    # e >= 51, 11 with e <= 16 or e >= 39, and degree filters as before
+    for n in range(11):
+        for edges in range(comb(n, 2) + 1):
+            EnumFilter(n, edge_count=edges)
+    for n, edges in [(12, 15), (12, 51), (12, 63), (11, 16), (11, 39), (12, 0), (12, 66)]:
+        EnumFilter(n, edge_count=edges)
+    EnumFilter(10)
+    EnumFilter(12, edge_count=33, max_degree=3)
 
 
 def test_enumerate_max_degree_filter():

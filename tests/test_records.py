@@ -1,4 +1,4 @@
-"""The library's seven records: constructors and their argument binding,
+"""The library's nine records: constructors and their argument binding,
 equality (never with a plain tuple), hashing, immutability, repr text,
 ordering and refusals, pickle and copy round trips (of IntPoly and Graph
 too), plus a start-up guard that importing the CLI pulls in neither
@@ -17,7 +17,7 @@ import pytest
 
 from indeq.classify import CATALOGUE, CatalogueEntry, EquivClass, Verdict, path_class
 from indeq.factorbasis import BasisFactor, basis_f, basis_ftilde
-from indeq.graphcore import FamilySpec, Graph
+from indeq.graphcore import FAMILIES, Family, FamilySpec, Graph, Run
 from indeq.oracle import EnumFilter
 from indeq.polyalg import IntPoly, SturmChain
 
@@ -26,9 +26,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 Y321 = FamilySpec("Y", (3, 2, 1))
 P2, C4 = FamilySpec("P", (2,)), FamilySpec("C", (4,))
 CHAIN = SturmChain.of(IntPoly([1, 3, 1]))
+RUN, RING = Run(1, 0, -3), FAMILIES["C"]
 
 # one of each record, then IntPoly and Graph
-RECORDS = [Y321, EnumFilter(6, 3), Verdict(False, "no"), CATALOGUE[5], path_class(6), basis_f(7), CHAIN]
+RECORDS = [Y321, EnumFilter(6, 3), Verdict(False, "no"), CATALOGUE[5], path_class(6), basis_f(7), CHAIN, RUN, RING]
 ALL_RECORDS = RECORDS + [IntPoly([1, 2]), Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])]
 
 
@@ -44,6 +45,8 @@ EQUAL_TWINS = [
     (EquivClass(P2, [[C4, P2]]), EquivClass(reference=P2, members=([P2, C4],))),
     (BasisFactor("f", 5, IntPoly([1, 5, 5])), BasisFactor("f", 5, IntPoly([7]))),
     (CHAIN, SturmChain(chain=CHAIN.chain, steps=CHAIN.steps)),
+    (RUN, Run(anchor=1, param=0, offset=-3)),
+    (RING, Family(floors=(3,), moves=((), (0,), Run(1, 0, -3), (2, 0)))),
 ]
 
 
@@ -70,6 +73,8 @@ def test_equal_records_hash_equal_and_serve_as_keys(a, b):
     (EquivClass(P2, [[P2]]), EquivClass(C4, [[P2]])),
     (BasisFactor("f", 5, IntPoly([1])), BasisFactor("ftilde", 5, IntPoly([1]))),
     (CHAIN, SturmChain.of(IntPoly([1, 4, 1]))),
+    (RUN, Run(None, 0, -3)),
+    (RING, FAMILIES["D"]),
 ], ids=lambda obj: type(obj).__name__)
 def test_records_differing_in_a_field_differ(a, b):
     assert a != b and not a == b
@@ -168,6 +173,7 @@ def test_sturm_chain_of_is_a_classmethod_on_the_class_itself():
     (Y321, "family"), (Y321, "params"), (EnumFilter(5), "vertex_count"),
     (Verdict(True, "ok"), "reason"), (CATALOGUE[0], "label"),
     (EquivClass(P2, [[P2]]), "members"), (basis_f(5), "poly"), (CHAIN, "chain"),
+    (RUN, "anchor"), (RING, "moves"),
 ], ids=lambda obj: type(obj).__name__ if not isinstance(obj, str) else obj)
 def test_records_refuse_assignment(record, field):
     before = getattr(record, field)
@@ -182,7 +188,7 @@ def test_records_refuse_assignment(record, field):
     (Y321, "family"), (Y321, "params"), (EnumFilter(5), "vertex_count"),
     (Verdict(True, "ok"), "reason"), (CATALOGUE[0], "label"),
     (EquivClass(P2, [[P2]]), "members"), (basis_f(5), "poly"), (CHAIN, "chain"),
-    (IntPoly([1, 2]), "coeffs"), (Graph.empty(2), "adj"),
+    (IntPoly([1, 2]), "coeffs"), (Graph.empty(2), "adj"), (RUN, "offset"), (RING, "floors"),
 ], ids=lambda obj: type(obj).__name__ if not isinstance(obj, str) else obj)
 def test_records_refuse_deletion(record, field):
     before = getattr(record, field)
@@ -206,6 +212,8 @@ def test_records_print_as_their_fields():
         " members=((FamilySpec(family='P', params=(2,)),),))")
     assert repr(basis_f(5)) == "BasisFactor(kind='f', index=5, poly=IntPoly('1 + 5x + 5x^2'))"
     assert repr(SturmChain.of(IntPoly([0, 1]))) == "SturmChain(chain=(IntPoly('x'), IntPoly('1')), steps=())"
+    assert repr(RUN) == "Run(anchor=1, param=0, offset=-3)"
+    assert repr(FAMILIES["P"]) == "Family(floors=(0,), moves=(Run(anchor=None, param=0, offset=0),))"
 
 
 @pytest.mark.parametrize("record", ALL_RECORDS, ids=lambda obj: type(obj).__name__)
